@@ -24,8 +24,8 @@ from .martingale import (RealizedSplit, TruncationReport, normal_approx_check,
 from .model import (DesignGrid, FunctionSpec, NoiseSpec, ScaleSpec,
                     certify_noise, constant_fn, derive_seed, design_grid,
                     flat_scale, function_catalog, get_noise, linear_fn,
-                    noise_catalog, sample_run, scale_catalog, scale_eval,
-                    scale_frechet, zero_noise)
+                    noise_catalog, replicate, sample_run, scale_catalog,
+                    scale_eval, scale_frechet, zero_noise)
 from .risk import (EFFICIENCY_CONSTANT, RiskConfig, RiskReport, RiskRow,
                    certified_family, default_family, exact_gaussian_risk,
                    folded_normal_mean, monte_carlo_risk, sup_risk)
@@ -38,7 +38,7 @@ __all__ = [
     "design_grid", "scale_eval", "scale_frechet", "sample_run",
     "certify_noise", "noise_catalog", "get_noise", "zero_noise",
     "scale_catalog", "flat_scale", "function_catalog",
-    "constant_fn", "linear_fn", "derive_seed",
+    "constant_fn", "linear_fn", "derive_seed", "replicate",
     # holder
     "HolderParams", "WeakHolderParams", "check_holder", "weak_defect",
     "check_weak_holder", "default_h_grid",

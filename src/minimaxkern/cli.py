@@ -346,7 +346,8 @@ def _write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
 
 def run(config: ExperimentConfig, out_dir: str | None = None,
         quiet: bool = False, threads: int = 1) -> int:
-    """Execute one experiment; writes <command>.csv plus manifest.json.
+    """Execute one experiment; writes <stem>.csv plus manifest.json, where
+    <stem> is the command with '-' replaced by '_' (e.g. clt_check.csv).
 
     Any failure removes files written so far, so output directories never
     hold partial tables.

@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .estimator import EstimatorConfig
-from .model import (FunctionSpec, NoiseSpec, ScaleSpec, derive_seed,
+from .model import (FunctionSpec, NoiseSpec, ScaleSpec, replicate,
                     rng_from_seed, scale_eval, scale_profile)
 from .numerics import ks_statistic
 
@@ -160,11 +160,7 @@ def normal_approx_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
         raise ValueError("reps must be >= 100")
     ratio, _ = _window_weights(S, scale, cfg)
     w = ratio / math.sqrt(cfg.q_n)
-    stats = np.empty(reps)
-    for i in range(reps):
-        rng = rng_from_seed(derive_seed(seed, i))
-        xi = np.asarray(noise.sampler(rng, cfg.q_n), dtype=float)
-        stats[i] = float(np.sum(w * xi))
+    stats = replicate(noise, cfg.q_n, reps, seed, lambda xi: float(np.sum(w * xi)))
     return ks_statistic(stats, ndtr)
 
 
@@ -186,13 +182,11 @@ def zeta_dd_moment_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     w = ratio / math.sqrt(cfg.q_n)
     expected = float(np.sum(ratio ** 2)) / cfg.q_n * (k_p - m_above ** 2)
 
-    sq = np.empty(reps)
-    for i in range(reps):
-        rng = rng_from_seed(derive_seed(seed, i))
-        xi = np.asarray(noise.sampler(rng, cfg.q_n), dtype=float)
-        tail = np.where(np.abs(xi) <= a, 0.0, xi) - m_above
-        z_dd = float(np.sum(w * tail))
-        sq[i] = z_dd * z_dd
+    def squared_tail_sum(xi: np.ndarray) -> float:
+        z_dd = float(np.sum(w * (np.where(np.abs(xi) <= a, 0.0, xi) - m_above)))
+        return z_dd * z_dd
+
+    sq = replicate(noise, cfg.q_n, reps, seed, squared_tail_sum)
     est = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1)) / math.sqrt(reps)
     return est, stderr, expected

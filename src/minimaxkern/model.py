@@ -94,27 +94,6 @@ def linear_fn(slope: float, intercept: float = 0.0, center: float = 0.0,
     )
 
 
-def scaled_fn(S: FunctionSpec, factor: float, label: str | None = None) -> FunctionSpec:
-    """The curve factor * S."""
-    f = float(factor)
-    return FunctionSpec(
-        label=label or f"{f:g}*{S.label}",
-        eval=lambda x: f * np.asarray(S.eval(x), dtype=float),
-        deriv=lambda x: f * np.asarray(S.deriv(x), dtype=float),
-    )
-
-
-def shifted_fn(S: FunctionSpec, offset: float, slope: float = 0.0, center: float = 0.0,
-               label: str | None = None) -> FunctionSpec:
-    """S plus an affine term offset + slope * (x - center)."""
-    return FunctionSpec(
-        label=label or f"{S.label}+affine",
-        eval=lambda x: np.asarray(S.eval(x), dtype=float)
-        + offset + slope * (np.asarray(x, dtype=float) - center),
-        deriv=lambda x: np.asarray(S.deriv(x), dtype=float) + slope,
-    )
-
-
 def function_catalog(z0: float = 0.5) -> dict[str, FunctionSpec]:
     """Built-in regression curves, anchored at the estimation point z0.
 
@@ -438,6 +417,25 @@ def derive_seed(master: int, index: int) -> int:
         raise ValueError("replication index must be non-negative")
     ss = np.random.SeedSequence(entropy=int(master) & _MASK64, spawn_key=(int(index),))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def replicate(noise: NoiseSpec, q_n: int, reps: int, seed: int,
+              stat: Callable[[np.ndarray], float | np.ndarray]) -> np.ndarray:
+    """Evaluate ``stat`` on the window noises of ``reps`` replications.
+
+    Replication i draws exactly q_n values from
+    rng_from_seed(derive_seed(seed, i)), one replication at a time, and
+    passes them to ``stat``.  Row i of the result is stat's value for
+    replication i (a scalar or a fixed-shape array), so reruns are
+    bit-identical.  Only one replication's draws are held at a time; a
+    (reps, q_n) block is never formed.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    return np.array([
+        stat(np.asarray(noise.sampler(rng_from_seed(derive_seed(seed, i)), q_n),
+                        dtype=float))
+        for i in range(reps)])
 
 
 def regression_curves(S: FunctionSpec, scale: ScaleSpec, n: int

@@ -1,12 +1,19 @@
 """Normalized absolute-error risk of the window estimator.
 
-The per-run statistic is phi_n |S_hat(z0) - S(z0)| / g(z0, S).  Under
-Gaussian noise the estimator error is exactly B_n + N(0, sigma_n^2/q_n),
-so the risk has a folded-normal closed form that serves as the exact
-oracle for every Monte Carlo run.  Worst-case behaviour over the weak
-local class is probed by taking the maximum over a finite certified
-family (constants, tilts, odd oscillations, even dips and window-scaled
-plateau bumps).
+The per-run statistic is phi_n |S_hat(z0) - S(z0)| / g(z0, S), and the
+estimator error is B_n + (1/q_n) sum_k g(x_k, S) xi_k over the window.
+Monte Carlo replication i draws only the q_n window noises, as the first
+q_n values of the stream seeded by derive_seed(seed, i) (see
+``model.replicate``), and every family member is scored on those same
+draws.  B_n keeps its exactly rounded window sum; the noise sum is a
+fixed-axis numpy reduction, so Monte Carlo values repeat exactly on one
+platform and numpy build but are not promised bit-identical across them.
+Under Gaussian noise the error is exactly B_n + N(0, sigma_n^2/q_n), so
+the risk has a folded-normal closed form that serves as the exact oracle
+for every Monte Carlo run.  Worst-case behaviour over the weak local
+class is probed by taking the maximum over a finite certified family
+(constants, tilts, odd oscillations, even dips and window-scaled plateau
+bumps).
 """
 
 from __future__ import annotations
@@ -17,12 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .estimator import EstimatorConfig, decompose, kernel_estimate
+# kernel_estimate is not called here, but bench/trace_driver.py wraps it
+# under this module's name, so the name stays importable from risk.
+from .estimator import (DecompositionReport, EstimatorConfig, decompose,
+                        kernel_estimate)  # noqa: F401
 from .holder import WeakHolderParams, check_weak_holder
 from .lowerbound import PlateauKernel, PerturbationSpec, build_kernel
 from .model import (FunctionSpec, NoiseSpec, ScaleSpec, constant_fn,
-                    derive_seed, linear_fn, regression_curves, rng_from_seed,
-                    scale_eval)
+                    linear_fn, replicate, scale_eval, scale_profile)
 
 #: Sharp efficiency constant E|N(0,1)| / sqrt(2).
 EFFICIENCY_CONSTANT = 1.0 / math.sqrt(math.pi)
@@ -87,59 +96,100 @@ class RiskReport:
     constant_target: float = field(default=EFFICIENCY_CONSTANT)
 
 
+def _gaussian_oracle(dec: DecompositionReport, cfg: EstimatorConfig,
+                     g0: float) -> float:
+    """phi_n E|B_n + N(0, sigma_n^2/q_n)| / g0 from a decomposition."""
+    s = math.sqrt(dec.sigma_n_sq / cfg.q_n)
+    return cfg.phi_n * folded_normal_mean(dec.b_n, s) / g0
+
+
 def exact_gaussian_risk(S: FunctionSpec, rc: RiskConfig) -> float:
     """Folded-normal oracle phi_n E|B_n + N(0, sigma_n^2/q_n)| / g(z0, S)."""
     if rc.noise.label != "gaussian":
         raise ValueError("the exact oracle applies to Gaussian noise only")
-    dec = decompose(S, rc.scale, rc.cfg)
-    s = math.sqrt(dec.sigma_n_sq / rc.cfg.q_n)
-    g0 = scale_eval(rc.scale, rc.cfg.z0, S)
-    return rc.cfg.phi_n * folded_normal_mean(dec.b_n, s) / g0
+    return _gaussian_oracle(decompose(S, rc.scale, rc.cfg), rc.cfg,
+                            scale_eval(rc.scale, rc.cfg.z0, S))
+
+
+@dataclass(frozen=True)
+class _Member:
+    """The deterministic parts of one family member's risk."""
+
+    S: FunctionSpec
+    dec: DecompositionReport
+    g_window: np.ndarray  # g(x_k, S) over the window
+    g0: float             # g(z0, S)
+
+
+def _member(S: FunctionSpec, rc: RiskConfig) -> _Member:
+    return _Member(S=S, dec=decompose(S, rc.scale, rc.cfg),
+                   g_window=scale_profile(rc.scale, rc.cfg.window_x, S),
+                   g0=scale_eval(rc.scale, rc.cfg.z0, S))
+
+
+def _family_stats(members: list[_Member], rc: RiskConfig, noise: NoiseSpec
+                  ) -> np.ndarray:
+    """Per-replication statistics, one row per member, from common draws.
+
+    Member f's statistic for the window draws xi is
+    phi_n |B_f + sum_k g_f(x_k) xi_k / q_n| / g(z0, f); the noise sum is a
+    numpy reduction along a fixed axis, so a member's values do not depend
+    on which other members share the draws.
+    """
+    cfg = rc.cfg
+    b = np.array([m.dec.b_n for m in members])
+    g0 = np.array([m.g0 for m in members])
+    g = np.stack([m.g_window for m in members])
+
+    def stat(xi: np.ndarray) -> np.ndarray:
+        return cfg.phi_n * np.abs(b + (g * xi).sum(axis=1) / cfg.q_n) / g0
+
+    return replicate(noise, cfg.q_n, rc.reps, rc.seed, stat).T.copy()
+
+
+def _family_risk(members: list[_Member], rc: RiskConfig, noise: NoiseSpec
+                 ) -> list[tuple[float, float]]:
+    """(risk, stderr) of every member, aggregated in replication order."""
+    return [(float(np.mean(row)),
+             float(np.std(row, ddof=1)) / math.sqrt(rc.reps))
+            for row in _family_stats(members, rc, noise)]
 
 
 def monte_carlo_risk(S: FunctionSpec, rc: RiskConfig) -> tuple[float, float]:
-    """Replicated risk estimate and its standard error.
+    """Replicated risk estimate of S under rc.noise and its standard error.
 
-    Replication i uses the sub-seed derived from (seed, i); aggregation is
-    in replication order, so reruns are bit-identical.
+    Replication i scores the q_n window noises drawn by
+    ``replicate(rc.noise, q_n, rc.reps, rc.seed, ...)``; aggregation is in
+    replication order, so reruns on one platform and numpy build are
+    bit-identical.  The value equals S's row in ``sup_risk``.
     """
-    cfg = rc.cfg
-    _, mean_vec, g_vec = regression_curves(S, rc.scale, cfg.n)
-    g0 = scale_eval(rc.scale, cfg.z0, S)
-    target = float(np.asarray(S.eval(cfg.z0), dtype=float))
-    stats = np.empty(rc.reps)
-    for i in range(rc.reps):
-        rng = rng_from_seed(derive_seed(rc.seed, i))
-        xi = np.asarray(rc.noise.sampler(rng, cfg.n), dtype=float)
-        y = mean_vec + g_vec * xi
-        est, _ = kernel_estimate(y, cfg)
-        stats[i] = cfg.phi_n * abs(est - target) / g0
-    estimate = float(np.mean(stats))
-    stderr = float(np.std(stats, ddof=1)) / math.sqrt(rc.reps)
-    return estimate, stderr
+    return _family_risk([_member(S, rc)], rc, rc.noise)[0]
 
 
 def sup_risk(rc: RiskConfig, noises: list[NoiseSpec] | None = None) -> RiskReport:
-    """Monte Carlo risk per (function, noise) pair and the family supremum."""
+    """Monte Carlo risk per (function, noise) pair and the family supremum.
+
+    Each member is decomposed once; per noise, every member is scored on
+    common draws (common random numbers).  The family was certified when
+    ``rc`` was built, so cells are not re-certified.
+    """
     noise_list = list(noises) if noises is not None else [rc.noise]
     if not noise_list:
         raise ValueError("need at least one noise")
+    members = [_member(S, rc) for S in rc.family]
+    risks = [_family_risk(members, rc, noise) for noise in noise_list]
     rows: list[RiskRow] = []
     best = None
-    for S in rc.family:
-        dec = decompose(S, rc.scale, rc.cfg)
-        phin_bn = rc.cfg.phi_n * dec.b_n
-        for noise in noise_list:
-            cell = RiskConfig(cfg=rc.cfg, delta=rc.delta, reps=rc.reps,
-                              seed=rc.seed, family=(S,), scale=rc.scale,
-                              noise=noise)
-            mc, se = monte_carlo_risk(S, cell)
-            oracle = exact_gaussian_risk(S, cell) if noise.label == "gaussian" else None
-            rows.append(RiskRow(function=S.label, noise=noise.label,
+    for j, m in enumerate(members):
+        for noise, cell in zip(noise_list, risks):
+            mc, se = cell[j]
+            oracle = (_gaussian_oracle(m.dec, rc.cfg, m.g0)
+                      if noise.label == "gaussian" else None)
+            rows.append(RiskRow(function=m.S.label, noise=noise.label,
                                 risk_mc=mc, stderr=se, risk_oracle=oracle,
-                                phin_bn=phin_bn))
+                                phin_bn=rc.cfg.phi_n * m.dec.b_n))
             if best is None or mc > best[0]:
-                best = (mc, S.label, noise.label)
+                best = (mc, m.S.label, noise.label)
     assert best is not None
     return RiskReport(rows=tuple(rows), sup_risk=best[0],
                       attained_by=(best[1], best[2]))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from minimaxkern.estimator import EstimatorConfig, decompose
-from minimaxkern.model import (constant_fn, flat_scale, function_catalog,
-                               get_noise, scale_eval, zero_noise)
-from minimaxkern.risk import (EFFICIENCY_CONSTANT, RiskConfig,
-                              certified_family, default_family,
+from minimaxkern.model import (constant_fn, derive_seed, flat_scale,
+                               function_catalog, get_noise, replicate,
+                               rng_from_seed, scale_eval, zero_noise)
+from minimaxkern.risk import (EFFICIENCY_CONSTANT, RiskConfig, _family_stats,
+                              _member, certified_family, default_family,
                               exact_gaussian_risk, folded_normal_mean,
                               monte_carlo_risk, sup_risk)
 
@@ -201,3 +203,102 @@ class TestRiskConfigValidation:
                                    kernel=plateau_kernel_01)
             assert len(fam) == 10
             assert len({S.label for S in fam}) == 10
+
+
+def _recording(noise, sizes):
+    """The same law, with a sampler that records every requested size."""
+    def sampler(rng, size):
+        sizes.append(size)
+        return noise.sampler(rng, size)
+    return dataclasses.replace(noise, sampler=sampler)
+
+
+class TestReplicationEngine:
+    @pytest.mark.parametrize("n", [1_000, 100_000])
+    @pytest.mark.parametrize("label", ["gaussian", "student5_std"])
+    def test_statistic_matches_decompose(self, mixed_scale, plateau_kernel_01,
+                                         n, label):
+        # the engine's per-replication statistic against the fsum
+        # reconstruction of the estimate from the same window draws
+        cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+        noise = get_noise(label)
+        fam = default_family(0.5, 0.1, 2.0, n, plateau_kernel_01)
+        rc = RiskConfig(cfg=cfg, delta=0.1, reps=12, seed=42,
+                        family=tuple(fam), scale=mixed_scale, noise=noise)
+        stats = _family_stats([_member(S, rc) for S in fam], rc, noise)
+        assert stats.shape == (len(fam), rc.reps)
+        for i in range(rc.reps):
+            xi = noise.sampler(rng_from_seed(derive_seed(rc.seed, i)), cfg.q_n)
+            for S, row in zip(fam, stats):
+                est = decompose(S, mixed_scale, cfg, xi=xi).estimate
+                s0 = float(S.eval(cfg.z0))
+                g0 = scale_eval(mixed_scale, cfg.z0, S)
+                expected = cfg.phi_n * abs(est - s0) / g0
+                assert row[i] == pytest.approx(expected, rel=0, abs=1e-12), \
+                    (S.label, i)
+
+    def test_rows_match_single_member_risk(self, mixed_scale, gaussian,
+                                           plateau_kernel_01):
+        cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
+        fam = default_family(0.5, 0.1, 2.0, cfg.n, plateau_kernel_01)
+        noises = [gaussian, get_noise("uniform_std")]
+        rc = RiskConfig(cfg=cfg, delta=0.1, reps=200, seed=9,
+                        family=tuple(fam), scale=mixed_scale, noise=gaussian)
+        report = sup_risk(rc, noises=noises)
+        for row in report.rows:
+            S = next(f for f in fam if f.label == row.function)
+            noise = next(z for z in noises if z.label == row.noise)
+            mc, se = monte_carlo_risk(S, dataclasses.replace(rc, noise=noise))
+            assert row.risk_mc == pytest.approx(mc, rel=1e-12, abs=0)
+            assert row.stderr == pytest.approx(se, rel=1e-12, abs=0)
+
+    def test_member_row_unchanged_by_added_members(self, mixed_scale, gaussian,
+                                                   plateau_kernel_01):
+        cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
+        fam = default_family(0.5, 0.1, 2.0, cfg.n, plateau_kernel_01)
+        noises = [gaussian, get_noise("laplace_std")]
+        small = RiskConfig(cfg=cfg, delta=0.1, reps=150, seed=5,
+                           family=(fam[2],), scale=mixed_scale, noise=gaussian)
+        large = dataclasses.replace(small, family=tuple(fam))
+        small_rows = sup_risk(small, noises=noises).rows
+        large_rows = [r for r in sup_risk(large, noises=noises).rows
+                      if r.function == fam[2].label]
+        assert list(small_rows) == large_rows
+
+    def test_each_replication_draws_exactly_the_window(self, mixed_scale,
+                                                       gaussian,
+                                                       plateau_kernel_01):
+        cfg = EstimatorConfig(n=3_000, beta=2.0, z0=0.5)
+        fam = default_family(0.5, 0.1, 2.0, cfg.n, plateau_kernel_01)
+        sizes: list = []
+        noises = [_recording(gaussian, sizes),
+                  _recording(get_noise("rademacher"), sizes)]
+        rc = RiskConfig(cfg=cfg, delta=0.1, reps=40, seed=2,
+                        family=tuple(fam), scale=mixed_scale, noise=noises[0])
+        sup_risk(rc, noises=noises)
+        # one draw per replication and noise, shared by the whole family
+        assert sizes == [cfg.q_n] * (rc.reps * len(noises))
+        sizes.clear()
+        monte_carlo_risk(fam[0], rc)
+        assert sizes == [cfg.q_n] * rc.reps
+
+    def test_replicate_is_deterministic(self, gaussian):
+        sizes: list = []
+        noise = _recording(gaussian, sizes)
+        weights = np.linspace(0.5, 1.5, 3)[:, None]
+
+        def stat(xi):
+            return (weights * xi).sum(axis=1)
+
+        first = replicate(noise, 257, 30, 11, stat)
+        second = replicate(noise, 257, 30, 11, stat)
+        assert first.shape == (30, 3)
+        assert first.tobytes() == second.tobytes()
+        assert sizes == [257] * 60
+        # replication i is the head of the stream seeded by derive_seed
+        xi = gaussian.sampler(rng_from_seed(derive_seed(11, 4)), 257)
+        assert np.array_equal(first[4], stat(xi))
+
+    def test_replicate_rejects_zero_reps(self, gaussian):
+        with pytest.raises(ValueError):
+            replicate(gaussian, 10, 0, 1, np.sum)
