@@ -16,7 +16,8 @@ from .holder import (HolderParams, WeakHolderParams, check_holder,
                      check_weak_holder, default_h_grid, weak_defect)
 from .lowerbound import (MollifierSpec, PerturbationSpec, PlateauKernel,
                          bayes_bound, build_kernel, likelihood_ratio,
-                         min_n_membership, shift_statistic, varsigma_sq)
+                         log_likelihood_ratio, min_n_membership,
+                         shift_statistic, varsigma_sq)
 from .martingale import (RealizedSplit, TruncationReport, normal_approx_check,
                          tail_second_moment, truncated_mean,
                          truncated_variance, truncation_split,
@@ -52,7 +53,7 @@ __all__ = [
     # lowerbound
     "MollifierSpec", "PlateauKernel", "PerturbationSpec", "build_kernel",
     "min_n_membership", "varsigma_sq", "shift_statistic",
-    "likelihood_ratio", "bayes_bound",
+    "likelihood_ratio", "log_likelihood_ratio", "bayes_bound",
     # martingale
     "TruncationReport", "RealizedSplit", "tail_second_moment",
     "truncated_mean", "truncated_variance", "truncation_split",

@@ -242,15 +242,12 @@ def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list]]:
             family = _resolve_functions(
                 config, n, delta, kernel,
                 default=default_family(config.z0, delta, config.beta, n, kernel))
-            params = WeakHolderParams(z0=config.z0, delta=delta, beta=config.beta)
-            bad = [S.label for S in family
-                   if not check_weak_holder(S, params).certified]
-            if bad:
-                raise ConfigError(
-                    f"functions not certified at delta={delta}: {bad}")
-            rc = RiskConfig(cfg=cfg, delta=delta, reps=config.reps,
-                            seed=config.seed, family=tuple(family),
-                            scale=scale, noise=noises[0])
+            try:  # RiskConfig certifies every member at delta
+                rc = RiskConfig(cfg=cfg, delta=delta, reps=config.reps,
+                                seed=config.seed, family=tuple(family),
+                                scale=scale, noise=noises[0])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
             report = sup_risk(rc, noises=noises)
             for row in sorted(report.rows, key=lambda r: (r.function, r.noise)):
                 rows.append([n, config.beta, config.z0, delta, row.function,

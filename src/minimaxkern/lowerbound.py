@@ -25,13 +25,18 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from .estimator import EstimatorConfig
 from .model import FunctionSpec, ScaleSpec, constant_fn, scale_eval, scale_profile
 from .numerics import composite_simpson
 
 DEFAULT_RESOLUTION = 4096
 V_QUAD_PANELS = 32768
+
+# |d/dz exp(-1/(1-z^2))| = 2 z exp(-1/(1-z^2)) / (1-z^2)^2 on (0, 1); its
+# log-derivative 1/z - 2z/(1-z^2)^2 + 4z/(1-z^2) has the numerator
+# 1 - 3 z^4, so the peak sits at z* = 3^(-1/4) (and at -z* by symmetry).
+_BUMP_DERIV_ARGMAX = 3.0 ** -0.25
 
 
 def _raw_bump(z: np.ndarray) -> np.ndarray:
@@ -59,7 +64,9 @@ def _bump_tables(resolution: int) -> tuple[np.ndarray, np.ndarray, float, float]
 
     Returns (nodes, normalized cdf, normalizer, sup|l'|).  Each segment is
     integrated by one Simpson panel; the bump is smooth, so the table is
-    accurate to well below 1e-12 at the default resolution.
+    accurate to well below 1e-12 at the default resolution.  sup|l'| is
+    the closed form |l'(3^(-1/4))|: the peak of |l'| solves 1 - 3 z^4 = 0
+    (see _BUMP_DERIV_ARGMAX).
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
@@ -74,17 +81,8 @@ def _bump_tables(resolution: int) -> tuple[np.ndarray, np.ndarray, float, float]
     cdf = cdf / normalizer
     cdf[-1] = 1.0
 
-    # sup |l'| by dense scan plus bounded local refinement
-    zs = np.linspace(-1.0, 1.0, 8193)
-    vals = np.abs(_raw_bump_deriv(zs))
-    k = int(np.argmax(vals))
-    lo = zs[max(k - 1, 0)]
-    hi = zs[min(k + 1, zs.size - 1)]
-    res = minimize_scalar(lambda z: -abs(float(_raw_bump_deriv(np.asarray([z]))[0])),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    sup = max(float(vals[k]), -float(res.fun)) / normalizer
-    return nodes, cdf, normalizer, sup
+    peak = _raw_bump_deriv(np.asarray([_BUMP_DERIV_ARGMAX]))[0]
+    return nodes, cdf, normalizer, abs(float(peak)) / normalizer
 
 
 @dataclass(frozen=True)
@@ -232,8 +230,6 @@ def min_n_membership(nu: float, delta: float, beta: float, l_prime_sup: float) -
 def _window_terms(pert: PerturbationSpec, scale: ScaleSpec
                   ) -> tuple[np.ndarray, np.ndarray, slice]:
     """(V values, g values, window slice) on the design points that matter."""
-    from .estimator import EstimatorConfig
-
     cfg = EstimatorConfig(n=pert.n, beta=pert.beta, z0=pert.z0)
     xw = cfg.window_x
     vvals = pert.kernel.values((xw - pert.z0) / pert.h)
@@ -271,13 +267,23 @@ def shift_statistic(pert: PerturbationSpec, scale: ScaleSpec,
     return eta, varsigma
 
 
-def likelihood_ratio(u: float, pert: PerturbationSpec, scale: ScaleSpec,
-                     y: np.ndarray) -> float:
-    """Gaussian likelihood ratio exp(u varsigma eta - u^2 varsigma^2 / 2)
-    between the perturbed-mean and pure-noise laws, at amplitude u."""
+def log_likelihood_ratio(u: float, pert: PerturbationSpec, scale: ScaleSpec,
+                         y: np.ndarray) -> float:
+    """Log of the Gaussian likelihood ratio between the perturbed-mean and
+    pure-noise laws at amplitude u: u varsigma eta - u^2 varsigma^2 / 2."""
     at_u = replace(pert, u=float(u))
     eta, varsigma = shift_statistic(at_u, scale, y)
-    return math.exp(u * varsigma * eta - 0.5 * u * u * varsigma * varsigma)
+    return u * varsigma * eta - 0.5 * u * u * varsigma * varsigma
+
+
+def likelihood_ratio(u: float, pert: PerturbationSpec, scale: ScaleSpec,
+                     y: np.ndarray) -> float:
+    """Gaussian likelihood ratio exp(log_likelihood_ratio); math.inf once
+    the ratio exceeds the float range."""
+    try:
+        return math.exp(log_likelihood_ratio(u, pert, scale, y))
+    except OverflowError:
+        return math.inf
 
 
 def bayes_bound(nu: float, b: float, g_z0: float,

@@ -7,9 +7,10 @@ a = q_n^(1/4) and re-centering yields a bounded martingale-difference part
 plus a tail part whose second moment is (G_n/q_n) * K_p(a), with
 K_p(a) = E[xi^2 1{|xi| > a}] and G_n the window sum of g^2(x_k,S)/g^2(z0,S).
 
-Truncated moments use closed forms for the gaussian, uniform and
-rademacher entries and adaptive quadrature for the laplace and student
-entries (tolerance 1e-8); centering errors would bias the split directly.
+Truncated moments come from the noise law itself: its closed forms when it
+carries them (every continuous catalog entry does), its atoms when it is
+discrete, and otherwise adaptive quadrature of its density (tolerance
+1e-10 relative); centering errors would bias the split directly.
 """
 
 from __future__ import annotations
@@ -18,51 +19,47 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr
 
 from .estimator import EstimatorConfig
 from .model import (FunctionSpec, NoiseSpec, ScaleSpec, replicate,
                     rng_from_seed, scale_eval, scale_profile)
-from .numerics import ks_statistic
-
-_SQRT3 = math.sqrt(3.0)
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
+from .numerics import ks_statistic, normal_cdf
 
 
-def _phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def _density_integral(noise: NoiseSpec, f, lo: float, hi: float) -> float:
+    """int_lo^hi f(x) density(x) dx by adaptive quadrature.
+
+    Only laws without closed-form truncated moments get here, so only they
+    pay for importing scipy.
+    """
+    from scipy.integrate import quad
+
+    val, _ = quad(lambda x: f(x) * noise.density(x), lo, hi,
+                  epsabs=1e-12, epsrel=1e-10, limit=200)
+    return float(val)
 
 
 def tail_second_moment(noise: NoiseSpec, a: float) -> float:
     """K_p(a) = E[xi^2 1{|xi| > a}]."""
     if a <= 0:
         raise ValueError("a must be positive")
-    label = noise.label
-    if label == "gaussian":
-        return 2.0 * (a * _phi(a) + ndtr(-a))
-    if label == "uniform_std":
-        if a >= _SQRT3:
-            return 0.0
-        return 1.0 - a ** 3 / (3.0 * _SQRT3)
+    if noise.tail_second_moment is not None:
+        return float(noise.tail_second_moment(a))
     if noise.discrete:
         return float(sum(w * x * x for x, w in noise.atoms if abs(x) > a))
-    upper, _ = quad(lambda x: x * x * noise.density(x), a, np.inf, **_QUAD_KW)
-    lower, _ = quad(lambda x: x * x * noise.density(x), -np.inf, -a, **_QUAD_KW)
-    return float(upper + lower)
+    return (_density_integral(noise, lambda x: x * x, a, math.inf)
+            + _density_integral(noise, lambda x: x * x, -math.inf, -a))
 
 
 def truncated_mean(noise: NoiseSpec, a: float) -> float:
     """E[xi 1{|xi| <= a}] (zero for the symmetric catalog entries)."""
     if a <= 0:
         raise ValueError("a must be positive")
-    label = noise.label
-    if label in ("gaussian", "uniform_std"):
-        return 0.0
+    if noise.truncated_mean is not None:
+        return float(noise.truncated_mean(a))
     if noise.discrete:
         return float(sum(w * x for x, w in noise.atoms if abs(x) <= a))
-    val, _ = quad(lambda x: x * noise.density(x), -a, a, **_QUAD_KW)
-    return float(val)
+    return _density_integral(noise, lambda x: x, -a, a)
 
 
 def truncated_variance(noise: NoiseSpec, a: float) -> float:
@@ -161,7 +158,7 @@ def normal_approx_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     ratio, _ = _window_weights(S, scale, cfg)
     w = ratio / math.sqrt(cfg.q_n)
     stats = replicate(noise, cfg.q_n, reps, seed, lambda xi: float(np.sum(w * xi)))
-    return ks_statistic(stats, ndtr)
+    return ks_statistic(stats, normal_cdf)
 
 
 def zeta_dd_moment_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,

@@ -244,7 +244,10 @@ class NoiseSpec:
     ``abs_moment`` is the closed-form E|xi|^(2+epsilon); membership in the
     moment class requires mean 0, variance 1 and abs_moment <= L_bound.
     ``density`` is the pdf for continuous entries; discrete entries carry
-    their atoms explicitly.
+    their atoms explicitly.  ``tail_second_moment`` (a -> E[xi^2 1{|xi| > a}])
+    and ``truncated_mean`` (a -> E[xi 1{|xi| <= a}]) are optional closed
+    forms; a continuous law without them has its truncated moments
+    integrated from ``density``.
     """
 
     label: str
@@ -257,6 +260,8 @@ class NoiseSpec:
     L_bound: float = 10.0
     discrete: bool = False
     atoms: tuple = ()
+    tail_second_moment: Callable[[float], float] | None = None
+    truncated_mean: Callable[[float], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -299,6 +304,41 @@ def _student5_pdf(x):
     return _T5_NORM * (1.0 + x * x / 5.0) ** (-3.0) / _STUDENT_C
 
 
+def _gaussian_tail_moment(a: float) -> float:
+    # 2 (a phi(a) + Phi(-a)); Phi(-a) = erfc(a/sqrt2)/2 keeps the far tail
+    phi = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    return 2.0 * (a * phi + 0.5 * math.erfc(a * math.sqrt(0.5)))
+
+
+def _uniform_tail_moment(a: float) -> float:
+    return 0.0 if a >= _SQRT3 else 1.0 - a ** 3 / (3.0 * _SQRT3)
+
+
+def _laplace_tail_moment(a: float) -> float:
+    # 2 int_a^inf x^2 e^(-x/b) / (2b) dx = e^(-a/b) (a^2 + 2ab + 2b^2), b = 1/sqrt2
+    r = a / _LAPLACE_B
+    return math.exp(-r) * (a * a + r + 1.0)
+
+
+def _student5_tail_moment(a: float) -> float:
+    """K_p(a) = 4 P(|T_3| > a) - 3 P(|T_5| > a sqrt(5/3)) for xi = sqrt(3/5) T_5.
+
+    In x = t/sqrt(nu), which is a/sqrt(3) for both tails,
+    P(|T_3| > t) = (2/pi) [atan(1/x) - x/(1+x^2)] and
+    P(|T_5| > t) = (2/pi) [atan(1/x) - x/(1+x^2) - (2/3) x/(1+x^2)^2];
+    atan(1/x) in place of 1 - CDF keeps the far tail from cancelling.
+    """
+    x = a / _SQRT3
+    s = 1.0 + x * x
+    t3 = math.atan(1.0 / x) - x / s
+    t5 = t3 - (2.0 / 3.0) * x / (s * s)
+    return 2.0 / math.pi * (4.0 * t3 - 3.0 * t5)
+
+
+def _symmetric_truncated_mean(a: float) -> float:
+    return 0.0
+
+
 def _rademacher_pmf(x):
     x = np.asarray(x, dtype=float)
     return np.where(np.abs(np.abs(x) - 1.0) < 1e-12, 0.5, 0.0)
@@ -320,6 +360,8 @@ def noise_catalog() -> dict[str, NoiseSpec]:
             density=_gaussian_pdf,
             mean=0.0, variance=1.0,
             abs_moment=2.0 * math.sqrt(2.0 / math.pi),
+            tail_second_moment=_gaussian_tail_moment,
+            truncated_mean=_symmetric_truncated_mean,
         ),
         "uniform_std": NoiseSpec(
             label="uniform_std",
@@ -327,6 +369,8 @@ def noise_catalog() -> dict[str, NoiseSpec]:
             density=_uniform_pdf,
             mean=0.0, variance=1.0,
             abs_moment=3.0 * _SQRT3 / 4.0,
+            tail_second_moment=_uniform_tail_moment,
+            truncated_mean=_symmetric_truncated_mean,
         ),
         "rademacher": NoiseSpec(
             label="rademacher",
@@ -342,6 +386,8 @@ def noise_catalog() -> dict[str, NoiseSpec]:
             density=_laplace_pdf,
             mean=0.0, variance=1.0,
             abs_moment=3.0 / math.sqrt(2.0),
+            tail_second_moment=_laplace_tail_moment,
+            truncated_mean=_symmetric_truncated_mean,
         ),
         "student5_std": NoiseSpec(
             label="student5_std",
@@ -349,6 +395,8 @@ def noise_catalog() -> dict[str, NoiseSpec]:
             density=_student5_pdf,
             mean=0.0, variance=1.0,
             abs_moment=_student5_abs3(),
+            tail_second_moment=_student5_tail_moment,
+            truncated_mean=_symmetric_truncated_mean,
         ),
     }
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 # kernel_estimate is not called here, but bench/trace_driver.py wraps it
 # under this module's name, so the name stays importable from risk.
@@ -45,7 +44,7 @@ def folded_normal_mean(m: float, s: float) -> float:
         raise ValueError("s must be positive")
     z = m / s
     return s * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z) \
-        + m * float(erf(z / math.sqrt(2.0)))
+        + m * math.erf(z / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import minimaxkern
 
 from minimaxkern.cli import ConfigError, main, parse_config, run
 from minimaxkern.estimator import EstimatorConfig
@@ -246,8 +252,64 @@ class TestMainEntry:
         assert manifest["seed"] == 123
         assert manifest["seed_source"] == "env"
 
+    def test_uncertified_function_exit_two(self, tmp_path, capsys):
+        # the catalog "sine" carries curvature at z0 and fails certification
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            "command = risk-table\nn_list = 1000\ndelta_list = 0.1\n"
+            "reps = 20\nfunction_list = zero, sine\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "delta=0.1" in err and "'sine'" in err and "'zero'" not in err
+        assert not list(out.glob("*"))
+
     def test_bad_env_seed_is_config_error(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("command = lower-bound\n")
         monkeypatch.setenv("MINIMAXKERN_SEED", "not-a-number")
         assert main(["--config", str(cfg_file), "--quiet"]) == 2
+
+
+# Each command on a small config; clt-check covers every catalog noise.
+_STARTUP_CONFIGS = {
+    "risk-table": "n_list = 1000\nreps = 20\nnoise_list = gaussian, laplace_std\n",
+    "lower-bound": "nu_list = 0.1\nb_list = 4\n",
+    "clt-check": ("n_list = 1000\nreps = 100\nnoise_list = gaussian, "
+                  "laplace_std, rademacher, student5_std, uniform_std\n"),
+    "holder-check": "n_list = 1000\ndelta_list = 0.1\n",
+    "convergence": "n_list = 1000, 10000\n",
+}
+
+_STARTUP_SCRIPT = """
+import json, sys
+from minimaxkern import cli
+codes = [cli.main(["--config", path, "--out", out, "--quiet"])
+         for path, out in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_cli_commands_do_not_import_scipy(tmp_path):
+    """Every command runs on numpy alone: scipy is left for laws that carry
+    only a density."""
+    jobs = []
+    for command, body in _STARTUP_CONFIGS.items():
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(f"command = {command}\n{body}")
+        jobs.append([str(cfg), str(tmp_path / command)])
+    src = str(Path(minimaxkern.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT,
+                           json.dumps(jobs)],
+                          capture_output=True, text=True, env=env, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * len(jobs)
+    assert result["scipy"] == []
+    for command in _STARTUP_CONFIGS:
+        assert (tmp_path / command / f"{command.replace('-', '_')}.csv").exists()

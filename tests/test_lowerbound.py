@@ -9,7 +9,8 @@ from minimaxkern.estimator import EstimatorConfig
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.lowerbound import (MollifierSpec, PerturbationSpec,
                                     bayes_bound, build_kernel,
-                                    likelihood_ratio, min_n_membership,
+                                    likelihood_ratio, log_likelihood_ratio,
+                                    min_n_membership,
                                     shift_statistic, varsigma_sq)
 from minimaxkern.model import (constant_fn, derive_seed, design_grid,
                                flat_scale, rng_from_seed, scale_eval,
@@ -43,6 +44,23 @@ class TestMollifier:
         dense = np.max(np.abs(np.gradient(spec.l(zs), zs)))
         assert spec.l_prime_sup >= dense * 0.999
         assert spec.l_prime_sup == pytest.approx(1.798, abs=5e-3)
+
+    def test_derivative_sup_closed_form(self):
+        # |d/dz exp(-1/(1-z^2))| = 2|z| exp(-1/(1-z^2)) / (1-z^2)^2 peaks at
+        # 1 - 3 z^4 = 0
+        spec = MollifierSpec(nu=0.1, resolution=4096)
+
+        def raw_deriv_abs(z):
+            z = np.asarray(z, dtype=float)
+            inside = np.abs(z) < 1.0
+            d = 1.0 - np.where(inside, z * z, 0.0)
+            return np.where(inside, 2.0 * np.abs(z) * np.exp(-1.0 / d) / d ** 2, 0.0)
+
+        z_star = 3.0 ** -0.25
+        assert spec.l_prime_sup == pytest.approx(
+            float(raw_deriv_abs(z_star)) / spec.normalizer, rel=1e-14)
+        dense = np.max(raw_deriv_abs(np.linspace(-1.0, 1.0, 8193)))
+        assert spec.l_prime_sup >= dense / spec.normalizer
 
     def test_nu_range_enforced(self):
         with pytest.raises(ValueError):
@@ -244,6 +262,27 @@ class TestLikelihoodRatio:
         expected = math.exp(0.8 * varsig * eta - 0.5 * 0.8 ** 2 * varsig ** 2)
         assert likelihood_ratio(0.8, pert, mixed_scale, y) == pytest.approx(
             expected, rel=1e-12)
+
+
+    def test_ratio_never_overflows(self, mixed_scale, plateau_kernel_01):
+        # observations far out along the perturbation push u varsigma eta
+        # past the float range of exp
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=2_000,
+                                beta=2.0, z0=0.5)
+        y, gvec = self._pure_noise_run(pert, mixed_scale, 4)
+        y = y + 1e6 * gvec
+        ratios = {}
+        for u in (1e-6, 1e-4, 0.01, 1.0, 30.0):
+            rho = likelihood_ratio(u, pert, mixed_scale, y)
+            log_rho = log_likelihood_ratio(u, pert, mixed_scale, y)
+            assert math.isfinite(rho) or rho == math.inf
+            if math.isfinite(rho) and rho > 0.0:
+                assert log_rho == pytest.approx(math.log(rho), rel=1e-12)
+            else:
+                assert log_rho > 700.0
+            ratios[u] = rho
+        assert ratios[1.0] == math.inf
+        assert 1.0 < ratios[1e-6] < math.inf
 
 
 class TestBayesBound:

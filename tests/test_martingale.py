@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import norm, t
 
 from minimaxkern.estimator import EstimatorConfig
 from minimaxkern.martingale import (normal_approx_check, tail_second_moment,
@@ -61,6 +62,54 @@ class TestTailSecondMoment:
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
             tail_second_moment(get_noise("gaussian"), 0.0)
+
+
+# thresholds from below the unit scale to far past n = 1e5 (a = 11.89) and
+# the n at which the Student-t(5) tail first drops below 1e-3 (a = 20.57)
+CLOSED_FORM_THRESHOLDS = [0.5, 2.0, 11.89, 20.57, 40.0]
+SYMMETRIC_CONTINUOUS = ["gaussian", "laplace_std", "student5_std", "uniform_std"]
+
+
+class TestClosedFormMoments:
+    @pytest.mark.parametrize("a", CLOSED_FORM_THRESHOLDS)
+    def test_laplace_matches_quadrature(self, a):
+        noise = get_noise("laplace_std")
+        ref = 2.0 * quad(lambda x: x * x * float(noise.density(x)), a, np.inf,
+                         epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert tail_second_moment(noise, a) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a", CLOSED_FORM_THRESHOLDS)
+    def test_student5_matches_scipy_t(self, a):
+        # x^2 f(x) = 4 f_t3(x) - 3 f(x) for the unit-variance t(5) density f
+        ref = 8.0 * t.sf(a, 3) - 6.0 * t.sf(a * math.sqrt(5.0 / 3.0), 5)
+        val = tail_second_moment(get_noise("student5_std"), a)
+        assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("label", SYMMETRIC_CONTINUOUS)
+    def test_truncated_mean_exactly_zero(self, label):
+        noise = get_noise(label)
+        assert all(truncated_mean(noise, a) == 0.0
+                   for a in CLOSED_FORM_THRESHOLDS)
+
+    def test_density_only_law_uses_quadrature(self):
+        laplace = get_noise("laplace_std")
+        density_only = replace(laplace, tail_second_moment=None,
+                               truncated_mean=None)
+        for a in (0.5, 2.0, 11.89):
+            assert tail_second_moment(density_only, a) == pytest.approx(
+                tail_second_moment(laplace, a), rel=1e-9, abs=0.0)
+            assert truncated_mean(density_only, a) == pytest.approx(0.0, abs=1e-9)
+            assert truncated_variance(density_only, a) == pytest.approx(
+                truncated_variance(laplace, a), rel=1e-9)
+
+    def test_moments_follow_the_law_not_its_label(self):
+        # a law labelled "gaussian" gets the moments it carries
+        relabelled = replace(get_noise("laplace_std"), label="gaussian")
+        a = 2.0
+        assert tail_second_moment(relabelled, a) == tail_second_moment(
+            get_noise("laplace_std"), a)
+        assert tail_second_moment(relabelled, a) != tail_second_moment(
+            get_noise("gaussian"), a)
 
 
 class TestTruncatedMoments:

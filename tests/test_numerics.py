@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from scipy.special import ndtr
 from scipy.stats import kstest
 
-from minimaxkern.numerics import composite_simpson, ks_statistic, window_sum
+from minimaxkern.numerics import (composite_simpson, ks_statistic,
+                                 normal_cdf, window_sum)
 
 
 class TestCompositeSimpson:
@@ -37,6 +38,12 @@ class TestWindowSum:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
     def test_close_to_numpy(self, vals):
         assert window_sum(vals) == pytest.approx(float(np.sum(vals)), abs=1e-6)
+
+
+class TestNormalCdf:
+    def test_matches_scipy_ndtr(self):
+        x = np.linspace(-8.0, 8.0, 20001)
+        assert np.max(np.abs(normal_cdf(x) - ndtr(x))) <= 2.3e-16
 
 
 class TestKsStatistic:
