@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -218,9 +219,11 @@ def _function_lookup(config: ExperimentConfig, n: int | None, delta: float, kern
 
 
 def _resolve_functions(config: ExperimentConfig, n: int | None, delta: float,
-                       kernel, default: list) -> list:
+                       kernel, default: Callable[[], list]) -> list:
+    """The curves named by ``function_list``; ``default()`` builds the
+    command's default list, and only when ``function_list`` asks for it."""
     if tuple(config.function_list) == ("default",):
-        return default
+        return default()
     lookup = _function_lookup(config, n, delta, kernel)
     out = []
     for label in config.function_list:
@@ -241,7 +244,8 @@ def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list]]:
         for delta in sorted(config.delta_list):
             family = _resolve_functions(
                 config, n, delta, kernel,
-                default=default_family(config.z0, delta, config.beta, n, kernel))
+                default=lambda: default_family(config.z0, delta, config.beta,
+                                               n, kernel))
             try:  # RiskConfig certifies every member at delta
                 rc = RiskConfig(cfg=cfg, delta=delta, reps=config.reps,
                                 seed=config.seed, family=tuple(family),
@@ -275,7 +279,7 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list]]:
     scale = _scale_from(config)
     functions = _resolve_functions(
         config, None, config.delta_list[0], None,
-        default=[function_catalog(config.z0)["const02"]])
+        default=lambda: [function_catalog(config.z0)["const02"]])
     S = functions[0]
     rows: list[list] = []
     idx = 0
@@ -299,7 +303,8 @@ def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list]]:
     for delta in sorted(config.delta_list):
         functions = _resolve_functions(
             config, n, delta, kernel,
-            default=family_candidates(config.z0, delta, config.beta, n, kernel))
+            default=lambda: family_candidates(config.z0, delta, config.beta,
+                                              n, kernel))
         params = WeakHolderParams(z0=config.z0, delta=delta, beta=config.beta)
         for S in sorted(functions, key=lambda s: s.label):
             rep = check_weak_holder(S, params)
@@ -313,7 +318,7 @@ def _convergence(config: ExperimentConfig) -> tuple[list[str], list[list]]:
     scale = _scale_from(config)
     functions = _resolve_functions(
         config, None, config.delta_list[0], None,
-        default=[function_catalog(config.z0)["sine"]])
+        default=lambda: [function_catalog(config.z0)["sine"]])
     rows: list[list] = []
     for S in sorted(functions, key=lambda s: s.label):
         g0_sq = scale_eval(scale, config.z0, S) ** 2

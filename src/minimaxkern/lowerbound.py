@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimator import EstimatorConfig
+from .estimator import EstimatorConfig, bandwidth, rate
 from .model import FunctionSpec, ScaleSpec, constant_fn, scale_eval, scale_profile
 from .numerics import composite_simpson
 
@@ -127,31 +127,43 @@ class PlateauKernel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sq_integral", self._compute_sq_integral())
 
-    @property
-    def _pieces(self) -> tuple[tuple[float, float, float], ...]:
-        nu = self.nu
-        return (
-            (1.0, -(1.0 - 2.0 * nu), 1.0 - 2.0 * nu),
-            (2.0, 1.0 - 2.0 * nu, 1.0 - nu),
-            (2.0, -(1.0 - nu), -(1.0 - 2.0 * nu)),
-        )
-
     def values(self, x: np.ndarray) -> np.ndarray:
-        """V_nu(x) = (1/nu) int Qtilde_nu(u) l((u - x)/nu) du."""
+        """V_nu(x) = (1/nu) int Qtilde_nu(u) l((u - x)/nu) du.
+
+        Qtilde_nu has three pieces: height 1 on [-(1-2nu), 1-2nu] and
+        height 2 on [1-2nu, 1-nu] and on [-(1-nu), -(1-2nu)].  They share
+        the endpoints +-(1-2nu), so l_cdf is evaluated at four points, not
+        six; each shared value is dropped once its last piece is added.
+        """
         x = np.asarray(x, dtype=float)
+        inner, outer = 1.0 - 2.0 * self.nu, 1.0 - self.nu
+
+        def cdf(e: float) -> np.ndarray:
+            return self.spec.l_cdf((e - x) / self.nu)
+
+        c_in, c_neg_in = cdf(inner), cdf(-inner)
         out = np.zeros(x.shape)
-        for w, a, b in self._pieces:
-            out = out + w * (self.spec.l_cdf((b - x) / self.nu)
-                             - self.spec.l_cdf((a - x) / self.nu))
+        out = out + 1.0 * (c_in - c_neg_in)
+        out = out + 2.0 * (cdf(outer) - c_in)
+        del c_in
+        out = out + 2.0 * (c_neg_in - cdf(-outer))
         return out
 
     def deriv(self, x: np.ndarray) -> np.ndarray:
-        """Exact derivative of V_nu from the bump itself."""
+        """Exact derivative of V_nu from the bump itself, piece by piece as
+        in ``values``."""
         x = np.asarray(x, dtype=float)
+        inner, outer = 1.0 - 2.0 * self.nu, 1.0 - self.nu
+
+        def dens(e: float) -> np.ndarray:
+            return self.spec.l((e - x) / self.nu)
+
+        d_in, d_neg_in = dens(inner), dens(-inner)
         out = np.zeros(x.shape)
-        for w, a, b in self._pieces:
-            out = out + (w / self.nu) * (self.spec.l((a - x) / self.nu)
-                                         - self.spec.l((b - x) / self.nu))
+        out = out + (1.0 / self.nu) * (d_neg_in - d_in)
+        out = out + (2.0 / self.nu) * (d_in - dens(outer))
+        del d_in
+        out = out + (2.0 / self.nu) * (dens(-outer) - d_neg_in)
         return out
 
     def _compute_sq_integral(self) -> float:
@@ -185,11 +197,11 @@ class PerturbationSpec:
 
     @property
     def h(self) -> float:
-        return float(self.n) ** (-1.0 / (2.0 * self.beta + 1.0))
+        return bandwidth(self.n, self.beta)
 
     @property
     def phi_n(self) -> float:
-        return float(self.n) ** (self.beta / (2.0 * self.beta + 1.0))
+        return rate(self.n, self.beta)
 
     @property
     def amplitude(self) -> float:

@@ -247,7 +247,8 @@ class NoiseSpec:
     their atoms explicitly.  ``tail_second_moment`` (a -> E[xi^2 1{|xi| > a}])
     and ``truncated_mean`` (a -> E[xi 1{|xi| <= a}]) are optional closed
     forms; a continuous law without them has its truncated moments
-    integrated from ``density``.
+    integrated from ``density``.  ``gaussian`` marks the standard normal
+    law, the one law for which the risk has the exact folded-normal oracle.
     """
 
     label: str
@@ -259,6 +260,7 @@ class NoiseSpec:
     epsilon: float = 1.0
     L_bound: float = 10.0
     discrete: bool = False
+    gaussian: bool = False
     atoms: tuple = ()
     tail_second_moment: Callable[[float], float] | None = None
     truncated_mean: Callable[[float], float] | None = None
@@ -360,6 +362,7 @@ def noise_catalog() -> dict[str, NoiseSpec]:
             density=_gaussian_pdf,
             mean=0.0, variance=1.0,
             abs_moment=2.0 * math.sqrt(2.0 / math.pi),
+            gaussian=True,
             tail_second_moment=_gaussian_tail_moment,
             truncated_mean=_symmetric_truncated_mean,
         ),

@@ -11,7 +11,9 @@ import minimaxkern
 from minimaxkern.cli import ConfigError, main, parse_config, run
 from minimaxkern.estimator import EstimatorConfig
 from minimaxkern.model import ScaleSpec, get_noise
-from minimaxkern.risk import RiskConfig, default_family, monte_carlo_risk
+from minimaxkern import risk as risk_module
+from minimaxkern.risk import (DEFAULT_TABLE_LABELS, RiskConfig, default_family,
+                              monte_carlo_risk)
 
 
 class TestParseConfig:
@@ -265,11 +267,68 @@ class TestMainEntry:
         assert "delta=0.1" in err and "'sine'" in err and "'zero'" not in err
         assert not list(out.glob("*"))
 
+    def test_explicit_list_skips_default_family(self, tmp_path):
+        # the default bump fails at delta = 0.5, n = 1000; the named curves
+        # certify, so the default family must not be built at all
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            "command = risk-table\nn_list = 1000\ndelta_list = 0.5\n"
+            "reps = 20\nfunction_list = zero, const_plus\n")
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+
+    def test_uncertified_default_member_exit_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            "command = risk-table\nn_list = 1000\ndelta_list = 0.5\n"
+            "reps = 20\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "delta=0.5" in err and "'bump'" in err
+        assert not list(out.glob("*"))
+
     def test_bad_env_seed_is_config_error(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("command = lower-bound\n")
         monkeypatch.setenv("MINIMAXKERN_SEED", "not-a-number")
         assert main(["--config", str(cfg_file), "--quiet"]) == 2
+
+
+def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):
+    """Default-family risk-table: five certificates per (n, delta) cell,
+    none repeated."""
+    member_n: dict[int, int] = {}
+    members: list = []  # keeps ids unique
+    calls: list[tuple[str, int, float]] = []
+    real_candidates = risk_module.family_candidates
+    real_check = risk_module.check_weak_holder
+
+    def candidates(z0, delta, beta, n=None, kernel=None):
+        out = real_candidates(z0, delta, beta, n, kernel)
+        members.extend(out)
+        member_n.update((id(S), n) for S in out)
+        return out
+
+    def check(S, params, *args, **kwargs):
+        calls.append((S.label, member_n[id(S)], params.delta))
+        return real_check(S, params, *args, **kwargs)
+
+    monkeypatch.setattr(risk_module, "family_candidates", candidates)
+    monkeypatch.setattr(risk_module, "check_weak_holder", check)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        "command = risk-table\nn_list = 400, 1000\ndelta_list = 0.2, 0.1\n"
+        "reps = 10\n")
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    assert len(calls) == 20
+    assert len(set(calls)) == 20
+    for n in (400, 1000):
+        for delta in (0.2, 0.1):
+            cell = sorted(lab for lab, m, d in calls if (m, d) == (n, delta))
+            assert cell == sorted(DEFAULT_TABLE_LABELS)
 
 
 # Each command on a small config; clt-check covers every catalog noise.

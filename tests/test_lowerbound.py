@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from minimaxkern.estimator import EstimatorConfig
+from minimaxkern.estimator import EstimatorConfig, bandwidth, rate
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.lowerbound import (MollifierSpec, PerturbationSpec,
                                     bayes_bound, build_kernel,
@@ -104,6 +104,31 @@ class TestPlateauKernel:
         scale = max(1.0, float(np.max(np.abs(kern.deriv(xs)))))
         assert np.max(np.abs(fd - kern.deriv(xs))) < 1e-3 * scale
 
+    @pytest.mark.parametrize("nu", [0.2, 0.1, 0.01])
+    def test_matches_six_term_formula_bitwise(self, nu):
+        kern = build_kernel(nu)
+        spec = kern.spec
+        x = np.linspace(-3.0, 3.0, 100_001)
+        inner, outer = 1.0 - 2.0 * nu, 1.0 - nu
+
+        def cdf(e):
+            return spec.l_cdf((e - x) / nu)
+
+        def dens(e):
+            return spec.l((e - x) / nu)
+
+        vals = np.zeros(x.shape)
+        vals = vals + 1.0 * (cdf(inner) - cdf(-inner))
+        vals = vals + 2.0 * (cdf(outer) - cdf(inner))
+        vals = vals + 2.0 * (cdf(-inner) - cdf(-outer))
+        derivs = np.zeros(x.shape)
+        derivs = derivs + (1.0 / nu) * (dens(-inner) - dens(inner))
+        derivs = derivs + (2.0 / nu) * (dens(inner) - dens(outer))
+        derivs = derivs + (2.0 / nu) * (dens(-outer) - dens(-inner))
+        for got, want in ((kern.values(x), vals), (kern.deriv(x), derivs)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_sq_integral_matches_quadrature(self):
         kern = build_kernel(0.1)
         direct = composite_simpson(lambda z: kern.values(z) ** 2, -1.0, 1.0, 16384)
@@ -152,6 +177,8 @@ class TestPerturbation:
         S = pert.to_function()
         assert float(np.asarray(S.eval(0.5))) == pytest.approx(
             1.3 / pert.phi_n, rel=1e-9)
+        assert pert.h == bandwidth(10_000, 2.0)
+        assert pert.phi_n == rate(10_000, 2.0)
 
     def test_support_in_window(self, plateau_kernel_01):
         pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=10_000,

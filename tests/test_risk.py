@@ -88,6 +88,28 @@ class TestExactGaussianRisk:
         with pytest.raises(ValueError):
             exact_gaussian_risk(rc.family[0], rc)
 
+    def test_label_alone_earns_no_oracle(self, mixed_scale):
+        # Laplace draws under the Gaussian label: the folded-normal value
+        # would not be the risk of these draws
+        impostor = dataclasses.replace(get_noise("laplace_std"),
+                                       label="gaussian")
+        rc = _single_config(constant_fn(0.2, "c"), mixed_scale, impostor,
+                            n=1_000, reps=50)
+        assert sup_risk(rc).rows[0].risk_oracle is None
+        with pytest.raises(ValueError):
+            exact_gaussian_risk(rc.family[0], rc)
+
+    def test_relabelled_gaussian_keeps_oracle(self, mixed_scale, gaussian):
+        S = constant_fn(0.2, "c")
+        normal = dataclasses.replace(gaussian, label="normal")
+        rc = _single_config(S, mixed_scale, normal, n=1_000, reps=50)
+        ref = _single_config(S, mixed_scale, gaussian, n=1_000, reps=50)
+        row = sup_risk(rc).rows[0]
+        assert row.noise == "normal"
+        assert row.risk_oracle is not None
+        assert row.risk_oracle == exact_gaussian_risk(S, rc)
+        assert row.risk_oracle == exact_gaussian_risk(S, ref)
+
 
 class TestMonteCarloRisk:
     def test_noiseless_hook_is_exactly_zero(self, mixed_scale):
