@@ -8,7 +8,7 @@ truncation-based CLT diagnostics.  The sharp normalized-risk constant for
 all of it is 1/sqrt(pi).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .estimator import (DecompositionReport, EstimatorConfig, bandwidth,
                         decompose, kernel_estimate, rate, sigma_n_limit_check)
@@ -28,8 +28,8 @@ from .model import (DesignGrid, FunctionSpec, NoiseSpec, ScaleSpec,
                     noise_catalog, replicate, sample_run, scale_catalog,
                     scale_eval, scale_frechet, zero_noise)
 from .risk import (EFFICIENCY_CONSTANT, RiskConfig, RiskReport, RiskRow,
-                   certified_family, default_family, exact_gaussian_risk,
-                   folded_normal_mean, monte_carlo_risk, sup_risk)
+                   default_family, exact_gaussian_risk, folded_normal_mean,
+                   monte_carlo_risk, sup_risk)
 
 __all__ = [
     "__version__",
@@ -49,7 +49,7 @@ __all__ = [
     # risk
     "RiskConfig", "RiskReport", "RiskRow", "folded_normal_mean",
     "exact_gaussian_risk", "monte_carlo_risk", "sup_risk",
-    "certified_family", "default_family",
+    "default_family",
     # lowerbound
     "MollifierSpec", "PlateauKernel", "PerturbationSpec", "build_kernel",
     "min_n_membership", "varsigma_sq", "shift_statistic",

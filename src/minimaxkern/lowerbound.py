@@ -305,8 +305,9 @@ def bayes_bound(nu: float, b: float, g_z0: float,
 
     Value: (sigma_nu / sqrt(2 pi)) * ((b - sqrt(b))/b)
            * int_{-sqrt(b)}^{sqrt(b)} (|t|/g_z0) exp(-sigma_nu^2 t^2 / 2) dt,
-    with sigma_nu^2 = int V_nu^2 / g_z0^2.  Increases in b and tends to
-    1/sqrt(pi) as b -> inf, nu -> 0.
+    with sigma_nu^2 = int V_nu^2 / g_z0^2.  The t-integral is exact:
+    (2/(g_z0 sigma_nu^2)) (1 - exp(-sigma_nu^2 b/2)), evaluated through
+    expm1.  Increases in b and tends to 1/sqrt(pi) as b -> inf, nu -> 0.
     """
     if b <= 1.0:
         raise ValueError("b must exceed 1")
@@ -319,7 +320,5 @@ def bayes_bound(nu: float, b: float, g_z0: float,
     sigma_sq = kernel.sq_integral / g_z0 ** 2
     sigma = math.sqrt(sigma_sq)
     root_b = math.sqrt(b)
-    integral = 2.0 / g_z0 * composite_simpson(
-        lambda t: t * np.exp(-0.5 * sigma_sq * t * t),
-        0.0, root_b, 4096)
+    integral = 2.0 / g_z0 * -math.expm1(-0.5 * sigma_sq * b) / sigma_sq
     return sigma / math.sqrt(2.0 * math.pi) * ((b - root_b) / b) * integral

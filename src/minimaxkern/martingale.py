@@ -157,7 +157,7 @@ def normal_approx_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
         raise ValueError("reps must be >= 100")
     ratio, _ = _window_weights(S, scale, cfg)
     w = ratio / math.sqrt(cfg.q_n)
-    stats = replicate(noise, cfg.q_n, reps, seed, lambda xi: float(np.sum(w * xi)))
+    stats = replicate(noise, cfg.q_n, reps, seed, lambda xi: (xi * w).sum(axis=1))
     return ks_statistic(stats, normal_cdf)
 
 
@@ -179,8 +179,11 @@ def zeta_dd_moment_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     w = ratio / math.sqrt(cfg.q_n)
     expected = float(np.sum(ratio ** 2)) / cfg.q_n * (k_p - m_above ** 2)
 
-    def squared_tail_sum(xi: np.ndarray) -> float:
-        z_dd = float(np.sum(w * (np.where(np.abs(xi) <= a, 0.0, xi) - m_above)))
+    def squared_tail_sum(xi: np.ndarray) -> np.ndarray:
+        tail = np.where(np.abs(xi) <= a, 0.0, xi)
+        tail -= m_above
+        tail *= w
+        z_dd = tail.sum(axis=1)
         return z_dd * z_dd
 
     sq = replicate(noise, cfg.q_n, reps, seed, squared_tail_sum)

@@ -459,34 +459,47 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Sub-seed for replication ``index`` under a master seed.
+    """Sub-seed number ``index`` under a master seed.
 
-    Splittable counter scheme: the pair (master, index) is hashed through
-    a seed sequence, so serial and parallel schedules see the same streams.
+    Splittable counter scheme: the pair (master, index) is hashed through a
+    seed sequence, so distinct indices give independent streams.  Callers
+    use it to give each Monte Carlo cell its own seed; the replications of
+    one cell share one generator (see ``replicate``).
     """
     if index < 0:
-        raise ValueError("replication index must be non-negative")
+        raise ValueError("seed index must be non-negative")
     ss = np.random.SeedSequence(entropy=int(master) & _MASK64, spawn_key=(int(index),))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+#: Size of one block of draws in ``replicate``: a block holds
+#: max(1, REPLICATION_BLOCK_BYTES // (8 q_n)) replications.
+REPLICATION_BLOCK_BYTES = 128 * 1024
+
+
 def replicate(noise: NoiseSpec, q_n: int, reps: int, seed: int,
-              stat: Callable[[np.ndarray], float | np.ndarray]) -> np.ndarray:
+              stat: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Evaluate ``stat`` on the window noises of ``reps`` replications.
 
-    Replication i draws exactly q_n values from
-    rng_from_seed(derive_seed(seed, i)), one replication at a time, and
-    passes them to ``stat``.  Row i of the result is stat's value for
-    replication i (a scalar or a fixed-shape array), so reruns are
-    bit-identical.  Only one replication's draws are held at a time; a
-    (reps, q_n) block is never formed.
+    One generator, rng_from_seed(seed), serves the whole call: replication
+    i is row i of its stream read as a (reps, q_n) array.  Rows are drawn
+    in blocks of ``REPLICATION_BLOCK_BYTES``, each block one sampler call of
+    r * q_n values reshaped to (r, q_n).  ``stat`` receives the (r, q_n)
+    block and returns r rows (scalars or fixed-shape arrays), computed row
+    by row; row i of the result belongs to replication i.  Every catalog
+    sampler fills its output in stream order, so the block size never
+    changes a value, and reruns are bit-identical.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    return np.array([
-        stat(np.asarray(noise.sampler(rng_from_seed(derive_seed(seed, i)), q_n),
-                        dtype=float))
-        for i in range(reps)])
+    rng = rng_from_seed(seed)
+    rows = max(1, REPLICATION_BLOCK_BYTES // (8 * q_n))
+    blocks = []
+    for start in range(0, reps, rows):
+        r = min(rows, reps - start)
+        xi = np.asarray(noise.sampler(rng, r * q_n), dtype=float)
+        blocks.append(stat(xi.reshape(r, q_n)))
+    return np.concatenate(blocks)
 
 
 def regression_curves(S: FunctionSpec, scale: ScaleSpec, n: int

@@ -2,12 +2,13 @@
 
 The per-run statistic is phi_n |S_hat(z0) - S(z0)| / g(z0, S), and the
 estimator error is B_n + (1/q_n) sum_k g(x_k, S) xi_k over the window.
-Monte Carlo replication i draws only the q_n window noises, as the first
-q_n values of the stream seeded by derive_seed(seed, i) (see
+Monte Carlo replication i draws only the q_n window noises, as row i of
+the stream of rng_from_seed(seed) read as a (reps, q_n) array (see
 ``model.replicate``), and every family member is scored on those same
-draws.  B_n keeps its exactly rounded window sum; the noise sum is a
-fixed-axis numpy reduction, so Monte Carlo values repeat exactly on one
-platform and numpy build but are not promised bit-identical across them.
+draws.  B_n keeps its exactly rounded window sum; the noise sum is a numpy
+reduction along each contiguous row, so Monte Carlo values repeat exactly
+on one platform and numpy build, whatever the block size, but are not
+promised bit-identical across platforms or builds.
 Under Gaussian noise the error is exactly B_n + N(0, sigma_n^2/q_n), so
 the risk has a folded-normal closed form that serves as the exact oracle
 for every Monte Carlo run.  Worst-case behaviour over the weak local
@@ -136,17 +137,22 @@ def _family_stats(members: list[_Member], rc: RiskConfig, noise: NoiseSpec
     """Per-replication statistics, one row per member, from common draws.
 
     Member f's statistic for the window draws xi is
-    phi_n |B_f + sum_k g_f(x_k) xi_k / q_n| / g(z0, f); the noise sum is a
-    numpy reduction along a fixed axis, so a member's values do not depend
+    phi_n |B_f + sum_k g_f(x_k) xi_k / q_n| / g(z0, f).  Members are scored
+    one at a time through one scratch block, and each noise sum is a numpy
+    reduction along one contiguous row, so a member's values do not depend
     on which other members share the draws.
     """
     cfg = rc.cfg
     b = np.array([m.dec.b_n for m in members])
     g0 = np.array([m.g0 for m in members])
-    g = np.stack([m.g_window for m in members])
 
     def stat(xi: np.ndarray) -> np.ndarray:
-        return cfg.phi_n * np.abs(b + (g * xi).sum(axis=1) / cfg.q_n) / g0
+        scratch = np.empty_like(xi)
+        sums = np.empty((xi.shape[0], len(members)))
+        for j, m in enumerate(members):
+            np.multiply(xi, m.g_window, out=scratch)
+            sums[:, j] = scratch.sum(axis=1)
+        return cfg.phi_n * np.abs(b + sums / cfg.q_n) / g0
 
     return replicate(noise, cfg.q_n, rc.reps, rc.seed, stat).T.copy()
 
@@ -162,7 +168,7 @@ def _family_risk(members: list[_Member], rc: RiskConfig, noise: NoiseSpec
 def monte_carlo_risk(S: FunctionSpec, rc: RiskConfig) -> tuple[float, float]:
     """Replicated risk estimate of S under rc.noise and its standard error.
 
-    Replication i scores the q_n window noises drawn by
+    Replication i scores row i of the window noises drawn by
     ``replicate(rc.noise, q_n, rc.reps, rc.seed, ...)``; aggregation is in
     replication order, so reruns on one platform and numpy build are
     bit-identical.  The value equals S's row in ``sup_risk``.
@@ -250,20 +256,6 @@ def family_candidates(z0: float, delta: float, beta: float,
                  lambda x: 16.0 * delta * (np.asarray(x, dtype=float) - z0) ** 3),
     ])
     return cands
-
-
-def certified_family(z0: float, delta: float, beta: float,
-                     n: int | None = None, count: int = 10,
-                     kernel: PlateauKernel | None = None) -> list[FunctionSpec]:
-    """First ``count`` candidates passing the weak local certification."""
-    params = WeakHolderParams(z0=z0, delta=delta, beta=beta)
-    keep = [S for S in family_candidates(z0, delta, beta, n, kernel)
-            if check_weak_holder(S, params).certified]
-    if len(keep) < count:
-        raise ValueError(
-            f"only {len(keep)} candidates certify at delta={delta}; "
-            f"requested {count}")
-    return keep[:count]
 
 
 DEFAULT_TABLE_LABELS = ("const_plus", "odd_sine", "cos_dip", "bowl", "bump")

@@ -27,8 +27,7 @@ from minimaxkern.martingale import (tail_second_moment, truncated_variance,
 from minimaxkern.model import (constant_fn, function_catalog, get_noise,
                                noise_catalog, scale_catalog, scale_eval)
 from minimaxkern.numerics import composite_simpson
-from minimaxkern.risk import (EFFICIENCY_CONSTANT, RiskConfig,
-                              certified_family, default_family,
+from minimaxkern.risk import (EFFICIENCY_CONSTANT, RiskConfig, default_family,
                               exact_gaussian_risk, monte_carlo_risk, sup_risk)
 
 MIXED = scale_catalog()["mixed"]
@@ -100,7 +99,7 @@ def test_criterion_03_variance_limit():
     _report("criterion 3 (variance limit)", True, "; ".join(details))
 
 
-def test_criterion_04_riemann_gap_bound():
+def test_criterion_04_riemann_gap_bound(certified_family):
     """|R_n| <= 6/(delta n) for ten certified members at delta = 0.1."""
     delta = 0.1
     kernel = build_kernel(0.1)
@@ -263,7 +262,7 @@ def test_criterion_09_tail_second_moment(label):
     assert ok
 
 
-def test_criterion_10_bias_slack_and_trend():
+def test_criterion_10_bias_slack_and_trend(certified_family):
     """Bias contribution stays within delta/2 plus the Riemann slack, and
     the sup-risk table moves monotonically toward the constant as delta
     shrinks (trend only; the double limit has no finite-n target)."""

@@ -8,6 +8,7 @@ import pytest
 
 import minimaxkern
 
+from minimaxkern import model
 from minimaxkern.cli import ConfigError, main, parse_config, run
 from minimaxkern.estimator import EstimatorConfig
 from minimaxkern.model import ScaleSpec, get_noise
@@ -97,6 +98,10 @@ noise_list = gaussian, rademacher
 """
 
 
+# One row per block, and budgets whose blocks leave a short last block.
+BLOCK_BUDGETS = (8, 23_000)
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("risk")
@@ -156,6 +161,59 @@ class TestRunRiskTable:
                    quiet=True, threads=4) == 0
         assert ((tmp_path / "risk_table.csv").read_bytes()
                 == (outputs / "risk_table.csv").read_bytes())
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+    def test_block_budget_never_changes_csv(self, outputs, tmp_path,
+                                            monkeypatch, budget):
+        monkeypatch.setattr(model, "REPLICATION_BLOCK_BYTES", budget)
+        assert run(parse_config(RISK_CFG), out_dir=str(tmp_path),
+                   quiet=True) == 0
+        assert ((tmp_path / "risk_table.csv").read_bytes()
+                == (outputs / "risk_table.csv").read_bytes())
+
+    def test_version_matches_pyproject(self, outputs):
+        # same-seed Monte Carlo columns change with the replication streams,
+        # so the manifest's version is what tells old results from new
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(minimaxkern.__file__).resolve().parents[2]
+        with open(root / "pyproject.toml", "rb") as fh:
+            version = tomllib.load(fh)["project"]["version"]
+        assert version == minimaxkern.__version__
+        manifest = json.loads((outputs / "manifest.json").read_text())
+        assert manifest["version"] == version
+
+
+CLT_CFG = """
+command = clt-check
+n_list = 1000, 2000
+reps = 200
+seed = 7
+noise_list = gaussian, laplace_std
+"""
+
+
+@pytest.fixture(scope="module")
+def clt_outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("clt")
+    assert run(parse_config(CLT_CFG), out_dir=str(out), quiet=True) == 0
+    return out
+
+
+class TestCltCheckReproducibility:
+    def test_byte_identical_rerun(self, clt_outputs, tmp_path):
+        assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
+                   quiet=True) == 0
+        assert ((tmp_path / "clt_check.csv").read_bytes()
+                == (clt_outputs / "clt_check.csv").read_bytes())
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+    def test_block_budget_never_changes_csv(self, clt_outputs, tmp_path,
+                                            monkeypatch, budget):
+        monkeypatch.setattr(model, "REPLICATION_BLOCK_BYTES", budget)
+        assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
+                   quiet=True) == 0
+        assert ((tmp_path / "clt_check.csv").read_bytes()
+                == (clt_outputs / "clt_check.csv").read_bytes())
 
 
 class TestRunOtherCommands:

@@ -7,7 +7,6 @@ from minimaxkern.estimator import (EstimatorConfig, bandwidth, decompose,
                                    sigma_n_sq)
 from minimaxkern.model import (constant_fn, flat_scale, function_catalog,
                                rng_from_seed, sample_run, scale_catalog)
-from minimaxkern.risk import certified_family
 
 
 class TestBandwidthAndRate:
@@ -138,7 +137,8 @@ class TestDecomposition:
         s0 = float(np.asarray(S.eval(0.5)))
         assert dec.estimate - s0 - dec.b_n == pytest.approx(noise_avg, abs=1e-12)
 
-    def test_riemann_gap_bound_on_certified_family(self, plateau_kernel_01):
+    def test_riemann_gap_bound_on_certified_family(self, plateau_kernel_01,
+                                                   certified_family):
         # |R_n| <= 6/(delta n) whenever sup|S'| <= 1/delta
         delta = 0.1
         for n in (1_000, 10_000):
@@ -149,7 +149,8 @@ class TestDecomposition:
                 dec = decompose(S, flat_scale(), cfg)
                 assert abs(dec.r_n) <= 6.0 / (delta * n)
 
-    def test_integral_term_bounded_by_class_budget(self, plateau_kernel_01):
+    def test_integral_term_bounded_by_class_budget(self, plateau_kernel_01,
+                                                   certified_family):
         # certified members satisfy |integral| <= delta h^beta at the
         # operating bandwidth
         delta, beta = 0.1, 2.0

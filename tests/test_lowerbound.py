@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
 from minimaxkern.estimator import EstimatorConfig, bandwidth, rate
@@ -341,6 +342,14 @@ class TestBayesBound:
                 for b in (4.0, 16.0, 100.0, 10_000.0)]
         assert vals == sorted(vals)
         assert all(x < y for x, y in zip(vals, vals[1:]))
+
+    @given(st.sampled_from([0.2, 0.1, 0.05, 0.01]), st.floats(1.01, 1e6),
+           st.floats(1.01, 100.0), st.floats(0.1, 10.0))
+    def test_increasing_in_b_and_below_constant(self, nu, b, factor, g):
+        kern = build_kernel(nu)
+        low = bayes_bound(nu, b, g, kernel=kern)
+        high = bayes_bound(nu, b * factor, g, kernel=kern)
+        assert 0.0 < low < high < EFFICIENCY_CONSTANT
 
     def test_normalization_invariance(self):
         # the g-normalized bound does not depend on the scale level

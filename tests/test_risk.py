@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from minimaxkern import model
 from minimaxkern.estimator import EstimatorConfig, decompose
-from minimaxkern.model import (constant_fn, derive_seed, flat_scale,
-                               function_catalog, get_noise, replicate,
+from minimaxkern.model import (constant_fn, flat_scale, function_catalog,
+                               get_noise, noise_catalog, replicate,
                                rng_from_seed, scale_eval, zero_noise)
 from minimaxkern.risk import (EFFICIENCY_CONSTANT, RiskConfig, _family_stats,
-                              _member, certified_family, default_family,
-                              exact_gaussian_risk, folded_normal_mean,
-                              monte_carlo_risk, sup_risk)
+                              _member, default_family, exact_gaussian_risk,
+                              folded_normal_mean, monte_carlo_risk, sup_risk)
 
 
 class TestFoldedNormalMean:
@@ -36,6 +36,10 @@ class TestFoldedNormalMean:
     @given(st.floats(-5.0, 5.0), st.floats(1e-3, 10.0))
     def test_dominated_by_triangle_bound(self, m, s):
         assert folded_normal_mean(m, s) <= abs(m) + s * math.sqrt(2.0 / math.pi) + 1e-12
+
+    @given(st.floats(-20.0, 20.0), st.floats(1e-3, 50.0))
+    def test_even_in_mean(self, m, s):
+        assert folded_normal_mean(-m, s) == folded_normal_mean(m, s)
 
     def test_rejects_nonpositive_sd(self):
         with pytest.raises(ValueError):
@@ -219,7 +223,8 @@ class TestRiskConfigValidation:
             RiskConfig(cfg=cfg, delta=0.1, reps=10, seed=0, family=(),
                        scale=mixed_scale, noise=gaussian)
 
-    def test_certified_families_have_ten_members(self, plateau_kernel_01):
+    def test_certified_families_have_ten_members(self, plateau_kernel_01,
+                                                 certified_family):
         for delta in (0.5, 0.2, 0.1, 0.05):
             fam = certified_family(0.5, delta, 2.0, n=10_000, count=10,
                                    kernel=plateau_kernel_01)
@@ -249,8 +254,8 @@ class TestReplicationEngine:
                         family=tuple(fam), scale=mixed_scale, noise=noise)
         stats = _family_stats([_member(S, rc) for S in fam], rc, noise)
         assert stats.shape == (len(fam), rc.reps)
-        for i in range(rc.reps):
-            xi = noise.sampler(rng_from_seed(derive_seed(rc.seed, i)), cfg.q_n)
+        draws = noise.sampler(rng_from_seed(rc.seed), rc.reps * cfg.q_n)
+        for i, xi in enumerate(draws.reshape(rc.reps, cfg.q_n)):
             for S, row in zip(fam, stats):
                 est = decompose(S, mixed_scale, cfg, xi=xi).estimate
                 s0 = float(S.eval(cfg.z0))
@@ -297,29 +302,53 @@ class TestReplicationEngine:
                   _recording(get_noise("rademacher"), sizes)]
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=40, seed=2,
                         family=tuple(fam), scale=mixed_scale, noise=noises[0])
+        rows = max(1, model.REPLICATION_BLOCK_BYTES // (8 * cfg.q_n))
+        assert 1 < rows < rc.reps  # several blocks, the last one short
+        blocks = [min(rows, rc.reps - start) * cfg.q_n
+                  for start in range(0, rc.reps, rows)]
+        assert len(blocks) == math.ceil(rc.reps / rows)
+        assert sum(blocks) == rc.reps * cfg.q_n
         sup_risk(rc, noises=noises)
-        # one draw per replication and noise, shared by the whole family
-        assert sizes == [cfg.q_n] * (rc.reps * len(noises))
+        # one block draw per call and noise, shared by the whole family
+        assert sizes == blocks * len(noises)
+        assert all(type(size) is int for size in sizes)
         sizes.clear()
         monte_carlo_risk(fam[0], rc)
-        assert sizes == [cfg.q_n] * rc.reps
+        assert sizes == blocks
 
     def test_replicate_is_deterministic(self, gaussian):
         sizes: list = []
         noise = _recording(gaussian, sizes)
-        weights = np.linspace(0.5, 1.5, 3)[:, None]
+        weights = np.linspace(0.5, 1.5, 3)
 
         def stat(xi):
-            return (weights * xi).sum(axis=1)
+            return np.stack([(w * xi).sum(axis=1) for w in weights], axis=1)
 
         first = replicate(noise, 257, 30, 11, stat)
         second = replicate(noise, 257, 30, 11, stat)
         assert first.shape == (30, 3)
         assert first.tobytes() == second.tobytes()
-        assert sizes == [257] * 60
-        # replication i is the head of the stream seeded by derive_seed
-        xi = gaussian.sampler(rng_from_seed(derive_seed(11, 4)), 257)
-        assert np.array_equal(first[4], stat(xi))
+        assert sizes == [30 * 257] * 2
+        assert all(type(size) is int for size in sizes)
+        # replication i is row i of one flat draw from rng_from_seed(seed)
+        xi = gaussian.sampler(rng_from_seed(11), 30 * 257).reshape(30, 257)
+        assert np.array_equal(first, stat(xi))
+        assert np.array_equal(first[4], stat(xi[4:5])[0])
+
+    @pytest.mark.parametrize("label", sorted(noise_catalog()))
+    def test_block_size_never_changes_values(self, monkeypatch, label):
+        noise = get_noise(label)
+        q_n, reps, seed = 101, 45, 17
+        flat = noise.sampler(rng_from_seed(seed), reps * q_n).reshape(reps, q_n)
+        weights = np.linspace(0.5, 1.5, q_n)
+        # one row per block, seven rows per block (45 = 6 * 7 + 3), default
+        for budget in (8, 8 * q_n * 7 + 5, model.REPLICATION_BLOCK_BYTES):
+            monkeypatch.setattr(model, "REPLICATION_BLOCK_BYTES", budget)
+            rows = replicate(noise, q_n, reps, seed, lambda xi: xi.copy())
+            sums = replicate(noise, q_n, reps, seed,
+                             lambda xi: (xi * weights).sum(axis=1))
+            assert np.array_equal(rows, flat), budget
+            assert np.array_equal(sums, (flat * weights).sum(axis=1)), budget
 
     def test_replicate_rejects_zero_reps(self, gaussian):
         with pytest.raises(ValueError):
