@@ -234,11 +234,16 @@ def _resolve_functions(config: ExperimentConfig, n: int | None, delta: float,
     return out
 
 
-def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list]]:
+def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
+    """Risk rows per (n, delta, function, noise), plus each member's
+    certification margins for the manifest: sup|S'| * delta and
+    max_defect / delta (both at most 1 when certified) and the probe
+    bandwidth of the largest defect."""
     scale = _scale_from(config)
     kernel = build_kernel(FAMILY_BUMP_NU)
     noises = [get_noise(l) for l in sorted(config.noise_list)]
     rows: list[list] = []
+    margins: list[dict] = []
     for n in sorted(config.n_list):
         cfg = EstimatorConfig(n=n, beta=config.beta, z0=config.z0)
         for delta in sorted(config.delta_list):
@@ -252,6 +257,12 @@ def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list]]:
                                 scale=scale, noise=noises[0])
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            for S, rep in sorted(zip(rc.family, rc.reports),
+                                 key=lambda pair: pair[0].label):
+                margins.append({"n": n, "delta": delta, "function": S.label,
+                                "sup_deriv_times_delta": rep.sup_deriv * delta,
+                                "max_defect_over_delta": rep.max_defect / delta,
+                                "worst_h": rep.worst_h})
             report = sup_risk(rc, noises=noises)
             for row in sorted(report.rows, key=lambda r: (r.function, r.noise)):
                 rows.append([n, config.beta, config.z0, delta, row.function,
@@ -259,10 +270,10 @@ def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list]]:
                              row.stderr, row.risk_oracle, row.phin_bn])
     columns = ["n", "beta", "z0", "delta", "function", "noise", "qn", "phin",
                "risk_mc", "stderr", "risk_oracle", "bias_phin_Bn"]
-    return columns, rows
+    return columns, rows, {"certification": margins}
 
 
-def _lower_bound(config: ExperimentConfig) -> tuple[list[str], list[list]]:
+def _lower_bound(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
     g_z0 = scale_eval(scale, config.z0, constant_fn(0.0))
     rows: list[list] = []
@@ -272,10 +283,10 @@ def _lower_bound(config: ExperimentConfig) -> tuple[list[str], list[list]]:
         for b in sorted(config.b_list):
             rows.append([nu, b, sigma_nu_sq,
                          bayes_bound(nu, b, g_z0, kernel=kernel)])
-    return ["nu", "b", "sigma_nu_sq", "bayes_bound"], rows
+    return ["nu", "b", "sigma_nu_sq", "bayes_bound"], rows, {}
 
 
-def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list]]:
+def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
     functions = _resolve_functions(
         config, None, config.delta_list[0], None,
@@ -293,10 +304,10 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list]]:
                                      derive_seed(config.seed, idx))
             rows.append([label, n, report.a_n, report.k_p, report.r_n, ks])
             idx += 1
-    return ["noise", "n", "a_n", "K_p", "r_n", "ks_distance"], rows
+    return ["noise", "n", "a_n", "K_p", "r_n", "ks_distance"], rows, {}
 
 
-def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list]]:
+def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     kernel = build_kernel(FAMILY_BUMP_NU)
     n = max(config.n_list)
     rows: list[list] = []
@@ -311,10 +322,10 @@ def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list]]:
             rows.append([S.label, config.z0, config.beta, delta,
                          rep.sup_deriv, rep.max_defect, rep.certified])
     return ["function", "z0", "beta", "delta", "sup_deriv", "max_defect",
-            "certified"], rows
+            "certified"], rows, {}
 
 
-def _convergence(config: ExperimentConfig) -> tuple[list[str], list[list]]:
+def _convergence(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
     functions = _resolve_functions(
         config, None, config.delta_list[0], None,
@@ -327,7 +338,7 @@ def _convergence(config: ExperimentConfig) -> tuple[list[str], list[list]]:
             rows.append([row.n, config.beta, config.z0, S.label,
                          row.sigma_n_sq, g0_sq, row.abs_gap])
     return ["n", "beta", "z0", "function", "sigma_n_sq", "g_sq_z0",
-            "abs_gap"], rows
+            "abs_gap"], rows, {}
 
 
 _DISPATCH = {
@@ -363,7 +374,9 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
 
     written: list[Path] = []
     try:
-        columns, rows = _DISPATCH[config.command](config)
+        # Each command returns its CSV columns and rows plus extra manifest
+        # entries; the entries never reach the CSV.
+        columns, rows, notes = _DISPATCH[config.command](config)
         stem = config.command.replace("-", "_")
         csv_path = out / f"{stem}.csv"
         written.append(csv_path)
@@ -379,6 +392,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
             "version": __version__,
             "wall_clock_s": round(time.perf_counter() - start, 3),
             "outputs": [csv_path.name],
+            **notes,
         }
         man_path = out / "manifest.json"
         written.append(man_path)

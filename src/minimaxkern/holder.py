@@ -7,6 +7,14 @@ allows derivatives up to 1/delta but requires the symmetrized window
 integral |int_{-1}^{1} (S(z0 + h u) - S(z0)) du| <= delta * h^beta for
 every bandwidth h; the "for every h" clause is probed on a finite
 geometric grid, which is recorded in the report.
+
+A weak-class certificate is one pass over its curve: ``weak_defects``
+evaluates S(z0) once and S itself once per block of probe bandwidths, on
+the nodes z0 + h u of a fixed Simpson rule, with ``DEFECT_BLOCK_BYTES``
+bounding a block's node array.  Every defect takes the same floating-point
+operations whatever the block size, so certificates do not depend on it.
+Certificates fail closed: a NaN defect or derivative sample is never
+certified, and NaN bandwidths or too-coarse derivative grids are errors.
 """
 
 from __future__ import annotations
@@ -22,6 +30,11 @@ DEFECT_QUAD_PANELS = 4096
 DEFAULT_SUP_RESOLUTION = 10_000
 DEFAULT_H_COUNT = 32
 DEFAULT_H_FACTOR = 0.7
+# Budget for one block of probe nodes: (probes, 2 * DEFECT_QUAD_PANELS + 1)
+# float64 values, at least one probe per block (two at this budget).
+# Block size never changes a defect; larger blocks ran no faster and
+# raised peak memory.
+DEFECT_BLOCK_BYTES = 160 * 1024
 
 
 def _validate_beta(beta: float) -> None:
@@ -76,7 +89,7 @@ class WeakHolderParams:
         if grid is None:
             grid = default_h_grid(self.z0)
         grid = np.asarray(grid, dtype=float)
-        if grid.size == 0 or np.any(grid <= 0):
+        if grid.size == 0 or not np.all(grid > 0):  # NaN fails too
             raise ValueError("h_grid must contain positive bandwidths")
         lim = min(self.z0, 1.0 - self.z0)
         if np.any(grid > lim + 1e-15):
@@ -141,18 +154,44 @@ def check_holder(S: FunctionSpec, p: HolderParams, resolution: int) -> HolderRep
                         resolution=resolution)
 
 
+def weak_defects(S: FunctionSpec, z0: float, beta: float,
+                 hs: np.ndarray) -> np.ndarray:
+    """|int_{-1}^{1} (S(z0 + h u) - S(z0)) du| / h^beta for every h in ``hs``.
+
+    S(z0) is evaluated once.  The probes are split into blocks of
+    max(1, DEFECT_BLOCK_BYTES // (8 * nodes)) bandwidths, and S is
+    evaluated once per block on the (probes, nodes) array z0 + h u, where
+    u are the nodes of a DEFECT_QUAD_PANELS-panel Simpson rule on [-1, 1].
+    Each defect is the value the rule gives for its bandwidth alone.
+    """
+    _validate_beta(beta)
+    hs = np.asarray(hs, dtype=float).reshape(-1)
+    if not np.all(hs > 0):  # NaN fails too
+        raise ValueError("h must be positive")
+    # Negated bounds, so a NaN z0 is rejected as well.
+    outside = ~((z0 - hs >= -1e-15) & (z0 + hs <= 1.0 + 1e-15))
+    if np.any(outside):
+        raise ValueError(
+            f"window [z0-h, z0+h] leaves [0, 1] for h={hs[outside][0]}")
+    s0 = float(np.asarray(S.eval(z0), dtype=float))
+    rows = max(1, DEFECT_BLOCK_BYTES // (8 * (2 * DEFECT_QUAD_PANELS + 1)))
+    defects = np.empty(hs.size)
+    for start in range(0, hs.size, rows):
+        block = hs[start:start + rows]
+        integrals = composite_simpson(
+            lambda u: np.asarray(S.eval(z0 + block[:, None] * u),
+                                 dtype=float) - s0,
+            -1.0, 1.0, DEFECT_QUAD_PANELS)
+        # Scalar Python arithmetic, so no defect depends on numpy's vector pow
+        defects[start:start + rows] = [
+            abs(integral) / h ** beta
+            for h, integral in zip(block.tolist(), integrals.tolist())]
+    return defects
+
+
 def weak_defect(S: FunctionSpec, z0: float, beta: float, h: float) -> float:
     """|int_{-1}^{1} (S(z0 + h u) - S(z0)) du| / h^beta by Simpson quadrature."""
-    _validate_beta(beta)
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if z0 - h < -1e-15 or z0 + h > 1.0 + 1e-15:
-        raise ValueError(f"window [z0-h, z0+h] leaves [0, 1] for h={h}")
-    s0 = float(np.asarray(S.eval(z0), dtype=float))
-    integral = composite_simpson(
-        lambda u: np.asarray(S.eval(z0 + h * u), dtype=float) - s0,
-        -1.0, 1.0, DEFECT_QUAD_PANELS)
-    return abs(integral) / h ** beta
+    return float(weak_defects(S, z0, beta, [h])[0])
 
 
 def check_weak_holder(S: FunctionSpec, p: WeakHolderParams,
@@ -160,8 +199,13 @@ def check_weak_holder(S: FunctionSpec, p: WeakHolderParams,
     """Certificate for the local weak class at (z0, delta, beta).
 
     True iff the grid supremum of |S'| stays below 1/delta and the window
-    defect stays below delta on every probe bandwidth.
+    defect stays below delta on every probe bandwidth.  ``worst_h`` is the
+    first probe attaining the largest defect.  A NaN derivative sample
+    makes ``sup_deriv`` NaN and a NaN defect makes ``max_defect`` NaN (with
+    ``worst_h`` its probe); either way the curve is not certified.
     """
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
     x = np.linspace(0.0, 1.0, resolution)
     d = np.asarray(S.deriv(x), dtype=float)
     if d.shape != x.shape:
@@ -169,13 +213,9 @@ def check_weak_holder(S: FunctionSpec, p: WeakHolderParams,
     sup_deriv = float(np.max(np.abs(d)))
     deriv_bound = 1.0 / p.delta
 
-    max_defect = -1.0
-    worst_h = float(p.h_grid[0])
-    for h in p.h_grid:
-        defect = weak_defect(S, p.z0, p.beta, float(h))
-        if defect > max_defect:
-            max_defect = defect
-            worst_h = float(h)
+    defects = weak_defects(S, p.z0, p.beta, p.h_grid)
+    worst = int(np.argmax(defects))  # first maximum, or first NaN
+    max_defect = float(defects[worst])
     certified = sup_deriv <= deriv_bound and max_defect <= p.delta
     return WeakHolderReport(
         certified=certified,
@@ -183,6 +223,6 @@ def check_weak_holder(S: FunctionSpec, p: WeakHolderParams,
         deriv_bound=deriv_bound,
         max_defect=max_defect,
         defect_bound=p.delta,
-        worst_h=worst_h,
+        worst_h=float(p.h_grid[worst]),
         resolution=resolution,
     )

@@ -130,12 +130,45 @@ class PlateauKernel:
     def values(self, x: np.ndarray) -> np.ndarray:
         """V_nu(x) = (1/nu) int Qtilde_nu(u) l((u - x)/nu) du.
 
+        Only the transition band 1-3nu < |x| < 1 touches the CDF table (see
+        ``_cdf_terms``).  Elsewhere every CDF argument saturates at 0 or 1,
+        so the formula's value is exactly 1.0 on the plateau and 0.0 beyond
+        the support; those points take it directly, cut with a margin of
+        nu/2 on each side of the band, and NaN stays in the band.  The
+        result is bitwise the formula's at every point.
+        """
+        x = np.asarray(x, dtype=float)
+        plateau, band = self._split(x)
+        out = np.where(plateau, 1.0, 0.0)
+        out[band] = self._cdf_terms(x[band])
+        return out
+
+    def deriv(self, x: np.ndarray) -> np.ndarray:
+        """Exact derivative of V_nu from the bump itself (see
+        ``_density_terms``); exactly 0.0 outside the transition band, split
+        as in ``values``."""
+        x = np.asarray(x, dtype=float)
+        _, band = self._split(x)
+        out = np.zeros(x.shape)
+        out[band] = self._density_terms(x[band])
+        return out
+
+    def _split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(plateau, band) masks: |x| <= 1-3.5nu, and neither that nor
+        |x| >= 1+0.5nu.  Every CDF argument lies at least 1/2 beyond +-1
+        off the band."""
+        ax = np.abs(x)
+        plateau = ax <= 1.0 - 3.5 * self.nu
+        return plateau, ~(plateau | (ax >= 1.0 + 0.5 * self.nu))
+
+    def _cdf_terms(self, x: np.ndarray) -> np.ndarray:
+        """The convolution at every point of ``x``, through the CDF table.
+
         Qtilde_nu has three pieces: height 1 on [-(1-2nu), 1-2nu] and
         height 2 on [1-2nu, 1-nu] and on [-(1-nu), -(1-2nu)].  They share
         the endpoints +-(1-2nu), so l_cdf is evaluated at four points, not
         six; each shared value is dropped once its last piece is added.
         """
-        x = np.asarray(x, dtype=float)
         inner, outer = 1.0 - 2.0 * self.nu, 1.0 - self.nu
 
         def cdf(e: float) -> np.ndarray:
@@ -149,10 +182,9 @@ class PlateauKernel:
         out = out + 2.0 * (c_neg_in - cdf(-outer))
         return out
 
-    def deriv(self, x: np.ndarray) -> np.ndarray:
-        """Exact derivative of V_nu from the bump itself, piece by piece as
-        in ``values``."""
-        x = np.asarray(x, dtype=float)
+    def _density_terms(self, x: np.ndarray) -> np.ndarray:
+        """The derivative at every point of ``x``, piece by piece as in
+        ``_cdf_terms``."""
         inner, outer = 1.0 - 2.0 * self.nu, 1.0 - self.nu
 
         def dens(e: float) -> np.ndarray:

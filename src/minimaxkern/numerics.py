@@ -10,11 +10,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-def composite_simpson(f: Callable, a: float, b: float, panels: int) -> float:
+def composite_simpson(f: Callable, a: float, b: float,
+                      panels: int) -> float | np.ndarray:
     """Integrate ``f`` over ``[a, b]`` with a fixed number of parabolic panels.
 
-    ``f`` must accept a numpy array; the rule evaluates on 2*panels + 1
-    equispaced nodes, so results are deterministic for a given panel count.
+    ``f`` receives the 2*panels + 1 equispaced nodes as a 1-D array and may
+    return values of shape ``(..., nodes)``: the rule integrates along the
+    last axis, giving a float for 1-D (or scalar) values and an array of
+    the leading shape otherwise.  Each integral takes the same operations
+    in the same order as a 1-D call on its own row, so batching integrands
+    never changes a result, and results are deterministic for a given
+    panel count.
     """
     if panels < 1:
         raise ValueError("panels must be a positive integer")
@@ -22,11 +28,13 @@ def composite_simpson(f: Callable, a: float, b: float, panels: int) -> float:
         raise ValueError("integration bounds must satisfy a <= b")
     x = np.linspace(a, b, 2 * panels + 1)
     y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        y = np.broadcast_to(y, x.shape)
+    if y.shape[-1:] != x.shape:
+        y = np.broadcast_to(y, y.shape[:-1] + x.shape)
     step = (b - a) / (2 * panels)
-    total = y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])
-    return float(total * step / 3.0)
+    total = (y[..., 0] + y[..., -1] + 4.0 * np.sum(y[..., 1:-1:2], axis=-1)
+             + 2.0 * np.sum(y[..., 2:-1:2], axis=-1))
+    result = total * step / 3.0
+    return float(result) if result.ndim == 0 else result
 
 
 def window_sum(values: Sequence[float] | np.ndarray) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 # under this module's name, so the name stays importable from risk.
 from .estimator import (DecompositionReport, EstimatorConfig, decompose,
                         kernel_estimate)  # noqa: F401
-from .holder import WeakHolderParams, check_weak_holder
+from .holder import WeakHolderParams, WeakHolderReport, check_weak_holder
 from .lowerbound import PlateauKernel, PerturbationSpec, build_kernel
 from .model import (FunctionSpec, NoiseSpec, ScaleSpec, constant_fn,
                     linear_fn, replicate, scale_eval, scale_profile)
@@ -55,7 +55,8 @@ class RiskConfig:
 
     Building a RiskConfig is the one place a risk family is certified:
     every member is checked once against the weak local class at
-    (z0, delta, beta), and any rejected member raises ValueError.
+    (z0, delta, beta), and any rejected member raises ValueError.  The
+    certificates are kept in ``reports``, in family order.
     """
 
     cfg: EstimatorConfig
@@ -65,6 +66,8 @@ class RiskConfig:
     family: tuple[FunctionSpec, ...]
     scale: ScaleSpec
     noise: NoiseSpec
+    reports: tuple[WeakHolderReport, ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < 1.0):
@@ -75,12 +78,14 @@ class RiskConfig:
             raise ValueError("family must be nonempty")
         object.__setattr__(self, "family", tuple(self.family))
         params = WeakHolderParams(z0=self.cfg.z0, delta=self.delta, beta=self.cfg.beta)
-        rejected = [S.label for S in self.family
-                    if not check_weak_holder(S, params).certified]
+        reports = tuple(check_weak_holder(S, params) for S in self.family)
+        rejected = [S.label for S, rep in zip(self.family, reports)
+                    if not rep.certified]
         if rejected:
             raise ValueError(
                 f"family members fail weak local certification at "
                 f"delta={self.delta}: {rejected}")
+        object.__setattr__(self, "reports", reports)
 
 
 @dataclass(frozen=True)

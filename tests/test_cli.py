@@ -11,6 +11,7 @@ import minimaxkern
 from minimaxkern import model
 from minimaxkern.cli import ConfigError, main, parse_config, run
 from minimaxkern.estimator import EstimatorConfig
+from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.model import ScaleSpec, get_noise
 from minimaxkern import risk as risk_module
 from minimaxkern.risk import (DEFAULT_TABLE_LABELS, RiskConfig, default_family,
@@ -155,6 +156,23 @@ class TestRunRiskTable:
         assert manifest["seed_source"] == "config"
         assert manifest["config"]["alpha3"] == 0.5
         assert manifest["outputs"] == ["risk_table.csv"]
+
+    def test_manifest_certification_margins(self, outputs):
+        """One entry per (n, delta, member), from the member's certificate."""
+        entries = json.loads((outputs / "manifest.json").read_text())["certification"]
+        assert [(e["n"], e["delta"], e["function"]) for e in entries] == [
+            (n, 0.1, label) for n in (400, 800)
+            for label in sorted(DEFAULT_TABLE_LABELS)]
+        params = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
+        for n in (400, 800):
+            family = {S.label: S for S in default_family(0.5, 0.1, 2.0, n)}
+            for e in (e for e in entries if e["n"] == n):
+                rep = check_weak_holder(family[e["function"]], params)
+                assert e["sup_deriv_times_delta"] == rep.sup_deriv * 0.1
+                assert e["max_defect_over_delta"] == rep.max_defect / 0.1
+                assert e["worst_h"] == rep.worst_h
+                assert e["sup_deriv_times_delta"] <= 1.0
+                assert e["max_defect_over_delta"] <= 1.0
 
     def test_byte_identical_rerun(self, outputs, tmp_path):
         assert run(parse_config(RISK_CFG), out_dir=str(tmp_path),

@@ -1,10 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from minimaxkern.holder import (HolderParams, WeakHolderParams, check_holder,
-                                check_weak_holder, default_h_grid, weak_defect)
-from minimaxkern.model import FunctionSpec, constant_fn, linear_fn
+from minimaxkern import holder
+from minimaxkern.holder import (DEFAULT_SUP_RESOLUTION, DEFECT_QUAD_PANELS,
+                                HolderParams, WeakHolderParams,
+                                WeakHolderReport, check_holder,
+                                check_weak_holder, default_h_grid, weak_defect,
+                                weak_defects)
+from minimaxkern.model import (FunctionSpec, constant_fn, function_catalog,
+                               linear_fn)
+from minimaxkern.numerics import composite_simpson
+from minimaxkern.risk import family_candidates
 
 
 def quadratic():
@@ -143,3 +152,220 @@ class TestWeakHolderClass:
         with pytest.raises(ValueError):
             WeakHolderParams(z0=0.5, delta=0.1, beta=2.0,
                              h_grid=np.array([0.7]))  # leaves [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# one-pass certificates: blocked weak_defects against a per-probe loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_report(S, p, resolution=DEFAULT_SUP_RESOLUTION):
+    """The certificate computed probe by probe: one composite_simpson
+    integral per bandwidth, with S(z0) evaluated for each, keeping the
+    first strictly larger defect."""
+    x = np.linspace(0.0, 1.0, resolution)
+    d = np.asarray(S.deriv(x), dtype=float)
+    if d.shape != x.shape:
+        d = np.broadcast_to(d, x.shape).astype(float)
+    sup_deriv = float(np.max(np.abs(d)))
+    max_defect, worst_h = -1.0, float(p.h_grid[0])
+    for h in p.h_grid:
+        h = float(h)
+        s0 = float(np.asarray(S.eval(p.z0), dtype=float))
+        integral = composite_simpson(
+            lambda u: np.asarray(S.eval(p.z0 + h * u), dtype=float) - s0,
+            -1.0, 1.0, DEFECT_QUAD_PANELS)
+        defect = abs(integral) / h ** p.beta
+        if defect > max_defect:
+            max_defect, worst_h = defect, h
+    return WeakHolderReport(
+        certified=sup_deriv <= 1.0 / p.delta and max_defect <= p.delta,
+        sup_deriv=sup_deriv, deriv_bound=1.0 / p.delta,
+        max_defect=max_defect, defect_bound=p.delta, worst_h=worst_h,
+        resolution=resolution)
+
+
+def _all_curves(z0, delta, beta, n, kernel):
+    return (family_candidates(z0, delta, beta, n, kernel)
+            + list(function_catalog(z0).values()))
+
+
+_CELLS = [(0.5, 1000, 0.2, 2.0), (0.5, 3000, 0.1, 2.0),
+          (0.5, 100_000, 0.05, 2.0), (0.3, 5000, 0.1, 1.6)]
+
+
+@pytest.mark.parametrize("z0,n,delta,beta", _CELLS)
+def test_certificate_matches_per_probe_loop(z0, n, delta, beta,
+                                            plateau_kernel_01):
+    p = WeakHolderParams(z0=z0, delta=delta, beta=beta)
+    for S in _all_curves(z0, delta, beta, n, plateau_kernel_01):
+        assert check_weak_holder(S, p) == _reference_report(S, p), S.label
+
+
+def _rows(budget):
+    return max(1, budget // (8 * (2 * DEFECT_QUAD_PANELS + 1)))
+
+
+# One probe per block, three probes (32 = 10 * 3 + 2 leaves a short last
+# block), and the default budget.
+_BUDGETS = (1, 3 * 8 * (2 * DEFECT_QUAD_PANELS + 1), holder.DEFECT_BLOCK_BYTES)
+
+
+def test_default_budget_batches_probes():
+    assert _rows(holder.DEFECT_BLOCK_BYTES) > 1
+    assert [_rows(b) for b in _BUDGETS[:2]] == [1, 3]
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+def test_certificate_independent_of_block_budget(budget, monkeypatch,
+                                                 plateau_kernel_01):
+    p = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
+    curves = _all_curves(0.5, 0.1, 2.0, 3000, plateau_kernel_01)
+    expected = [check_weak_holder(S, p) for S in curves]
+    monkeypatch.setattr(holder, "DEFECT_BLOCK_BYTES", budget)
+    assert [check_weak_holder(S, p) for S in curves] == expected
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+def test_one_curve_evaluation_per_block(budget, monkeypatch):
+    """S is evaluated at z0 once and on each block of probes once."""
+    shapes = []
+
+    def record(x):
+        x = np.asarray(x, dtype=float)
+        shapes.append(x.shape)
+        return np.cos(3.0 * x)
+
+    S = FunctionSpec("recorded", record, lambda x: -3.0 * np.sin(3.0 * x))
+    monkeypatch.setattr(holder, "DEFECT_BLOCK_BYTES", budget)
+    p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0)
+    check_weak_holder(S, p)
+    rows = _rows(budget)
+    blocks = -(-p.h_grid.size // rows)
+    assert len(shapes) == blocks + 1
+    assert shapes[0] == ()
+    nodes = 2 * DEFECT_QUAD_PANELS + 1
+    assert shapes[1:] == ([(rows, nodes)] * (blocks - 1)
+                          + [(p.h_grid.size - rows * (blocks - 1), nodes)])
+
+
+def test_weak_defect_is_one_probe_of_weak_defects():
+    hs = default_h_grid(0.5)[::5]
+    blocked = weak_defects(quadratic(), 0.5, 2.0, hs)
+    assert blocked.shape == hs.shape
+    assert [weak_defect(quadratic(), 0.5, 2.0, float(h)) for h in hs] \
+        == blocked.tolist()
+
+
+# ---------------------------------------------------------------------------
+# fail closed on non-finite curves, reject ambiguous input
+# ---------------------------------------------------------------------------
+
+
+class TestFailClosed:
+    P = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0)
+
+    def test_all_nan_curve_not_certified(self):
+        S = FunctionSpec("nan", lambda x: np.full(np.shape(x), np.nan),
+                         lambda x: np.full(np.shape(x), np.nan))
+        rep = check_weak_holder(S, self.P)
+        assert not rep.certified
+        assert math.isnan(rep.max_defect)
+        assert math.isnan(rep.sup_deriv)
+
+    def test_nan_defect_on_wide_probes_not_certified(self):
+        # finite near z0 and a zero derivative everywhere, but NaN beyond
+        # |x - z0| > 0.3: only the widest probes see it
+        def values(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x - 0.5) > 0.3, np.nan, 0.0)
+
+        S = FunctionSpec("nan_tails", values, lambda x: np.zeros(np.shape(x)))
+        rep = check_weak_holder(S, self.P)
+        assert not rep.certified
+        assert math.isnan(rep.max_defect)
+        assert rep.worst_h == self.P.h_grid[0]
+        assert rep.sup_deriv == 0.0
+
+    def test_nan_derivative_sample_not_certified(self):
+        def deriv(x):
+            d = np.zeros(np.shape(x))
+            d[len(d) // 3] = np.nan
+            return d
+
+        S = FunctionSpec("nan_slope", lambda x: np.zeros(np.shape(x)), deriv)
+        rep = check_weak_holder(S, self.P)
+        assert not rep.certified
+        assert math.isnan(rep.sup_deriv)
+        assert rep.max_defect == 0.0
+
+    def test_finite_certificate_unchanged(self):
+        rep = check_weak_holder(constant_fn(0.0), self.P)
+        assert rep.certified and rep.max_defect == 0.0
+
+    def test_nan_bandwidth_in_grid_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            WeakHolderParams(z0=0.5, delta=0.1, beta=2.0,
+                             h_grid=np.array([0.2, np.nan, 0.1]))
+
+    @pytest.mark.parametrize("h", [math.nan, 0.0, -0.1])
+    def test_bad_bandwidth_rejected(self, h):
+        with pytest.raises(ValueError, match="positive"):
+            weak_defect(quadratic(), 0.5, 2.0, h)
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(ValueError, match="leaves"):
+            weak_defect(quadratic(), math.nan, 2.0, 0.1)
+
+    @pytest.mark.parametrize("resolution", [1, 0])
+    def test_coarse_derivative_grid_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            check_weak_holder(quadratic(), self.P, resolution)
+
+
+# ---------------------------------------------------------------------------
+# properties of weak_defects
+# ---------------------------------------------------------------------------
+
+# Fixed before the properties were run.  A defect is |Simpson integral| /
+# h^beta over nodes of size up to about |c| + max|S| (at most 1 + |c|
+# here, with |S| <= 1); re-rounding each node moves the integral by a few
+# ulps of that size, so both tolerances are 1e-13 of it, over h^beta.
+SHIFT_TOL = 1e-13
+SCALE_TOL = 1e-13
+
+
+def _skewed():
+    """A curve with an even part, so its defects are not zero."""
+    return FunctionSpec(
+        "skewed",
+        lambda x: np.exp(-np.asarray(x, dtype=float)) * np.cos(2.0 * np.asarray(x, dtype=float)),
+        lambda x: -np.exp(-np.asarray(x, dtype=float)) * (
+            np.cos(2.0 * np.asarray(x, dtype=float))
+            + 2.0 * np.sin(2.0 * np.asarray(x, dtype=float))))
+
+
+_z0s = st.floats(0.2, 0.8)
+_betas = st.floats(1.05, 2.0)
+_fracs = st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5)
+
+
+@given(_z0s, _betas, _fracs, st.floats(-10.0, 10.0))
+def test_defects_invariant_under_constant_shift(z0, beta, fracs, c):
+    hs = np.array(fracs) * min(z0, 1.0 - z0)
+    base = _skewed()
+    shifted = FunctionSpec("shifted",
+                           lambda x: np.asarray(base.eval(x), dtype=float) + c,
+                           base.deriv)
+    got = weak_defects(shifted, z0, beta, hs)
+    want = weak_defects(base, z0, beta, hs)
+    assert np.all(np.abs(got - want) <= SHIFT_TOL * (1.0 + abs(c)) / hs ** beta)
+
+
+@given(_z0s, _betas, _fracs, st.floats(-10.0, 10.0))
+def test_defects_scale_with_amplitude(z0, beta, fracs, a):
+    hs = np.array(fracs) * min(z0, 1.0 - z0)
+    base = _skewed()
+    got = weak_defects(scaled(base, a), z0, beta, hs)
+    want = abs(a) * weak_defects(base, z0, beta, hs)
+    assert np.all(np.abs(got - want) <= SCALE_TOL * abs(a) / hs ** beta)

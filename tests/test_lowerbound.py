@@ -21,6 +21,29 @@ from minimaxkern.numerics import composite_simpson, ks_statistic
 EFFICIENCY_CONSTANT = 1.0 / math.sqrt(math.pi)
 
 
+def _six_term(kern, x):
+    """V_nu and V_nu' at every point of ``x`` from the six CDF (density)
+    terms of the step profile, with no shortcut."""
+    nu, spec = kern.nu, kern.spec
+    inner, outer = 1.0 - 2.0 * nu, 1.0 - nu
+
+    def cdf(e):
+        return spec.l_cdf((e - x) / nu)
+
+    def dens(e):
+        return spec.l((e - x) / nu)
+
+    vals = np.zeros(x.shape)
+    vals = vals + 1.0 * (cdf(inner) - cdf(-inner))
+    vals = vals + 2.0 * (cdf(outer) - cdf(inner))
+    vals = vals + 2.0 * (cdf(-inner) - cdf(-outer))
+    derivs = np.zeros(x.shape)
+    derivs = derivs + (1.0 / nu) * (dens(-inner) - dens(inner))
+    derivs = derivs + (2.0 / nu) * (dens(inner) - dens(outer))
+    derivs = derivs + (2.0 / nu) * (dens(-outer) - dens(-inner))
+    return vals, derivs
+
+
 class TestMollifier:
     def test_unit_mass(self):
         spec = MollifierSpec(nu=0.1, resolution=4096)
@@ -108,27 +131,54 @@ class TestPlateauKernel:
     @pytest.mark.parametrize("nu", [0.2, 0.1, 0.01])
     def test_matches_six_term_formula_bitwise(self, nu):
         kern = build_kernel(nu)
-        spec = kern.spec
         x = np.linspace(-3.0, 3.0, 100_001)
-        inner, outer = 1.0 - 2.0 * nu, 1.0 - nu
-
-        def cdf(e):
-            return spec.l_cdf((e - x) / nu)
-
-        def dens(e):
-            return spec.l((e - x) / nu)
-
-        vals = np.zeros(x.shape)
-        vals = vals + 1.0 * (cdf(inner) - cdf(-inner))
-        vals = vals + 2.0 * (cdf(outer) - cdf(inner))
-        vals = vals + 2.0 * (cdf(-inner) - cdf(-outer))
-        derivs = np.zeros(x.shape)
-        derivs = derivs + (1.0 / nu) * (dens(-inner) - dens(inner))
-        derivs = derivs + (2.0 / nu) * (dens(inner) - dens(outer))
-        derivs = derivs + (2.0 / nu) * (dens(-outer) - dens(-inner))
+        vals, derivs = _six_term(kern, x)
         for got, want in ((kern.values(x), vals), (kern.deriv(x), derivs)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("nu", [0.2, 0.1, 0.05, 0.01])
+    def test_flat_shortcut_bitwise_at_edges(self, nu):
+        """The exact 1.0/0.0 taken off the transition band agrees with the
+        six-term formula at the float neighbours of every edge: the band
+        1-3nu < |x| < 1, the shortcut cuts 1-3.5nu and 1+0.5nu, and the
+        profile breaks +-(1-2nu), +-(1-nu); plus NaN and +-inf."""
+        kern = build_kernel(nu)
+        edges = [1.0 - 3.0 * nu, 1.0, 1.0 - 3.5 * nu, 1.0 + 0.5 * nu,
+                 1.0 - 2.0 * nu, 1.0 - nu, 0.0]
+        pts = []
+        for e in edges:
+            for v in (e, -e):
+                pts += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+        x = np.array(pts + [np.nan, np.inf, -np.inf, 0.5, -2.0])
+        vals, derivs = _six_term(kern, x)
+        for got, want in ((kern.values(x), vals), (kern.deriv(x), derivs)):
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        for x0 in x:  # 0-d input
+            v0, d0 = _six_term(kern, np.asarray(x0))
+            for got, want in ((kern.values(np.asarray(x0)), v0),
+                              (kern.deriv(x0), d0)):
+                assert np.shape(got) == ()
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.signbit(got) == np.signbit(want)
+
+    def test_cdf_table_read_only_in_band(self, monkeypatch):
+        nu = 0.1
+        kern = build_kernel(nu)
+        looked_up = []
+        real = MollifierSpec.l_cdf
+
+        def l_cdf(spec, z):
+            looked_up.append(np.size(z))
+            return real(spec, z)
+
+        monkeypatch.setattr(MollifierSpec, "l_cdf", l_cdf)
+        flat = np.array([0.0, 0.5, -0.6, 1.2, -7.0, np.inf])
+        assert kern.values(flat).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+        assert sum(looked_up) == 0
+        kern.values(np.array([0.0, 0.8, -0.95, 2.0]))
+        assert sum(looked_up) == 4 * 2  # four table reads per band point
 
     def test_sq_integral_matches_quadrature(self):
         kern = build_kernel(0.1)

@@ -28,6 +28,36 @@ class TestCompositeSimpson:
         val = composite_simpson(lambda x: 1.0, 0.0, 3.0, 8)
         assert val == pytest.approx(3.0, abs=1e-14)
 
+    def test_one_dimensional_rule_bitwise(self):
+        # the 1-D rule as a plain sum of endpoint, odd and even nodes
+        for f, a, b, panels in ((np.sin, 0.0, math.pi, 2048),
+                                (np.exp, -1.0, 0.5, 4096),
+                                (lambda x: np.cos(7.0 * x) * x ** 2, -1.0, 1.0, 31)):
+            x = np.linspace(a, b, 2 * panels + 1)
+            y = f(x)
+            total = y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])
+            want = float(total * ((b - a) / (2 * panels)) / 3.0)
+            got = composite_simpson(f, a, b, panels)
+            assert type(got) is float and got == want
+
+    def test_integrates_along_last_axis(self):
+        """A (rows, nodes) integrand gives each row's 1-D integral exactly."""
+        scales = np.array([0.3, -1.7, 2.5, 1e-3, 0.0])
+
+        def rows(x):
+            return np.cos(scales[:, None] * x) + scales[:, None] * x ** 2
+
+        got = composite_simpson(rows, -1.0, 1.0, 4096)
+        assert got.shape == scales.shape
+        for c, value in zip(scales, got.tolist()):
+            want = composite_simpson(lambda x: np.cos(c * x) + c * x ** 2,
+                                     -1.0, 1.0, 4096)
+            assert value == want
+
+    def test_row_broadcast_integrand(self):
+        got = composite_simpson(lambda x: np.array([[1.0], [2.0]]), 0.0, 3.0, 8)
+        assert got.tolist() == [3.0, 6.0]
+
 
 class TestWindowSum:
     def test_matches_fsum_on_hard_case(self):

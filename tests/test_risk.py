@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from minimaxkern import model
 from minimaxkern.estimator import EstimatorConfig, decompose
+from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.model import (constant_fn, flat_scale, function_catalog,
                                get_noise, noise_catalog, replicate,
                                rng_from_seed, scale_eval, zero_noise)
@@ -216,6 +217,15 @@ class TestRiskConfigValidation:
         with pytest.raises(ValueError, match="sine"):
             RiskConfig(cfg=cfg, delta=0.1, reps=10, seed=0, family=(steep,),
                        scale=mixed_scale, noise=gaussian)
+
+    def test_keeps_member_certificates(self, mixed_scale, gaussian,
+                                       plateau_kernel_01):
+        cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
+        fam = tuple(default_family(0.5, 0.1, 2.0, cfg.n, plateau_kernel_01))
+        rc = RiskConfig(cfg=cfg, delta=0.1, reps=10, seed=0, family=fam,
+                        scale=mixed_scale, noise=gaussian)
+        params = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
+        assert rc.reports == tuple(check_weak_holder(S, params) for S in fam)
 
     def test_empty_family_rejected(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
