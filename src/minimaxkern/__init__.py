@@ -8,7 +8,7 @@ truncation-based CLT diagnostics.  The sharp normalized-risk constant for
 all of it is 1/sqrt(pi).
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .estimator import (DecompositionReport, EstimatorConfig, bandwidth,
                         decompose, kernel_estimate, rate, sigma_n_limit_check)
@@ -20,8 +20,8 @@ from .lowerbound import (MollifierSpec, PerturbationSpec, PlateauKernel,
                          shift_statistic, varsigma_sq)
 from .martingale import (RealizedSplit, TruncationReport, normal_approx_check,
                          tail_second_moment, truncated_mean,
-                         truncated_variance, truncation_split,
-                         zeta_dd_moment_check)
+                         truncated_variance, truncation_report,
+                         truncation_split, zeta_dd_moment_check)
 from .model import (DesignGrid, FunctionSpec, NoiseSpec, ScaleSpec,
                     certify_noise, constant_fn, derive_seed, design_grid,
                     flat_scale, function_catalog, get_noise, linear_fn,
@@ -56,6 +56,6 @@ __all__ = [
     "likelihood_ratio", "log_likelihood_ratio", "bayes_bound",
     # martingale
     "TruncationReport", "RealizedSplit", "tail_second_moment",
-    "truncated_mean", "truncated_variance", "truncation_split",
-    "normal_approx_check", "zeta_dd_moment_check",
+    "truncated_mean", "truncated_variance", "truncation_report",
+    "truncation_split", "normal_approx_check", "zeta_dd_moment_check",
 ]

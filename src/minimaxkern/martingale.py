@@ -104,27 +104,43 @@ def _window_weights(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig
     return g_w / g0, g0
 
 
+def truncation_report(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
+                      cfg: EstimatorConfig) -> TruncationReport:
+    """The deterministic summary of the split at a = q_n^(1/4); it draws
+    nothing."""
+    a = cfg.q_n ** 0.25
+    k_p = tail_second_moment(noise, a)
+    m_above = noise.mean - truncated_mean(noise, a)
+    a_n = truncated_variance(noise, a)
+    ratio, _ = _window_weights(S, scale, cfg)
+    g_n_over_qn = float(np.sum(ratio ** 2)) / cfg.q_n
+    return TruncationReport(
+        a_threshold=a,
+        a_n=a_n,
+        k_p=k_p,
+        g_n_over_qn=g_n_over_qn,
+        r_n=g_n_over_qn * a_n,
+        tau_n=cfg.k_hi,
+        second_moment_zeta_dd=g_n_over_qn * (k_p - m_above ** 2),
+    )
+
+
 def truncation_split(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
                      cfg: EstimatorConfig, seed: int
                      ) -> tuple[TruncationReport, RealizedSplit]:
-    """Draw one run and split the normalized noise sum at a = q_n^(1/4).
+    """``truncation_report`` plus one drawn run split at a = q_n^(1/4).
 
     zeta_prime sums the re-centered bounded parts up to the stopping index
     tau_n (the index of the last window point, where the conditional
     variance budget is exhausted); zeta_dd sums the tail parts.  Their sum
     reconstructs zeta_n / g(z0, S) exactly.
     """
-    a = cfg.q_n ** 0.25
-    k_p = tail_second_moment(noise, a)
+    report = truncation_report(S, scale, noise, cfg)
+    a = report.a_threshold
     m_below = truncated_mean(noise, a)
     m_above = noise.mean - m_below
-    a_n = truncated_variance(noise, a)
 
     ratio, _ = _window_weights(S, scale, cfg)
-    g_n_over_qn = float(np.sum(ratio ** 2)) / cfg.q_n
-    r_n = g_n_over_qn * a_n
-    second_moment = g_n_over_qn * (k_p - m_above ** 2)
-
     rng = rng_from_seed(seed)
     xi = np.asarray(noise.sampler(rng, cfg.q_n), dtype=float)
     below = np.abs(xi) <= a
@@ -132,15 +148,6 @@ def truncation_split(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     u_prime = scale_fac * (np.where(below, xi, 0.0) - m_below)
     u_dd = scale_fac * (np.where(below, 0.0, xi) - m_above)
 
-    report = TruncationReport(
-        a_threshold=a,
-        a_n=a_n,
-        k_p=k_p,
-        g_n_over_qn=g_n_over_qn,
-        r_n=r_n,
-        tau_n=cfg.k_hi,
-        second_moment_zeta_dd=second_moment,
-    )
     realized = RealizedSplit(
         zeta_prime=float(np.sum(u_prime)),
         zeta_dd=float(np.sum(u_dd)),
@@ -157,7 +164,12 @@ def normal_approx_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
         raise ValueError("reps must be >= 100")
     ratio, _ = _window_weights(S, scale, cfg)
     w = ratio / math.sqrt(cfg.q_n)
-    stats = replicate(noise, cfg.q_n, reps, seed, lambda xi: (xi * w).sum(axis=1))
+
+    def weighted_sum(xi: np.ndarray) -> np.ndarray:
+        xi *= w
+        return xi.sum(axis=1)
+
+    stats = replicate(noise, cfg.q_n, reps, seed, weighted_sum)
     return ks_statistic(stats, normal_cdf)
 
 
@@ -171,22 +183,27 @@ def zeta_dd_moment_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    a = cfg.q_n ** 0.25
-    m_below = truncated_mean(noise, a)
-    m_above = noise.mean - m_below
-    k_p = tail_second_moment(noise, a)
+    report = truncation_report(S, scale, noise, cfg)
+    a = report.a_threshold
+    m_above = noise.mean - truncated_mean(noise, a)
     ratio, _ = _window_weights(S, scale, cfg)
     w = ratio / math.sqrt(cfg.q_n)
-    expected = float(np.sum(ratio ** 2)) / cfg.q_n * (k_p - m_above ** 2)
+
+    mag = below = None  # scratch, sized by the first (largest) block
 
     def squared_tail_sum(xi: np.ndarray) -> np.ndarray:
-        tail = np.where(np.abs(xi) <= a, 0.0, xi)
-        tail -= m_above
-        tail *= w
-        z_dd = tail.sum(axis=1)
+        nonlocal mag, below
+        if mag is None:
+            mag, below = np.empty_like(xi), np.empty(xi.shape, dtype=bool)
+        r = xi.shape[0]
+        np.less_equal(np.abs(xi, out=mag[:r]), a, out=below[:r])
+        np.copyto(xi, 0.0, where=below[:r])
+        xi -= m_above
+        xi *= w
+        z_dd = xi.sum(axis=1)
         return z_dd * z_dd
 
     sq = replicate(noise, cfg.q_n, reps, seed, squared_tail_sum)
     est = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1)) / math.sqrt(reps)
-    return est, stderr, expected
+    return est, stderr, report.second_moment_zeta_dd

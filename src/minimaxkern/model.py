@@ -94,6 +94,12 @@ def linear_fn(slope: float, intercept: float = 0.0, center: float = 0.0,
     )
 
 
+def _cube(d):
+    # d * d * d, not d ** 3: numpy's power takes a slow path on negative
+    # bases (about 16x on 2.4).
+    return d * d * d
+
+
 def function_catalog(z0: float = 0.5) -> dict[str, FunctionSpec]:
     """Built-in regression curves, anchored at the estimation point z0.
 
@@ -126,7 +132,7 @@ def function_catalog(z0: float = 0.5) -> dict[str, FunctionSpec]:
         ),
         "odd_cubic": FunctionSpec(
             "odd_cubic",
-            lambda x: 2.0 * (np.asarray(x, dtype=float) - z0) ** 3,
+            lambda x: 2.0 * _cube(np.asarray(x, dtype=float) - z0),
             lambda x: 6.0 * (np.asarray(x, dtype=float) - z0) ** 2,
         ),
         "sine": FunctionSpec(
@@ -249,6 +255,12 @@ class NoiseSpec:
     forms; a continuous law without them has its truncated moments
     integrated from ``density``.  ``gaussian`` marks the standard normal
     law, the one law for which the risk has the exact folded-normal oracle.
+
+    ``sampler(rng, size, out=None)`` draws ``size`` values from ``rng``.
+    Given ``out`` (a C-contiguous float64 array of ``size`` values) it
+    fills and returns it, allocating no temporary of that size; otherwise
+    it returns a new array.  Values come in stream order: drawing a and
+    then b values gives the same numbers as drawing a + b at once.
     """
 
     label: str
@@ -280,6 +292,81 @@ class NoiseCertification:
 _SQRT3 = math.sqrt(3.0)
 _LAPLACE_B = 1.0 / math.sqrt(2.0)
 _STUDENT_C = math.sqrt(3.0 / 5.0)
+
+#: Values per chunk for samplers that numpy cannot draw into a given
+#: array, and for the Laplace transform's scratch (4096 float64, 32 KiB).
+SAMPLER_CHUNK = 4096
+
+
+def _sample_out(size, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return np.empty(size)
+    if (out.dtype != np.float64 or not out.flags.c_contiguous
+            or out.size != np.prod(size)):
+        raise ValueError("out must be a C-contiguous float64 array of size values")
+    return out
+
+
+def _chunks(out: np.ndarray):
+    """Consecutive views of at most SAMPLER_CHUNK values of contiguous out."""
+    flat = out.reshape(-1)
+    return (flat[i:i + SAMPLER_CHUNK] for i in range(0, flat.size, SAMPLER_CHUNK))
+
+
+def _gaussian_sampler(rng, size, out=None):
+    return rng.standard_normal(size, out=out)
+
+
+def _uniform_sampler(rng, size, out=None):
+    # -sqrt3 + 2 sqrt3 u, operation for operation what
+    # rng.uniform(-sqrt3, sqrt3) computes from the same uniform
+    out = rng.random(size, out=out)
+    out *= 2.0 * _SQRT3
+    out -= _SQRT3
+    return out
+
+
+def _rademacher_sampler(rng, size, out=None):
+    out = _sample_out(size, out)
+    for dst in _chunks(out):
+        np.multiply(rng.integers(0, 2, dst.size), 2.0, out=dst)
+        dst -= 1.0
+    return out
+
+
+def _laplace_sampler(rng, size, out=None):
+    """Exact inverse CDF, one uniform u per value.
+
+    t = (2u - 1) + 2^-53 is exact and lies on the grid of odd multiples of
+    2^-53, which is symmetric about 0, so x = sign(t) b (-log1p(-|t|)) is
+    finite (|x| <= 25.98 at u = 0) and exactly antisymmetric, and u >= 1/2
+    gives x >= 0.  log1p is vectorised, where rng.laplace calls scalar log.
+    """
+    out = rng.random(size, out=out)
+    out *= 2.0
+    out -= 1.0 - 2.0 ** -53
+    scratch = np.empty(min(SAMPLER_CHUNK, out.size))
+    for t in _chunks(out):
+        m = scratch[:t.size]
+        np.abs(t, out=m)
+        np.negative(m, out=m)
+        np.log1p(m, out=m)
+        np.copysign(m, t, out=t)
+    out *= _LAPLACE_B
+    return out
+
+
+def _student5_sampler(rng, size, out=None):
+    out = _sample_out(size, out)
+    for dst in _chunks(out):
+        np.multiply(rng.standard_t(5.0, dst.size), _STUDENT_C, out=dst)
+    return out
+
+
+def _zero_sampler(rng, size, out=None):
+    out = _sample_out(size, out)
+    out.fill(0.0)
+    return out
 
 
 def _gaussian_pdf(x):
@@ -358,7 +445,7 @@ def noise_catalog() -> dict[str, NoiseSpec]:
     return {
         "gaussian": NoiseSpec(
             label="gaussian",
-            sampler=lambda rng, size: rng.standard_normal(size),
+            sampler=_gaussian_sampler,
             density=_gaussian_pdf,
             mean=0.0, variance=1.0,
             abs_moment=2.0 * math.sqrt(2.0 / math.pi),
@@ -368,7 +455,7 @@ def noise_catalog() -> dict[str, NoiseSpec]:
         ),
         "uniform_std": NoiseSpec(
             label="uniform_std",
-            sampler=lambda rng, size: rng.uniform(-_SQRT3, _SQRT3, size),
+            sampler=_uniform_sampler,
             density=_uniform_pdf,
             mean=0.0, variance=1.0,
             abs_moment=3.0 * _SQRT3 / 4.0,
@@ -377,7 +464,7 @@ def noise_catalog() -> dict[str, NoiseSpec]:
         ),
         "rademacher": NoiseSpec(
             label="rademacher",
-            sampler=lambda rng, size: 2.0 * rng.integers(0, 2, size).astype(float) - 1.0,
+            sampler=_rademacher_sampler,
             density=_rademacher_pmf,
             mean=0.0, variance=1.0,
             abs_moment=1.0,
@@ -385,7 +472,7 @@ def noise_catalog() -> dict[str, NoiseSpec]:
         ),
         "laplace_std": NoiseSpec(
             label="laplace_std",
-            sampler=lambda rng, size: rng.laplace(0.0, _LAPLACE_B, size),
+            sampler=_laplace_sampler,
             density=_laplace_pdf,
             mean=0.0, variance=1.0,
             abs_moment=3.0 / math.sqrt(2.0),
@@ -394,7 +481,7 @@ def noise_catalog() -> dict[str, NoiseSpec]:
         ),
         "student5_std": NoiseSpec(
             label="student5_std",
-            sampler=lambda rng, size: _STUDENT_C * rng.standard_t(5.0, size),
+            sampler=_student5_sampler,
             density=_student5_pdf,
             mean=0.0, variance=1.0,
             abs_moment=_student5_abs3(),
@@ -408,7 +495,7 @@ def zero_noise() -> NoiseSpec:
     """Degenerate noiseless hook (variance 0, deliberately not a member)."""
     return NoiseSpec(
         label="zero",
-        sampler=lambda rng, size: np.zeros(size),
+        sampler=_zero_sampler,
         density=lambda x: np.where(np.asarray(x, dtype=float) == 0.0, 1.0, 0.0),
         mean=0.0, variance=0.0, abs_moment=0.0,
         discrete=True, atoms=((0.0, 1.0),),
@@ -484,21 +571,30 @@ def replicate(noise: NoiseSpec, q_n: int, reps: int, seed: int,
     One generator, rng_from_seed(seed), serves the whole call: replication
     i is row i of its stream read as a (reps, q_n) array.  Rows are drawn
     in blocks of ``REPLICATION_BLOCK_BYTES``, each block one sampler call of
-    r * q_n values reshaped to (r, q_n).  ``stat`` receives the (r, q_n)
-    block and returns r rows (scalars or fixed-shape arrays), computed row
-    by row; row i of the result belongs to replication i.  Every catalog
-    sampler fills its output in stream order, so the block size never
-    changes a value, and reruns are bit-identical.
+    r * q_n values into one buffer that the call allocates once and reuses
+    for every block.  ``stat`` receives the (r, q_n) block and returns r
+    rows (scalars or fixed-shape arrays), computed row by row; row i of the
+    result belongs to replication i.  ``stat`` may overwrite its block,
+    which is redrawn before the next call, but must not return a view of
+    it (ValueError).  Every catalog sampler fills its output in stream
+    order, so the block size never changes a value, and reruns are
+    bit-identical.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     rng = rng_from_seed(seed)
     rows = max(1, REPLICATION_BLOCK_BYTES // (8 * q_n))
+    buf = np.empty(min(rows, reps) * q_n)
     blocks = []
     for start in range(0, reps, rows):
         r = min(rows, reps - start)
-        xi = np.asarray(noise.sampler(rng, r * q_n), dtype=float)
-        blocks.append(stat(xi.reshape(r, q_n)))
+        # size stays positional: bench/trace_driver.py reads it from args[1]
+        xi = noise.sampler(rng, r * q_n, out=buf[:r * q_n])
+        block = stat(xi.reshape(r, q_n))
+        if np.may_share_memory(block, buf):
+            raise ValueError("stat returned a view of its block, which the "
+                             "next block overwrites; return a copy")
+        blocks.append(block)
     return np.concatenate(blocks)
 
 

@@ -30,7 +30,7 @@ from .estimator import (DecompositionReport, EstimatorConfig, decompose,
                         kernel_estimate)  # noqa: F401
 from .holder import WeakHolderParams, WeakHolderReport, check_weak_holder
 from .lowerbound import PlateauKernel, PerturbationSpec, build_kernel
-from .model import (FunctionSpec, NoiseSpec, ScaleSpec, constant_fn,
+from .model import (FunctionSpec, NoiseSpec, ScaleSpec, _cube, constant_fn,
                     linear_fn, replicate, scale_eval, scale_profile)
 
 #: Sharp efficiency constant E|N(0,1)| / sqrt(2).
@@ -151,12 +151,17 @@ def _family_stats(members: list[_Member], rc: RiskConfig, noise: NoiseSpec
     b = np.array([m.dec.b_n for m in members])
     g0 = np.array([m.g0 for m in members])
 
+    scratch = None  # sized by the first (largest) block, then reused
+
     def stat(xi: np.ndarray) -> np.ndarray:
-        scratch = np.empty_like(xi)
+        nonlocal scratch
+        if scratch is None:
+            scratch = np.empty_like(xi)
+        prod = scratch[:xi.shape[0]]
         sums = np.empty((xi.shape[0], len(members)))
         for j, m in enumerate(members):
-            np.multiply(xi, m.g_window, out=scratch)
-            sums[:, j] = scratch.sum(axis=1)
+            np.multiply(xi, m.g_window, out=prod)
+            sums[:, j] = prod.sum(axis=1)
         return cfg.phi_n * np.abs(b + sums / cfg.q_n) / g0
 
     return replicate(noise, cfg.q_n, rc.reps, rc.seed, stat).T.copy()
@@ -244,7 +249,7 @@ def family_candidates(z0: float, delta: float, beta: float,
                  lambda x: 1.2 * delta * (np.asarray(x, dtype=float) - z0) ** 2,
                  lambda x: 2.4 * delta * (np.asarray(x, dtype=float) - z0)),
         FunctionSpec("odd_cubic",
-                 lambda x: 2.0 * (np.asarray(x, dtype=float) - z0) ** 3,
+                 lambda x: 2.0 * _cube(np.asarray(x, dtype=float) - z0),
                  lambda x: 6.0 * (np.asarray(x, dtype=float) - z0) ** 2),
     ]
     if n is not None:
@@ -257,8 +262,9 @@ def family_candidates(z0: float, delta: float, beta: float,
                  lambda x: (inv / 24.0) * np.sin(12.0 * (np.asarray(x, dtype=float) - z0)),
                  lambda x: (inv / 2.0) * np.cos(12.0 * (np.asarray(x, dtype=float) - z0))),
         FunctionSpec("quartic_cup",
-                 lambda x: 4.0 * delta * (np.asarray(x, dtype=float) - z0) ** 4,
-                 lambda x: 16.0 * delta * (np.asarray(x, dtype=float) - z0) ** 3),
+                 lambda x: 4.0 * delta * np.square(np.square(
+                     np.asarray(x, dtype=float) - z0)),
+                 lambda x: 16.0 * delta * _cube(np.asarray(x, dtype=float) - z0)),
     ])
     return cands
 

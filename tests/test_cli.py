@@ -448,3 +448,37 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
     assert result["scipy"] == []
     for command in _STARTUP_CONFIGS:
         assert (tmp_path / command / f"{command.replace('-', '_')}.csv").exists()
+
+
+# Minor page faults allowed across cli.run for the config below.  A run that
+# allocates a window-sized array per replication and has glibc hand each one
+# back to the kernel (MALLOC_TRIM_THRESHOLD_=0) takes about 80 faults per
+# replication, 8000 more here; with one reused block buffer the whole run
+# takes about 1000, nearly all of it set-up.  Other C libraries ignore the
+# variable, so the bound holds there too.
+_FAULT_BOUND = 2000
+
+_FAULT_SCRIPT = """
+import resource, sys
+from minimaxkern import cli
+config = cli.parse_config(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+cli.run(config, out_dir=sys.argv[2], quiet=True)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_clt_check_page_faults_do_not_grow_with_reps(tmp_path):
+    pytest.importorskip("resource")
+    config = ("command = clt-check\nn_list = 100000\nreps = 100\n"
+              "noise_list = gaussian\n")
+    src = str(Path(minimaxkern.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["MALLOC_TRIM_THRESHOLD_"] = "0"
+    proc = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT, config,
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, check=True)
+    faults = int(proc.stdout.splitlines()[-1])
+    assert faults < _FAULT_BOUND, faults

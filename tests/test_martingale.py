@@ -9,7 +9,8 @@ from scipy.stats import norm, t
 from minimaxkern.estimator import EstimatorConfig
 from minimaxkern.martingale import (normal_approx_check, tail_second_moment,
                                     truncated_mean, truncated_variance,
-                                    truncation_split, zeta_dd_moment_check)
+                                    truncation_report, truncation_split,
+                                    zeta_dd_moment_check)
 from minimaxkern.model import (constant_fn, flat_scale, get_noise,
                                noise_catalog, scale_eval, scale_profile)
 
@@ -146,6 +147,20 @@ class TestTruncationSplit:
             total = real.zeta_prime + real.zeta_dd
             assert total == pytest.approx(direct, rel=1e-10)
             assert report.tau_n == cfg.k_hi
+
+    @pytest.mark.parametrize("label", ALL_NOISES)
+    def test_report_draws_nothing_and_matches_split(self, mixed_scale, label):
+        cfg = EstimatorConfig(n=10_000, beta=2.0, z0=0.5)
+        noise = get_noise(label)
+
+        def no_draws(rng, size, out=None):
+            raise AssertionError("truncation_report drew noise")
+
+        report = truncation_report(constant_fn(0.2), mixed_scale,
+                                   replace(noise, sampler=no_draws), cfg)
+        split_report, _ = truncation_split(constant_fn(0.2), mixed_scale,
+                                           noise, cfg, seed=5)
+        assert report == split_report
 
     def test_report_identity_second_moment(self, mixed_scale):
         # E[zeta_dd^2] = (G_n/q_n) K_p(a) for the symmetric catalog

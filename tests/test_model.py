@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from minimaxkern.model import (FunctionSpec, ScaleSpec, certify_noise,
-                               constant_fn, derive_seed, design_grid,
-                               flat_scale, function_catalog, get_noise,
-                               noise_catalog, rng_from_seed, sample_run,
-                               scale_catalog, scale_eval, scale_frechet,
-                               scale_profile, zero_noise)
+from minimaxkern.model import (SAMPLER_CHUNK, FunctionSpec, ScaleSpec,
+                               certify_noise, constant_fn, derive_seed,
+                               design_grid, flat_scale, function_catalog,
+                               get_noise, noise_catalog, rng_from_seed,
+                               sample_run, scale_catalog, scale_eval,
+                               scale_frechet, scale_profile, zero_noise)
+from minimaxkern.numerics import ks_statistic
 
 SQRT3 = math.sqrt(3.0)
+LAPLACE_B = 1.0 / math.sqrt(2.0)
 
 
 class TestDesignGrid:
@@ -179,6 +181,99 @@ class TestNoiseCatalog:
         noise = get_noise(label)
         val, _ = quad(lambda x: float(noise.density(x)), -np.inf, np.inf)
         assert val == pytest.approx(1.0, abs=1e-8)
+
+
+ALL_LAWS = sorted(noise_catalog()) + ["zero"]
+
+# The numpy calls the catalog samplers replaced; draws must stay bitwise.
+NUMPY_DRAWS = {
+    "gaussian": lambda rng, n: rng.standard_normal(n),
+    "uniform_std": lambda rng, n: rng.uniform(-SQRT3, SQRT3, n),
+    "rademacher": lambda rng, n: 2.0 * rng.integers(0, 2, n).astype(float) - 1.0,
+    "student5_std": lambda rng, n: math.sqrt(3.0 / 5.0) * rng.standard_t(5.0, n),
+}
+
+
+def _laplace_scalar(u: float) -> float:
+    """The Laplace sampler's formula, evaluated with scalar math.log1p."""
+    t = (2.0 * u - 1.0) + 2.0 ** -53
+    return math.copysign(-LAPLACE_B * math.log1p(-abs(t)), t)
+
+
+class _FixedUniforms:
+    """Stub generator whose ``random`` returns fixed values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = self.values
+        return out
+
+
+class TestSamplerContract:
+    @pytest.mark.parametrize("label", ALL_LAWS)
+    def test_fills_out_and_returns_it(self, label):
+        noise = get_noise(label)
+        n = 2 * SAMPLER_CHUNK + 3
+        buf = np.full(n, np.nan)
+        got = noise.sampler(rng_from_seed(3), n, out=buf)
+        assert got is buf
+        assert buf.tobytes() == noise.sampler(rng_from_seed(3), n).tobytes()
+
+    @pytest.mark.parametrize("label", ALL_LAWS)
+    @pytest.mark.parametrize("first", [1, SAMPLER_CHUNK - 1, SAMPLER_CHUNK + 1])
+    def test_split_draws_equal_one_draw(self, label, first):
+        noise = get_noise(label)
+        total = 3 * SAMPLER_CHUNK + 7
+        whole = noise.sampler(rng_from_seed(8), total)
+        rng = rng_from_seed(8)
+        head = noise.sampler(rng, first)
+        tail = noise.sampler(rng, total - first, out=np.empty(total - first))
+        assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("label", sorted(NUMPY_DRAWS))
+    @pytest.mark.parametrize("n", [1, SAMPLER_CHUNK + 1, 50_000])
+    def test_bitwise_equal_to_numpy_draws(self, label, n):
+        got = get_noise(label).sampler(rng_from_seed(13), n)
+        assert got.tobytes() == NUMPY_DRAWS[label](rng_from_seed(13), n).tobytes()
+
+    def test_rejects_unusable_out(self):
+        noise = get_noise("student5_std")
+        with pytest.raises(ValueError):
+            noise.sampler(rng_from_seed(1), 10, out=np.empty(20)[::2])
+        with pytest.raises(ValueError):
+            noise.sampler(rng_from_seed(1), 10, out=np.empty(9))
+
+    def test_laplace_within_two_ulp_of_scalar_formula(self):
+        n = 200_000
+        x = get_noise("laplace_std").sampler(rng_from_seed(21), n)
+        u = rng_from_seed(21).random(n)
+        ref = np.array([_laplace_scalar(v) for v in u.tolist()])
+        assert np.all(np.abs(x - ref) <= 2.0 * np.spacing(np.abs(ref)))
+
+    def test_laplace_extremes_finite_and_antisymmetric(self):
+        h = 2.0 ** -53
+        u = [0.0, 0.5 - h, 0.5, 1.0 - h]
+        x = get_noise("laplace_std").sampler(_FixedUniforms(u), len(u))
+        assert np.all(np.isfinite(x))
+        assert x[0] == -x[3] and x[1] == -x[2]
+        assert x[0] < 0.0 < x[2]
+        # u = 0 maps to the grid's end point, b * 53 log 2
+        assert x[3] == pytest.approx(LAPLACE_B * 53.0 * math.log(2.0), rel=1e-15)
+
+    def test_laplace_matches_exact_cdf(self):
+        n = 1_000_000
+        x = get_noise("laplace_std").sampler(rng_from_seed(99), n)
+
+        def cdf(v):
+            e = 0.5 * np.exp(-np.abs(v) / LAPLACE_B)
+            return np.where(v < 0.0, e, 1.0 - e)
+
+        # Dvoretzky-Kiefer-Wolfowitz band at alpha = 1e-6
+        band = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+        assert ks_statistic(x, cdf) < band
 
 
 class TestSampleRun:

@@ -244,9 +244,9 @@ class TestRiskConfigValidation:
 
 def _recording(noise, sizes):
     """The same law, with a sampler that records every requested size."""
-    def sampler(rng, size):
+    def sampler(rng, size, out=None):
         sizes.append(size)
-        return noise.sampler(rng, size)
+        return noise.sampler(rng, size, out=out)
     return dataclasses.replace(noise, sampler=sampler)
 
 
@@ -363,3 +363,26 @@ class TestReplicationEngine:
     def test_replicate_rejects_zero_reps(self, gaussian):
         with pytest.raises(ValueError):
             replicate(gaussian, 10, 0, 1, np.sum)
+
+    @pytest.mark.parametrize("stat", [lambda xi: xi, lambda xi: xi[:, 0]])
+    def test_replicate_rejects_a_view_of_the_block(self, gaussian, stat):
+        # the block buffer is redrawn for the next block, so a returned view
+        # would silently change under the caller
+        with pytest.raises(ValueError, match="view"):
+            replicate(gaussian, 10, 5, 1, stat)
+
+    def test_one_buffer_serves_every_block(self, monkeypatch, gaussian):
+        pointers: list = []
+
+        def sampler(rng, size, out=None):
+            pointers.append(out.__array_interface__["data"][0])
+            return gaussian.sampler(rng, size, out=out)
+
+        noise = dataclasses.replace(gaussian, sampler=sampler)
+        q_n, reps = 101, 45
+        monkeypatch.setattr(model, "REPLICATION_BLOCK_BYTES", 8 * q_n * 7)
+        sums = replicate(noise, q_n, reps, 17, lambda xi: xi.sum(axis=1))
+        assert len(pointers) == math.ceil(reps / 7)
+        assert len(set(pointers)) == 1
+        flat = gaussian.sampler(rng_from_seed(17), reps * q_n).reshape(reps, q_n)
+        assert np.array_equal(sums, flat.sum(axis=1))
