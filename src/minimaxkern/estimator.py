@@ -140,14 +140,12 @@ def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,
     """Bias/variance decomposition; with known draws xi it reconstructs the
     full estimate through the same observation model as the sampler."""
     xw = cfg.window_x
-    s0 = float(np.asarray(S.eval(cfg.z0), dtype=float))
-    s_vals = np.asarray(S.eval(xw), dtype=float)
-    if s_vals.shape != xw.shape:
-        s_vals = np.broadcast_to(s_vals, xw.shape).astype(float)
+    s0 = float(S.eval(cfg.z0))
+    s_vals = S.eval(xw)
     b_n = window_sum(s_vals - s0) / cfg.q_n
 
     integral_term = composite_simpson(
-        lambda u: np.asarray(S.eval(cfg.z0 + cfg.h * u), dtype=float) - s0,
+        lambda u: S.eval(cfg.z0 + cfg.h * u) - s0,
         -1.0, 1.0, INTEGRAL_QUAD_PANELS)
     r_n = cfg.q_n * b_n / cfg.phi_n ** 2 - integral_term
 

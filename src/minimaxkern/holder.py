@@ -1,12 +1,12 @@
-"""Smoothness certification.
+"""Smoothness certification for the local weak class.
 
-Two classes are certified numerically.  The global ball H(M, K, beta)
-requires sup|S'| <= M and a Hoelder quotient of order beta - 1 on the
-derivative bounded by K.  The local weak class at z0 with budget delta
-allows derivatives up to 1/delta but requires the symmetrized window
-integral |int_{-1}^{1} (S(z0 + h u) - S(z0)) du| <= delta * h^beta for
-every bandwidth h; the "for every h" clause is probed on a finite
-geometric grid, which is recorded in the report.
+The local weak class at z0 with budget delta allows derivatives up to
+1/delta but requires the symmetrized window integral
+|int_{-1}^{1} (S(z0 + h u) - S(z0)) du| <= delta * h^beta for every
+bandwidth h; the "for every h" clause is probed on a finite geometric
+grid, which is recorded in the report.  It is the one class certified
+here: risk families (plateau bump included) and the ``holder-check``
+command are checked against it.
 
 A weak-class certificate is one pass over its curve: ``weak_defects``
 evaluates S(z0) once and S itself once per block of probe bandwidths, on
@@ -19,7 +19,7 @@ certified, and NaN bandwidths or too-coarse derivative grids are errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,23 +40,6 @@ DEFECT_BLOCK_BYTES = 160 * 1024
 def _validate_beta(beta: float) -> None:
     if not (1.0 < beta <= 2.0):
         raise ValueError(f"beta must lie in (1, 2], got {beta}")
-
-
-@dataclass(frozen=True)
-class HolderParams:
-    """Parameters of the global ball: beta = 1 + alpha, derivative bound M,
-    Hoelder constant K."""
-
-    beta: float
-    M: float
-    K: float
-    alpha: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        _validate_beta(self.beta)
-        if self.M <= 0 or self.K <= 0:
-            raise ValueError("M and K must be positive")
-        object.__setattr__(self, "alpha", self.beta - 1.0)
 
 
 def default_h_grid(z0: float, count: int = DEFAULT_H_COUNT,
@@ -98,16 +81,6 @@ class WeakHolderParams:
 
 
 @dataclass(frozen=True)
-class HolderReport:
-    within: bool
-    sup_deriv: float
-    holder_quotient: float
-    M: float
-    K: float
-    resolution: int
-
-
-@dataclass(frozen=True)
 class WeakHolderReport:
     certified: bool
     sup_deriv: float
@@ -117,41 +90,6 @@ class WeakHolderReport:
     worst_h: float
     resolution: int
     quad_panels: int = DEFECT_QUAD_PANELS
-
-
-def check_holder(S: FunctionSpec, p: HolderParams, resolution: int) -> HolderReport:
-    """Grid certificate for membership in H(M, K, beta).
-
-    Both suprema are taken over a uniform grid of ``resolution`` points on
-    [0, 1]; the quotient scans all grid pairs in row blocks to bound memory.
-    """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    x = np.linspace(0.0, 1.0, resolution)
-    d = np.asarray(S.deriv(x), dtype=float)
-    if d.shape != x.shape:
-        d = np.broadcast_to(d, x.shape).astype(float)
-    sup_deriv = float(np.max(np.abs(d)))
-
-    # Pairwise quotient in row blocks: for rows i in a block, scan all j > i.
-    quotient = 0.0
-    block = 256
-    for start in range(0, resolution - 1, block):
-        stop = min(start + block, resolution - 1)
-        xi = x[start:stop][:, None]
-        di = d[start:stop][:, None]
-        xj = x[start + 1:][None, :]
-        dj = d[start + 1:][None, :]
-        dx = xj - xi
-        valid = dx > 0
-        q = np.where(valid,
-                     np.abs(dj - di) / np.where(valid, dx, 1.0) ** p.alpha,
-                     0.0)
-        quotient = max(quotient, float(np.max(q)))
-    within = sup_deriv <= p.M and quotient <= p.K
-    return HolderReport(within=within, sup_deriv=sup_deriv,
-                        holder_quotient=quotient, M=p.M, K=p.K,
-                        resolution=resolution)
 
 
 def weak_defects(S: FunctionSpec, z0: float, beta: float,
@@ -173,14 +111,13 @@ def weak_defects(S: FunctionSpec, z0: float, beta: float,
     if np.any(outside):
         raise ValueError(
             f"window [z0-h, z0+h] leaves [0, 1] for h={hs[outside][0]}")
-    s0 = float(np.asarray(S.eval(z0), dtype=float))
+    s0 = float(S.eval(z0))
     rows = max(1, DEFECT_BLOCK_BYTES // (8 * (2 * DEFECT_QUAD_PANELS + 1)))
     defects = np.empty(hs.size)
     for start in range(0, hs.size, rows):
         block = hs[start:start + rows]
         integrals = composite_simpson(
-            lambda u: np.asarray(S.eval(z0 + block[:, None] * u),
-                                 dtype=float) - s0,
+            lambda u: S.eval(z0 + block[:, None] * u) - s0,
             -1.0, 1.0, DEFECT_QUAD_PANELS)
         # Scalar Python arithmetic, so no defect depends on numpy's vector pow
         defects[start:start + rows] = [
@@ -206,10 +143,7 @@ def check_weak_holder(S: FunctionSpec, p: WeakHolderParams,
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    x = np.linspace(0.0, 1.0, resolution)
-    d = np.asarray(S.deriv(x), dtype=float)
-    if d.shape != x.shape:
-        d = np.broadcast_to(d, x.shape).astype(float)
+    d = S.deriv(np.linspace(0.0, 1.0, resolution))
     sup_deriv = float(np.max(np.abs(d)))
     deriv_bound = 1.0 / p.delta
 

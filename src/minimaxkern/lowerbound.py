@@ -245,8 +245,8 @@ class PerturbationSpec:
         h, z0, kern = self.h, self.z0, self.kernel
         return FunctionSpec(
             label=label or f"bump(nu={kern.nu:g},u={self.u:g},n={self.n})",
-            eval=lambda x: amp * kern.values((np.asarray(x, dtype=float) - z0) / h),
-            deriv=lambda x: (amp / h) * kern.deriv((np.asarray(x, dtype=float) - z0) / h),
+            eval=lambda x: amp * kern.values((x - z0) / h),
+            deriv=lambda x: (amp / h) * kern.deriv((x - z0) / h),
         )
 
 

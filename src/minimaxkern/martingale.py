@@ -97,11 +97,9 @@ class RealizedSplit:
 
 
 def _window_weights(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig
-                    ) -> tuple[np.ndarray, float]:
-    """(g(x_k,S)/g(z0,S) over the window, g(z0,S))."""
-    g_w = scale_profile(scale, cfg.window_x, S)
-    g0 = scale_eval(scale, cfg.z0, S)
-    return g_w / g0, g0
+                    ) -> np.ndarray:
+    """g(x_k,S)/g(z0,S) over the window."""
+    return scale_profile(scale, cfg.window_x, S) / scale_eval(scale, cfg.z0, S)
 
 
 def truncation_report(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
@@ -112,7 +110,7 @@ def truncation_report(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     k_p = tail_second_moment(noise, a)
     m_above = noise.mean - truncated_mean(noise, a)
     a_n = truncated_variance(noise, a)
-    ratio, _ = _window_weights(S, scale, cfg)
+    ratio = _window_weights(S, scale, cfg)
     g_n_over_qn = float(np.sum(ratio ** 2)) / cfg.q_n
     return TruncationReport(
         a_threshold=a,
@@ -140,7 +138,7 @@ def truncation_split(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     m_below = truncated_mean(noise, a)
     m_above = noise.mean - m_below
 
-    ratio, _ = _window_weights(S, scale, cfg)
+    ratio = _window_weights(S, scale, cfg)
     rng = rng_from_seed(seed)
     xi = np.asarray(noise.sampler(rng, cfg.q_n), dtype=float)
     below = np.abs(xi) <= a
@@ -162,7 +160,7 @@ def normal_approx_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     standard Gaussian CDF."""
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    ratio, _ = _window_weights(S, scale, cfg)
+    ratio = _window_weights(S, scale, cfg)
     w = ratio / math.sqrt(cfg.q_n)
 
     def weighted_sum(xi: np.ndarray) -> np.ndarray:
@@ -186,7 +184,7 @@ def zeta_dd_moment_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     report = truncation_report(S, scale, noise, cfg)
     a = report.a_threshold
     m_above = noise.mean - truncated_mean(noise, a)
-    ratio, _ = _window_weights(S, scale, cfg)
+    ratio = _window_weights(S, scale, cfg)
     w = ratio / math.sqrt(cfg.q_n)
 
     mag = below = None  # scratch, sized by the first (largest) block

@@ -64,34 +64,53 @@ def design_grid(n: int) -> DesignGrid:
 class FunctionSpec:
     """A regression curve with an evaluable value and first derivative.
 
-    Both callables must accept scalars or numpy arrays.  The derivative is
-    expected to be consistent with the value map (checked by the test suite
-    via central finite differences on smooth catalog entries).
+    The curve contract lives here and nowhere else.  Building a spec wraps
+    ``eval`` and ``deriv`` once: each then takes any x (a scalar, a list or
+    an array of any shape), passes it to the given callable as a float
+    array, and returns a float64 array of x's shape.  A one-value result
+    is broadcast to that shape; any other shape is a ValueError.  So a
+    callable uses x as given and may return a constant.  The derivative is
+    expected to be consistent with the value map (checked by the test
+    suite via central finite differences on smooth catalog entries).
     """
 
     label: str
     eval: Callable
     deriv: Callable
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eval", _curve(self.eval))
+        object.__setattr__(self, "deriv", _curve(self.deriv))
+
+
+def _curve(f: Callable) -> Callable[[object], np.ndarray]:
+    """``f`` under the curve contract of ``FunctionSpec``."""
+
+    def curve(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(f(x), dtype=float)
+        if y.shape == x.shape:
+            return y
+        if y.size != 1:
+            raise ValueError(f"curve returned shape {y.shape} for input "
+                             f"of shape {x.shape}")
+        return np.full(x.shape, y.item())
+
+    return curve
+
 
 def constant_fn(c: float, label: str | None = None) -> FunctionSpec:
     c = float(c)
-    return FunctionSpec(
-        label=label or f"const({c:g})",
-        eval=lambda x, _c=c: np.full(np.shape(x), _c),
-        deriv=lambda x: np.zeros(np.shape(x)),
-    )
+    return FunctionSpec(label=label or f"const({c:g})",
+                        eval=lambda x: c, deriv=lambda x: 0.0)
 
 
 def linear_fn(slope: float, intercept: float = 0.0, center: float = 0.0,
               label: str | None = None) -> FunctionSpec:
     """slope * (x - center) + intercept."""
     a, b, c = float(slope), float(intercept), float(center)
-    return FunctionSpec(
-        label=label or f"linear({a:g})",
-        eval=lambda x: a * (np.asarray(x, dtype=float) - c) + b,
-        deriv=lambda x: np.full(np.shape(x), a),
-    )
+    return FunctionSpec(label=label or f"linear({a:g})",
+                        eval=lambda x: a * (x - c) + b, deriv=lambda x: a)
 
 
 def _cube(d):
@@ -115,31 +134,21 @@ def function_catalog(z0: float = 0.5) -> dict[str, FunctionSpec]:
         "const_neg": constant_fn(-0.4, "const_neg"),
         "linear": linear_fn(2.0, 0.0, z0, "linear"),
         "steep_linear": linear_fn(-8.0, 0.1, z0, "steep_linear"),
-        "odd_sine": FunctionSpec(
-            "odd_sine",
-            lambda x: 0.5 * np.sin(4.0 * (np.asarray(x, dtype=float) - z0)),
-            lambda x: 2.0 * np.cos(4.0 * (np.asarray(x, dtype=float) - z0)),
-        ),
-        "cos_dip": FunctionSpec(
-            "cos_dip",
-            lambda x: 0.03 * np.cos(3.0 * (np.asarray(x, dtype=float) - z0)),
-            lambda x: -0.09 * np.sin(3.0 * (np.asarray(x, dtype=float) - z0)),
-        ),
-        "bowl": FunctionSpec(
-            "bowl",
-            lambda x: 0.12 * (np.asarray(x, dtype=float) - z0) ** 2,
-            lambda x: 0.24 * (np.asarray(x, dtype=float) - z0),
-        ),
-        "odd_cubic": FunctionSpec(
-            "odd_cubic",
-            lambda x: 2.0 * _cube(np.asarray(x, dtype=float) - z0),
-            lambda x: 6.0 * (np.asarray(x, dtype=float) - z0) ** 2,
-        ),
-        "sine": FunctionSpec(
-            "sine",
-            lambda x: 0.5 * np.sin(3.0 * np.asarray(x, dtype=float)),
-            lambda x: 1.5 * np.cos(3.0 * np.asarray(x, dtype=float)),
-        ),
+        "odd_sine": FunctionSpec("odd_sine",
+                                 lambda x: 0.5 * np.sin(4.0 * (x - z0)),
+                                 lambda x: 2.0 * np.cos(4.0 * (x - z0))),
+        "cos_dip": FunctionSpec("cos_dip",
+                                lambda x: 0.03 * np.cos(3.0 * (x - z0)),
+                                lambda x: -0.09 * np.sin(3.0 * (x - z0))),
+        "bowl": FunctionSpec("bowl",
+                             lambda x: 0.12 * (x - z0) ** 2,
+                             lambda x: 0.24 * (x - z0)),
+        "odd_cubic": FunctionSpec("odd_cubic",
+                                  lambda x: 2.0 * _cube(x - z0),
+                                  lambda x: 6.0 * (x - z0) ** 2),
+        "sine": FunctionSpec("sine",
+                             lambda x: 0.5 * np.sin(3.0 * x),
+                             lambda x: 1.5 * np.cos(3.0 * x)),
     }
     return cat
 
@@ -201,8 +210,7 @@ def _v_mean(scale: ScaleSpec, S: FunctionSpec) -> float:
     if scale.alpha3 == 0.0:
         return 0.0
     return scale.alpha3 * composite_simpson(
-        lambda t: np.sin(np.asarray(S.eval(t), dtype=float)) ** 2,
-        0.0, 1.0, SCALE_QUAD_PANELS)
+        lambda t: np.sin(S.eval(t)) ** 2, 0.0, 1.0, SCALE_QUAD_PANELS)
 
 
 def scale_profile(scale: ScaleSpec, x: np.ndarray, S: FunctionSpec) -> np.ndarray:
@@ -210,7 +218,7 @@ def scale_profile(scale: ScaleSpec, x: np.ndarray, S: FunctionSpec) -> np.ndarra
     x = np.asarray(x, dtype=float)
     g2 = scale.alpha0 + scale.alpha1 * x + _v_mean(scale, S)
     if scale.alpha2 != 0.0:
-        g2 = g2 + scale.alpha2 * np.sin(np.asarray(S.eval(x), dtype=float)) ** 2
+        g2 = g2 + scale.alpha2 * np.sin(S.eval(x)) ** 2
     return np.sqrt(g2)
 
 
@@ -225,13 +233,10 @@ def scale_frechet(scale: ScaleSpec, x: float, S: FunctionSpec, f: FunctionSpec) 
     Equals (1/2g) * [a2*sin(2 S(x)) f(x) + a3 * int_0^1 sin(2 S(t)) f(t) dt].
     """
     g = scale_eval(scale, x, S)
-    sx = float(np.asarray(S.eval(x), dtype=float))
-    fx = float(np.asarray(f.eval(x), dtype=float))
-    point_term = scale.alpha2 * math.sin(2.0 * sx) * fx
+    point_term = scale.alpha2 * math.sin(2.0 * float(S.eval(x))) * float(f.eval(x))
     if scale.alpha3 != 0.0:
         integral = composite_simpson(
-            lambda t: np.sin(2.0 * np.asarray(S.eval(t), dtype=float))
-            * np.asarray(f.eval(t), dtype=float),
+            lambda t: np.sin(2.0 * S.eval(t)) * f.eval(t),
             0.0, 1.0, SCALE_QUAD_PANELS)
     else:
         integral = 0.0
@@ -598,21 +603,9 @@ def replicate(noise: NoiseSpec, q_n: int, reps: int, seed: int,
     return np.concatenate(blocks)
 
 
-def regression_curves(S: FunctionSpec, scale: ScaleSpec, n: int
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic parts of a run: (x_k, S(x_k), g(x_k, S))."""
-    grid = design_grid(n)
-    mean_vec = np.asarray(S.eval(grid.points), dtype=float)
-    if mean_vec.shape != grid.points.shape:
-        mean_vec = np.broadcast_to(mean_vec, grid.points.shape).astype(float)
-    g_vec = scale_profile(scale, grid.points, S)
-    return grid.points, mean_vec, g_vec
-
-
 def sample_run(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
                n: int, seed: int) -> np.ndarray:
     """One observation vector y_k = S(x_k) + g(x_k, S) xi_k, bit-stable in seed."""
-    _, mean_vec, g_vec = regression_curves(S, scale, n)
-    rng = rng_from_seed(seed)
-    xi = np.asarray(noise.sampler(rng, n), dtype=float)
-    return mean_vec + g_vec * xi
+    x = design_grid(n).points
+    xi = np.asarray(noise.sampler(rng_from_seed(seed), n), dtype=float)
+    return S.eval(x) + scale_profile(scale, x, S) * xi

@@ -240,17 +240,17 @@ def family_candidates(z0: float, delta: float, beta: float,
         linear_fn(0.75 * inv, 0.0, z0, "tilt"),
         linear_fn(-1.5, 0.1, z0, "tilt_shift"),
         FunctionSpec("odd_sine",
-                 lambda x: delta * np.sin(4.0 * (np.asarray(x, dtype=float) - z0)),
-                 lambda x: 4.0 * delta * np.cos(4.0 * (np.asarray(x, dtype=float) - z0))),
+                 lambda x: delta * np.sin(4.0 * (x - z0)),
+                 lambda x: 4.0 * delta * np.cos(4.0 * (x - z0))),
         FunctionSpec("cos_dip",
-                 lambda x: 0.3 * delta * np.cos(3.0 * (np.asarray(x, dtype=float) - z0)),
-                 lambda x: -0.9 * delta * np.sin(3.0 * (np.asarray(x, dtype=float) - z0))),
+                 lambda x: 0.3 * delta * np.cos(3.0 * (x - z0)),
+                 lambda x: -0.9 * delta * np.sin(3.0 * (x - z0))),
         FunctionSpec("bowl",
-                 lambda x: 1.2 * delta * (np.asarray(x, dtype=float) - z0) ** 2,
-                 lambda x: 2.4 * delta * (np.asarray(x, dtype=float) - z0)),
+                 lambda x: 1.2 * delta * (x - z0) ** 2,
+                 lambda x: 2.4 * delta * (x - z0)),
         FunctionSpec("odd_cubic",
-                 lambda x: 2.0 * _cube(np.asarray(x, dtype=float) - z0),
-                 lambda x: 6.0 * (np.asarray(x, dtype=float) - z0) ** 2),
+                 lambda x: 2.0 * _cube(x - z0),
+                 lambda x: 6.0 * (x - z0) ** 2),
     ]
     if n is not None:
         kern = kernel if kernel is not None else build_kernel(FAMILY_BUMP_NU)
@@ -259,12 +259,11 @@ def family_candidates(z0: float, delta: float, beta: float,
         cands.append(pert.to_function(label="bump"))
     cands.extend([
         FunctionSpec("odd_wiggle",
-                 lambda x: (inv / 24.0) * np.sin(12.0 * (np.asarray(x, dtype=float) - z0)),
-                 lambda x: (inv / 2.0) * np.cos(12.0 * (np.asarray(x, dtype=float) - z0))),
+                 lambda x: (inv / 24.0) * np.sin(12.0 * (x - z0)),
+                 lambda x: (inv / 2.0) * np.cos(12.0 * (x - z0))),
         FunctionSpec("quartic_cup",
-                 lambda x: 4.0 * delta * np.square(np.square(
-                     np.asarray(x, dtype=float) - z0)),
-                 lambda x: 16.0 * delta * _cube(np.asarray(x, dtype=float) - z0)),
+                 lambda x: 4.0 * delta * np.square(np.square(x - z0)),
+                 lambda x: 16.0 * delta * _cube(x - z0)),
     ])
     return cands
 

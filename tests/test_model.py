@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from minimaxkern.estimator import EstimatorConfig, decompose
+from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.model import (SAMPLER_CHUNK, FunctionSpec, ScaleSpec,
                                certify_noise, constant_fn, derive_seed,
                                design_grid, flat_scale, function_catalog,
@@ -97,11 +99,11 @@ class TestScaleFrechet:
                 om = rng.uniform(0.5, 6.0)
                 x0 = rng.uniform(0.0, 1.0)
                 S = FunctionSpec(
-                    "s", lambda x, a=amp, o=om: a * np.sin(o * np.asarray(x, dtype=float)),
-                    lambda x, a=amp, o=om: a * o * np.cos(o * np.asarray(x, dtype=float)))
+                    "s", lambda x, a=amp, o=om: a * np.sin(o * x),
+                    lambda x, a=amp, o=om: a * o * np.cos(o * x))
                 f = FunctionSpec(
-                    "f", lambda x, a=amp, o=om: a * np.cos(o * np.asarray(x, dtype=float)),
-                    lambda x, a=amp, o=om: -a * o * np.sin(o * np.asarray(x, dtype=float)))
+                    "f", lambda x, a=amp, o=om: a * np.cos(o * x),
+                    lambda x, a=amp, o=om: -a * o * np.sin(o * x))
                 val = scale_frechet(sc, x0, S, f)
                 assert abs(val) <= bound * amp + 1e-12
 
@@ -109,18 +111,15 @@ class TestScaleFrechet:
         # |g(x, S+f) - g(x, S) - L(f)| / ||f|| stays small at ||f|| = 1e-3
         eps = 1e-3
         direction = FunctionSpec(
-            "dir", lambda x: np.cos(2.0 * np.asarray(x, dtype=float)),
-            lambda x: -2.0 * np.sin(2.0 * np.asarray(x, dtype=float)))
+            "dir", lambda x: np.cos(2.0 * x), lambda x: -2.0 * np.sin(2.0 * x))
         f = FunctionSpec(
-            "f", lambda x: eps * np.asarray(direction.eval(x), dtype=float),
-            lambda x: eps * np.asarray(direction.deriv(x), dtype=float))
+            "f", lambda x: eps * direction.eval(x),
+            lambda x: eps * direction.deriv(x))
         base = function_catalog()["sine"]
         perturbed = FunctionSpec(
             "pert",
-            lambda x: np.asarray(base.eval(x), dtype=float)
-            + eps * np.asarray(direction.eval(x), dtype=float),
-            lambda x: np.asarray(base.deriv(x), dtype=float)
-            + eps * np.asarray(direction.deriv(x), dtype=float))
+            lambda x: base.eval(x) + eps * direction.eval(x),
+            lambda x: base.deriv(x) + eps * direction.deriv(x))
         for sc in scale_catalog().values():
             for x0 in (0.1, 0.5, 0.9):
                 lhs = (scale_eval(sc, x0, perturbed) - scale_eval(sc, x0, base)
@@ -331,11 +330,55 @@ class TestFunctionCatalog:
         S = function_catalog()[label]
         xs = np.linspace(0.02, 0.98, 41)
         step = 1e-5
-        fd = (np.asarray(S.eval(xs + step), dtype=float)
-              - np.asarray(S.eval(xs - step), dtype=float)) / (2 * step)
-        dv = np.broadcast_to(np.asarray(S.deriv(xs), dtype=float), xs.shape)
-        assert np.max(np.abs(fd - dv)) < 1e-6
+        fd = (S.eval(xs + step) - S.eval(xs - step)) / (2 * step)
+        assert np.max(np.abs(fd - S.deriv(xs))) < 1e-6
 
     def test_flat_scale_helper(self):
         sc = flat_scale(2.0)
         assert scale_eval(sc, 0.3, constant_fn(5.0)) == pytest.approx(2.0)
+
+
+class TestCurveContract:
+    """FunctionSpec hands its callables a float array and returns a float64
+    array of the input's shape, whatever they return."""
+
+    @staticmethod
+    def loose():
+        # a Python scalar value and a length-1 list derivative
+        return FunctionSpec("loose", lambda x: 0.3, lambda x: [0.0])
+
+    @pytest.mark.parametrize("x", [0.25, [0.1, 0.7], np.linspace(0.0, 1.0, 5),
+                                   np.linspace(0.0, 1.0, 6).reshape(2, 3)],
+                             ids=["scalar", "list", "1d", "2d"])
+    def test_shapes_and_dtype(self, x):
+        S = self.loose()
+        for got, value in ((S.eval(x), 0.3), (S.deriv(x), 0.0)):
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == np.float64
+            assert got.shape == np.shape(x)
+            assert np.all(got == value)
+
+    def test_callable_sees_float_array(self):
+        seen = []
+        S = FunctionSpec("probe", lambda x: seen.append(x) or x, lambda x: 1.0)
+        S.eval([1, 2])
+        assert isinstance(seen[0], np.ndarray) and seen[0].dtype == np.float64
+
+    def test_wrong_shape_rejected(self):
+        S = FunctionSpec("bad", lambda x: np.zeros(3), lambda x: 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            S.eval(np.zeros(4))
+
+    def test_callers_agree_with_constant_fn(self):
+        loose, const = self.loose(), constant_fn(0.3)
+        scale = scale_catalog()["mixed"]  # evaluates S pointwise and in int V
+        cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
+        xi = rng_from_seed(3).standard_normal(cfg.q_n)
+        assert decompose(loose, scale, cfg) == decompose(const, scale, cfg)
+        assert (decompose(loose, scale, cfg, xi=xi)
+                == decompose(const, scale, cfg, xi=xi))
+        x = np.linspace(0.0, 1.0, 17)
+        assert np.array_equal(scale_profile(scale, x, loose),
+                              scale_profile(scale, x, const))
+        p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0)
+        assert check_weak_holder(loose, p) == check_weak_holder(const, p)

@@ -8,11 +8,13 @@ from hypothesis import given, strategies as st
 from minimaxkern import model
 from minimaxkern.estimator import EstimatorConfig, decompose
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
-from minimaxkern.model import (constant_fn, flat_scale, function_catalog,
-                               get_noise, noise_catalog, replicate,
-                               rng_from_seed, scale_eval, zero_noise)
-from minimaxkern.risk import (EFFICIENCY_CONSTANT, RiskConfig, _family_stats,
-                              _member, default_family, exact_gaussian_risk,
+from minimaxkern.model import (FunctionSpec, constant_fn, flat_scale,
+                               function_catalog, get_noise, noise_catalog,
+                               replicate, rng_from_seed, scale_eval,
+                               zero_noise)
+from minimaxkern.risk import (DEFAULT_TABLE_LABELS, EFFICIENCY_CONSTANT,
+                              RiskConfig, _family_stats, _member,
+                              default_family, exact_gaussian_risk,
                               folded_normal_mean, monte_carlo_risk, sup_risk)
 
 
@@ -386,3 +388,27 @@ class TestReplicationEngine:
         assert len(set(pointers)) == 1
         flat = gaussian.sampler(rng_from_seed(17), reps * q_n).reshape(reps, q_n)
         assert np.array_equal(sums, flat.sum(axis=1))
+
+
+# Fixed before the property was run.  Under a flat scale g does not depend
+# on S, so adding c moves only B_n, through the rounding of S(x_k) + c and
+# S(z0) + c: at most a few ulps of 1 + |c| (|S| <= 1 here).  Each
+# replication's statistic moves by at most phi_n |dB_n| / g0 (phi_n <= 40
+# for n <= 1e4), and the risk (about 0.56) and its per-replication spread
+# (above 0.4) are of order one, so a relative 1e-13 (1 + |c|) holds both.
+CONSTANT_SHIFT_TOL = 1e-13
+
+
+@given(st.sampled_from(DEFAULT_TABLE_LABELS), st.sampled_from(sorted(noise_catalog())),
+       st.integers(100, 10_000), st.floats(-10.0, 10.0), st.integers(0, 2 ** 32))
+def test_risk_invariant_under_constant_shift(plateau_kernel_01, label, noise,
+                                             n, c, seed):
+    # common draws: both curves are scored under one RiskConfig and seed
+    S = next(f for f in default_family(0.5, 0.1, 2.0, n, plateau_kernel_01)
+             if f.label == label)
+    shifted = FunctionSpec("shifted", lambda x: S.eval(x) + c, S.deriv)
+    rc = _single_config(S, flat_scale(), get_noise(noise), n=n, reps=200,
+                        seed=seed)
+    tol = CONSTANT_SHIFT_TOL * (1.0 + abs(c))
+    for got, want in zip(monte_carlo_risk(shifted, rc), monte_carlo_risk(S, rc)):
+        assert abs(got - want) <= tol * want
