@@ -14,10 +14,9 @@ from .estimator import (DecompositionReport, EstimatorConfig, bandwidth,
                         decompose, kernel_estimate, rate, sigma_n_limit_check)
 from .holder import (WeakHolderParams, check_weak_holder, default_h_grid,
                      weak_defect)
-from .lowerbound import (MollifierSpec, PerturbationSpec, PlateauKernel,
-                         bayes_bound, build_kernel, likelihood_ratio,
-                         log_likelihood_ratio, min_n_membership,
-                         shift_statistic, varsigma_sq)
+from .lowerbound import (PerturbationSpec, PlateauKernel, bayes_bound,
+                         build_kernel, likelihood_ratio, log_likelihood_ratio,
+                         min_n_membership, shift_statistic, varsigma_sq)
 from .martingale import (RealizedSplit, TruncationReport, normal_approx_check,
                          tail_second_moment, truncated_mean,
                          truncated_variance, truncation_report,
@@ -50,7 +49,7 @@ __all__ = [
     "exact_gaussian_risk", "monte_carlo_risk", "sup_risk",
     "default_family",
     # lowerbound
-    "MollifierSpec", "PlateauKernel", "PerturbationSpec", "build_kernel",
+    "PlateauKernel", "PerturbationSpec", "build_kernel",
     "min_n_membership", "varsigma_sq", "shift_statistic",
     "likelihood_ratio", "log_likelihood_ratio", "bayes_bound",
     # martingale

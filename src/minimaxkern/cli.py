@@ -284,8 +284,7 @@ def _lower_bound(config: ExperimentConfig) -> tuple[list[str], list[list], dict]
         kernel = build_kernel(nu)
         sigma_nu_sq = kernel.sq_integral / g_z0 ** 2
         for b in sorted(config.b_list):
-            rows.append([nu, b, sigma_nu_sq,
-                         bayes_bound(nu, b, g_z0, kernel=kernel)])
+            rows.append([nu, b, sigma_nu_sq, bayes_bound(kernel, b, g_z0)])
     return ["nu", "b", "sigma_nu_sq", "bayes_bound"], rows, {}
 
 
@@ -334,11 +333,10 @@ def _convergence(config: ExperimentConfig) -> tuple[list[str], list[list], dict]
         default=lambda: [function_catalog(config.z0)["sine"]])
     rows: list[list] = []
     for S in sorted(functions, key=lambda s: s.label):
-        g0_sq = scale_eval(scale, config.z0, S) ** 2
         for row in sigma_n_limit_check(S, scale, config.z0, config.beta,
                                        sorted(config.n_list)):
             rows.append([row.n, config.beta, config.z0, S.label,
-                         row.sigma_n_sq, g0_sq, row.abs_gap])
+                         row.sigma_n_sq, row.g_sq_z0, row.abs_gap])
     return ["n", "beta", "z0", "function", "sigma_n_sq", "g_sq_z0",
             "abs_gap"], rows, {}
 

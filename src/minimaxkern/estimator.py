@@ -86,14 +86,6 @@ class EstimatorConfig:
         """Slice selecting the window from a length-n observation vector."""
         return slice(self.k_lo - 1, self.k_hi)
 
-    @property
-    def riemann_indices(self) -> tuple[int, int]:
-        """Floor-based index pair (floor(n(z0-h))+1, floor(n(z0+h))) used by
-        the Riemann-gap bound, clipped to [1, n]."""
-        lo = max(1, int(math.floor(self.n * (self.z0 - self.h))) + 1)
-        hi = min(self.n, int(math.floor(self.n * (self.z0 + self.h))))
-        return lo, hi
-
 
 def _window_indices(n: int, z0: float, h: float) -> tuple[int, int]:
     lo_guess = max(1, int(math.floor(n * (z0 - h))) - 1)
@@ -115,6 +107,8 @@ class DecompositionReport:
     integral_term  int_{-1}^{1} (S(z0 + h u) - S(z0)) du by quadrature
     r_n            Riemann gap q_n * B_n / phi_n^2 - integral_term
     sigma_n_sq     window average of g^2(x_k, S)
+    g0             g(z0, S), the risk's normalizer
+    g_window       g(x_k, S) over the window, ascending in k
     """
 
     estimate: float
@@ -123,6 +117,8 @@ class DecompositionReport:
     integral_term: float
     r_n: float
     sigma_n_sq: float
+    g0: float
+    g_window: np.ndarray = field(compare=False, repr=False)
 
 
 def kernel_estimate(y: np.ndarray, cfg: EstimatorConfig) -> tuple[float, int]:
@@ -149,7 +145,9 @@ def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,
         -1.0, 1.0, INTEGRAL_QUAD_PANELS)
     r_n = cfg.q_n * b_n / cfg.phi_n ** 2 - integral_term
 
-    g_window = scale_profile(scale, xw, S)
+    # one V-integral for the window and z0: g(z0, S) rides at the end
+    g = scale_profile(scale, np.append(xw, cfg.z0), S)
+    g_window, g0 = g[:-1], float(g[-1])
     sigma_n_sq = window_sum(g_window ** 2) / cfg.q_n
 
     if xi is None:
@@ -172,6 +170,8 @@ def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,
         integral_term=float(integral_term),
         r_n=float(r_n),
         sigma_n_sq=float(sigma_n_sq),
+        g0=g0,
+        g_window=g_window,
     )
 
 
@@ -185,6 +185,7 @@ def sigma_n_sq(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig) -> float
 class SigmaRow:
     n: int
     sigma_n_sq: float
+    g_sq_z0: float
     abs_gap: float
 
 
@@ -194,10 +195,11 @@ def sigma_n_limit_check(S: FunctionSpec, scale: ScaleSpec, z0: float, beta: floa
     ns = [int(n) for n in n_sequence]
     if any(b > a for a, b in zip(ns[1:], ns)):
         raise ValueError("n_sequence must be increasing")
-    g0_sq = scale_profile(scale, np.asarray([z0]), S)[0] ** 2
+    g0_sq = float(scale_profile(scale, np.asarray([z0]), S)[0] ** 2)
     rows = []
     for n in ns:
         cfg = EstimatorConfig(n=n, beta=beta, z0=z0)
         s = sigma_n_sq(S, scale, cfg)
-        rows.append(SigmaRow(n=n, sigma_n_sq=s, abs_gap=abs(s - float(g0_sq))))
+        rows.append(SigmaRow(n=n, sigma_n_sq=s, g_sq_z0=g0_sq,
+                             abs_gap=abs(s - g0_sq)))
     return rows

@@ -15,7 +15,9 @@ bound whose (b -> inf, nu -> 0) limit is 1/sqrt(pi).
 The convolution is evaluated exactly from the bump's cumulative integral:
 V_nu(x) is a signed combination of CDF values at piecewise-affine
 arguments, so accuracy is uniform in nu (no direct grid interpolation of
-the sharp plateau profile).
+the sharp plateau profile).  The bump is one fixed function (``bump``,
+``bump_cdf``, ``bump_deriv_sup``), tabulated once on BUMP_SEGMENTS
+segments, so a plateau kernel is determined by nu alone.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .estimator import EstimatorConfig, bandwidth, rate
 from .model import FunctionSpec, ScaleSpec, constant_fn, scale_eval, scale_profile
 from .numerics import composite_simpson
 
-DEFAULT_RESOLUTION = 4096
+BUMP_SEGMENTS = 4096
 V_QUAD_PANELS = 32768
 
 # |d/dz exp(-1/(1-z^2))| = 2 z exp(-1/(1-z^2)) / (1-z^2)^2 on (0, 1); its
@@ -58,19 +60,17 @@ def _raw_bump_deriv(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _bump_tables(resolution: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Cumulative integral of the raw bump on ``resolution`` segments.
+@lru_cache(maxsize=None)
+def _bump_tables() -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Cumulative integral of the raw bump on BUMP_SEGMENTS segments.
 
     Returns (nodes, normalized cdf, normalizer, sup|l'|).  Each segment is
     integrated by one Simpson panel; the bump is smooth, so the table is
-    accurate to well below 1e-12 at the default resolution.  sup|l'| is
-    the closed form |l'(3^(-1/4))|: the peak of |l'| solves 1 - 3 z^4 = 0
-    (see _BUMP_DERIV_ARGMAX).
+    accurate to well below 1e-12.  sup|l'| is the closed form
+    |l'(3^(-1/4))|: the peak of |l'| solves 1 - 3 z^4 = 0 (see
+    _BUMP_DERIV_ARGMAX).
     """
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
-    nodes = np.linspace(-1.0, 1.0, resolution + 1)
+    nodes = np.linspace(-1.0, 1.0, BUMP_SEGMENTS + 1)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     fa = _raw_bump(nodes[:-1])
     fm = _raw_bump(mids)
@@ -85,47 +85,35 @@ def _bump_tables(resolution: int) -> tuple[np.ndarray, np.ndarray, float, float]
     return nodes, cdf, normalizer, abs(float(peak)) / normalizer
 
 
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Normalized smooth bump l(z) = exp(-1/(1-z^2)) / normalizer on (-1, 1).
+def bump(z: np.ndarray) -> np.ndarray:
+    """The normalized bump l(z) = exp(-1/(1-z^2)) / normalizer on (-1, 1)."""
+    return _raw_bump(z) / _bump_tables()[2]
 
-    Carries the mollification width nu used by the plateau kernel, the
-    cached cumulative integral of l, and sup|l'| (needed by the class
-    membership threshold).
-    """
 
-    nu: float
-    resolution: int
-    normalizer: float = field(init=False)
-    l_prime_sup: float = field(init=False)
+def bump_cdf(z: np.ndarray) -> np.ndarray:
+    """int_{-1}^{z} l, exactly 0 below -1 and 1 above +1."""
+    nodes, cdf, _, _ = _bump_tables()
+    return np.interp(np.asarray(z, dtype=float), nodes, cdf, left=0.0, right=1.0)
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.nu < 0.25):
-            raise ValueError(f"nu must lie in (0, 1/4), got {self.nu}")
-        _, _, normalizer, sup = _bump_tables(self.resolution)
-        object.__setattr__(self, "normalizer", normalizer)
-        object.__setattr__(self, "l_prime_sup", sup)
 
-    def l(self, z: np.ndarray) -> np.ndarray:
-        """The normalized bump."""
-        return _raw_bump(z) / self.normalizer
-
-    def l_cdf(self, z: np.ndarray) -> np.ndarray:
-        """int_{-1}^{z} l, exactly 0 below -1 and 1 above +1."""
-        nodes, cdf, _, _ = _bump_tables(self.resolution)
-        return np.interp(np.asarray(z, dtype=float), nodes, cdf, left=0.0, right=1.0)
+def bump_deriv_sup() -> float:
+    """sup|l'|, needed by the class membership threshold."""
+    return _bump_tables()[3]
 
 
 @dataclass(frozen=True)
 class PlateauKernel:
-    """Mollified two-level profile V_nu; evaluable anywhere on the line."""
+    """Mollified two-level profile V_nu, evaluable anywhere on the line and
+    determined by its mollification width nu in (0, 1/4)."""
 
     nu: float
-    spec: MollifierSpec
     sq_integral: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sq_integral", self._compute_sq_integral())
+        if not (0.0 < self.nu < 0.25):
+            raise ValueError(f"nu must lie in (0, 1/4), got {self.nu}")
+        object.__setattr__(self, "sq_integral", composite_simpson(
+            lambda z: self.values(z) ** 2, -1.0, 1.0, V_QUAD_PANELS))
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """V_nu(x) = (1/nu) int Qtilde_nu(u) l((u - x)/nu) du.
@@ -166,13 +154,13 @@ class PlateauKernel:
 
         Qtilde_nu has three pieces: height 1 on [-(1-2nu), 1-2nu] and
         height 2 on [1-2nu, 1-nu] and on [-(1-nu), -(1-2nu)].  They share
-        the endpoints +-(1-2nu), so l_cdf is evaluated at four points, not
+        the endpoints +-(1-2nu), so bump_cdf is evaluated at four points, not
         six; each shared value is dropped once its last piece is added.
         """
         inner, outer = 1.0 - 2.0 * self.nu, 1.0 - self.nu
 
         def cdf(e: float) -> np.ndarray:
-            return self.spec.l_cdf((e - x) / self.nu)
+            return bump_cdf((e - x) / self.nu)
 
         c_in, c_neg_in = cdf(inner), cdf(-inner)
         out = np.zeros(x.shape)
@@ -188,7 +176,7 @@ class PlateauKernel:
         inner, outer = 1.0 - 2.0 * self.nu, 1.0 - self.nu
 
         def dens(e: float) -> np.ndarray:
-            return self.spec.l((e - x) / self.nu)
+            return bump((e - x) / self.nu)
 
         d_in, d_neg_in = dens(inner), dens(-inner)
         out = np.zeros(x.shape)
@@ -198,15 +186,10 @@ class PlateauKernel:
         out = out + (2.0 / self.nu) * (dens(-outer) - d_neg_in)
         return out
 
-    def _compute_sq_integral(self) -> float:
-        return composite_simpson(lambda z: self.values(z) ** 2,
-                                 -1.0, 1.0, V_QUAD_PANELS)
 
-
-def build_kernel(nu: float, resolution: int = DEFAULT_RESOLUTION) -> PlateauKernel:
+def build_kernel(nu: float) -> PlateauKernel:
     """Construct the plateau kernel for a mollification width nu in (0, 1/4)."""
-    spec = MollifierSpec(nu=nu, resolution=resolution)
-    return PlateauKernel(nu=nu, spec=spec)
+    return PlateauKernel(nu=nu)
 
 
 @dataclass(frozen=True)
@@ -272,13 +255,15 @@ def min_n_membership(nu: float, delta: float, beta: float, l_prime_sup: float) -
 
 
 def _window_terms(pert: PerturbationSpec, scale: ScaleSpec
-                  ) -> tuple[np.ndarray, np.ndarray, slice]:
-    """(V values, g values, window slice) on the design points that matter."""
+                  ) -> tuple[np.ndarray, np.ndarray, slice, float]:
+    """(V values, g values, window slice, varsigma_n^2) on the design
+    points that matter."""
     cfg = EstimatorConfig(n=pert.n, beta=pert.beta, z0=pert.z0)
     xw = cfg.window_x
     vvals = pert.kernel.values((xw - pert.z0) / pert.h)
     g_w = scale_profile(scale, xw, pert.to_function())
-    return vvals, g_w, cfg.window_slice
+    vs = float(np.sum((vvals / g_w) ** 2)) / pert.phi_n ** 2
+    return vvals, g_w, cfg.window_slice, vs
 
 
 def varsigma_sq(pert: PerturbationSpec, scale: ScaleSpec) -> tuple[float, float]:
@@ -288,8 +273,7 @@ def varsigma_sq(pert: PerturbationSpec, scale: ScaleSpec) -> tuple[float, float]
     varsigma_n^2 = (1/phi_n^2) sum_k V_nu^2((x_k-z0)/h) / g^2(x_k, S) and
     sigma_nu^2 = int_{-1}^{1} V_nu^2 / g^2(z0, 0).
     """
-    vvals, g_w, _ = _window_terms(pert, scale)
-    vs = float(np.sum((vvals / g_w) ** 2)) / pert.phi_n ** 2
+    vs = _window_terms(pert, scale)[3]
     g0 = scale_eval(scale, pert.z0, constant_fn(0.0))
     return vs, pert.kernel.sq_integral / g0 ** 2
 
@@ -304,8 +288,7 @@ def shift_statistic(pert: PerturbationSpec, scale: ScaleSpec,
     y = np.asarray(y, dtype=float)
     if y.shape != (pert.n,):
         raise ValueError(f"expected {pert.n} observations, got shape {y.shape}")
-    vvals, g_w, win = _window_terms(pert, scale)
-    vs = float(np.sum((vvals / g_w) ** 2)) / pert.phi_n ** 2
+    vvals, g_w, win, vs = _window_terms(pert, scale)
     varsigma = math.sqrt(vs)
     eta = float(np.sum(vvals * y[win] / g_w ** 2)) / (varsigma * pert.phi_n)
     return eta, varsigma
@@ -330,10 +313,8 @@ def likelihood_ratio(u: float, pert: PerturbationSpec, scale: ScaleSpec,
         return math.inf
 
 
-def bayes_bound(nu: float, b: float, g_z0: float,
-                kernel: PlateauKernel | None = None,
-                resolution: int = DEFAULT_RESOLUTION) -> float:
-    """Closed-form Bayes-risk lower bound at mollification nu and prior cap b.
+def bayes_bound(kernel: PlateauKernel, b: float, g_z0: float) -> float:
+    """Closed-form Bayes-risk lower bound for the kernel V_nu and prior cap b.
 
     Value: (sigma_nu / sqrt(2 pi)) * ((b - sqrt(b))/b)
            * int_{-sqrt(b)}^{sqrt(b)} (|t|/g_z0) exp(-sigma_nu^2 t^2 / 2) dt,
@@ -345,10 +326,6 @@ def bayes_bound(nu: float, b: float, g_z0: float,
         raise ValueError("b must exceed 1")
     if g_z0 <= 0.0:
         raise ValueError("g_z0 must be positive")
-    if kernel is None:
-        kernel = build_kernel(nu, resolution)
-    elif abs(kernel.nu - nu) > 1e-12:
-        raise ValueError("provided kernel was built for a different nu")
     sigma_sq = kernel.sq_integral / g_z0 ** 2
     sigma = math.sqrt(sigma_sq)
     root_b = math.sqrt(b)

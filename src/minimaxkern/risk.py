@@ -31,7 +31,7 @@ from .estimator import (DecompositionReport, EstimatorConfig, decompose,
 from .holder import WeakHolderParams, WeakHolderReport, check_weak_holder
 from .lowerbound import PlateauKernel, PerturbationSpec, build_kernel
 from .model import (FunctionSpec, NoiseSpec, ScaleSpec, _cube, constant_fn,
-                    linear_fn, replicate, scale_eval, scale_profile)
+                    linear_fn, replicate)
 
 #: Sharp efficiency constant E|N(0,1)| / sqrt(2).
 EFFICIENCY_CONSTANT = 1.0 / math.sqrt(math.pi)
@@ -106,50 +106,33 @@ class RiskReport:
     constant_target: float = field(default=EFFICIENCY_CONSTANT)
 
 
-def _gaussian_oracle(dec: DecompositionReport, cfg: EstimatorConfig,
-                     g0: float) -> float:
-    """phi_n E|B_n + N(0, sigma_n^2/q_n)| / g0 from a decomposition."""
+def _gaussian_oracle(dec: DecompositionReport, cfg: EstimatorConfig) -> float:
+    """phi_n E|B_n + N(0, sigma_n^2/q_n)| / g(z0, S) from a decomposition."""
     s = math.sqrt(dec.sigma_n_sq / cfg.q_n)
-    return cfg.phi_n * folded_normal_mean(dec.b_n, s) / g0
+    return cfg.phi_n * folded_normal_mean(dec.b_n, s) / dec.g0
 
 
 def exact_gaussian_risk(S: FunctionSpec, rc: RiskConfig) -> float:
     """Folded-normal oracle phi_n E|B_n + N(0, sigma_n^2/q_n)| / g(z0, S)."""
     if not rc.noise.gaussian:
         raise ValueError("the exact oracle applies to Gaussian noise only")
-    return _gaussian_oracle(decompose(S, rc.scale, rc.cfg), rc.cfg,
-                            scale_eval(rc.scale, rc.cfg.z0, S))
+    return _gaussian_oracle(decompose(S, rc.scale, rc.cfg), rc.cfg)
 
 
-@dataclass(frozen=True)
-class _Member:
-    """The deterministic parts of one family member's risk."""
-
-    S: FunctionSpec
-    dec: DecompositionReport
-    g_window: np.ndarray  # g(x_k, S) over the window
-    g0: float             # g(z0, S)
-
-
-def _member(S: FunctionSpec, rc: RiskConfig) -> _Member:
-    return _Member(S=S, dec=decompose(S, rc.scale, rc.cfg),
-                   g_window=scale_profile(rc.scale, rc.cfg.window_x, S),
-                   g0=scale_eval(rc.scale, rc.cfg.z0, S))
-
-
-def _family_stats(members: list[_Member], rc: RiskConfig, noise: NoiseSpec
-                  ) -> np.ndarray:
+def _family_stats(decs: list[DecompositionReport], rc: RiskConfig,
+                  noise: NoiseSpec) -> np.ndarray:
     """Per-replication statistics, one row per member, from common draws.
 
     Member f's statistic for the window draws xi is
-    phi_n |B_f + sum_k g_f(x_k) xi_k / q_n| / g(z0, f).  Members are scored
-    one at a time through one scratch block, and each noise sum is a numpy
+    phi_n |B_f + sum_k g_f(x_k) xi_k / q_n| / g(z0, f), with B_f, g_f and
+    g(z0, f) read from f's decomposition.  Members are scored one at a
+    time through one scratch block, and each noise sum is a numpy
     reduction along one contiguous row, so a member's values do not depend
     on which other members share the draws.
     """
     cfg = rc.cfg
-    b = np.array([m.dec.b_n for m in members])
-    g0 = np.array([m.g0 for m in members])
+    b = np.array([d.b_n for d in decs])
+    g0 = np.array([d.g0 for d in decs])
 
     scratch = None  # sized by the first (largest) block, then reused
 
@@ -158,21 +141,21 @@ def _family_stats(members: list[_Member], rc: RiskConfig, noise: NoiseSpec
         if scratch is None:
             scratch = np.empty_like(xi)
         prod = scratch[:xi.shape[0]]
-        sums = np.empty((xi.shape[0], len(members)))
-        for j, m in enumerate(members):
-            np.multiply(xi, m.g_window, out=prod)
+        sums = np.empty((xi.shape[0], len(decs)))
+        for j, d in enumerate(decs):
+            np.multiply(xi, d.g_window, out=prod)
             sums[:, j] = prod.sum(axis=1)
         return cfg.phi_n * np.abs(b + sums / cfg.q_n) / g0
 
     return replicate(noise, cfg.q_n, rc.reps, rc.seed, stat).T.copy()
 
 
-def _family_risk(members: list[_Member], rc: RiskConfig, noise: NoiseSpec
-                 ) -> list[tuple[float, float]]:
+def _family_risk(decs: list[DecompositionReport], rc: RiskConfig,
+                 noise: NoiseSpec) -> list[tuple[float, float]]:
     """(risk, stderr) of every member, aggregated in replication order."""
     return [(float(np.mean(row)),
              float(np.std(row, ddof=1)) / math.sqrt(rc.reps))
-            for row in _family_stats(members, rc, noise)]
+            for row in _family_stats(decs, rc, noise)]
 
 
 def monte_carlo_risk(S: FunctionSpec, rc: RiskConfig) -> tuple[float, float]:
@@ -183,7 +166,7 @@ def monte_carlo_risk(S: FunctionSpec, rc: RiskConfig) -> tuple[float, float]:
     replication order, so reruns on one platform and numpy build are
     bit-identical.  The value equals S's row in ``sup_risk``.
     """
-    return _family_risk([_member(S, rc)], rc, rc.noise)[0]
+    return _family_risk([decompose(S, rc.scale, rc.cfg)], rc, rc.noise)[0]
 
 
 def sup_risk(rc: RiskConfig, noises: list[NoiseSpec] | None = None) -> RiskReport:
@@ -196,20 +179,19 @@ def sup_risk(rc: RiskConfig, noises: list[NoiseSpec] | None = None) -> RiskRepor
     noise_list = list(noises) if noises is not None else [rc.noise]
     if not noise_list:
         raise ValueError("need at least one noise")
-    members = [_member(S, rc) for S in rc.family]
-    risks = [_family_risk(members, rc, noise) for noise in noise_list]
+    decs = [decompose(S, rc.scale, rc.cfg) for S in rc.family]
+    risks = [_family_risk(decs, rc, noise) for noise in noise_list]
     rows: list[RiskRow] = []
     best = None
-    for j, m in enumerate(members):
+    for j, (S, dec) in enumerate(zip(rc.family, decs)):
         for noise, cell in zip(noise_list, risks):
             mc, se = cell[j]
-            oracle = (_gaussian_oracle(m.dec, rc.cfg, m.g0)
-                      if noise.gaussian else None)
-            rows.append(RiskRow(function=m.S.label, noise=noise.label,
+            oracle = _gaussian_oracle(dec, rc.cfg) if noise.gaussian else None
+            rows.append(RiskRow(function=S.label, noise=noise.label,
                                 risk_mc=mc, stderr=se, risk_oracle=oracle,
-                                phin_bn=rc.cfg.phi_n * m.dec.b_n))
+                                phin_bn=rc.cfg.phi_n * dec.b_n))
             if best is None or mc > best[0]:
-                best = (mc, m.S.label, noise.label)
+                best = (mc, S.label, noise.label)
     assert best is not None
     return RiskReport(rows=tuple(rows), sup_risk=best[0],
                       attained_by=(best[1], best[2]))

@@ -20,8 +20,8 @@ from scipy.stats import norm, t
 from minimaxkern.estimator import EstimatorConfig, decompose, sigma_n_limit_check
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.lowerbound import (PerturbationSpec, bayes_bound,
-                                    build_kernel, min_n_membership,
-                                    varsigma_sq)
+                                    build_kernel, bump_deriv_sup,
+                                    min_n_membership, varsigma_sq)
 from minimaxkern.martingale import (tail_second_moment, truncated_variance,
                                     normal_approx_check, zeta_dd_moment_check)
 from minimaxkern.model import (constant_fn, function_catalog, get_noise,
@@ -135,7 +135,7 @@ def test_criterion_06_membership_threshold():
     """The window bump enters the weak class at the explicit threshold and
     stays inside at four times it (property, no tolerance)."""
     kern = build_kernel(0.1)
-    n_star = min_n_membership(0.1, 0.5, BETA, kern.spec.l_prime_sup)
+    n_star = min_n_membership(0.1, 0.5, BETA, bump_deriv_sup())
     params = WeakHolderParams(z0=Z0, delta=0.5, beta=BETA)
     for n in (n_star, 4 * n_star):
         pert = PerturbationSpec(kernel=kern, u=1.0, n=n, beta=BETA, z0=Z0)
@@ -171,7 +171,7 @@ def test_criterion_08_bayes_chain():
     """The lower-bound chain reaches within 2% of 1/sqrt(pi) at
     (nu, b) = (0.01, 1e4) and increases along the b grid."""
     kern = build_kernel(0.01)
-    vals = [bayes_bound(0.01, b, 1.0, kernel=kern)
+    vals = [bayes_bound(kern, b, 1.0)
             for b in (4.0, 16.0, 100.0, 10_000.0)]
     assert all(x < y for x, y in zip(vals, vals[1:]))
     assert all(v < EFFICIENCY_CONSTANT for v in vals)  # approach from below

@@ -6,7 +6,9 @@ from minimaxkern.estimator import (EstimatorConfig, bandwidth, decompose,
                                    kernel_estimate, rate, sigma_n_limit_check,
                                    sigma_n_sq)
 from minimaxkern.model import (constant_fn, flat_scale, function_catalog,
-                               rng_from_seed, sample_run, scale_catalog)
+                               rng_from_seed, sample_run, scale_catalog,
+                               scale_eval, scale_profile)
+from minimaxkern.risk import default_family
 
 
 class TestBandwidthAndRate:
@@ -56,10 +58,6 @@ class TestEstimatorConfig:
                     continue
                 nh = n * cfg.h
                 assert abs(cfg.q_n / nh - 2.0) <= 3.0 / nh
-
-    def test_riemann_indices_match_window_generically(self):
-        cfg = EstimatorConfig(n=10_000, beta=1.9, z0=0.53)
-        assert cfg.riemann_indices == (cfg.k_lo, cfg.k_hi)
 
     def test_rejects_boundary_z0(self):
         with pytest.raises(ValueError):
@@ -137,6 +135,19 @@ class TestDecomposition:
         s0 = float(np.asarray(S.eval(0.5)))
         assert dec.estimate - s0 - dec.b_n == pytest.approx(noise_avg, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1_000, 100_000])
+    @pytest.mark.parametrize("scale", [scale_catalog()["mixed"], flat_scale()],
+                             ids=["mixed", "flat"])
+    def test_carries_scale_profile(self, plateau_kernel_01, n, scale):
+        # g(z0, S) and the window profile are exactly what scale_eval and
+        # scale_profile give, so the risk layer can read them from here
+        cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+        for S in default_family(0.5, 0.1, 2.0, n, plateau_kernel_01):
+            dec = decompose(S, scale, cfg)
+            assert dec.g0 == scale_eval(scale, cfg.z0, S), S.label
+            assert np.all(dec.g_window
+                          == scale_profile(scale, cfg.window_x, S)), S.label
+
     def test_riemann_gap_bound_on_certified_family(self, plateau_kernel_01,
                                                    certified_family):
         # |R_n| <= 6/(delta n) whenever sup|S'| <= 1/delta
@@ -183,6 +194,13 @@ class TestVarianceLimit:
             g0_sq = scale_eval(scale, 0.5, S) ** 2
             assert rows[-1].abs_gap < 1e-2 * g0_sq
             assert rows[-1].abs_gap < rows[0].abs_gap
+
+    def test_rows_carry_g_sq_z0(self, mixed_scale):
+        S = function_catalog()["sine"]
+        rows = sigma_n_limit_check(S, mixed_scale, 0.5, 2.0, [1_000, 10_000])
+        g0_sq = scale_eval(mixed_scale, 0.5, S) ** 2
+        assert all(r.g_sq_z0 == g0_sq for r in rows)
+        assert all(r.abs_gap == abs(r.sigma_n_sq - g0_sq) for r in rows)
 
     def test_rejects_decreasing_sequence(self, mixed_scale):
         with pytest.raises(ValueError):

@@ -8,8 +8,10 @@ from scipy.special import ndtr
 
 from minimaxkern.estimator import EstimatorConfig, bandwidth, rate
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
-from minimaxkern.lowerbound import (MollifierSpec, PerturbationSpec,
-                                    bayes_bound, build_kernel,
+from minimaxkern import lowerbound
+from minimaxkern.lowerbound import (PerturbationSpec, PlateauKernel,
+                                    _bump_tables, bayes_bound, build_kernel,
+                                    bump, bump_cdf, bump_deriv_sup,
                                     likelihood_ratio, log_likelihood_ratio,
                                     min_n_membership,
                                     shift_statistic, varsigma_sq)
@@ -24,14 +26,14 @@ EFFICIENCY_CONSTANT = 1.0 / math.sqrt(math.pi)
 def _six_term(kern, x):
     """V_nu and V_nu' at every point of ``x`` from the six CDF (density)
     terms of the step profile, with no shortcut."""
-    nu, spec = kern.nu, kern.spec
+    nu = kern.nu
     inner, outer = 1.0 - 2.0 * nu, 1.0 - nu
 
     def cdf(e):
-        return spec.l_cdf((e - x) / nu)
+        return bump_cdf((e - x) / nu)
 
     def dens(e):
-        return spec.l((e - x) / nu)
+        return bump((e - x) / nu)
 
     vals = np.zeros(x.shape)
     vals = vals + 1.0 * (cdf(inner) - cdf(-inner))
@@ -46,33 +48,29 @@ def _six_term(kern, x):
 
 class TestMollifier:
     def test_unit_mass(self):
-        spec = MollifierSpec(nu=0.1, resolution=4096)
-        mass = composite_simpson(spec.l, -1.0, 1.0, 8192)
+        mass = composite_simpson(bump, -1.0, 1.0, 8192)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_vanishes_at_support_edge(self):
-        spec = MollifierSpec(nu=0.1, resolution=4096)
-        vals = spec.l(np.array([-1.0, 1.0, -1.5, 2.0]))
+        vals = bump(np.array([-1.0, 1.0, -1.5, 2.0]))
         assert np.all(vals == 0.0)
-        assert np.all(spec.l(np.linspace(-0.99, 0.99, 101)) > 0.0)
+        assert np.all(bump(np.linspace(-0.99, 0.99, 101)) > 0.0)
 
     def test_cdf_endpoints(self):
-        spec = MollifierSpec(nu=0.05, resolution=4096)
-        assert spec.l_cdf(np.array([-1.0]))[0] == 0.0
-        assert spec.l_cdf(np.array([1.0]))[0] == 1.0
-        assert spec.l_cdf(np.array([5.0]))[0] == 1.0
+        assert bump_cdf(np.array([-1.0]))[0] == 0.0
+        assert bump_cdf(np.array([1.0]))[0] == 1.0
+        assert bump_cdf(np.array([5.0]))[0] == 1.0
 
     def test_derivative_sup_is_stationary_max(self):
-        spec = MollifierSpec(nu=0.1, resolution=4096)
         zs = np.linspace(-0.999, 0.999, 20001)
-        dense = np.max(np.abs(np.gradient(spec.l(zs), zs)))
-        assert spec.l_prime_sup >= dense * 0.999
-        assert spec.l_prime_sup == pytest.approx(1.798, abs=5e-3)
+        dense = np.max(np.abs(np.gradient(bump(zs), zs)))
+        assert bump_deriv_sup() >= dense * 0.999
+        assert bump_deriv_sup() == pytest.approx(1.798, abs=5e-3)
 
     def test_derivative_sup_closed_form(self):
         # |d/dz exp(-1/(1-z^2))| = 2|z| exp(-1/(1-z^2)) / (1-z^2)^2 peaks at
         # 1 - 3 z^4 = 0
-        spec = MollifierSpec(nu=0.1, resolution=4096)
+        normalizer = _bump_tables()[2]
 
         def raw_deriv_abs(z):
             z = np.asarray(z, dtype=float)
@@ -81,16 +79,20 @@ class TestMollifier:
             return np.where(inside, 2.0 * np.abs(z) * np.exp(-1.0 / d) / d ** 2, 0.0)
 
         z_star = 3.0 ** -0.25
-        assert spec.l_prime_sup == pytest.approx(
-            float(raw_deriv_abs(z_star)) / spec.normalizer, rel=1e-14)
+        assert bump_deriv_sup() == pytest.approx(
+            float(raw_deriv_abs(z_star)) / normalizer, rel=1e-14)
         dense = np.max(raw_deriv_abs(np.linspace(-1.0, 1.0, 8193)))
-        assert spec.l_prime_sup >= dense / spec.normalizer
+        assert bump_deriv_sup() >= dense / normalizer
 
     def test_nu_range_enforced(self):
         with pytest.raises(ValueError):
-            MollifierSpec(nu=0.3, resolution=4096)
+            PlateauKernel(nu=0.3)
         with pytest.raises(ValueError):
             build_kernel(0.25)
+        for make in (PlateauKernel, build_kernel):
+            for nu in (0.0, 0.25, math.nan):
+                with pytest.raises(ValueError, match="nu must lie"):
+                    make(nu)
 
 
 class TestPlateauKernel:
@@ -167,13 +169,13 @@ class TestPlateauKernel:
         nu = 0.1
         kern = build_kernel(nu)
         looked_up = []
-        real = MollifierSpec.l_cdf
+        real = lowerbound.bump_cdf
 
-        def l_cdf(spec, z):
+        def counting_cdf(z):
             looked_up.append(np.size(z))
-            return real(spec, z)
+            return real(z)
 
-        monkeypatch.setattr(MollifierSpec, "l_cdf", l_cdf)
+        monkeypatch.setattr(lowerbound, "bump_cdf", counting_cdf)
         flat = np.array([0.0, 0.5, -0.6, 1.2, -7.0, np.inf])
         assert kern.values(flat).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
         assert sum(looked_up) == 0
@@ -201,8 +203,7 @@ class TestMembershipThreshold:
             min_n_membership(0.1, 0.5, 1.0, 1.8)
 
     def test_membership_at_threshold_and_beyond(self, plateau_kernel_01):
-        spec = plateau_kernel_01.spec
-        n_star = min_n_membership(0.1, 0.5, 2.0, spec.l_prime_sup)
+        n_star = min_n_membership(0.1, 0.5, 2.0, bump_deriv_sup())
         params = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0)
         for n in (n_star, 4 * n_star):
             pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=n,
@@ -211,9 +212,8 @@ class TestMembershipThreshold:
 
     def test_amplitude_cap_folds_into_slope(self, plateau_kernel_01):
         # membership for |u| <= b via threshold at b * sup|l'|
-        spec = plateau_kernel_01.spec
         b = 1.5
-        n_star = min_n_membership(0.1, 0.5, 2.0, b * spec.l_prime_sup)
+        n_star = min_n_membership(0.1, 0.5, 2.0, b * bump_deriv_sup())
         params = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0)
         for u in (-b, -0.5, 0.7, b):
             pert = PerturbationSpec(kernel=plateau_kernel_01, u=u, n=n_star,
@@ -372,7 +372,7 @@ class TestBayesBound:
         closed = (math.sqrt(sigma_sq) / math.sqrt(2.0 * math.pi)
                   * (b - math.sqrt(b)) / b
                   * (2.0 / (sigma_sq * g)) * (1.0 - math.exp(-0.5 * sigma_sq * b)))
-        assert bayes_bound(0.05, b, g, kernel=kern) == pytest.approx(closed, rel=1e-9)
+        assert bayes_bound(kern, b, g) == pytest.approx(closed, rel=1e-9)
 
     def test_limit_is_efficiency_constant(self):
         # at sigma_nu^2 = 2/g^2 and b -> inf the bound is exactly 1/sqrt(pi)
@@ -383,12 +383,12 @@ class TestBayesBound:
         assert val == pytest.approx(EFFICIENCY_CONSTANT, rel=1e-14)
 
     def test_two_percent_at_small_nu_large_b(self):
-        val = bayes_bound(0.01, 10_000.0, 1.0)
+        val = bayes_bound(build_kernel(0.01), 10_000.0, 1.0)
         assert abs(val - EFFICIENCY_CONSTANT) / EFFICIENCY_CONSTANT < 0.02
 
     def test_monotone_in_b(self):
         kern = build_kernel(0.01)
-        vals = [bayes_bound(0.01, b, 1.0, kernel=kern)
+        vals = [bayes_bound(kern, b, 1.0)
                 for b in (4.0, 16.0, 100.0, 10_000.0)]
         assert vals == sorted(vals)
         assert all(x < y for x, y in zip(vals, vals[1:]))
@@ -397,21 +397,19 @@ class TestBayesBound:
            st.floats(1.01, 100.0), st.floats(0.1, 10.0))
     def test_increasing_in_b_and_below_constant(self, nu, b, factor, g):
         kern = build_kernel(nu)
-        low = bayes_bound(nu, b, g, kernel=kern)
-        high = bayes_bound(nu, b * factor, g, kernel=kern)
+        low = bayes_bound(kern, b, g)
+        high = bayes_bound(kern, b * factor, g)
         assert 0.0 < low < high < EFFICIENCY_CONSTANT
 
     def test_normalization_invariance(self):
         # the g-normalized bound does not depend on the scale level
         kern = build_kernel(0.05)
-        assert bayes_bound(0.05, 100.0, 1.0, kernel=kern) == pytest.approx(
-            bayes_bound(0.05, 100.0, 2.5, kernel=kern), rel=1e-6)
+        assert bayes_bound(kern, 100.0, 1.0) == pytest.approx(
+            bayes_bound(kern, 100.0, 2.5), rel=1e-6)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            bayes_bound(0.05, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            bayes_bound(0.05, 10.0, 0.0)
         kern = build_kernel(0.05)
         with pytest.raises(ValueError):
-            bayes_bound(0.1, 10.0, 1.0, kernel=kern)
+            bayes_bound(kern, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            bayes_bound(kern, 10.0, 0.0)

@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import minimaxkern
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_export_resolves():
@@ -6,3 +13,14 @@ def test_every_export_resolves():
     missing = [name for name in minimaxkern.__all__
                if not hasattr(minimaxkern, name)]
     assert missing == []
+
+
+def test_trace_driver_installs():
+    # bench/trace_driver.py wraps package names where other modules import
+    # them; a dropped or renamed name makes install raise
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    code = "import trace_driver; trace_driver.install(trace_driver.Tracer())"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,7 @@ from minimaxkern.model import (FunctionSpec, constant_fn, flat_scale,
                                replicate, rng_from_seed, scale_eval,
                                zero_noise)
 from minimaxkern.risk import (DEFAULT_TABLE_LABELS, EFFICIENCY_CONSTANT,
-                              RiskConfig, _family_stats, _member,
+                              RiskConfig, _family_stats,
                               default_family, exact_gaussian_risk,
                               folded_normal_mean, monte_carlo_risk, sup_risk)
 
@@ -264,7 +264,8 @@ class TestReplicationEngine:
         fam = default_family(0.5, 0.1, 2.0, n, plateau_kernel_01)
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=12, seed=42,
                         family=tuple(fam), scale=mixed_scale, noise=noise)
-        stats = _family_stats([_member(S, rc) for S in fam], rc, noise)
+        stats = _family_stats([decompose(S, rc.scale, rc.cfg) for S in fam],
+                              rc, noise)
         assert stats.shape == (len(fam), rc.reps)
         draws = noise.sampler(rng_from_seed(rc.seed), rc.reps * cfg.q_n)
         for i, xi in enumerate(draws.reshape(rc.reps, cfg.q_n)):
