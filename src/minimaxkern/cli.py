@@ -2,9 +2,16 @@
 
 Reads a line-oriented ``key = value`` experiment file, dispatches to the
 estimation/risk/diagnostic modules and writes one CSV per command plus a
-JSON manifest.  Identical configs produce byte-identical CSV bodies; the
-``--threads`` flag is recorded but the runner is serial, so it can never
-change results.
+JSON manifest.  Identical configs produce byte-identical CSV bodies.
+
+``--threads K`` (default: the CPUs this process may use) runs the
+independent (noise, n) cells of ``clt-check`` on a pool of at most K worker
+threads; numpy's samplers and large reductions release the interpreter
+lock, so the cells overlap.  Every cell keeps the seed of its position in
+the sorted cell list and rows are assembled in that order, so results never
+depend on K.  The other commands run serially: their cells are small and
+bound by the interpreter lock (``risk-table`` got slower on a pool).
+The manifest records the number of workers used.
 
 Exit codes: 0 success, 2 config error, 3 numeric or module error.
 """
@@ -237,11 +244,14 @@ def _resolve_functions(config: ExperimentConfig, n: int | None, delta: float,
     return out
 
 
-def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
+def _risk_table(config: ExperimentConfig, threads: int
+               ) -> tuple[list[str], list[list], dict]:
     """Risk rows per (n, delta, function, noise), plus each member's
     certification margins for the manifest: sup|S'| * delta and
     max_defect / delta (both at most 1 when certified) and the probe
     bandwidth of the largest defect."""
+    # Serial on purpose: its cells are small certification and decompose
+    # steps that hold the interpreter lock, and a pool made them slower.
     scale = _scale_from(config)
     kernel = build_kernel(FAMILY_BUMP_NU)
     noises = [get_noise(l) for l in sorted(config.noise_list)]
@@ -276,7 +286,8 @@ def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     return columns, rows, {"certification": margins}
 
 
-def _lower_bound(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
+def _lower_bound(config: ExperimentConfig, threads: int
+                ) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
     g_z0 = scale_eval(scale, config.z0, constant_fn(0.0))
     rows: list[list] = []
@@ -288,27 +299,49 @@ def _lower_bound(config: ExperimentConfig) -> tuple[list[str], list[list], dict]
     return ["nu", "b", "sigma_nu_sq", "bayes_bound"], rows, {}
 
 
-def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
+def _clt_check(config: ExperimentConfig, threads: int
+               ) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
     functions = _resolve_functions(
         config, None, config.delta_list[0], None,
         default=lambda: [function_catalog(config.z0)["const02"]])
     S = functions[0]
-    rows: list[list] = []
-    idx = 0
+    # One cell per (noise, n) in sorted order; its seed is fixed by position.
+    cells = []
     for label in sorted(config.noise_list):
         noise = get_noise(label)
         for n in sorted(config.n_list):
             cfg = EstimatorConfig(n=n, beta=config.beta, z0=config.z0)
-            report = truncation_report(S, scale, noise, cfg)
-            ks = normal_approx_check(S, scale, noise, cfg, config.reps,
-                                     derive_seed(config.seed, idx))
-            rows.append([label, n, report.a_n, report.k_p, report.r_n, ks])
-            idx += 1
-    return ["noise", "n", "a_n", "K_p", "r_n", "ks_distance"], rows, {}
+            cells.append((label, noise, cfg, derive_seed(config.seed, len(cells))))
+
+    def cell_row(label, noise, cfg, seed) -> list:
+        report = truncation_report(S, scale, noise, cfg)
+        ks = normal_approx_check(S, scale, noise, cfg, config.reps, seed)
+        return [label, cfg.n, report.a_n, report.k_p, report.r_n, ks]
+
+    workers = min(threads, len(cells))
+    if workers == 1:
+        rows = [cell_row(*cell) for cell in cells]
+    else:
+        # imported here so that importing the CLI does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            # Largest draw volume (reps * q_n) first: the longest cell bounds
+            # the wall time, so it must not start last.
+            order = sorted(range(len(cells)), key=lambda i: -cells[i][2].q_n)
+            futures = {i: pool.submit(cell_row, *cells[i]) for i in order}
+            try:
+                rows = [futures[i].result() for i in range(len(cells))]
+            except BaseException:  # drop the cells not yet started
+                pool.shutdown(cancel_futures=True)
+                raise
+    return (["noise", "n", "a_n", "K_p", "r_n", "ks_distance"], rows,
+            {"threads": workers})
 
 
-def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
+def _holder_check(config: ExperimentConfig, threads: int
+                 ) -> tuple[list[str], list[list], dict]:
     kernel = build_kernel(FAMILY_BUMP_NU)
     n = max(config.n_list)
     rows: list[list] = []
@@ -326,7 +359,8 @@ def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict
             "certified"], rows, {}
 
 
-def _convergence(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
+def _convergence(config: ExperimentConfig, threads: int
+                ) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
     functions = _resolve_functions(
         config, None, config.delta_list[0], None,
@@ -341,6 +375,9 @@ def _convergence(config: ExperimentConfig) -> tuple[list[str], list[list], dict]
             "abs_gap"], rows, {}
 
 
+# Each command takes the config and the worker budget and returns its CSV
+# columns and rows plus extra manifest entries.  Only clt-check uses the
+# budget (see the module docstring); its entries carry the workers it used.
 _DISPATCH = {
     "risk-table": _risk_table,
     "lower-bound": _lower_bound,
@@ -357,15 +394,28 @@ def _write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: the default worker budget."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run(config: ExperimentConfig, out_dir: str | None = None,
-        quiet: bool = False, threads: int = 1) -> int:
+        quiet: bool = False, threads: int | None = None) -> int:
     """Execute one experiment; writes <stem>.csv plus manifest.json, where
     <stem> is the command with '-' replaced by '_' (e.g. clt_check.csv).
 
-    Any failure removes files written so far, so output directories never
-    hold partial tables.
+    ``threads`` caps the worker threads (default ``available_cpus()``); it
+    never changes a result.  Any failure removes files written so far, so
+    output directories never hold partial tables.
     """
     start = time.perf_counter()
+    if threads is None:
+        threads = available_cpus()
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     out = Path(out_dir if out_dir is not None else config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -374,9 +424,8 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
 
     written: list[Path] = []
     try:
-        # Each command returns its CSV columns and rows plus extra manifest
-        # entries; the entries never reach the CSV.
-        columns, rows, notes = _DISPATCH[config.command](config)
+        # The manifest entries never reach the CSV.
+        columns, rows, notes = _DISPATCH[config.command](config, threads)
         stem = config.command.replace("-", "_")
         csv_path = out / f"{stem}.csv"
         written.append(csv_path)
@@ -388,7 +437,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
                        for k, v in dataclasses.asdict(config).items()},
             "seed": config.seed,
             "seed_source": config.seed_source,
-            "threads": threads,
+            "threads": 1,  # a pooled command's notes give its workers
             "version": __version__,
             "wall_clock_s": round(time.perf_counter() - start, 3),
             "outputs": [csv_path.name],
@@ -417,8 +466,9 @@ def main(argv: list[str] | None = None) -> int:
                     "under heteroscedastic noise.")
     parser.add_argument("--config", required=True, help="experiment file")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="scheduling hint; never affects results")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker threads for clt-check's cells (default: "
+                             "the CPUs available); never affects results")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 

@@ -32,7 +32,7 @@ def bandwidth(n: int, beta: float) -> float:
 
 
 def rate(n: int, beta: float) -> float:
-    """phi_n = n^(beta/(2 beta + 1)); satisfies rate^2 * bandwidth = n."""
+    """phi_n = n^(beta/(2 beta + 1)); satisfies rate^2 = n * bandwidth."""
     _check_n_beta(n, beta)
     return float(n) ** (beta / (2.0 * beta + 1.0))
 
@@ -88,14 +88,28 @@ class EstimatorConfig:
 
 
 def _window_indices(n: int, z0: float, h: float) -> tuple[int, int]:
+    """First and last k in [1, n] with |k/n - z0| <= h, in O(1) memory.
+
+    The search runs from guesses just outside floor/ceil of n(z0 -+ h)
+    inward, with the float comparison of the window's definition, so n is
+    never materialised as an index array (n can exceed 1e11 for the
+    lower bound's membership threshold).
+    """
+    def inside(k: int) -> bool:
+        return abs(k / n - z0) <= h
+
     lo_guess = max(1, int(math.floor(n * (z0 - h))) - 1)
     hi_guess = min(n, int(math.ceil(n * (z0 + h))) + 1)
-    ks = np.arange(lo_guess, hi_guess + 1)
-    inside = ks[np.abs(ks / n - z0) <= h]
-    if inside.size == 0:
+    k_lo = lo_guess
+    while k_lo <= hi_guess and not inside(k_lo):
+        k_lo += 1
+    if k_lo > hi_guess:
         raise ValueError(
             f"empty estimation window: no design point within {h} of {z0} for n={n}")
-    return int(inside[0]), int(inside[-1])
+    k_hi = hi_guess
+    while not inside(k_hi):
+        k_hi -= 1
+    return k_lo, k_hi
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import minimaxkern
 
-from minimaxkern import model
+from minimaxkern import cli, model
 from minimaxkern.cli import ConfigError, main, parse_config, run
 from minimaxkern.estimator import EstimatorConfig
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
@@ -213,14 +214,25 @@ noise_list = gaussian, laplace_std
 @pytest.fixture(scope="module")
 def clt_outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("clt")
-    assert run(parse_config(CLT_CFG), out_dir=str(out), quiet=True) == 0
+    assert run(parse_config(CLT_CFG), out_dir=str(out), quiet=True,
+               threads=1) == 0
     return out
 
 
 class TestCltCheckReproducibility:
+    # The reference run is serial.  CLT_CFG has 4 cells, so no test here
+    # runs more than 4 workers, whatever the default budget.
     def test_byte_identical_rerun(self, clt_outputs, tmp_path):
         assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
                    quiet=True) == 0
+        assert ((tmp_path / "clt_check.csv").read_bytes()
+                == (clt_outputs / "clt_check.csv").read_bytes())
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_thread_count_never_changes_csv(self, clt_outputs, tmp_path,
+                                            threads):
+        assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
+                   quiet=True, threads=threads) == 0
         assert ((tmp_path / "clt_check.csv").read_bytes()
                 == (clt_outputs / "clt_check.csv").read_bytes())
 
@@ -229,9 +241,56 @@ class TestCltCheckReproducibility:
                                             monkeypatch, budget):
         monkeypatch.setattr(model, "REPLICATION_BLOCK_BYTES", budget)
         assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
-                   quiet=True) == 0
+                   quiet=True, threads=2) == 0
         assert ((tmp_path / "clt_check.csv").read_bytes()
                 == (clt_outputs / "clt_check.csv").read_bytes())
+
+    @pytest.mark.parametrize("threads, cells, used", [
+        (1, 4, 1), (3, 4, 3), (4, 4, 4), (3, 2, 2)])
+    def test_manifest_records_workers_used(self, tmp_path, threads, cells,
+                                           used):
+        text = CLT_CFG if cells == 4 else CLT_CFG.replace(", 2000", "")
+        assert run(parse_config(text), out_dir=str(tmp_path), quiet=True,
+                   threads=threads) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["threads"] == used
+
+    def test_serial_commands_record_one_worker(self, tmp_path):
+        cfg = parse_config("command = lower-bound\nnu_list = 0.1\nb_list = 4\n")
+        assert run(cfg, out_dir=str(tmp_path), quiet=True, threads=2) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["threads"] == 1
+
+    def test_failing_cell_exits_three_without_outputs(self, tmp_path,
+                                                      monkeypatch):
+        real = cli.normal_approx_check
+
+        def failing(S, scale, noise, cfg, reps, seed):
+            if noise.label == "laplace_std" and cfg.n == 1000:
+                raise ValueError("injected cell failure")
+            return real(S, scale, noise, cfg, reps, seed)
+
+        monkeypatch.setattr(cli, "normal_approx_check", failing)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(CLT_CFG)
+        out = tmp_path / "out"
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(
+            ["--config", str(cfg_file), "--out", str(out), "--threads", "2",
+             "--quiet"])), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert codes == [3]
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_is_config_error(self, tmp_path, threads):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(CLT_CFG)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out),
+                     "--threads", threads, "--quiet"]) == 2
+        assert not list(out.glob("*"))
 
 
 class TestRunOtherCommands:

@@ -1,10 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from minimaxkern.estimator import (EstimatorConfig, bandwidth, decompose,
-                                   kernel_estimate, rate, sigma_n_limit_check,
-                                   sigma_n_sq)
+from minimaxkern.estimator import (EstimatorConfig, _window_indices, bandwidth,
+                                   decompose, kernel_estimate, rate,
+                                   sigma_n_limit_check, sigma_n_sq)
 from minimaxkern.model import (constant_fn, flat_scale, function_catalog,
                                rng_from_seed, sample_run, scale_catalog,
                                scale_eval, scale_profile)
@@ -45,9 +48,11 @@ class TestEstimatorConfig:
         assert (cfg_1e5.k_lo, cfg_1e5.k_hi) == (40_000, 60_000)
 
     def test_derived_identity(self):
-        for n in (37, 1000, 123_457):
-            cfg = EstimatorConfig(n=n, beta=1.7, z0=0.31)
-            assert cfg.phi_n ** 2 == pytest.approx(n * cfg.h, rel=1e-12)
+        # phi_n^2 = n h (not phi_n^2 h = n), up to the membership threshold
+        for beta in (2.0, 1.7, 1.5, 1.01):
+            for n in (37, 1000, 123_457, 10 ** 6, 188_061_091_002):
+                cfg = EstimatorConfig(n=n, beta=beta, z0=0.31)
+                assert cfg.phi_n ** 2 == pytest.approx(n * cfg.h, rel=1e-12)
 
     def test_window_count_approaches_2nh(self):
         # |q_n/(n h) - 2| <= 3/(n h) once the window fits inside [0, 1]
@@ -58,6 +63,38 @@ class TestEstimatorConfig:
                     continue
                 nh = n * cfg.h
                 assert abs(cfg.q_n / nh - 2.0) <= 3.0 / nh
+
+    @pytest.mark.parametrize("z0", [0.5, 0.3, 0.123])
+    @pytest.mark.parametrize("beta", [2.0, 1.5])
+    def test_window_indices_match_full_scan(self, z0, beta):
+        """The O(1) search returns the ends that a scan of every candidate
+        index with the same predicate finds."""
+        def full_scan(n, z0, h):
+            lo = max(1, int(math.floor(n * (z0 - h))) - 1)
+            hi = min(n, int(math.ceil(n * (z0 + h))) + 1)
+            ks = np.arange(lo, hi + 1)
+            inside = ks[np.abs(ks / n - z0) <= h]
+            return int(inside[0]), int(inside[-1])
+
+        rng = np.random.default_rng(20_07)
+        ns = [*rng.integers(1, 10 ** 6, 500), *range(10, 200),
+              *np.geomspace(200, 10 ** 7, 100).astype(int)]
+        for n in map(int, ns):
+            h = bandwidth(n, beta)
+            assert _window_indices(n, z0, h) == full_scan(n, z0, h), n
+
+    def test_builds_at_membership_threshold_in_bounded_memory(self):
+        n = 188_061_091_002  # criterion 6's n* for the nu = 0.1 bump
+        tracemalloc.start()
+        try:
+            cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert abs(cfg.q_n / (n * cfg.h) - 2.0) <= 3.0 / (n * cfg.h)
+        assert abs(cfg.k_lo / n - 0.5) <= cfg.h < abs((cfg.k_lo - 1) / n - 0.5)
+        assert abs(cfg.k_hi / n - 0.5) <= cfg.h < abs((cfg.k_hi + 1) / n - 0.5)
 
     def test_rejects_boundary_z0(self):
         with pytest.raises(ValueError):

@@ -24,3 +24,15 @@ def test_trace_driver_installs():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # clt-check imports concurrent.futures only when it runs a pool, so
+    # importing the CLI (the benchmark's set-up time) never pays for it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, minimaxkern.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
