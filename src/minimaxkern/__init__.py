@@ -28,7 +28,7 @@ from .model import (DesignGrid, FunctionSpec, NoiseSpec, ScaleSpec,
                     scale_eval, scale_frechet, zero_noise)
 from .risk import (EFFICIENCY_CONSTANT, RiskConfig, RiskReport, RiskRow,
                    default_family, exact_gaussian_risk, folded_normal_mean,
-                   monte_carlo_risk, sup_risk)
+                   monte_carlo_risk, sup_risk, sup_risks)
 
 __all__ = [
     "__version__",
@@ -46,7 +46,7 @@ __all__ = [
     "kernel_estimate", "decompose", "sigma_n_limit_check",
     # risk
     "RiskConfig", "RiskReport", "RiskRow", "folded_normal_mean",
-    "exact_gaussian_risk", "monte_carlo_risk", "sup_risk",
+    "exact_gaussian_risk", "monte_carlo_risk", "sup_risk", "sup_risks",
     "default_family",
     # lowerbound
     "PlateauKernel", "PerturbationSpec", "build_kernel",

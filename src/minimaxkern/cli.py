@@ -40,8 +40,11 @@ from .martingale import (normal_approx_check, truncation_report,
                          truncation_split)  # noqa: F401
 from .model import (ScaleSpec, constant_fn, function_catalog, get_noise,
                     noise_catalog, derive_seed, scale_eval)
-from .risk import (FAMILY_BUMP_NU, RiskConfig, default_family,
-                   family_candidates, sup_risk)
+# default_family and sup_risk are not called here, but bench/trace_driver.py
+# wraps them under this module's names, so the names stay importable from cli.
+from .risk import (DEFAULT_TABLE_LABELS, FAMILY_BUMP_NU, RiskConfig,
+                   default_family, family_bump, family_candidates,
+                   sup_risk, sup_risks)  # noqa: F401
 
 
 class ConfigError(Exception):
@@ -228,15 +231,10 @@ def _function_lookup(config: ExperimentConfig, n: int | None, delta: float, kern
     return lookup
 
 
-def _resolve_functions(config: ExperimentConfig, n: int | None, delta: float,
-                       kernel, default: Callable[[], list]) -> list:
-    """The curves named by ``function_list``; ``default()`` builds the
-    command's default list, and only when ``function_list`` asks for it."""
-    if tuple(config.function_list) == ("default",):
-        return default()
-    lookup = _function_lookup(config, n, delta, kernel)
+def _select(lookup: dict, labels) -> list:
+    """The curves of ``lookup`` named by ``labels``, in that order."""
     out = []
-    for label in config.function_list:
+    for label in labels:
         if label not in lookup:
             raise ConfigError(
                 f"unknown function label {label!r}; known: {sorted(lookup)}")
@@ -244,46 +242,74 @@ def _resolve_functions(config: ExperimentConfig, n: int | None, delta: float,
     return out
 
 
+def _resolve_functions(config: ExperimentConfig, n: int | None, delta: float,
+                       kernel, default: Callable[[], list]) -> list:
+    """The curves named by ``function_list``; ``default()`` builds the
+    command's default list, and only when ``function_list`` asks for it."""
+    if tuple(config.function_list) == ("default",):
+        return default()
+    return _select(_function_lookup(config, n, delta, kernel),
+                   config.function_list)
+
+
 def _risk_table(config: ExperimentConfig, threads: int
                ) -> tuple[list[str], list[list], dict]:
-    """Risk rows per (n, delta, function, noise), plus each member's
-    certification margins for the manifest: sup|S'| * delta and
+    """Risk rows per (n, delta, function, noise), plus two manifest entries.
+
+    ``certification`` holds each member's margins: sup|S'| * delta and
     max_defect / delta (both at most 1 when certified) and the probe
-    bandwidth of the largest defect."""
+    bandwidth of the largest defect.  ``counters`` holds the work done:
+    (n, delta) cells, draw streams (``replicate`` calls), values drawn and
+    certificates computed (reused ones are not counted)."""
     # Serial on purpose: its cells are small certification and decompose
     # steps that hold the interpreter lock, and a pool made them slower.
+    # Instead each unit of work is done once.  A delta's n-free curves are
+    # built once and reused at every n, so RiskConfig certifies each once;
+    # only the bump, whose shape follows n, is built per (n, delta).  At
+    # each n, every delta's family is scored on one stream per noise.
     scale = _scale_from(config)
     kernel = build_kernel(FAMILY_BUMP_NU)
     noises = [get_noise(l) for l in sorted(config.noise_list)]
+    deltas = sorted(config.delta_list)
+    labels = (DEFAULT_TABLE_LABELS if tuple(config.function_list) == ("default",)
+              else config.function_list)
+    n_free = {delta: _function_lookup(config, None, delta, None)
+              for delta in deltas}
     rows: list[list] = []
     margins: list[dict] = []
+    counters = dict.fromkeys(
+        ("cells", "draw_streams", "values_drawn", "certificates"), 0)
     for n in sorted(config.n_list):
         cfg = EstimatorConfig(n=n, beta=config.beta, z0=config.z0)
-        for delta in sorted(config.delta_list):
-            family = _resolve_functions(
-                config, n, delta, kernel,
-                default=lambda: default_family(config.z0, delta, config.beta,
-                                               n, kernel))
+        rcs = []
+        for delta in deltas:
+            bump = family_bump(config.z0, delta, config.beta, n, kernel)
+            family = _select({**n_free[delta], "bump": bump}, labels)
             try:  # RiskConfig certifies every member at delta
                 rc = RiskConfig(cfg=cfg, delta=delta, reps=config.reps,
                                 seed=config.seed, family=tuple(family),
                                 scale=scale, noise=noises[0])
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            rcs.append(rc)
+            counters["certificates"] += rc.new_certificates
             for S, rep in sorted(zip(rc.family, rc.reports),
                                  key=lambda pair: pair[0].label):
                 margins.append({"n": n, "delta": delta, "function": S.label,
                                 "sup_deriv_times_delta": rep.sup_deriv * delta,
                                 "max_defect_over_delta": rep.max_defect / delta,
                                 "worst_h": rep.worst_h})
-            report = sup_risk(rc, noises=noises)
+        for rc, report in zip(rcs, sup_risks(rcs, noises)):
             for row in sorted(report.rows, key=lambda r: (r.function, r.noise)):
-                rows.append([n, config.beta, config.z0, delta, row.function,
+                rows.append([n, config.beta, config.z0, rc.delta, row.function,
                              row.noise, cfg.q_n, cfg.phi_n, row.risk_mc,
                              row.stderr, row.risk_oracle, row.phin_bn])
+        counters["cells"] += len(rcs)
+        counters["draw_streams"] += len(noises)
+        counters["values_drawn"] += len(noises) * config.reps * cfg.q_n
     columns = ["n", "beta", "z0", "delta", "function", "noise", "qn", "phin",
                "risk_mc", "stderr", "risk_oracle", "bias_phin_Bn"]
-    return columns, rows, {"certification": margins}
+    return columns, rows, {"certification": margins, "counters": counters}
 
 
 def _lower_bound(config: ExperimentConfig, threads: int

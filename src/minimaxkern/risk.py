@@ -5,22 +5,29 @@ estimator error is B_n + (1/q_n) sum_k g(x_k, S) xi_k over the window.
 Monte Carlo replication i draws only the q_n window noises, as row i of
 the stream of rng_from_seed(seed) read as a (reps, q_n) array (see
 ``model.replicate``), and every family member is scored on those same
-draws.  B_n keeps its exactly rounded window sum; the noise sum is a numpy
-reduction along each contiguous row, so Monte Carlo values repeat exactly
-on one platform and numpy build, whatever the block size, but are not
-promised bit-identical across platforms or builds.
+draws.  ``sup_risks`` scores several configs that share the operating
+point, replication budget, seed and scale (a risk table's deltas at one n)
+on one such stream per noise, so each stream is drawn once.  B_n keeps its
+exactly rounded window sum; the noise sum is a numpy reduction along each
+contiguous row, so Monte Carlo values repeat exactly on one platform and
+numpy build, whatever the block size, but are not promised bit-identical
+across platforms or builds.
 Under Gaussian noise the error is exactly B_n + N(0, sigma_n^2/q_n), so
 the risk has a folded-normal closed form that serves as the exact oracle
 for every Monte Carlo run.  Worst-case behaviour over the weak local
 class is probed by taking the maximum over a finite certified family
 (constants, tilts, odd oscillations, even dips and window-scaled plateau
-bumps).
+bumps).  A certificate depends only on the curve and (z0, delta, beta), so
+it is computed once per curve object and reused by every config that holds
+that object; only the plateau bump's shape follows n.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -48,15 +55,35 @@ def folded_normal_mean(m: float, s: float) -> float:
         + m * math.erf(z / math.sqrt(2.0))
 
 
+# Weak-class certificates by curve object, then by (z0, delta, beta).  The
+# keys are weak: an entry lives only as long as its curve, so a family that
+# is rebuilt is certified afresh.
+_CERTIFICATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _certificate(S: FunctionSpec, params: WeakHolderParams
+                 ) -> tuple[WeakHolderReport, bool]:
+    """S's certificate at ``params`` (default probe grid) and whether it was
+    computed now rather than reused."""
+    by_point = _CERTIFICATES.setdefault(S, {})
+    key = (params.z0, params.delta, params.beta)
+    if key in by_point:
+        return by_point[key], False
+    report = by_point[key] = check_weak_holder(S, params)
+    return report, True
+
+
 @dataclass(frozen=True)
 class RiskConfig:
     """Risk experiment: operating point, class budget delta, replication
     budget, master seed, certified function family, scale and noise.
 
     Building a RiskConfig is the one place a risk family is certified:
-    every member is checked once against the weak local class at
-    (z0, delta, beta), and any rejected member raises ValueError.  The
-    certificates are kept in ``reports``, in family order.
+    every member is checked against the weak local class at
+    (z0, delta, beta), and any rejected member raises ValueError.  A
+    member object certified at the same (z0, delta, beta) before reuses
+    that certificate.  The certificates are kept in ``reports``, in family
+    order; ``new_certificates`` counts those computed for this config.
     """
 
     cfg: EstimatorConfig
@@ -68,6 +95,7 @@ class RiskConfig:
     noise: NoiseSpec
     reports: tuple[WeakHolderReport, ...] = field(
         init=False, repr=False, compare=False)
+    new_certificates: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < 1.0):
@@ -78,14 +106,16 @@ class RiskConfig:
             raise ValueError("family must be nonempty")
         object.__setattr__(self, "family", tuple(self.family))
         params = WeakHolderParams(z0=self.cfg.z0, delta=self.delta, beta=self.cfg.beta)
-        reports = tuple(check_weak_holder(S, params) for S in self.family)
-        rejected = [S.label for S, rep in zip(self.family, reports)
+        certs = [_certificate(S, params) for S in self.family]
+        rejected = [S.label for S, (rep, _) in zip(self.family, certs)
                     if not rep.certified]
         if rejected:
             raise ValueError(
                 f"family members fail weak local certification at "
                 f"delta={self.delta}: {rejected}")
-        object.__setattr__(self, "reports", reports)
+        object.__setattr__(self, "reports", tuple(rep for rep, _ in certs))
+        object.__setattr__(self, "new_certificates",
+                           sum(new for _, new in certs))
 
 
 @dataclass(frozen=True)
@@ -169,32 +199,60 @@ def monte_carlo_risk(S: FunctionSpec, rc: RiskConfig) -> tuple[float, float]:
     return _family_risk([decompose(S, rc.scale, rc.cfg)], rc, rc.noise)[0]
 
 
+def sup_risks(rcs: Sequence[RiskConfig],
+              noises: Sequence[NoiseSpec]) -> list[RiskReport]:
+    """``sup_risk`` of every config in ``rcs``, from one stream per noise.
+
+    The configs must share ``cfg``, ``reps``, ``seed`` and ``scale``
+    (ValueError otherwise); their families are scored together on common
+    draws, one ``replicate`` call per noise.  Members are scored one at a
+    time (see ``_family_stats``), so each report equals the one a config
+    scored on its own would give, bit for bit.
+    """
+    rcs, noise_list = list(rcs), list(noises)
+    if not rcs:
+        raise ValueError("need at least one risk config")
+    if not noise_list:
+        raise ValueError("need at least one noise")
+    first = rcs[0]
+    for name in ("cfg", "reps", "seed", "scale"):
+        if any(getattr(rc, name) != getattr(first, name) for rc in rcs[1:]):
+            raise ValueError(f"configs scored on shared draws must share "
+                             f"{name}")
+    cfg = first.cfg
+    decs = [[decompose(S, first.scale, cfg) for S in rc.family] for rc in rcs]
+    flat = [d for family_decs in decs for d in family_decs]
+    risks = [_family_risk(flat, first, noise) for noise in noise_list]
+    reports: list[RiskReport] = []
+    j = 0  # index of a member in the scored, flattened families
+    for rc, family_decs in zip(rcs, decs):
+        rows: list[RiskRow] = []
+        best = None
+        for S, dec in zip(rc.family, family_decs):
+            for noise, cell in zip(noise_list, risks):
+                mc, se = cell[j]
+                oracle = _gaussian_oracle(dec, cfg) if noise.gaussian else None
+                rows.append(RiskRow(function=S.label, noise=noise.label,
+                                    risk_mc=mc, stderr=se, risk_oracle=oracle,
+                                    phin_bn=cfg.phi_n * dec.b_n))
+                if best is None or mc > best[0]:
+                    best = (mc, S.label, noise.label)
+            j += 1
+        assert best is not None
+        reports.append(RiskReport(rows=tuple(rows), sup_risk=best[0],
+                                  attained_by=(best[1], best[2])))
+    return reports
+
+
 def sup_risk(rc: RiskConfig, noises: list[NoiseSpec] | None = None) -> RiskReport:
     """Monte Carlo risk per (function, noise) pair and the family supremum.
 
     Each member is decomposed once; per noise, every member is scored on
-    common draws (common random numbers).  The family was certified when
-    ``rc`` was built, so cells are not re-certified.
+    common draws (common random numbers).  ``noises`` defaults to
+    ``[rc.noise]``.  The family was certified when ``rc`` was built, so
+    cells are not re-certified.  This is ``sup_risks`` on one config.
     """
-    noise_list = list(noises) if noises is not None else [rc.noise]
-    if not noise_list:
-        raise ValueError("need at least one noise")
-    decs = [decompose(S, rc.scale, rc.cfg) for S in rc.family]
-    risks = [_family_risk(decs, rc, noise) for noise in noise_list]
-    rows: list[RiskRow] = []
-    best = None
-    for j, (S, dec) in enumerate(zip(rc.family, decs)):
-        for noise, cell in zip(noise_list, risks):
-            mc, se = cell[j]
-            oracle = _gaussian_oracle(dec, rc.cfg) if noise.gaussian else None
-            rows.append(RiskRow(function=S.label, noise=noise.label,
-                                risk_mc=mc, stderr=se, risk_oracle=oracle,
-                                phin_bn=rc.cfg.phi_n * dec.b_n))
-            if best is None or mc > best[0]:
-                best = (mc, S.label, noise.label)
-    assert best is not None
-    return RiskReport(rows=tuple(rows), sup_risk=best[0],
-                      attained_by=(best[1], best[2]))
+    return sup_risks([rc], [rc.noise] if noises is None else noises)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +293,7 @@ def family_candidates(z0: float, delta: float, beta: float,
                  lambda x: 6.0 * (x - z0) ** 2),
     ]
     if n is not None:
-        kern = kernel if kernel is not None else build_kernel(FAMILY_BUMP_NU)
-        amp = min(1.0, 2.2 * delta)
-        pert = PerturbationSpec(kernel=kern, u=amp, n=int(n), beta=beta, z0=z0)
-        cands.append(pert.to_function(label="bump"))
+        cands.append(family_bump(z0, delta, beta, n, kernel))
     cands.extend([
         FunctionSpec("odd_wiggle",
                  lambda x: (inv / 24.0) * np.sin(12.0 * (x - z0)),
@@ -248,6 +303,17 @@ def family_candidates(z0: float, delta: float, beta: float,
                  lambda x: 16.0 * delta * _cube(x - z0)),
     ])
     return cands
+
+
+def family_bump(z0: float, delta: float, beta: float, n: int,
+                kernel: PlateauKernel | None = None) -> FunctionSpec:
+    """The plateau bump of ``family_candidates``: the one candidate whose
+    shape follows n (its width is the estimation window at n)."""
+    kern = kernel if kernel is not None else build_kernel(FAMILY_BUMP_NU)
+    amp = min(1.0, 2.2 * delta)
+    pert = PerturbationSpec(kernel=kern, u=amp, n=int(n), beta=beta,
+                            z0=float(z0))
+    return pert.to_function(label="bump")
 
 
 DEFAULT_TABLE_LABELS = ("const_plus", "odd_sine", "cos_dip", "bowl", "bump")

@@ -16,7 +16,7 @@ from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.model import ScaleSpec, get_noise
 from minimaxkern import risk as risk_module
 from minimaxkern.risk import (DEFAULT_TABLE_LABELS, RiskConfig, default_family,
-                              monte_carlo_risk)
+                              monte_carlo_risk, sup_risk)
 
 
 class TestParseConfig:
@@ -432,38 +432,135 @@ class TestMainEntry:
 
 
 def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):
-    """Default-family risk-table: five certificates per (n, delta) cell,
-    none repeated."""
-    member_n: dict[int, int] = {}
+    """Default-family risk-table: each distinct (curve, delta) is certified
+    once per run, so a delta's n-free members are certified at the first n
+    only and the bump at every n; each (n, noise) stream is drawn once."""
     members: list = []  # keeps ids unique
-    calls: list[tuple[str, int, float]] = []
-    real_candidates = risk_module.family_candidates
+    calls: list[tuple[int, float]] = []
+    scored: list = []
+    streams: list[tuple[int, int]] = []
     real_check = risk_module.check_weak_holder
-
-    def candidates(z0, delta, beta, n=None, kernel=None):
-        out = real_candidates(z0, delta, beta, n, kernel)
-        members.extend(out)
-        member_n.update((id(S), n) for S in out)
-        return out
+    real_replicate = risk_module.replicate
+    real_sup_risks = risk_module.sup_risks
 
     def check(S, params, *args, **kwargs):
-        calls.append((S.label, member_n[id(S)], params.delta))
+        members.append(S)
+        calls.append((id(S), params.delta))
         return real_check(S, params, *args, **kwargs)
 
-    monkeypatch.setattr(risk_module, "family_candidates", candidates)
+    def replicate(noise, q_n, reps, seed, stat):
+        streams.append((q_n, reps))
+        return real_replicate(noise, q_n, reps, seed, stat)
+
+    def sup_risks(rcs, noises):
+        scored.extend(rcs)
+        return real_sup_risks(rcs, noises)
+
     monkeypatch.setattr(risk_module, "check_weak_holder", check)
+    monkeypatch.setattr(risk_module, "replicate", replicate)
+    monkeypatch.setattr(cli, "sup_risks", sup_risks)
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
         "command = risk-table\nn_list = 400, 1000\ndelta_list = 0.2, 0.1\n"
-        "reps = 10\n")
+        "reps = 10\nnoise_list = gaussian, rademacher\n")
     assert main(["--config", str(cfg_file), "--out", str(tmp_path / "o"),
                  "--quiet"]) == 0
-    assert len(calls) == 20
-    assert len(set(calls)) == 20
-    for n in (400, 1000):
-        for delta in (0.2, 0.1):
-            cell = sorted(lab for lab, m, d in calls if (m, d) == (n, delta))
-            assert cell == sorted(DEFAULT_TABLE_LABELS)
+    # 4 n-free members x 2 deltas, plus one bump per (n, delta)
+    assert len(calls) == 4 * 2 + 2 * 2
+    assert len(set(calls)) == len(calls)
+    assert sorted((rc.cfg.n, rc.delta) for rc in scored) == [
+        (n, delta) for n in (400, 1000) for delta in (0.1, 0.2)]
+    for rc in scored:
+        assert [S.label for S in rc.family] == list(DEFAULT_TABLE_LABELS)
+        assert all((id(S), rc.delta) in calls for S in rc.family)
+    # one stream per (n, noise), shared by both deltas
+    qn = {n: EstimatorConfig(n=n, beta=2.0, z0=0.5).q_n for n in (400, 1000)}
+    assert sorted(streams) == sorted([(qn[n], 10) for n in (400, 1000)] * 2)
+    counters = json.loads((tmp_path / "o" / "manifest.json").read_text())["counters"]
+    assert counters["draw_streams"] == len(streams) == 2 * 2
+    assert counters["certificates"] == len(calls)
+
+
+# Multi-delta risk-table: at each n every delta shares one stream per noise.
+MULTI_DELTA_CFG = """
+command = risk-table
+n_list = 400, 1000
+delta_list = 0.2, 0.1, 0.05
+reps = 40
+seed = 11
+noise_list = gaussian, rademacher, student5_std
+"""
+
+
+@pytest.fixture(scope="module")
+def multi_delta_outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("risk_multi")
+    assert run(parse_config(MULTI_DELTA_CFG), out_dir=str(out), quiet=True) == 0
+    return out
+
+
+class TestRiskTableSharedDraws:
+    def test_rows_equal_separate_cells(self):
+        """Every row equals, bit for bit, the row of its (n, delta) cell
+        scored on its own through sup_risk."""
+        config = parse_config(MULTI_DELTA_CFG)
+        _, rows, _ = cli._risk_table(config, 1)
+        noises = [get_noise(l) for l in sorted(config.noise_list)]
+        scale = ScaleSpec(1.0, 0.5, 0.5, 0.5)
+        expected = []
+        for n in (400, 1000):
+            cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+            for delta in (0.05, 0.1, 0.2):
+                rc = RiskConfig(cfg=cfg, delta=delta, reps=40, seed=11,
+                                family=tuple(default_family(0.5, delta, 2.0, n)),
+                                scale=scale, noise=noises[0])
+                report = sup_risk(rc, noises)
+                for r in sorted(report.rows, key=lambda r: (r.function, r.noise)):
+                    expected.append([n, 2.0, 0.5, delta, r.function, r.noise,
+                                     cfg.q_n, cfg.phi_n, r.risk_mc, r.stderr,
+                                     r.risk_oracle, r.phin_bn])
+        assert len(rows) == 2 * 3 * 5 * 3
+        for got, want in zip(rows, expected):
+            assert got == want  # exact, not approx
+
+    def test_margins_equal_fresh_certificates(self, multi_delta_outputs):
+        entries = json.loads((multi_delta_outputs / "manifest.json")
+                             .read_text())["certification"]
+        assert [(e["n"], e["delta"], e["function"]) for e in entries] == [
+            (n, delta, label) for n in (400, 1000) for delta in (0.05, 0.1, 0.2)
+            for label in sorted(DEFAULT_TABLE_LABELS)]
+        for e in entries:
+            family = {S.label: S for S in
+                      default_family(0.5, e["delta"], 2.0, e["n"])}
+            params = WeakHolderParams(z0=0.5, delta=e["delta"], beta=2.0)
+            rep = check_weak_holder(family[e["function"]], params)
+            assert e["sup_deriv_times_delta"] == rep.sup_deriv * e["delta"]
+            assert e["max_defect_over_delta"] == rep.max_defect / e["delta"]
+            assert e["worst_h"] == rep.worst_h
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+    def test_block_budget_never_changes_csv(self, multi_delta_outputs,
+                                            tmp_path, monkeypatch, budget):
+        monkeypatch.setattr(model, "REPLICATION_BLOCK_BYTES", budget)
+        assert run(parse_config(MULTI_DELTA_CFG), out_dir=str(tmp_path),
+                   quiet=True) == 0
+        assert ((tmp_path / "risk_table.csv").read_bytes()
+                == (multi_delta_outputs / "risk_table.csv").read_bytes())
+
+    def test_counters_on_small_n_grid(self, tmp_path):
+        # the shape of the benchmark's risk_grid_small_n command
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            "command = risk-table\nn_list = 1000, 3000\n"
+            "delta_list = 0.2, 0.1, 0.05\nreps = 10\nnoise_list = gaussian, "
+            "laplace_std, rademacher, student5_std, uniform_std\n")
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+        counters = json.loads((tmp_path / "o" / "manifest.json")
+                              .read_text())["counters"]
+        qn = sum(EstimatorConfig(n=n, beta=2.0, z0=0.5).q_n for n in (1000, 3000))
+        assert counters == {"cells": 6, "draw_streams": 10,
+                            "values_drawn": 5 * 10 * qn, "certificates": 18}
 
 
 # Each command on a small config; clt-check covers every catalog noise.

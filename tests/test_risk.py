@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from minimaxkern import model
+from minimaxkern import risk as risk_module
 from minimaxkern.estimator import EstimatorConfig, decompose
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.model import (FunctionSpec, constant_fn, flat_scale,
@@ -15,7 +18,8 @@ from minimaxkern.model import (FunctionSpec, constant_fn, flat_scale,
 from minimaxkern.risk import (DEFAULT_TABLE_LABELS, EFFICIENCY_CONSTANT,
                               RiskConfig, _family_stats,
                               default_family, exact_gaussian_risk,
-                              folded_normal_mean, monte_carlo_risk, sup_risk)
+                              folded_normal_mean, monte_carlo_risk, sup_risk,
+                              sup_risks)
 
 
 class TestFoldedNormalMean:
@@ -212,6 +216,47 @@ class TestSupRisk:
         assert sup_risk(rc) == sup_risk(rc)
 
 
+class TestSupRisks:
+    def _configs(self, scale, noise, n=1_000):
+        cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+        return [RiskConfig(cfg=cfg, delta=delta, reps=50, seed=4,
+                           family=tuple(default_family(0.5, delta, 2.0, n)),
+                           scale=scale, noise=noise)
+                for delta in (0.2, 0.1)]
+
+    def test_equals_configs_scored_alone(self, mixed_scale, gaussian):
+        noises = [gaussian, get_noise("laplace_std")]
+        rcs = self._configs(mixed_scale, gaussian)
+        assert sup_risks(rcs, noises) == [sup_risk(rc, noises) for rc in rcs]
+
+    def test_one_stream_per_noise(self, mixed_scale, gaussian, monkeypatch):
+        calls = []
+
+        def counting(noise, q_n, reps, seed, stat):
+            calls.append(noise.label)
+            return replicate(noise, q_n, reps, seed, stat)
+
+        monkeypatch.setattr(risk_module, "replicate", counting)
+        noises = [gaussian, get_noise("rademacher")]
+        sup_risks(self._configs(mixed_scale, gaussian), noises)
+        assert calls == ["gaussian", "rademacher"]
+
+    @pytest.mark.parametrize("name", ["cfg", "reps", "seed", "scale"])
+    def test_configs_must_share_draw_fields(self, mixed_scale, gaussian, name):
+        rcs = self._configs(mixed_scale, gaussian)
+        other = {"cfg": EstimatorConfig(n=1_001, beta=2.0, z0=0.5),
+                 "reps": 51, "seed": 5, "scale": flat_scale()}[name]
+        rcs[1] = dataclasses.replace(rcs[1], **{name: other})
+        with pytest.raises(ValueError, match=name):
+            sup_risks(rcs, [gaussian])
+
+    def test_rejects_empty_inputs(self, mixed_scale, gaussian):
+        with pytest.raises(ValueError):
+            sup_risks([], [gaussian])
+        with pytest.raises(ValueError):
+            sup_risks(self._configs(mixed_scale, gaussian), [])
+
+
 class TestRiskConfigValidation:
     def test_uncertified_member_rejected(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
@@ -228,6 +273,41 @@ class TestRiskConfigValidation:
                         scale=mixed_scale, noise=gaussian)
         params = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
         assert rc.reports == tuple(check_weak_holder(S, params) for S in fam)
+
+    def test_reuses_certificate_of_same_curve(self, mixed_scale, gaussian,
+                                              monkeypatch):
+        calls = []
+
+        def counting(S, params):
+            calls.append((S.label, params.delta))
+            return check_weak_holder(S, params)
+
+        monkeypatch.setattr(risk_module, "check_weak_holder", counting)
+        fam = tuple(default_family(0.5, 0.1, 2.0, 1_000))
+        built = [RiskConfig(cfg=EstimatorConfig(n=n, beta=2.0, z0=0.5),
+                            delta=0.1, reps=10, seed=0, family=fam,
+                            scale=mixed_scale, noise=gaussian)
+                 for n in (1_000, 2_000)]
+        assert [rc.new_certificates for rc in built] == [5, 0]
+        assert built[0].reports == built[1].reports
+        assert len(calls) == 5
+        # another delta, or a rebuilt curve, is certified afresh
+        RiskConfig(cfg=built[0].cfg, delta=0.2, reps=10, seed=0,
+                   family=fam[:1], scale=mixed_scale, noise=gaussian)
+        rebuilt = tuple(default_family(0.5, 0.1, 2.0, 1_000))[:1]
+        RiskConfig(cfg=built[0].cfg, delta=0.1, reps=10, seed=0,
+                   family=rebuilt, scale=mixed_scale, noise=gaussian)
+        assert calls[5:] == [("const_plus", 0.2), ("const_plus", 0.1)]
+
+    def test_certificate_memo_lets_curves_go(self, mixed_scale, gaussian):
+        S = constant_fn(0.3, "transient")
+        RiskConfig(cfg=EstimatorConfig(n=1_000, beta=2.0, z0=0.5), delta=0.1,
+                   reps=10, seed=0, family=(S,), scale=mixed_scale,
+                   noise=gaussian)
+        ref = weakref.ref(S)
+        del S
+        gc.collect()
+        assert ref() is None
 
     def test_empty_family_rejected(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
