@@ -21,11 +21,11 @@ from .martingale import (RealizedSplit, TruncationReport, normal_approx_check,
                          tail_second_moment, truncated_mean,
                          truncated_variance, truncation_report,
                          truncation_split, zeta_dd_moment_check)
-from .model import (DesignGrid, FunctionSpec, NoiseSpec, ScaleSpec,
-                    certify_noise, constant_fn, derive_seed, design_grid,
-                    flat_scale, function_catalog, get_noise, linear_fn,
-                    noise_catalog, replicate, sample_run, scale_catalog,
-                    scale_eval, scale_frechet, zero_noise)
+from .model import (FunctionSpec, NoiseSpec, ScaleSpec, certify_noise,
+                    constant_fn, derive_seed, design_grid, flat_scale,
+                    function_catalog, get_noise, linear_fn, noise_catalog,
+                    replicate, sample_run, scale_catalog, scale_eval,
+                    scale_frechet, zero_noise)
 from .risk import (EFFICIENCY_CONSTANT, RiskConfig, RiskReport, RiskRow,
                    default_family, exact_gaussian_risk, folded_normal_mean,
                    monte_carlo_risk, sup_risk, sup_risks)
@@ -34,7 +34,7 @@ __all__ = [
     "__version__",
     "EFFICIENCY_CONSTANT",
     # model
-    "DesignGrid", "FunctionSpec", "ScaleSpec", "NoiseSpec",
+    "FunctionSpec", "ScaleSpec", "NoiseSpec",
     "design_grid", "scale_eval", "scale_frechet", "sample_run",
     "certify_noise", "noise_catalog", "get_noise", "zero_noise",
     "scale_catalog", "flat_scale", "function_catalog",

@@ -8,8 +8,9 @@ closed window [z0 - h, z0 + h] with bandwidth h = n^(-1/(2 beta + 1)):
 Its centered error splits into a deterministic bias B_n plus a Gaussian
 (or CLT-normalized) average of the noise.  The bias itself splits into the
 window integral of S - S(z0) plus a Riemann gap R_n that is O(1/n) on the
-weak local class.  All window sums run ascending in k through an exactly
-rounded compensated sum, so results are bit-stable across platforms.
+weak local class.  This module's window sums run ascending in k through
+an exactly rounded compensated sum, so results are bit-stable across
+platforms.
 """
 
 from __future__ import annotations
@@ -123,10 +124,11 @@ class DecompositionReport:
     sigma_n_sq     window average of g^2(x_k, S)
     g0             g(z0, S), the risk's normalizer
     g_window       g(x_k, S) over the window, ascending in k
+
+    g0 and g_window are ``window_profile``'s; q_n is the config's.
     """
 
     estimate: float
-    q_n: int
     b_n: float
     integral_term: float
     r_n: float
@@ -145,10 +147,33 @@ def kernel_estimate(y: np.ndarray, cfg: EstimatorConfig) -> tuple[float, int]:
     return window_sum(y[cfg.window_slice]) / cfg.q_n, cfg.q_n
 
 
+def window_profile(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig
+                   ) -> tuple[np.ndarray, float]:
+    """(g(x_k, S) over the window ascending in k, g(z0, S)).
+
+    Every window quantity that depends on the noise profile (the
+    decomposition, the CLT split's weights, the lower bound's shift
+    statistics) reads it from here.  One V-integral serves the window and
+    z0: g(z0, S) rides at the end of the evaluated points.
+    """
+    # cfg.window_x plus a slot for z0, built in place: no second window copy
+    x = np.arange(cfg.k_lo, cfg.k_hi + 2, dtype=float)
+    x /= cfg.n
+    x[-1] = cfg.z0
+    g = scale_profile(scale, x, S)
+    return g[:-1], float(g[-1])
+
+
 def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,
               xi: np.ndarray | None = None) -> DecompositionReport:
-    """Bias/variance decomposition; with known draws xi it reconstructs the
-    full estimate through the same observation model as the sampler."""
+    """Bias/variance decomposition over the estimation window.
+
+    With known draws xi (all n, or the q_n window ones) the estimate is
+    window_sum(S(x_k) + g(x_k, S) xi_k) / q_n, bitwise ``kernel_estimate``
+    on the same observations; without, the noise-free mean S(z0) + B_n.
+    """
+    # profile first: its temporaries go before the window arrays (peak RSS)
+    g_window, g0 = window_profile(S, scale, cfg)
     xw = cfg.window_x
     s0 = float(S.eval(cfg.z0))
     s_vals = S.eval(xw)
@@ -159,9 +184,6 @@ def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,
         -1.0, 1.0, INTEGRAL_QUAD_PANELS)
     r_n = cfg.q_n * b_n / cfg.phi_n ** 2 - integral_term
 
-    # one V-integral for the window and z0: g(z0, S) rides at the end
-    g = scale_profile(scale, np.append(xw, cfg.z0), S)
-    g_window, g0 = g[:-1], float(g[-1])
     sigma_n_sq = window_sum(g_window ** 2) / cfg.q_n
 
     if xi is None:
@@ -179,7 +201,6 @@ def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,
 
     return DecompositionReport(
         estimate=float(estimate),
-        q_n=cfg.q_n,
         b_n=float(b_n),
         integral_term=float(integral_term),
         r_n=float(r_n),
@@ -187,12 +208,6 @@ def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,
         g0=g0,
         g_window=g_window,
     )
-
-
-def sigma_n_sq(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig) -> float:
-    """Window average of g^2(x_k, S), the variance of the normalized noise sum."""
-    g_window = scale_profile(scale, cfg.window_x, S)
-    return window_sum(g_window ** 2) / cfg.q_n
 
 
 @dataclass(frozen=True)
@@ -209,11 +224,12 @@ def sigma_n_limit_check(S: FunctionSpec, scale: ScaleSpec, z0: float, beta: floa
     ns = [int(n) for n in n_sequence]
     if any(b > a for a, b in zip(ns[1:], ns)):
         raise ValueError("n_sequence must be increasing")
-    g0_sq = float(scale_profile(scale, np.asarray([z0]), S)[0] ** 2)
     rows = []
     for n in ns:
         cfg = EstimatorConfig(n=n, beta=beta, z0=z0)
-        s = sigma_n_sq(S, scale, cfg)
+        g_window, g0 = window_profile(S, scale, cfg)
+        s = window_sum(g_window ** 2) / cfg.q_n
+        g0_sq = g0 ** 2
         rows.append(SigmaRow(n=n, sigma_n_sq=s, g_sq_z0=g0_sq,
                              abs_gap=abs(s - g0_sq)))
     return rows

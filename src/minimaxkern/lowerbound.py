@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimator import EstimatorConfig, bandwidth, rate
-from .model import FunctionSpec, ScaleSpec, constant_fn, scale_eval, scale_profile
+from .estimator import EstimatorConfig, window_profile
+from .model import FunctionSpec, ScaleSpec, constant_fn, scale_eval
 from .numerics import composite_simpson
 
 BUMP_SEGMENTS = 4096
@@ -194,38 +194,31 @@ def build_kernel(nu: float) -> PlateauKernel:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Window-localized perturbation S(x) = (u/phi_n) V_nu((x - z0)/h)."""
+    """Window-localized perturbation S(x) = (u/phi_n) V_nu((x - z0)/h).
+
+    ``cfg`` is the operating point (n, beta, z0); it validates them and
+    owns h, phi_n and the window.
+    """
 
     kernel: PlateauKernel
     u: float
     n: int
     beta: float
     z0: float
+    cfg: EstimatorConfig = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not (1.0 < self.beta <= 2.0):
-            raise ValueError(f"beta must lie in (1, 2], got {self.beta}")
-        if not (0.0 < self.z0 < 1.0):
-            raise ValueError("z0 must lie in (0, 1)")
-
-    @property
-    def h(self) -> float:
-        return bandwidth(self.n, self.beta)
-
-    @property
-    def phi_n(self) -> float:
-        return rate(self.n, self.beta)
+        object.__setattr__(self, "cfg", EstimatorConfig(
+            n=self.n, beta=self.beta, z0=self.z0))
 
     @property
     def amplitude(self) -> float:
         """Peak value u/phi_n at z0."""
-        return self.u / self.phi_n
+        return self.u / self.cfg.phi_n
 
     def to_function(self, label: str | None = None) -> FunctionSpec:
         amp = self.amplitude
-        h, z0, kern = self.h, self.z0, self.kernel
+        h, z0, kern = self.cfg.h, self.z0, self.kernel
         return FunctionSpec(
             label=label or f"bump(nu={kern.nu:g},u={self.u:g},n={self.n})",
             eval=lambda x: amp * kern.values((x - z0) / h),
@@ -255,15 +248,13 @@ def min_n_membership(nu: float, delta: float, beta: float, l_prime_sup: float) -
 
 
 def _window_terms(pert: PerturbationSpec, scale: ScaleSpec
-                  ) -> tuple[np.ndarray, np.ndarray, slice, float]:
-    """(V values, g values, window slice, varsigma_n^2) on the design
-    points that matter."""
-    cfg = EstimatorConfig(n=pert.n, beta=pert.beta, z0=pert.z0)
-    xw = cfg.window_x
-    vvals = pert.kernel.values((xw - pert.z0) / pert.h)
-    g_w = scale_profile(scale, xw, pert.to_function())
-    vs = float(np.sum((vvals / g_w) ** 2)) / pert.phi_n ** 2
-    return vvals, g_w, cfg.window_slice, vs
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(V values, g values, varsigma_n^2) over the estimation window."""
+    cfg = pert.cfg
+    vvals = pert.kernel.values((cfg.window_x - cfg.z0) / cfg.h)
+    g_w = window_profile(pert.to_function(), scale, cfg)[0]
+    vs = float(np.sum((vvals / g_w) ** 2)) / cfg.phi_n ** 2
+    return vvals, g_w, vs
 
 
 def varsigma_sq(pert: PerturbationSpec, scale: ScaleSpec) -> tuple[float, float]:
@@ -273,7 +264,7 @@ def varsigma_sq(pert: PerturbationSpec, scale: ScaleSpec) -> tuple[float, float]
     varsigma_n^2 = (1/phi_n^2) sum_k V_nu^2((x_k-z0)/h) / g^2(x_k, S) and
     sigma_nu^2 = int_{-1}^{1} V_nu^2 / g^2(z0, 0).
     """
-    vs = _window_terms(pert, scale)[3]
+    vs = _window_terms(pert, scale)[2]
     g0 = scale_eval(scale, pert.z0, constant_fn(0.0))
     return vs, pert.kernel.sq_integral / g0 ** 2
 
@@ -288,9 +279,10 @@ def shift_statistic(pert: PerturbationSpec, scale: ScaleSpec,
     y = np.asarray(y, dtype=float)
     if y.shape != (pert.n,):
         raise ValueError(f"expected {pert.n} observations, got shape {y.shape}")
-    vvals, g_w, win, vs = _window_terms(pert, scale)
+    vvals, g_w, vs = _window_terms(pert, scale)
     varsigma = math.sqrt(vs)
-    eta = float(np.sum(vvals * y[win] / g_w ** 2)) / (varsigma * pert.phi_n)
+    eta = float(np.sum(vvals * y[pert.cfg.window_slice] / g_w ** 2)) / (
+        varsigma * pert.cfg.phi_n)
     return eta, varsigma
 
 

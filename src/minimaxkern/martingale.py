@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import EstimatorConfig
-from .model import (FunctionSpec, NoiseSpec, ScaleSpec, replicate,
-                    rng_from_seed, scale_eval, scale_profile)
+from .estimator import EstimatorConfig, window_profile
+from .model import FunctionSpec, NoiseSpec, ScaleSpec, replicate, rng_from_seed
 from .numerics import ks_statistic, normal_cdf
 
 
@@ -99,7 +98,8 @@ class RealizedSplit:
 def _window_weights(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig
                     ) -> np.ndarray:
     """g(x_k,S)/g(z0,S) over the window."""
-    return scale_profile(scale, cfg.window_x, S) / scale_eval(scale, cfg.z0, S)
+    g_window, g0 = window_profile(S, scale, cfg)
+    return g_window / g0
 
 
 def truncation_report(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,

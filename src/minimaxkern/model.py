@@ -35,24 +35,11 @@ SCALE_QUAD_PANELS = 2048
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DesignGrid:
-    """Equispaced design x_k = k/n, k = 1..n."""
-
-    n: int
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("sample size n must be >= 1")
-
-
-def design_grid(n: int) -> DesignGrid:
-    """Build the design grid x_k = k/n for k = 1..n."""
+def design_grid(n: int) -> np.ndarray:
+    """The equispaced design x_k = k/n for k = 1..n."""
     if n < 1:
         raise ValueError("sample size n must be >= 1")
-    pts = np.arange(1, n + 1, dtype=float) / n
-    return DesignGrid(n=n, points=pts)
+    return np.arange(1, n + 1, dtype=float) / n
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +593,6 @@ def replicate(noise: NoiseSpec, q_n: int, reps: int, seed: int,
 def sample_run(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
                n: int, seed: int) -> np.ndarray:
     """One observation vector y_k = S(x_k) + g(x_k, S) xi_k, bit-stable in seed."""
-    x = design_grid(n).points
+    x = design_grid(n)
     xi = np.asarray(noise.sampler(rng_from_seed(seed), n), dtype=float)
     return S.eval(x) + scale_profile(scale, x, S) * xi

@@ -3,14 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from minimaxkern.estimator import (EstimatorConfig, _window_indices, bandwidth,
                                    decompose, kernel_estimate, rate,
-                                   sigma_n_limit_check, sigma_n_sq)
-from minimaxkern.model import (constant_fn, flat_scale, function_catalog,
-                               rng_from_seed, sample_run, scale_catalog,
-                               scale_eval, scale_profile)
+                                   sigma_n_limit_check)
+from minimaxkern.model import (constant_fn, design_grid, flat_scale,
+                               function_catalog, rng_from_seed, sample_run,
+                               scale_catalog, scale_eval, scale_profile)
 from minimaxkern.risk import default_family
 
 
@@ -173,17 +173,39 @@ class TestDecomposition:
         assert dec.estimate - s0 - dec.b_n == pytest.approx(noise_avg, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1_000, 100_000])
-    @pytest.mark.parametrize("scale", [scale_catalog()["mixed"], flat_scale()],
-                             ids=["mixed", "flat"])
+    @pytest.mark.parametrize("scale", [*scale_catalog().values(), flat_scale()],
+                             ids=[*scale_catalog(), "flat"])
     def test_carries_scale_profile(self, plateau_kernel_01, n, scale):
         # g(z0, S) and the window profile are exactly what scale_eval and
         # scale_profile give, so the risk layer can read them from here
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
-        for S in default_family(0.5, 0.1, 2.0, n, plateau_kernel_01):
+        curves = [*default_family(0.5, 0.1, 2.0, n, plateau_kernel_01),
+                  *function_catalog(0.5).values()]
+        for S in curves:
             dec = decompose(S, scale, cfg)
             assert dec.g0 == scale_eval(scale, cfg.z0, S), S.label
             assert np.all(dec.g_window
                           == scale_profile(scale, cfg.window_x, S)), S.label
+
+    @given(n=st.integers(10, 200_000), z0=st.floats(0.2, 0.8),
+           beta=st.floats(1.05, 2.0), curve=st.integers(0, 14),
+           scale=st.sampled_from([*scale_catalog().values(), flat_scale(),
+                                  flat_scale(1.7)]),
+           seed=st.integers(0, 2 ** 63 - 1))
+    @settings(max_examples=150)
+    def test_one_window_reconstructs_sampled_estimate(
+            self, plateau_kernel_01, gaussian, n, z0, beta, curve, scale, seed):
+        # decompose and kernel_estimate sum over one window: the known-draw
+        # estimate is bitwise the estimate of the sampled run
+        cfg = EstimatorConfig(n=n, beta=beta, z0=z0)
+        curves = [*default_family(z0, 0.1, beta, n, plateau_kernel_01),
+                  *function_catalog(z0).values()]
+        S = curves[curve]
+        xi = gaussian.sampler(rng_from_seed(seed), n)
+        y = sample_run(S, scale, gaussian, n, seed)
+        assert (decompose(S, scale, cfg, xi=xi).estimate
+                == kernel_estimate(y, cfg)[0])
+        assert np.array_equal(cfg.window_x, design_grid(n)[cfg.window_slice])
 
     def test_riemann_gap_bound_on_certified_family(self, plateau_kernel_01,
                                                    certified_family):
@@ -245,7 +267,10 @@ class TestVarianceLimit:
                                 [1000, 100])
 
     def test_matches_decompose(self, mixed_scale):
-        cfg = EstimatorConfig(n=3_000, beta=2.0, z0=0.5)
         S = function_catalog()["sine"]
-        assert sigma_n_sq(S, mixed_scale, cfg) == pytest.approx(
-            decompose(S, mixed_scale, cfg).sigma_n_sq, rel=1e-15)
+        rows = sigma_n_limit_check(S, mixed_scale, 0.5, 2.0, [3_000, 30_000])
+        for r in rows:
+            dec = decompose(S, mixed_scale, EstimatorConfig(n=r.n, beta=2.0,
+                                                            z0=0.5))
+            assert r.sigma_n_sq == dec.sigma_n_sq
+            assert r.g_sq_z0 == dec.g0 ** 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,8 @@ from minimaxkern.lowerbound import (PerturbationSpec, PlateauKernel,
                                     min_n_membership,
                                     shift_statistic, varsigma_sq)
 from minimaxkern.model import (constant_fn, derive_seed, design_grid,
-                               flat_scale, rng_from_seed, scale_eval,
-                               scale_profile)
+                               flat_scale, rng_from_seed, scale_catalog,
+                               scale_eval, scale_profile)
 from minimaxkern.numerics import composite_simpson, ks_statistic
 
 EFFICIENCY_CONSTANT = 1.0 / math.sqrt(math.pi)
@@ -222,20 +223,56 @@ class TestMembershipThreshold:
 
 
 class TestPerturbation:
+    def test_holds_estimator_config(self, plateau_kernel_01):
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.3, n=10_000,
+                                beta=1.7, z0=0.4)
+        assert pert.cfg == EstimatorConfig(n=10_000, beta=1.7, z0=0.4)
+        moved = replace(pert, u=-0.6)
+        assert moved.u == -0.6
+        assert moved.cfg == pert.cfg
+
+    def test_builds_at_membership_threshold_in_bounded_memory(
+            self, plateau_kernel_01):
+        n_star = min_n_membership(0.1, 0.5, 2.0, bump_deriv_sup())
+        for n in (n_star, 4 * n_star):
+            tracemalloc.start()
+            try:
+                pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=n,
+                                        beta=2.0, z0=0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
+            assert pert.cfg == EstimatorConfig(n=n, beta=2.0, z0=0.5)
+
+    @pytest.mark.parametrize("n, beta, z0, match", [
+        (0, 2.0, 0.5, r"n must be >= 1"),
+        (100, 1.0, 0.5, r"beta must lie in \(1, 2\], got 1.0"),
+        (100, 2.5, 0.5, r"beta must lie in \(1, 2\], got 2.5"),
+        (100, 2.0, 0.0, r"z0 must lie in \(0, 1\)"),
+        (100, 2.0, 1.0, r"z0 must lie in \(0, 1\)"),
+    ], ids=["n", "beta_low", "beta_high", "z0_low", "z0_high"])
+    def test_rejects_invalid_operating_point(self, plateau_kernel_01, n, beta,
+                                             z0, match):
+        with pytest.raises(ValueError, match=match):
+            PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=n, beta=beta,
+                             z0=z0)
+
     def test_peak_value(self, plateau_kernel_01):
         pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.3, n=10_000,
                                 beta=2.0, z0=0.5)
         S = pert.to_function()
         assert float(np.asarray(S.eval(0.5))) == pytest.approx(
-            1.3 / pert.phi_n, rel=1e-9)
-        assert pert.h == bandwidth(10_000, 2.0)
-        assert pert.phi_n == rate(10_000, 2.0)
+            1.3 / pert.cfg.phi_n, rel=1e-9)
+        assert pert.cfg.h == bandwidth(10_000, 2.0)
+        assert pert.cfg.phi_n == rate(10_000, 2.0)
 
     def test_support_in_window(self, plateau_kernel_01):
         pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=10_000,
                                 beta=2.0, z0=0.5)
         S = pert.to_function()
-        xs = np.array([0.5 - 1.01 * pert.h, 0.5 + 1.01 * pert.h, 0.1, 0.9])
+        h = pert.cfg.h
+        xs = np.array([0.5 - 1.01 * h, 0.5 + 1.01 * h, 0.1, 0.9])
         assert np.all(np.asarray(S.eval(xs)) == 0.0)
 
     def test_derivative_consistency(self, plateau_kernel_01):
@@ -250,6 +287,21 @@ class TestPerturbation:
 
 
 class TestShiftVariance:
+    @pytest.mark.parametrize("n", [1_000, 100_000])
+    def test_matches_direct_window_sum(self, plateau_kernel_01, n):
+        # varsigma_n^2 reads the estimator's window profile; bitwise the
+        # direct sum of (V/g)^2 over the window divided by phi_n^2
+        for scale in (*scale_catalog().values(), flat_scale()):
+            for u in (1.0, -2.5):
+                pert = PerturbationSpec(kernel=plateau_kernel_01, u=u, n=n,
+                                        beta=1.8, z0=0.4)
+                cfg = EstimatorConfig(n=n, beta=1.8, z0=0.4)
+                xw = cfg.window_x
+                vvals = plateau_kernel_01.values((xw - 0.4) / bandwidth(n, 1.8))
+                g_w = scale_profile(scale, xw, pert.to_function())
+                direct = float(np.sum((vvals / g_w) ** 2)) / rate(n, 1.8) ** 2
+                assert varsigma_sq(pert, scale)[0] == direct, scale.label
+
     def test_flat_scale_riemann_limit(self, plateau_kernel_01):
         # with g = 1 the shift variance is a plain Riemann sum of V^2
         pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=1_000_000,
@@ -284,7 +336,7 @@ class TestShiftVariance:
 
 class TestLikelihoodRatio:
     def _pure_noise_run(self, pert, scale, seed):
-        x = design_grid(pert.n).points
+        x = design_grid(pert.n)
         gvec = scale_profile(scale, x, pert.to_function())
         rng = rng_from_seed(seed)
         return gvec * rng.standard_normal(pert.n), gvec
@@ -301,8 +353,8 @@ class TestLikelihoodRatio:
         y, gvec = self._pure_noise_run(pert, mixed_scale, 123)
         u = 1.3
         at_u = replace(pert, u=u)
-        svals = np.asarray(at_u.to_function().eval(design_grid(pert.n).points))
-        gvec_u = scale_profile(mixed_scale, design_grid(pert.n).points,
+        svals = np.asarray(at_u.to_function().eval(design_grid(pert.n)))
+        gvec_u = scale_profile(mixed_scale, design_grid(pert.n),
                                at_u.to_function())
         direct = math.exp(-0.5 * float(
             np.sum(((y - svals) / gvec_u) ** 2 - (y / gvec_u) ** 2)))
@@ -314,7 +366,7 @@ class TestLikelihoodRatio:
         pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=4_000,
                                 beta=2.0, z0=0.5)
         cfg = EstimatorConfig(n=4_000, beta=2.0, z0=0.5)
-        x = design_grid(pert.n).points
+        x = design_grid(pert.n)
         gvec = scale_profile(mixed_scale, x, pert.to_function())
         gw = gvec[cfg.window_slice]
         vv = plateau_kernel_01.values((cfg.window_x - 0.5) / cfg.h)

@@ -20,21 +20,21 @@ LAPLACE_B = 1.0 / math.sqrt(2.0)
 
 class TestDesignGrid:
     def test_n4(self):
-        assert design_grid(4).points.tolist() == [0.25, 0.5, 0.75, 1.0]
+        assert design_grid(4).tolist() == [0.25, 0.5, 0.75, 1.0]
 
     def test_degenerate(self):
-        assert design_grid(1).points.tolist() == [1.0]
+        assert design_grid(1).tolist() == [1.0]
 
     def test_large_grid_midpoint(self):
         grid = design_grid(100_000)
-        assert grid.points[49_999] == 0.5
+        assert grid[49_999] == 0.5
 
     def test_invariants(self):
         grid = design_grid(137)
-        assert grid.points.size == 137
-        assert np.all(np.diff(grid.points) > 0)
-        assert grid.points[0] == pytest.approx(1.0 / 137)
-        assert grid.points[-1] == 1.0
+        assert grid.size == 137
+        assert np.all(np.diff(grid) > 0)
+        assert grid[0] == pytest.approx(1.0 / 137)
+        assert grid[-1] == 1.0
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

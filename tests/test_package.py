@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -13,6 +14,38 @@ def test_every_export_resolves():
     missing = [name for name in minimaxkern.__all__
                if not hasattr(minimaxkern, name)]
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imported names that the module never references.
+
+    ``__future__`` imports and statements marked ``# noqa: F401`` are
+    exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[stmt.lineno - 1:stmt.end_lineno]):
+            continue
+        for alias in stmt.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported[name] = stmt.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted((ROOT / "src" / "minimaxkern").glob("*.py"))
+    unused = [entry for path in modules if path.name != "__init__.py"
+              for entry in _unused_imports(path)]
+    assert unused == []
 
 
 def test_trace_driver_installs():
