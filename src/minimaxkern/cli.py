@@ -36,8 +36,8 @@ from .holder import WeakHolderParams, check_weak_holder
 from .lowerbound import bayes_bound, build_kernel
 # truncation_split is not called here, but bench/trace_driver.py wraps it
 # under this module's name, so the name stays importable from cli.
-from .martingale import (normal_approx_check, truncation_report,
-                         truncation_split)  # noqa: F401
+from .martingale import (NORMAL_CHECK_MIN_REPS, normal_approx_check,
+                         truncation_report, truncation_split)  # noqa: F401
 from .model import (ScaleSpec, constant_fn, function_catalog, get_noise,
                     noise_catalog, derive_seed, scale_eval)
 # default_family and sup_risk are not called here, but bench/trace_driver.py
@@ -77,36 +77,42 @@ class ExperimentConfig:
     seed_source: str = "config"
 
 
+def _unknown_noises(labels: tuple[str, ...]) -> str | None:
+    known = set(noise_catalog()) | {"zero"}
+    bad = [l for l in labels if l not in known]
+    if bad:
+        return f"unknown noise labels {bad}; choose from {sorted(known)}"
+    return None
+
+
+# Every key but ``command``: (item type, whether the value is a nonempty
+# comma-separated list of items, range check).  The check returns the
+# error text for a value out of range and a false value otherwise.
 _KEYS = {
-    "command", "n_list", "beta", "z0", "delta_list", "reps", "seed",
-    "alpha0", "alpha1", "alpha2", "alpha3", "noise_list", "function_list",
-    "nu_list", "b_list", "out",
+    "n_list": (int, True, lambda ns: any(n < 1 for n in ns)
+               and "n_list entries must be >= 1"),
+    "beta": (float, False, lambda beta: not (1.0 < beta <= 2.0)
+             and f"beta must lie in (1, 2], got {beta}"),
+    "z0": (float, False, lambda z0: not (0.0 < z0 < 1.0)
+           and f"z0 must lie in (0, 1), got {z0}"),
+    "delta_list": (float, True, lambda ds: any(not (0.0 < d < 1.0) for d in ds)
+                   and "delta values must lie in (0, 1)"),
+    "reps": (int, False, lambda reps: reps < 2 and "reps must be >= 2"),
+    "seed": (int, False, None),
+    "alpha0": (float, False, lambda a: a <= 0 and "alpha0 must be positive"),
+    **{key: (float, False, lambda a, key=key: a < 0
+             and f"{key} must be non-negative")
+       for key in ("alpha1", "alpha2", "alpha3")},
+    "noise_list": (str, True, _unknown_noises),
+    "function_list": (str, True, None),
+    "nu_list": (float, True, lambda nus: any(not (0.0 < v < 0.25) for v in nus)
+                and "nu values must lie in (0, 1/4)"),
+    "b_list": (float, True, lambda bs: any(v <= 1.0 for v in bs)
+               and "b values must exceed 1"),
+    "out": (str, False, None),
 }
 
-
-def _parse_int(lineno: int, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}")
-
-
-def _parse_float(lineno: int, key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} expects a number, got {value!r}")
-
-
-def _parse_str(lineno: int, key: str, value: str) -> str:
-    return value
-
-
-def _parse_list(lineno: int, key: str, value: str, conv) -> tuple:
-    items = [v.strip() for v in value.split(",") if v.strip()]
-    if not items:
-        raise ConfigError(f"line {lineno}: {key} expects a nonempty list")
-    return tuple(conv(lineno, key, v) for v in items)
+_EXPECTS = {int: "an integer", float: "a number"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -120,7 +126,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEYS:
+        if key != "command" and key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -139,63 +145,22 @@ def parse_config(text: str) -> ExperimentConfig:
     fields["command"] = value
 
     for key, (lineno, value) in raw.items():
-        if key == "n_list":
-            ns = _parse_list(lineno, key, value, _parse_int)
-            if any(n < 1 for n in ns):
-                raise ConfigError(f"line {lineno}: n_list entries must be >= 1")
-            fields[key] = ns
-        elif key == "beta":
-            beta = _parse_float(lineno, key, value)
-            if not (1.0 < beta <= 2.0):
-                raise ConfigError(f"line {lineno}: beta must lie in (1, 2], got {beta}")
-            fields[key] = beta
-        elif key == "z0":
-            z0 = _parse_float(lineno, key, value)
-            if not (0.0 < z0 < 1.0):
-                raise ConfigError(f"line {lineno}: z0 must lie in (0, 1), got {z0}")
-            fields[key] = z0
-        elif key == "delta_list":
-            ds = _parse_list(lineno, key, value, _parse_float)
-            if any(not (0.0 < d < 1.0) for d in ds):
-                raise ConfigError(f"line {lineno}: delta values must lie in (0, 1)")
-            fields[key] = ds
-        elif key == "reps":
-            reps = _parse_int(lineno, key, value)
-            if reps < 2:
-                raise ConfigError(f"line {lineno}: reps must be >= 2")
-            fields[key] = reps
-        elif key == "seed":
-            fields[key] = _parse_int(lineno, key, value)
-        elif key in ("alpha0", "alpha1", "alpha2", "alpha3"):
-            a = _parse_float(lineno, key, value)
-            if key == "alpha0" and a <= 0:
-                raise ConfigError(f"line {lineno}: alpha0 must be positive")
-            if key != "alpha0" and a < 0:
-                raise ConfigError(f"line {lineno}: {key} must be non-negative")
-            fields[key] = a
-        elif key == "noise_list":
-            labels = _parse_list(lineno, key, value, _parse_str)
-            known = set(noise_catalog()) | {"zero"}
-            bad = [l for l in labels if l not in known]
-            if bad:
-                raise ConfigError(
-                    f"line {lineno}: unknown noise labels {bad}; "
-                    f"choose from {sorted(known)}")
-            fields[key] = labels
-        elif key == "function_list":
-            fields[key] = _parse_list(lineno, key, value, _parse_str)
-        elif key == "nu_list":
-            nus = _parse_list(lineno, key, value, _parse_float)
-            if any(not (0.0 < v < 0.25) for v in nus):
-                raise ConfigError(f"line {lineno}: nu values must lie in (0, 1/4)")
-            fields[key] = nus
-        elif key == "b_list":
-            bs = _parse_list(lineno, key, value, _parse_float)
-            if any(v <= 1.0 for v in bs):
-                raise ConfigError(f"line {lineno}: b values must exceed 1")
-            fields[key] = bs
-        elif key == "out":
-            fields[key] = value
+        conv, is_list, check = _KEYS[key]
+        items = ([v.strip() for v in value.split(",") if v.strip()]
+                 if is_list else [value])
+        if not items:
+            raise ConfigError(f"line {lineno}: {key} expects a nonempty list")
+        parsed = []
+        for item in items:
+            try:
+                parsed.append(conv(item))
+            except ValueError:
+                raise ConfigError(f"line {lineno}: {key} expects "
+                                  f"{_EXPECTS[conv]}, got {item!r}")
+        fields[key] = tuple(parsed) if is_list else parsed[0]
+        error = check and check(fields[key])
+        if error:
+            raise ConfigError(f"line {lineno}: {error}")
 
     if "seed" not in fields:
         fields["seed_source"] = "default"
@@ -224,11 +189,12 @@ def _scale_from(config: ExperimentConfig) -> ScaleSpec:
                      config.alpha3, label="config")
 
 
-def _function_lookup(config: ExperimentConfig, n: int | None, delta: float, kernel):
-    lookup = dict(function_catalog(config.z0))
-    for S in family_candidates(config.z0, delta, config.beta, n, kernel):
-        lookup[S.label] = S
-    return lookup
+def _function_lookup(config: ExperimentConfig, delta: float) -> dict:
+    """Every curve ``function_list`` may name at ``delta`` except the bump:
+    the catalog's and the family's, whose labels are disjoint."""
+    return {**function_catalog(config.z0),
+            **{S.label: S
+               for S in family_candidates(config.z0, delta, config.beta)}}
 
 
 def _select(lookup: dict, labels) -> list:
@@ -242,14 +208,17 @@ def _select(lookup: dict, labels) -> list:
     return out
 
 
-def _resolve_functions(config: ExperimentConfig, n: int | None, delta: float,
-                       kernel, default: Callable[[], list]) -> list:
-    """The curves named by ``function_list``; ``default()`` builds the
-    command's default list, and only when ``function_list`` asks for it."""
+def _resolve_functions(config: ExperimentConfig, delta: float,
+                       default: Callable[[], list], bump=None) -> list:
+    """The curves named by ``function_list``, which may name ``bump`` when
+    the command passes one; ``default()`` builds the command's default
+    list, and only when ``function_list`` asks for it."""
     if tuple(config.function_list) == ("default",):
         return default()
-    return _select(_function_lookup(config, n, delta, kernel),
-                   config.function_list)
+    lookup = _function_lookup(config, delta)
+    if bump is not None:
+        lookup["bump"] = bump
+    return _select(lookup, config.function_list)
 
 
 def _risk_table(config: ExperimentConfig, threads: int
@@ -273,8 +242,7 @@ def _risk_table(config: ExperimentConfig, threads: int
     deltas = sorted(config.delta_list)
     labels = (DEFAULT_TABLE_LABELS if tuple(config.function_list) == ("default",)
               else config.function_list)
-    n_free = {delta: _function_lookup(config, None, delta, None)
-              for delta in deltas}
+    n_free = {delta: _function_lookup(config, delta) for delta in deltas}
     rows: list[list] = []
     margins: list[dict] = []
     counters = dict.fromkeys(
@@ -327,10 +295,16 @@ def _lower_bound(config: ExperimentConfig, threads: int
 
 def _clt_check(config: ExperimentConfig, threads: int
                ) -> tuple[list[str], list[list], dict]:
+    # Both checks run before any draw, so a bad config is exit 2, not 3.
+    if config.reps < NORMAL_CHECK_MIN_REPS:
+        raise ConfigError(f"reps must be >= {NORMAL_CHECK_MIN_REPS}")
     scale = _scale_from(config)
     functions = _resolve_functions(
-        config, None, config.delta_list[0], None,
+        config, config.delta_list[0],
         default=lambda: [function_catalog(config.z0)["const02"]])
+    if len(functions) != 1:
+        raise ConfigError(f"clt-check scores one curve; function_list names "
+                          f"{len(functions)}")
     S = functions[0]
     # One cell per (noise, n) in sorted order; its seed is fixed by position.
     cells = []
@@ -372,10 +346,11 @@ def _holder_check(config: ExperimentConfig, threads: int
     n = max(config.n_list)
     rows: list[list] = []
     for delta in sorted(config.delta_list):
+        bump = family_bump(config.z0, delta, config.beta, n, kernel)
         functions = _resolve_functions(
-            config, n, delta, kernel,
-            default=lambda: family_candidates(config.z0, delta, config.beta,
-                                              n, kernel))
+            config, delta, bump=bump,
+            default=lambda: [*family_candidates(config.z0, delta, config.beta),
+                             bump])
         params = WeakHolderParams(z0=config.z0, delta=delta, beta=config.beta)
         for S in sorted(functions, key=lambda s: s.label):
             rep = check_weak_holder(S, params)
@@ -389,7 +364,7 @@ def _convergence(config: ExperimentConfig, threads: int
                 ) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
     functions = _resolve_functions(
-        config, None, config.delta_list[0], None,
+        config, config.delta_list[0],
         default=lambda: [function_catalog(config.z0)["sine"]])
     rows: list[list] = []
     for S in sorted(functions, key=lambda s: s.label):

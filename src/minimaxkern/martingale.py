@@ -154,12 +154,16 @@ def truncation_split(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     return report, realized
 
 
+#: Fewest replications ``normal_approx_check`` accepts.
+NORMAL_CHECK_MIN_REPS = 100
+
+
 def normal_approx_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
                         cfg: EstimatorConfig, reps: int, seed: int) -> float:
     """Kolmogorov-Smirnov distance of simulated zeta_tilde draws to the
     standard Gaussian CDF."""
-    if reps < 100:
-        raise ValueError("reps must be >= 100")
+    if reps < NORMAL_CHECK_MIN_REPS:
+        raise ValueError(f"reps must be >= {NORMAL_CHECK_MIN_REPS}")
     ratio = _window_weights(S, scale, cfg)
     w = ratio / math.sqrt(cfg.q_n)
 

@@ -100,44 +100,25 @@ def linear_fn(slope: float, intercept: float = 0.0, center: float = 0.0,
                         eval=lambda x: a * (x - c) + b, deriv=lambda x: a)
 
 
-def _cube(d):
-    # d * d * d, not d ** 3: numpy's power takes a slow path on negative
-    # bases (about 16x on 2.4).
-    return d * d * d
-
-
 def function_catalog(z0: float = 0.5) -> dict[str, FunctionSpec]:
-    """Built-in regression curves, anchored at the estimation point z0.
+    """Five fixed regression curves, anchored at the estimation point z0.
 
-    Amplitudes of the even-symmetry entries are sized so that they pass the
-    weak local certification at delta = 0.1 for beta in (1, 2]; the "sine"
-    entry is intentionally uncertified (it carries genuine curvature at z0
-    and is meant for variance-convergence runs).
+    Their labels are disjoint from those of ``risk.family_candidates``,
+    whose members scale with the class budget delta; a config's
+    ``function_list`` may name either.  The "sine" entry is intentionally
+    uncertified (it carries genuine curvature at z0 and is meant for
+    variance-convergence runs).
     """
     z0 = float(z0)
-    cat = {
-        "zero": constant_fn(0.0, "zero"),
+    return {
         "const02": constant_fn(0.2, "const02"),
         "const_neg": constant_fn(-0.4, "const_neg"),
         "linear": linear_fn(2.0, 0.0, z0, "linear"),
         "steep_linear": linear_fn(-8.0, 0.1, z0, "steep_linear"),
-        "odd_sine": FunctionSpec("odd_sine",
-                                 lambda x: 0.5 * np.sin(4.0 * (x - z0)),
-                                 lambda x: 2.0 * np.cos(4.0 * (x - z0))),
-        "cos_dip": FunctionSpec("cos_dip",
-                                lambda x: 0.03 * np.cos(3.0 * (x - z0)),
-                                lambda x: -0.09 * np.sin(3.0 * (x - z0))),
-        "bowl": FunctionSpec("bowl",
-                             lambda x: 0.12 * (x - z0) ** 2,
-                             lambda x: 0.24 * (x - z0)),
-        "odd_cubic": FunctionSpec("odd_cubic",
-                                  lambda x: 2.0 * _cube(x - z0),
-                                  lambda x: 6.0 * (x - z0) ** 2),
         "sine": FunctionSpec("sine",
                              lambda x: 0.5 * np.sin(3.0 * x),
                              lambda x: 1.5 * np.cos(3.0 * x)),
     }
-    return cat
 
 
 # ---------------------------------------------------------------------------

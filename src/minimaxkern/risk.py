@@ -37,7 +37,7 @@ from .estimator import (DecompositionReport, EstimatorConfig, decompose,
                         kernel_estimate)  # noqa: F401
 from .holder import WeakHolderParams, WeakHolderReport, check_weak_holder
 from .lowerbound import PlateauKernel, PerturbationSpec, build_kernel
-from .model import (FunctionSpec, NoiseSpec, ScaleSpec, _cube, constant_fn,
+from .model import (FunctionSpec, NoiseSpec, ScaleSpec, constant_fn,
                     linear_fn, replicate)
 
 #: Sharp efficiency constant E|N(0,1)| / sqrt(2).
@@ -260,20 +260,28 @@ def sup_risk(rc: RiskConfig, noises: list[NoiseSpec] | None = None) -> RiskRepor
 # ---------------------------------------------------------------------------
 
 
-def family_candidates(z0: float, delta: float, beta: float,
-                      n: int | None = None,
-                      kernel: PlateauKernel | None = None) -> list[FunctionSpec]:
-    """Candidate curves for the class with budget delta at the point z0.
+def _cube(d):
+    # d * d * d, not d ** 3: numpy's power takes a slow path on negative
+    # bases (about 16x on 2.4).
+    return d * d * d
+
+
+def family_candidates(z0: float, delta: float, beta: float
+                      ) -> list[FunctionSpec]:
+    """The eleven n-free candidate curves for the class with budget delta
+    at the point z0.
 
     Flat and odd members have zero window defect; the tilt and wiggle use
     the 1/delta derivative allowance; the even members (dip, bowl, cup)
     are sized to use most of the defect budget, which is what makes the
-    family supremum informative.  The plateau bump needs the operating n
-    (its width is the estimation window itself).
+    family supremum informative.  No member depends on beta or n; the
+    plateau bump, whose width follows n, comes from ``family_bump``.  The
+    labels are disjoint from ``model.function_catalog``'s and none is
+    ``bump``, so together they name every curve a config may ask for.
     """
     inv = 1.0 / delta
     z0 = float(z0)
-    cands = [
+    return [
         constant_fn(0.0, "zero"),
         constant_fn(0.2, "const_plus"),
         constant_fn(-0.4, "const_minus"),
@@ -291,24 +299,21 @@ def family_candidates(z0: float, delta: float, beta: float,
         FunctionSpec("odd_cubic",
                  lambda x: 2.0 * _cube(x - z0),
                  lambda x: 6.0 * (x - z0) ** 2),
-    ]
-    if n is not None:
-        cands.append(family_bump(z0, delta, beta, n, kernel))
-    cands.extend([
         FunctionSpec("odd_wiggle",
                  lambda x: (inv / 24.0) * np.sin(12.0 * (x - z0)),
                  lambda x: (inv / 2.0) * np.cos(12.0 * (x - z0))),
         FunctionSpec("quartic_cup",
                  lambda x: 4.0 * delta * np.square(np.square(x - z0)),
                  lambda x: 16.0 * delta * _cube(x - z0)),
-    ])
-    return cands
+    ]
 
 
 def family_bump(z0: float, delta: float, beta: float, n: int,
                 kernel: PlateauKernel | None = None) -> FunctionSpec:
-    """The plateau bump of ``family_candidates``: the one candidate whose
-    shape follows n (its width is the estimation window at n)."""
+    """The family's plateau bump, labelled ``bump``: the one member whose
+    shape follows n (its width is the estimation window at n) and the only
+    place it is built.  Its amplitude is ``min(1, 2.2 delta)``; ``kernel``
+    defaults to ``build_kernel(FAMILY_BUMP_NU)``."""
     kern = kernel if kernel is not None else build_kernel(FAMILY_BUMP_NU)
     amp = min(1.0, 2.2 * delta)
     pert = PerturbationSpec(kernel=kern, u=amp, n=int(n), beta=beta,
@@ -324,9 +329,11 @@ def default_family(z0: float, delta: float, beta: float, n: int,
     """The five-member family used by the default risk table, in
     ``DEFAULT_TABLE_LABELS`` order.
 
-    The members are picked from ``family_candidates`` without being
-    certified here: ``RiskConfig`` certifies its family once when it is
-    built and rejects any member outside the class at delta.
+    The members are picked from ``family_candidates`` plus
+    ``family_bump`` without being certified here: ``RiskConfig``
+    certifies its family once when it is built and rejects any member
+    outside the class at delta.
     """
-    by_label = {S.label: S for S in family_candidates(z0, delta, beta, n, kernel)}
+    by_label = {S.label: S for S in family_candidates(z0, delta, beta)}
+    by_label["bump"] = family_bump(z0, delta, beta, n, kernel)
     return [by_label[lab] for lab in DEFAULT_TABLE_LABELS]

@@ -5,6 +5,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minimaxkern
@@ -13,10 +14,10 @@ from minimaxkern import cli, model
 from minimaxkern.cli import ConfigError, main, parse_config, run
 from minimaxkern.estimator import EstimatorConfig
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
-from minimaxkern.model import ScaleSpec, get_noise
+from minimaxkern.model import ScaleSpec, function_catalog, get_noise
 from minimaxkern import risk as risk_module
 from minimaxkern.risk import (DEFAULT_TABLE_LABELS, RiskConfig, default_family,
-                              monte_carlo_risk, sup_risk)
+                              family_candidates, monte_carlo_risk, sup_risk)
 
 
 class TestParseConfig:
@@ -365,15 +366,45 @@ class TestMainEntry:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
 
-    def test_module_error_exit_three_and_cleanup(self, tmp_path):
-        # reps below the normal-approximation floor fails inside the module
+    def test_module_error_exit_three_and_cleanup(self, tmp_path, monkeypatch):
+        # a numeric failure inside a module is exit 3
+        def failing(*args):
+            raise ValueError("injected module failure")
+
+        monkeypatch.setattr(cli, "normal_approx_check", failing)
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(
-            "command = clt-check\nn_list = 500\nreps = 50\n"
+            "command = clt-check\nn_list = 500\nreps = 100\n"
             "noise_list = gaussian\n")
         out = tmp_path / "out"
         assert main(["--config", str(cfg_file), "--out", str(out),
                      "--quiet"]) == 3
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("reps, code", [(99, 2), (100, 0)])
+    def test_clt_check_reps_floor_is_config_error(self, tmp_path, capsys,
+                                                  reps, code):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            f"command = clt-check\nn_list = 500\nreps = {reps}\n"
+            "noise_list = gaussian\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out),
+                     "--quiet"]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "config error: reps must be >= 100" in err
+            assert not list(out.glob("*"))
+
+    def test_clt_check_rejects_several_curves(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            "command = clt-check\nn_list = 500\nreps = 100\n"
+            "noise_list = gaussian\nfunction_list = sine, const02\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out),
+                     "--quiet"]) == 2
+        assert "one curve" in capsys.readouterr().err
         assert not list(out.glob("*"))
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
@@ -429,6 +460,61 @@ class TestMainEntry:
         cfg_file.write_text("command = lower-bound\n")
         monkeypatch.setenv("MINIMAXKERN_SEED", "not-a-number")
         assert main(["--config", str(cfg_file), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("z0", [0.3, 0.5, 0.77])
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.5])
+@pytest.mark.parametrize("beta", [1.5, 2.0])
+def test_catalog_and_family_labels_are_disjoint(z0, delta, beta):
+    catalog = set(function_catalog(z0))
+    family = {S.label for S in family_candidates(z0, delta, beta)}
+    assert len(family) == 11
+    assert not catalog & family
+    assert "bump" not in catalog | family
+
+
+# Labels defined by the family alone that the catalog once defined too.
+SHARED_LABELS = ("zero", "odd_sine", "cos_dip", "bowl", "odd_cubic")
+
+# command: (extra config, the CLI name that receives the curves, the curves
+# among one call's arguments)
+_CURVE_SINKS = {
+    "risk-table": ("reps = 10\n", "sup_risks",
+                   lambda rcs, noises: [S for rc in rcs for S in rc.family]),
+    "clt-check": ("reps = 100\n", "truncation_report", lambda S, *rest: [S]),
+    "holder-check": ("", "check_weak_holder", lambda S, *rest: [S]),
+    "convergence": ("", "sigma_n_limit_check", lambda S, *rest: [S]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CURVE_SINKS))
+def test_shared_labels_name_family_members(tmp_path, monkeypatch, command):
+    """Each label in SHARED_LABELS names the family member at the config's
+    first delta in every command (delta 0.2 tells it from the fixed curves
+    of delta 0.1 and 0.5)."""
+    extra, name, curves_of = _CURVE_SINKS[command]
+    real = getattr(cli, name)
+    seen = []
+
+    def sink(*args):
+        seen.extend(curves_of(*args))
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, sink)
+    # clt-check scores one curve per run
+    lists = ([[l] for l in SHARED_LABELS] if command == "clt-check"
+             else [SHARED_LABELS])
+    for labels in lists:
+        text = (f"command = {command}\nn_list = 400\ndelta_list = 0.2\n"
+                f"{extra}function_list = {', '.join(labels)}\n")
+        assert run(parse_config(text), out_dir=str(tmp_path), quiet=True,
+                   threads=1) == 0
+    family = {S.label: S for S in family_candidates(0.5, 0.2, 2.0)}
+    x = np.linspace(0.0, 1.0, 101)
+    assert sorted(S.label for S in seen) == sorted(SHARED_LABELS)
+    for S in seen:
+        assert np.array_equal(S.eval(x), family[S.label].eval(x)), S.label
+        assert np.array_equal(S.deriv(x), family[S.label].deriv(x)), S.label
 
 
 def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):

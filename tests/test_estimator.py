@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +102,11 @@ class TestEstimatorConfig:
             EstimatorConfig(n=100, beta=2.0, z0=0.0)
 
 
+# 0 or a magnitude in [1e-6, 1e3], of either sign
+_COEFFICIENTS = st.one_of(st.just(0.0), st.floats(1e-6, 1e3),
+                          st.floats(-1e3, -1e-6))
+
+
 class TestKernelEstimate:
     def test_plain_average_when_window_covers_all(self):
         cfg = EstimatorConfig(n=5, beta=2.0, z0=0.5)
@@ -122,6 +128,30 @@ class TestKernelEstimate:
         rhs = a * kernel_estimate(y, cfg)[0] + b
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    @given(n=st.integers(5, 2_000), seed=st.integers(0, 2 ** 32 - 1),
+           a=_COEFFICIENTS, b=_COEFFICIENTS)
+    def test_linear_in_observations(self, n, seed, a, b):
+        # With u = 2^-53 and M = (|a| sum|y1| + |b| sum|y2|) / q_n over the
+        # window, each side lies within ((1 + u)^4 - 1) M of the exact
+        # (a sum y1 + b sum y2) / q_n:
+        # - left: rounding a y1_k, b y2_k and their sum moves each term by
+        #   at most ((1 + u)^2 - 1)(|a y1_k| + |b y2_k|); the exactly
+        #   rounded window_sum and the division add a factor (1 + u)^2;
+        # - right: each term carries its window_sum, division, product and
+        #   the final addition, a factor (1 + u)^4.
+        # Coefficients are 0 or at least 1e-6 in size, so nothing underflows.
+        cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+        rng = rng_from_seed(seed)
+        y1 = rng.standard_normal(n)
+        y2 = rng.standard_normal(n) + 2.0
+        lhs, q = kernel_estimate(a * y1 + b * y2, cfg)
+        rhs = a * kernel_estimate(y1, cfg)[0] + b * kernel_estimate(y2, cfg)[0]
+        u = Fraction(1, 2 ** 53)
+        window = cfg.window_slice
+        m = (abs(Fraction(a)) * sum(map(Fraction, np.abs(y1[window])))
+             + abs(Fraction(b)) * sum(map(Fraction, np.abs(y2[window])))) / q
+        assert abs(Fraction(lhs) - Fraction(rhs)) <= 2 * ((1 + u) ** 4 - 1) * m
+
     def test_shape_mismatch_rejected(self, cfg_1e5):
         with pytest.raises(ValueError):
             kernel_estimate(np.zeros(10), cfg_1e5)
@@ -141,17 +171,18 @@ class TestDecomposition:
         dec = decompose(function_catalog()["sine"], flat_scale(1.7), cfg)
         assert dec.sigma_n_sq == pytest.approx(1.7 ** 2, rel=1e-14)
 
-    def test_bias_splits_into_integral_plus_gap(self, mixed_scale):
+    def test_bias_splits_into_integral_plus_gap(self, mixed_scale,
+                                                fixed_curves):
         # B_n = (phi^2/q)(integral + R_n) holds by construction of R_n
         cfg = EstimatorConfig(n=5_000, beta=1.8, z0=0.4)
         for label in ("sine", "bowl", "cos_dip"):
-            dec = decompose(function_catalog(0.4)[label], mixed_scale, cfg)
+            dec = decompose(fixed_curves(0.4)[label], mixed_scale, cfg)
             recon = cfg.phi_n ** 2 / cfg.q_n * (dec.integral_term + dec.r_n)
             assert dec.b_n == pytest.approx(recon, abs=1e-10)
 
-    def test_odd_curve_integral_vanishes(self, mixed_scale):
+    def test_odd_curve_integral_vanishes(self, mixed_scale, fixed_curves):
         cfg = EstimatorConfig(n=10_000, beta=2.0, z0=0.5)
-        dec = decompose(function_catalog()["odd_cubic"], mixed_scale, cfg)
+        dec = decompose(fixed_curves(0.5)["odd_cubic"], mixed_scale, cfg)
         assert abs(dec.integral_term) < 1e-12
         # bias then reduces to the Riemann gap
         assert dec.b_n == pytest.approx(cfg.phi_n ** 2 / cfg.q_n * dec.r_n, abs=1e-12)
@@ -175,12 +206,13 @@ class TestDecomposition:
     @pytest.mark.parametrize("n", [1_000, 100_000])
     @pytest.mark.parametrize("scale", [*scale_catalog().values(), flat_scale()],
                              ids=[*scale_catalog(), "flat"])
-    def test_carries_scale_profile(self, plateau_kernel_01, n, scale):
+    def test_carries_scale_profile(self, plateau_kernel_01, fixed_curves, n,
+                                   scale):
         # g(z0, S) and the window profile are exactly what scale_eval and
         # scale_profile give, so the risk layer can read them from here
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         curves = [*default_family(0.5, 0.1, 2.0, n, plateau_kernel_01),
-                  *function_catalog(0.5).values()]
+                  *fixed_curves(0.5).values()]
         for S in curves:
             dec = decompose(S, scale, cfg)
             assert dec.g0 == scale_eval(scale, cfg.z0, S), S.label
@@ -194,12 +226,13 @@ class TestDecomposition:
            seed=st.integers(0, 2 ** 63 - 1))
     @settings(max_examples=150)
     def test_one_window_reconstructs_sampled_estimate(
-            self, plateau_kernel_01, gaussian, n, z0, beta, curve, scale, seed):
+            self, plateau_kernel_01, fixed_curves, gaussian, n, z0, beta,
+            curve, scale, seed):
         # decompose and kernel_estimate sum over one window: the known-draw
         # estimate is bitwise the estimate of the sampled run
         cfg = EstimatorConfig(n=n, beta=beta, z0=z0)
         curves = [*default_family(z0, 0.1, beta, n, plateau_kernel_01),
-                  *function_catalog(z0).values()]
+                  *fixed_curves(z0).values()]
         S = curves[curve]
         xi = gaussian.sampler(rng_from_seed(seed), n)
         y = sample_run(S, scale, gaussian, n, seed)

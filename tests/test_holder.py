@@ -9,10 +9,9 @@ from minimaxkern.holder import (DEFAULT_SUP_RESOLUTION, DEFECT_QUAD_PANELS,
                                 WeakHolderParams, WeakHolderReport,
                                 check_weak_holder, default_h_grid, weak_defect,
                                 weak_defects)
-from minimaxkern.model import (FunctionSpec, constant_fn, function_catalog,
-                               linear_fn)
+from minimaxkern.model import FunctionSpec, constant_fn, linear_fn
 from minimaxkern.numerics import composite_simpson
-from minimaxkern.risk import family_candidates
+from minimaxkern.risk import family_bump, family_candidates
 
 
 def quadratic():
@@ -147,9 +146,10 @@ def _reference_report(S, p, resolution=DEFAULT_SUP_RESOLUTION):
         resolution=resolution)
 
 
-def _all_curves(z0, delta, beta, n, kernel):
-    return (family_candidates(z0, delta, beta, n, kernel)
-            + list(function_catalog(z0).values()))
+def _all_curves(z0, delta, beta, n, kernel, fixed_curves):
+    return [*family_candidates(z0, delta, beta),
+            family_bump(z0, delta, beta, n, kernel),
+            *fixed_curves(z0).values()]
 
 
 _CELLS = [(0.5, 1000, 0.2, 2.0), (0.5, 3000, 0.1, 2.0),
@@ -158,9 +158,9 @@ _CELLS = [(0.5, 1000, 0.2, 2.0), (0.5, 3000, 0.1, 2.0),
 
 @pytest.mark.parametrize("z0,n,delta,beta", _CELLS)
 def test_certificate_matches_per_probe_loop(z0, n, delta, beta,
-                                            plateau_kernel_01):
+                                            plateau_kernel_01, fixed_curves):
     p = WeakHolderParams(z0=z0, delta=delta, beta=beta)
-    for S in _all_curves(z0, delta, beta, n, plateau_kernel_01):
+    for S in _all_curves(z0, delta, beta, n, plateau_kernel_01, fixed_curves):
         assert check_weak_holder(S, p) == _reference_report(S, p), S.label
 
 
@@ -180,9 +180,10 @@ def test_default_budget_batches_probes():
 
 @pytest.mark.parametrize("budget", _BUDGETS)
 def test_certificate_independent_of_block_budget(budget, monkeypatch,
-                                                 plateau_kernel_01):
+                                                 plateau_kernel_01,
+                                                 fixed_curves):
     p = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
-    curves = _all_curves(0.5, 0.1, 2.0, 3000, plateau_kernel_01)
+    curves = _all_curves(0.5, 0.1, 2.0, 3000, plateau_kernel_01, fixed_curves)
     expected = [check_weak_holder(S, p) for S in curves]
     monkeypatch.setattr(holder, "DEFECT_BLOCK_BYTES", budget)
     assert [check_weak_holder(S, p) for S in curves] == expected

@@ -12,9 +12,9 @@ from minimaxkern.martingale import (_window_weights, normal_approx_check,
                                     truncated_mean, truncated_variance,
                                     truncation_report, truncation_split,
                                     zeta_dd_moment_check)
-from minimaxkern.model import (constant_fn, flat_scale, function_catalog,
-                               get_noise, noise_catalog, scale_catalog,
-                               scale_eval, scale_profile)
+from minimaxkern.model import (constant_fn, flat_scale, get_noise,
+                               noise_catalog, scale_catalog, scale_eval,
+                               scale_profile)
 
 ALL_NOISES = sorted(noise_catalog())
 
@@ -140,11 +140,12 @@ class TestTruncationSplit:
     @pytest.mark.parametrize("n", [1_000, 100_000])
     @pytest.mark.parametrize("scale", [*scale_catalog().values(), flat_scale()],
                              ids=[*scale_catalog(), "flat"])
-    def test_window_weights_match_direct_profile(self, n, scale):
+    def test_window_weights_match_direct_profile(self, fixed_curves, n,
+                                                 scale):
         # the weights come from the estimator's window profile; bitwise the
         # direct g(x_k, S) / g(z0, S)
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
-        for S in function_catalog(0.5).values():
+        for S in fixed_curves(0.5).values():
             direct = (scale_profile(scale, cfg.window_x, S)
                       / scale_eval(scale, cfg.z0, S))
             assert np.array_equal(_window_weights(S, scale, cfg), direct), S.label

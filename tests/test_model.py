@@ -13,6 +13,7 @@ from minimaxkern.model import (SAMPLER_CHUNK, FunctionSpec, ScaleSpec,
                                sample_run, scale_catalog, scale_eval,
                                scale_frechet, scale_profile, zero_noise)
 from minimaxkern.numerics import ks_statistic
+from minimaxkern.risk import family_candidates
 
 SQRT3 = math.sqrt(3.0)
 LAPLACE_B = 1.0 / math.sqrt(2.0)
@@ -323,15 +324,28 @@ class TestSeedDerivation:
             derive_seed(1, -1)
 
 
+def _curves_named(label):
+    """The catalog curve of that label, or else the family member of that
+    label at delta 0.1 and at delta 0.5."""
+    if label in function_catalog():
+        return [function_catalog()[label]]
+    return [S for delta in (0.1, 0.5)
+            for S in family_candidates(0.5, delta, 2.0) if S.label == label]
+
+
 class TestFunctionCatalog:
-    @pytest.mark.parametrize("label", sorted(function_catalog()))
+    @pytest.mark.parametrize("label", sorted(
+        {*function_catalog(),
+         *(S.label for S in family_candidates(0.5, 0.1, 2.0))}))
     def test_derivative_consistency(self, label):
         # central differences at step 1e-5 match the declared derivative
-        S = function_catalog()[label]
         xs = np.linspace(0.02, 0.98, 41)
         step = 1e-5
-        fd = (S.eval(xs + step) - S.eval(xs - step)) / (2 * step)
-        assert np.max(np.abs(fd - S.deriv(xs))) < 1e-6
+        curves = _curves_named(label)
+        assert curves
+        for S in curves:
+            fd = (S.eval(xs + step) - S.eval(xs - step)) / (2 * step)
+            assert np.max(np.abs(fd - S.deriv(xs))) < 1e-6
 
     def test_flat_scale_helper(self):
         sc = flat_scale(2.0)

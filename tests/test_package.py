@@ -48,6 +48,18 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_readme_config_block_names_every_key():
+    # the README's example config names exactly the keys parse_config
+    # accepts, so the docs cannot drift from the key table
+    from minimaxkern import cli
+
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
+            if "=" in line.split("#", 1)[0]}
+    assert keys == set(cli._KEYS) | {"command"}
+
+
 def test_trace_driver_installs():
     # bench/trace_driver.py wraps package names where other modules import
     # them; a dropped or renamed name makes install raise
