@@ -2,7 +2,9 @@
 
 Reads a line-oriented ``key = value`` experiment file, dispatches to the
 estimation/risk/diagnostic modules and writes one CSV per command plus a
-JSON manifest.  Identical configs produce byte-identical CSV bodies.
+JSON manifest.  Identical configs produce byte-identical CSV bodies.  A
+ranged key is checked by the library's own rule for it (see ``_KEYS``);
+non-finite numbers and repeated list entries are config errors.
 
 ``--threads K`` (default: the CPUs this process may use) runs the
 independent (noise, n) cells of ``clt-check`` on a pool of at most K worker
@@ -31,15 +33,16 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .estimator import EstimatorConfig, sigma_n_limit_check
-from .holder import WeakHolderParams, check_weak_holder
-from .lowerbound import bayes_bound, build_kernel
+from .estimator import EstimatorConfig, check_beta, check_z0, sigma_n_limit_check
+from .holder import WeakHolderParams, check_delta, check_weak_holder
+from .lowerbound import bayes_bound, build_kernel, check_b, check_nu
 # truncation_split is not called here, but bench/trace_driver.py wraps it
 # under this module's name, so the name stays importable from cli.
 from .martingale import (NORMAL_CHECK_MIN_REPS, normal_approx_check,
                          truncation_report, truncation_split)  # noqa: F401
-from .model import (ScaleSpec, constant_fn, function_catalog, get_noise,
-                    noise_catalog, derive_seed, scale_eval)
+from .model import (ScaleSpec, check_alpha0, check_alpha123, check_n, check_reps,
+                    constant_fn, function_catalog, get_noise, noise_catalog,
+                    derive_seed, scale_eval)
 # default_family and sup_risk are not called here, but bench/trace_driver.py
 # wraps them under this module's names, so the names stay importable from cli.
 from .risk import (DEFAULT_TABLE_LABELS, FAMILY_BUMP_NU, RiskConfig,
@@ -77,38 +80,29 @@ class ExperimentConfig:
     seed_source: str = "config"
 
 
-def _unknown_noises(labels: tuple[str, ...]) -> str | None:
+def _check_noise(label: str) -> None:
     known = set(noise_catalog()) | {"zero"}
-    bad = [l for l in labels if l not in known]
-    if bad:
-        return f"unknown noise labels {bad}; choose from {sorted(known)}"
-    return None
+    if label not in known:
+        raise ValueError(
+            f"unknown noise label {label!r}; choose from {sorted(known)}")
 
 
 # Every key but ``command``: (item type, whether the value is a nonempty
-# comma-separated list of items, range check).  The check returns the
-# error text for a value out of range and a false value otherwise.
+# comma-separated list of items, range check).  The range check is the
+# library's owner of the parameter's rule; it raises ValueError per item.
 _KEYS = {
-    "n_list": (int, True, lambda ns: any(n < 1 for n in ns)
-               and "n_list entries must be >= 1"),
-    "beta": (float, False, lambda beta: not (1.0 < beta <= 2.0)
-             and f"beta must lie in (1, 2], got {beta}"),
-    "z0": (float, False, lambda z0: not (0.0 < z0 < 1.0)
-           and f"z0 must lie in (0, 1), got {z0}"),
-    "delta_list": (float, True, lambda ds: any(not (0.0 < d < 1.0) for d in ds)
-                   and "delta values must lie in (0, 1)"),
-    "reps": (int, False, lambda reps: reps < 2 and "reps must be >= 2"),
+    "n_list": (int, True, check_n),
+    "beta": (float, False, check_beta),
+    "z0": (float, False, check_z0),
+    "delta_list": (float, True, check_delta),
+    "reps": (int, False, check_reps),
     "seed": (int, False, None),
-    "alpha0": (float, False, lambda a: a <= 0 and "alpha0 must be positive"),
-    **{key: (float, False, lambda a, key=key: a < 0
-             and f"{key} must be non-negative")
-       for key in ("alpha1", "alpha2", "alpha3")},
-    "noise_list": (str, True, _unknown_noises),
+    "alpha0": (float, False, check_alpha0),
+    **dict.fromkeys(("alpha1", "alpha2", "alpha3"), (float, False, check_alpha123)),
+    "noise_list": (str, True, _check_noise),
     "function_list": (str, True, None),
-    "nu_list": (float, True, lambda nus: any(not (0.0 < v < 0.25) for v in nus)
-                and "nu values must lie in (0, 1/4)"),
-    "b_list": (float, True, lambda bs: any(v <= 1.0 for v in bs)
-               and "b values must exceed 1"),
+    "nu_list": (float, True, check_nu),
+    "b_list": (float, True, check_b),
     "out": (str, False, None),
 }
 
@@ -157,10 +151,13 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} expects "
                                   f"{_EXPECTS[conv]}, got {item!r}")
+            try:
+                check and check(parsed[-1])
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
+            if parsed[-1] in parsed[:-1]:
+                raise ConfigError(f"line {lineno}: {key} repeats {parsed[-1]!r}")
         fields[key] = tuple(parsed) if is_list else parsed[0]
-        error = check and check(fields[key])
-        if error:
-            raise ConfigError(f"line {lineno}: {error}")
 
     if "seed" not in fields:
         fields["seed_source"] = "default"

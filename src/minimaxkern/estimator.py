@@ -20,29 +20,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FunctionSpec, ScaleSpec, scale_profile
+from .model import FunctionSpec, ScaleSpec, check_n, scale_profile
 from .numerics import composite_simpson, window_sum
 
 INTEGRAL_QUAD_PANELS = 4096
 
 
+def check_beta(beta: float) -> None:
+    """The one definition of the smoothness rule: beta in (1, 2]."""
+    if not 1.0 < beta <= 2.0:
+        raise ValueError(f"beta must lie in (1, 2], got {beta}")
+
+
+def check_z0(z0: float) -> None:
+    """The one definition of the estimation-point rule: z0 in (0, 1)."""
+    if not 0.0 < z0 < 1.0:
+        raise ValueError(f"z0 must lie in (0, 1), got {z0}")
+
+
 def bandwidth(n: int, beta: float) -> float:
     """h = n^(-1/(2 beta + 1))."""
-    _check_n_beta(n, beta)
+    check_n(n)
+    check_beta(beta)
     return float(n) ** (-1.0 / (2.0 * beta + 1.0))
 
 
 def rate(n: int, beta: float) -> float:
     """phi_n = n^(beta/(2 beta + 1)); satisfies rate^2 = n * bandwidth."""
-    _check_n_beta(n, beta)
+    check_n(n)
+    check_beta(beta)
     return float(n) ** (beta / (2.0 * beta + 1.0))
-
-
-def _check_n_beta(n: int, beta: float) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (1.0 < beta <= 2.0):
-        raise ValueError(f"beta must lie in (1, 2], got {beta}")
 
 
 @dataclass(frozen=True)
@@ -65,14 +72,10 @@ class EstimatorConfig:
     q_n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_n_beta(self.n, self.beta)
-        if not (0.0 < self.z0 < 1.0):
-            raise ValueError("z0 must lie in (0, 1)")
-        h = bandwidth(self.n, self.beta)
-        phi = rate(self.n, self.beta)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "phi_n", phi)
-        k_lo, k_hi = _window_indices(self.n, self.z0, h)
+        object.__setattr__(self, "h", bandwidth(self.n, self.beta))  # checks n, beta
+        check_z0(self.z0)
+        object.__setattr__(self, "phi_n", rate(self.n, self.beta))
+        k_lo, k_hi = _window_indices(self.n, self.z0, self.h)
         object.__setattr__(self, "k_lo", k_lo)
         object.__setattr__(self, "k_hi", k_hi)
         object.__setattr__(self, "q_n", k_hi - k_lo + 1)
@@ -142,8 +145,6 @@ def kernel_estimate(y: np.ndarray, cfg: EstimatorConfig) -> tuple[float, int]:
     y = np.asarray(y, dtype=float)
     if y.shape != (cfg.n,):
         raise ValueError(f"expected {cfg.n} observations, got shape {y.shape}")
-    if cfg.q_n < 1:
-        raise ValueError("empty estimation window")
     return window_sum(y[cfg.window_slice]) / cfg.q_n, cfg.q_n
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import check_beta, check_z0
 from .model import FunctionSpec
 from .numerics import composite_simpson
 
@@ -37,16 +38,16 @@ DEFAULT_H_FACTOR = 0.7
 DEFECT_BLOCK_BYTES = 160 * 1024
 
 
-def _validate_beta(beta: float) -> None:
-    if not (1.0 < beta <= 2.0):
-        raise ValueError(f"beta must lie in (1, 2], got {beta}")
+def check_delta(delta: float) -> None:
+    """The one definition of the class-budget rule: delta in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
 def default_h_grid(z0: float, count: int = DEFAULT_H_COUNT,
                    factor: float = DEFAULT_H_FACTOR) -> np.ndarray:
     """Geometric probe bandwidths from min(z0, 1-z0) shrinking by ``factor``."""
-    if not (0.0 < z0 < 1.0):
-        raise ValueError("z0 must lie in (0, 1)")
+    check_z0(z0)
     if not (0.0 < factor < 1.0):
         raise ValueError("factor must lie in (0, 1)")
     h_max = min(z0, 1.0 - z0)
@@ -63,15 +64,11 @@ class WeakHolderParams:
     h_grid: np.ndarray = None  # defaults to the geometric grid below
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.z0 < 1.0):
-            raise ValueError("z0 must lie in (0, 1)")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        _validate_beta(self.beta)
-        grid = self.h_grid
-        if grid is None:
-            grid = default_h_grid(self.z0)
-        grid = np.asarray(grid, dtype=float)
+        check_z0(self.z0)
+        check_delta(self.delta)
+        check_beta(self.beta)
+        grid = np.asarray(default_h_grid(self.z0) if self.h_grid is None
+                          else self.h_grid, dtype=float)
         if grid.size == 0 or not np.all(grid > 0):  # NaN fails too
             raise ValueError("h_grid must contain positive bandwidths")
         lim = min(self.z0, 1.0 - self.z0)
@@ -89,7 +86,6 @@ class WeakHolderReport:
     defect_bound: float
     worst_h: float
     resolution: int
-    quad_panels: int = DEFECT_QUAD_PANELS
 
 
 def weak_defects(S: FunctionSpec, z0: float, beta: float,
@@ -102,7 +98,7 @@ def weak_defects(S: FunctionSpec, z0: float, beta: float,
     u are the nodes of a DEFECT_QUAD_PANELS-panel Simpson rule on [-1, 1].
     Each defect is the value the rule gives for its bandwidth alone.
     """
-    _validate_beta(beta)
+    check_beta(beta)
     hs = np.asarray(hs, dtype=float).reshape(-1)
     if not np.all(hs > 0):  # NaN fails too
         raise ValueError("h must be positive")

@@ -28,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimator import EstimatorConfig, window_profile
+from .estimator import EstimatorConfig, check_beta, window_profile
+from .holder import check_delta
 from .model import FunctionSpec, ScaleSpec, constant_fn, scale_eval
 from .numerics import composite_simpson
 
@@ -47,16 +48,6 @@ def _raw_bump(z: np.ndarray) -> np.ndarray:
     inside = np.abs(z) < 1.0
     zi = z[inside]
     out[inside] = np.exp(-1.0 / (1.0 - zi * zi))
-    return out
-
-
-def _raw_bump_deriv(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    out = np.zeros(z.shape)
-    inside = np.abs(z) < 1.0
-    zi = z[inside]
-    denom = 1.0 - zi * zi
-    out[inside] = np.exp(-1.0 / denom) * (-2.0 * zi / denom ** 2)
     return out
 
 
@@ -81,8 +72,9 @@ def _bump_tables() -> tuple[np.ndarray, np.ndarray, float, float]:
     cdf = cdf / normalizer
     cdf[-1] = 1.0
 
-    peak = _raw_bump_deriv(np.asarray([_BUMP_DERIV_ARGMAX]))[0]
-    return nodes, cdf, normalizer, abs(float(peak)) / normalizer
+    z = _BUMP_DERIV_ARGMAX  # |l'(z)| by the closed form above
+    peak = float(_raw_bump(np.asarray([z]))[0]) * (2.0 * z / (1.0 - z * z) ** 2)
+    return nodes, cdf, normalizer, peak / normalizer
 
 
 def bump(z: np.ndarray) -> np.ndarray:
@@ -101,6 +93,18 @@ def bump_deriv_sup() -> float:
     return _bump_tables()[3]
 
 
+def check_nu(nu: float) -> None:
+    """The one definition of the mollification-width rule: nu in (0, 1/4)."""
+    if not 0.0 < nu < 0.25:
+        raise ValueError(f"nu must lie in (0, 1/4), got {nu}")
+
+
+def check_b(b: float) -> None:
+    """The one definition of the prior-cap rule: b finite and above 1."""
+    if not 1.0 < b < math.inf:
+        raise ValueError(f"b must exceed 1 and be finite, got {b}")
+
+
 @dataclass(frozen=True)
 class PlateauKernel:
     """Mollified two-level profile V_nu, evaluable anywhere on the line and
@@ -110,8 +114,7 @@ class PlateauKernel:
     sq_integral: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.nu < 0.25):
-            raise ValueError(f"nu must lie in (0, 1/4), got {self.nu}")
+        check_nu(self.nu)
         object.__setattr__(self, "sq_integral", composite_simpson(
             lambda z: self.values(z) ** 2, -1.0, 1.0, V_QUAD_PANELS))
 
@@ -233,14 +236,9 @@ def min_n_membership(nu: float, delta: float, beta: float, l_prime_sup: float) -
     For perturbations capped at amplitude b, fold the cap into the slope by
     passing b * l_prime_sup.
     """
-    if beta <= 1.0:
-        raise ValueError("beta must exceed 1 (threshold exponent diverges at 1)")
-    if beta > 2.0:
-        raise ValueError(f"beta must lie in (1, 2], got {beta}")
-    if not (0.0 < nu < 0.25):
-        raise ValueError(f"nu must lie in (0, 1/4), got {nu}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    check_beta(beta)
+    check_nu(nu)
+    check_delta(delta)
     ratio = 2.0 * l_prime_sup * delta / nu ** 2
     if ratio <= 1.0:
         return 1
@@ -314,10 +312,9 @@ def bayes_bound(kernel: PlateauKernel, b: float, g_z0: float) -> float:
     (2/(g_z0 sigma_nu^2)) (1 - exp(-sigma_nu^2 b/2)), evaluated through
     expm1.  Increases in b and tends to 1/sqrt(pi) as b -> inf, nu -> 0.
     """
-    if b <= 1.0:
-        raise ValueError("b must exceed 1")
-    if g_z0 <= 0.0:
-        raise ValueError("g_z0 must be positive")
+    check_b(b)
+    if not 0.0 < g_z0 < math.inf:
+        raise ValueError(f"g_z0 must be positive and finite, got {g_z0}")
     sigma_sq = kernel.sq_integral / g_z0 ** 2
     sigma = math.sqrt(sigma_sq)
     root_b = math.sqrt(b)

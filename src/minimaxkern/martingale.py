@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import EstimatorConfig, window_profile
-from .model import FunctionSpec, NoiseSpec, ScaleSpec, replicate, rng_from_seed
+from .model import (FunctionSpec, NoiseSpec, ScaleSpec, check_reps, replicate,
+                    rng_from_seed)
 from .numerics import ks_statistic, normal_cdf
 
 
@@ -70,11 +71,7 @@ def truncated_variance(noise: NoiseSpec, a: float) -> float:
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """Summary of one truncation split at threshold a = q_n^(1/4).
-
-    ks_distance is filled only by the replicated normal-approximation
-    check; a single split carries None there.
-    """
+    """Summary of one truncation split at threshold a = q_n^(1/4)."""
 
     a_threshold: float
     a_n: float
@@ -83,7 +80,6 @@ class TruncationReport:
     r_n: float
     tau_n: int
     second_moment_zeta_dd: float
-    ks_distance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -183,8 +179,7 @@ def zeta_dd_moment_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     Returns (mc_estimate, mc_stderr, expected) with
     expected = (G_n/q_n) * Var(xi 1{|xi| > a}).
     """
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
+    check_reps(reps)
     report = truncation_report(S, scale, noise, cfg)
     a = report.a_threshold
     m_above = noise.mean - truncated_mean(noise, a)

@@ -35,10 +35,15 @@ SCALE_QUAD_PANELS = 2048
 # ---------------------------------------------------------------------------
 
 
+def check_n(n: int) -> None:
+    """The one definition of the sample-size rule: n in [1, inf)."""
+    if not 1 <= n < math.inf:
+        raise ValueError(f"n must be >= 1 and finite, got {n}")
+
+
 def design_grid(n: int) -> np.ndarray:
     """The equispaced design x_k = k/n for k = 1..n."""
-    if n < 1:
-        raise ValueError("sample size n must be >= 1")
+    check_n(n)
     return np.arange(1, n + 1, dtype=float) / n
 
 
@@ -126,6 +131,18 @@ def function_catalog(z0: float = 0.5) -> dict[str, FunctionSpec]:
 # ---------------------------------------------------------------------------
 
 
+def check_alpha0(a: float) -> None:
+    """The one definition of the rule for alpha0: in (0, inf)."""
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"alpha0 must be positive and finite, got {a}")
+
+
+def check_alpha123(a: float) -> None:
+    """The one definition of the rule for alpha1..alpha3: in [0, inf)."""
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"alpha1..alpha3 must be non-negative and finite, got {a}")
+
+
 @dataclass(frozen=True)
 class ScaleSpec:
     """Variance functional g^2(x,S) = a0 + a1*x + a2*sin^2(S(x)) + a3*int sin^2(S).
@@ -143,18 +160,13 @@ class ScaleSpec:
     g_ceil: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-        if min(self.alpha1, self.alpha2, self.alpha3) < 0:
-            raise ValueError("alpha1..alpha3 must be non-negative")
+        check_alpha0(self.alpha0)
+        for a in (self.alpha1, self.alpha2, self.alpha3):
+            check_alpha123(a)
         object.__setattr__(self, "g_floor", math.sqrt(self.alpha0))
         object.__setattr__(
             self, "g_ceil",
             math.sqrt(self.alpha0 + self.alpha1 + self.alpha2 + self.alpha3))
-
-    @property
-    def alphas(self) -> tuple[float, float, float, float]:
-        return (self.alpha0, self.alpha1, self.alpha2, self.alpha3)
 
 
 def scale_catalog() -> dict[str, ScaleSpec]:
@@ -509,13 +521,9 @@ def certify_noise(noise: NoiseSpec) -> NoiseCertification:
 # ---------------------------------------------------------------------------
 
 
-def _seed_sequence(seed: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(int(seed) & _MASK64)
-
-
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Fresh generator for a 64-bit seed (no shared mutable state)."""
-    return np.random.default_rng(_seed_sequence(seed))
+    return np.random.default_rng(np.random.SeedSequence(int(seed) & _MASK64))
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -535,6 +543,12 @@ def derive_seed(master: int, index: int) -> int:
 #: Size of one block of draws in ``replicate``: a block holds
 #: max(1, REPLICATION_BLOCK_BYTES // (8 q_n)) replications.
 REPLICATION_BLOCK_BYTES = 128 * 1024
+
+
+def check_reps(reps: int) -> None:
+    """The one definition of the Monte Carlo budget rule: reps >= 2."""
+    if not reps >= 2:
+        raise ValueError(f"reps must be >= 2, got {reps}")
 
 
 def replicate(noise: NoiseSpec, q_n: int, reps: int, seed: int,

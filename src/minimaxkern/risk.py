@@ -35,10 +35,10 @@ import numpy as np
 # under this module's name, so the name stays importable from risk.
 from .estimator import (DecompositionReport, EstimatorConfig, decompose,
                         kernel_estimate)  # noqa: F401
-from .holder import WeakHolderParams, WeakHolderReport, check_weak_holder
+from .holder import WeakHolderParams, WeakHolderReport, check_delta, check_weak_holder
 from .lowerbound import PlateauKernel, PerturbationSpec, build_kernel
-from .model import (FunctionSpec, NoiseSpec, ScaleSpec, constant_fn,
-                    linear_fn, replicate)
+from .model import (FunctionSpec, NoiseSpec, ScaleSpec, check_reps,
+                    constant_fn, linear_fn, replicate)
 
 #: Sharp efficiency constant E|N(0,1)| / sqrt(2).
 EFFICIENCY_CONSTANT = 1.0 / math.sqrt(math.pi)
@@ -98,10 +98,8 @@ class RiskConfig:
     new_certificates: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        if self.reps < 2:
-            raise ValueError("reps must be >= 2")
+        check_delta(self.delta)
+        check_reps(self.reps)
         if not self.family:
             raise ValueError("family must be nonempty")
         object.__setattr__(self, "family", tuple(self.family))

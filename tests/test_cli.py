@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,11 @@ import minimaxkern
 
 from minimaxkern import cli, model
 from minimaxkern.cli import ConfigError, main, parse_config, run
-from minimaxkern.estimator import EstimatorConfig
-from minimaxkern.holder import WeakHolderParams, check_weak_holder
-from minimaxkern.model import ScaleSpec, function_catalog, get_noise
+from minimaxkern.estimator import EstimatorConfig, check_beta, check_z0
+from minimaxkern.holder import WeakHolderParams, check_delta, check_weak_holder
+from minimaxkern.lowerbound import check_b, check_nu
+from minimaxkern.model import (ScaleSpec, check_alpha0, check_alpha123, check_n,
+                               function_catalog, get_noise)
 from minimaxkern import risk as risk_module
 from minimaxkern.risk import (DEFAULT_TABLE_LABELS, RiskConfig, default_family,
                               family_candidates, monte_carlo_risk, sup_risk)
@@ -83,12 +86,80 @@ class TestParseConfig:
             parse_config("command = lower-bound\nnu_list = 0.3\n")
 
     def test_bad_b(self):
-        with pytest.raises(ConfigError, match="b values"):
+        with pytest.raises(ConfigError, match="b must exceed 1"):
             parse_config("command = lower-bound\nb_list = 0.5\n")
 
     def test_bad_integer(self):
         with pytest.raises(ConfigError, match="integer"):
             parse_config("command = risk-table\nreps = many\n")
+
+
+    @pytest.mark.parametrize("key, text, value", [
+        ("n_list", "400, 400", "400"),
+        ("delta_list", "0.1, 0.10", "0.1"),
+        ("noise_list", "gaussian, rademacher, gaussian", "'gaussian'"),
+        ("function_list", "zero, zero", "'zero'"),
+        ("nu_list", "0.1, 0.2, 1e-1", "0.1"),
+        ("b_list", "4, 4.0", "4.0"),
+    ])
+    def test_repeated_list_entry(self, key, text, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command = risk-table\n{key} = {text}\n")
+        assert str(err.value) == f"line 2: {key} repeats {value}"
+
+
+# Every ranged key: its owner (the library's one definition of the rule),
+# a command that reads the key, and finite values with the decision the
+# documented domain gives.  NaN, +inf and -inf are rejected for every key.
+_RANGES = {
+    "n_list": (check_n, "clt-check",
+               [(1, True), (0, False), (-5, False), (400, True)]),
+    "beta": (check_beta, "risk-table",
+             [(1.0, False), (2.0, True), (2.5, False), (1.5, True)]),
+    "z0": (check_z0, "risk-table",
+           [(0.0, False), (1.0, False), (-0.5, False), (0.5, True)]),
+    "delta_list": (check_delta, "risk-table",
+                   [(0.0, False), (1.0, False), (1.5, False), (0.1, True)]),
+    "alpha0": (check_alpha0, "risk-table",
+               [(0.0, False), (-1.0, False), (1.0, True)]),
+    **{key: (check_alpha123, "risk-table",
+             [(0.0, True), (-0.1, False), (0.5, True)])
+       for key in ("alpha1", "alpha2", "alpha3")},
+    "nu_list": (check_nu, "lower-bound",
+                [(0.0, False), (0.25, False), (0.3, False), (0.1, True)]),
+    "b_list": (check_b, "lower-bound",
+               [(1.0, False), (0.5, False), (4.0, True)]),
+}
+
+
+def _range_cases():
+    for key, (owner, command, finite) in _RANGES.items():
+        for value, accepted in [(math.nan, False), (math.inf, False),
+                                (-math.inf, False), *finite]:
+            yield pytest.param(key, owner, command, value, accepted,
+                               id=f"{key}={value!r}")
+
+
+@pytest.mark.parametrize("key, owner, command, value, accepted", _range_cases())
+def test_range_owner_decides_library_and_config(key, owner, command, value,
+                                                accepted):
+    assert cli._KEYS[key][2] is owner
+    conv, is_list, _ = cli._KEYS[key]
+    text = f"command = {command}\n{key} = {value!r}\n"
+    if accepted:
+        owner(value)
+        parsed = getattr(parse_config(text), key)
+        assert parsed == ((value,) if is_list else value)
+        return
+    with pytest.raises(ValueError) as lib:
+        owner(value)
+    with pytest.raises(ConfigError) as config:
+        parse_config(text)
+    if conv is int and isinstance(value, float):  # never an integer
+        assert str(config.value) == (
+            f"line 2: {key} expects an integer, got {repr(value)!r}")
+    else:
+        assert str(config.value) == f"line 2: {lib.value}"
 
 
 RISK_CFG = """
@@ -460,6 +531,23 @@ class TestMainEntry:
         cfg_file.write_text("command = lower-bound\n")
         monkeypatch.setenv("MINIMAXKERN_SEED", "not-a-number")
         assert main(["--config", str(cfg_file), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("risk-table", "alpha1 = nan",
+     "alpha1..alpha3 must be non-negative and finite, got nan"),
+    ("lower-bound", "b_list = inf", "b must exceed 1 and be finite, got inf"),
+    ("clt-check", "n_list = 400, 400", "n_list repeats 400"),
+])
+def test_non_finite_or_repeated_entry_exits_two(tmp_path, capsys, command,
+                                                line, message):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"command = {command}\nreps = 100\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: line 3: {message}\n"
+    assert not out.exists() or not list(out.iterdir())
 
 
 @pytest.mark.parametrize("z0", [0.3, 0.5, 0.77])

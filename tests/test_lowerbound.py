@@ -203,6 +203,18 @@ class TestMembershipThreshold:
         with pytest.raises(ValueError):
             min_n_membership(0.1, 0.5, 1.0, 1.8)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot, match", [
+        (0, r"nu must lie in \(0, 1/4\)"),
+        (1, r"delta must lie in \(0, 1\)"),
+        (2, r"beta must lie in \(1, 2\]"),
+    ], ids=["nu", "delta", "beta"])
+    def test_rejects_non_finite(self, slot, match, bad):
+        args = [0.1, 0.5, 2.0, 1.8]
+        args[slot] = bad
+        with pytest.raises(ValueError, match=match):
+            min_n_membership(*args)
+
     def test_membership_at_threshold_and_beyond(self, plateau_kernel_01):
         n_star = min_n_membership(0.1, 0.5, 2.0, bump_deriv_sup())
         params = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0)
@@ -465,3 +477,11 @@ class TestBayesBound:
             bayes_bound(kern, 1.0, 1.0)
         with pytest.raises(ValueError):
             bayes_bound(kern, 10.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        kern = build_kernel(0.05)
+        with pytest.raises(ValueError, match="b must exceed 1"):
+            bayes_bound(kern, bad, 1.0)
+        with pytest.raises(ValueError, match="g_z0 must be positive"):
+            bayes_bound(kern, 10.0, bad)

@@ -78,6 +78,14 @@ class TestScaleEval:
         with pytest.raises(ValueError):
             ScaleSpec(1.0, -0.1, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_rejects_non_finite_alphas(self, slot, bad):
+        alphas = [1.0, 0.5, 0.5, 0.5]
+        alphas[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ScaleSpec(*alphas)
+
 
 class TestScaleFrechet:
     def test_zero_for_constant_scale(self):

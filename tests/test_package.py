@@ -81,3 +81,25 @@ def test_cli_import_leaves_thread_pool_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The message of every range rule, which its owner states once in src: a
+# second copy of a rule, with its own wording, would fail here.
+_RANGE_RULES = [
+    "n must be >= 1",
+    "beta must lie in (1, 2]",
+    "z0 must lie in (0, 1)",
+    "delta must lie in (0, 1)",
+    "nu must lie in (0, 1/4)",
+    "b must exceed 1",
+    "alpha0 must be positive",
+    "alpha1..alpha3 must be non-negative",
+    "reps must be >= 2",
+]
+
+
+def test_each_range_rule_is_written_once():
+    source = "".join(path.read_text() for path in
+                     sorted((ROOT / "src" / "minimaxkern").glob("*.py")))
+    counts = {rule: source.count(rule) for rule in _RANGE_RULES}
+    assert counts == dict.fromkeys(_RANGE_RULES, 1)

@@ -309,6 +309,14 @@ class TestRiskConfigValidation:
         gc.collect()
         assert ref() is None
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_rejected(self, mixed_scale, gaussian, bad):
+        cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            RiskConfig(cfg=cfg, delta=bad, reps=10, seed=0,
+                       family=(constant_fn(0.0),), scale=mixed_scale,
+                       noise=gaussian)
+
     def test_empty_family_rejected(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
         with pytest.raises(ValueError):
