@@ -26,9 +26,10 @@ from .model import (FunctionSpec, NoiseSpec, ScaleSpec, certify_noise,
                     function_catalog, get_noise, linear_fn, noise_catalog,
                     replicate, sample_run, scale_catalog, scale_eval,
                     scale_frechet, zero_noise)
+from .numerics import folded_normal_mean
 from .risk import (EFFICIENCY_CONSTANT, RiskConfig, RiskReport, RiskRow,
-                   default_family, exact_gaussian_risk, folded_normal_mean,
-                   monte_carlo_risk, sup_risk, sup_risks)
+                   default_family, exact_gaussian_risk, monte_carlo_risk,
+                   sup_risk, sup_risks)
 
 __all__ = [
     "__version__",

@@ -38,7 +38,7 @@ from .holder import WeakHolderParams, check_delta, check_weak_holder
 from .lowerbound import bayes_bound, build_kernel, check_b, check_nu
 # truncation_split is not called here, but bench/trace_driver.py wraps it
 # under this module's name, so the name stays importable from cli.
-from .martingale import (NORMAL_CHECK_MIN_REPS, normal_approx_check,
+from .martingale import (check_clt_reps, normal_approx_check,
                          truncation_report, truncation_split)  # noqa: F401
 from .model import (ScaleSpec, check_alpha0, check_alpha123, check_n, check_reps,
                     constant_fn, function_catalog, get_noise, noise_catalog,
@@ -293,8 +293,10 @@ def _lower_bound(config: ExperimentConfig, threads: int
 def _clt_check(config: ExperimentConfig, threads: int
                ) -> tuple[list[str], list[list], dict]:
     # Both checks run before any draw, so a bad config is exit 2, not 3.
-    if config.reps < NORMAL_CHECK_MIN_REPS:
-        raise ConfigError(f"reps must be >= {NORMAL_CHECK_MIN_REPS}")
+    try:
+        check_clt_reps(config.reps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     scale = _scale_from(config)
     functions = _resolve_functions(
         config, config.delta_list[0],

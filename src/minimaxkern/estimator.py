@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .model import FunctionSpec, ScaleSpec, check_n, scale_profile
-from .numerics import composite_simpson, window_sum
+from .numerics import composite_simpson, folded_normal_mean, window_sum
 
 INTEGRAL_QUAD_PANELS = 4096
 
@@ -117,6 +118,40 @@ def _window_indices(n: int, z0: float, h: float) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
+class WindowLaw:
+    """g over the window at one operating point: with B_n and the noise it
+    fixes the law of the normalized error phi_n (B_n + sum_k g_k xi_k/q_n)/g0.
+    g_window holds g(x_k, S) ascending in k, and g0 is g(z0, S)."""
+
+    cfg: EstimatorConfig
+    g_window: np.ndarray = field(compare=False, repr=False)
+    g0: float
+
+    @cached_property
+    def sigma_n_sq(self) -> float:
+        """Window average of g^2(x_k, S), summed on first use."""
+        return window_sum(self.g_window ** 2) / self.cfg.q_n
+
+    def gaussian_abs_mean(self, b_n: float) -> float:
+        """phi_n E|b_n + N(0, sigma_n^2/q_n)| / g0: the Gaussian-noise risk."""
+        s = math.sqrt(self.sigma_n_sq / self.cfg.q_n)
+        return self.cfg.phi_n * folded_normal_mean(b_n, s) / self.g0
+
+
+def window_law(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig
+               ) -> WindowLaw:
+    """S's window law under ``scale``: the one place g is evaluated over the
+    window.  g(z0, S) rides at the end of the window's points, so one
+    V-integral serves both."""
+    # cfg.window_x plus a slot for z0, built in place: no second window copy
+    x = np.arange(cfg.k_lo, cfg.k_hi + 2, dtype=float)
+    x /= cfg.n
+    x[-1] = cfg.z0
+    g = scale_profile(scale, x, S)
+    return WindowLaw(cfg=cfg, g_window=g[:-1], g0=float(g[-1]))
+
+
+@dataclass(frozen=True)
 class DecompositionReport:
     """Exact error decomposition of one (possibly noiseless) run.
 
@@ -124,20 +159,14 @@ class DecompositionReport:
     b_n            window average of S(x_k) - S(z0)
     integral_term  int_{-1}^{1} (S(z0 + h u) - S(z0)) du by quadrature
     r_n            Riemann gap q_n * B_n / phi_n^2 - integral_term
-    sigma_n_sq     window average of g^2(x_k, S)
-    g0             g(z0, S), the risk's normalizer
-    g_window       g(x_k, S) over the window, ascending in k
-
-    g0 and g_window are ``window_profile``'s; q_n is the config's.
+    law            the window law (g over the window, g(z0, S), sigma_n^2)
     """
 
     estimate: float
     b_n: float
     integral_term: float
     r_n: float
-    sigma_n_sq: float
-    g0: float
-    g_window: np.ndarray = field(compare=False, repr=False)
+    law: WindowLaw
 
 
 def kernel_estimate(y: np.ndarray, cfg: EstimatorConfig) -> tuple[float, int]:
@@ -148,23 +177,6 @@ def kernel_estimate(y: np.ndarray, cfg: EstimatorConfig) -> tuple[float, int]:
     return window_sum(y[cfg.window_slice]) / cfg.q_n, cfg.q_n
 
 
-def window_profile(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig
-                   ) -> tuple[np.ndarray, float]:
-    """(g(x_k, S) over the window ascending in k, g(z0, S)).
-
-    Every window quantity that depends on the noise profile (the
-    decomposition, the CLT split's weights, the lower bound's shift
-    statistics) reads it from here.  One V-integral serves the window and
-    z0: g(z0, S) rides at the end of the evaluated points.
-    """
-    # cfg.window_x plus a slot for z0, built in place: no second window copy
-    x = np.arange(cfg.k_lo, cfg.k_hi + 2, dtype=float)
-    x /= cfg.n
-    x[-1] = cfg.z0
-    g = scale_profile(scale, x, S)
-    return g[:-1], float(g[-1])
-
-
 def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,
               xi: np.ndarray | None = None) -> DecompositionReport:
     """Bias/variance decomposition over the estimation window.
@@ -173,19 +185,16 @@ def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,
     window_sum(S(x_k) + g(x_k, S) xi_k) / q_n, bitwise ``kernel_estimate``
     on the same observations; without, the noise-free mean S(z0) + B_n.
     """
-    # profile first: its temporaries go before the window arrays (peak RSS)
-    g_window, g0 = window_profile(S, scale, cfg)
-    xw = cfg.window_x
+    # law first: its temporaries go before the window arrays (peak RSS)
+    law = window_law(S, scale, cfg)
     s0 = float(S.eval(cfg.z0))
-    s_vals = S.eval(xw)
+    s_vals = S.eval(cfg.window_x)
     b_n = window_sum(s_vals - s0) / cfg.q_n
 
     integral_term = composite_simpson(
         lambda u: S.eval(cfg.z0 + cfg.h * u) - s0,
         -1.0, 1.0, INTEGRAL_QUAD_PANELS)
     r_n = cfg.q_n * b_n / cfg.phi_n ** 2 - integral_term
-
-    sigma_n_sq = window_sum(g_window ** 2) / cfg.q_n
 
     if xi is None:
         estimate = s0 + b_n
@@ -197,7 +206,7 @@ def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,
             xi_w = xi
         else:
             raise ValueError("xi must cover the full design or the window")
-        y_w = s_vals + g_window * xi_w
+        y_w = s_vals + law.g_window * xi_w
         estimate = window_sum(y_w) / cfg.q_n
 
     return DecompositionReport(
@@ -205,9 +214,7 @@ def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,
         b_n=float(b_n),
         integral_term=float(integral_term),
         r_n=float(r_n),
-        sigma_n_sq=float(sigma_n_sq),
-        g0=g0,
-        g_window=g_window,
+        law=law,
     )
 
 
@@ -228,9 +235,9 @@ def sigma_n_limit_check(S: FunctionSpec, scale: ScaleSpec, z0: float, beta: floa
     rows = []
     for n in ns:
         cfg = EstimatorConfig(n=n, beta=beta, z0=z0)
-        g_window, g0 = window_profile(S, scale, cfg)
-        s = window_sum(g_window ** 2) / cfg.q_n
-        g0_sq = g0 ** 2
+        law = window_law(S, scale, cfg)
+        s = law.sigma_n_sq
+        g0_sq = law.g0 ** 2
         rows.append(SigmaRow(n=n, sigma_n_sq=s, g_sq_z0=g0_sq,
                              abs_gap=abs(s - g0_sq)))
     return rows

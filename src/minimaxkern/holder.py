@@ -44,6 +44,18 @@ def check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
+def check_probe_bandwidths(z0: float, hs: np.ndarray) -> None:
+    """The one definition of the probe-bandwidth rule: at least one
+    bandwidth, each positive, with z0 - h >= -1e-15 and z0 + h <= 1 + 1e-15.
+    The bounds are negated, so a NaN h or z0 fails too."""
+    if hs.size == 0 or not np.all(hs > 0):
+        raise ValueError(f"probe bandwidths must be positive and nonempty, got {hs}")
+    outside = ~((z0 - hs >= -1e-15) & (z0 + hs <= 1.0 + 1e-15))
+    if np.any(outside):
+        raise ValueError(
+            f"window [z0-h, z0+h] leaves [0, 1] for h={hs[outside][0]}")
+
+
 def default_h_grid(z0: float, count: int = DEFAULT_H_COUNT,
                    factor: float = DEFAULT_H_FACTOR) -> np.ndarray:
     """Geometric probe bandwidths from min(z0, 1-z0) shrinking by ``factor``."""
@@ -69,11 +81,7 @@ class WeakHolderParams:
         check_beta(self.beta)
         grid = np.asarray(default_h_grid(self.z0) if self.h_grid is None
                           else self.h_grid, dtype=float)
-        if grid.size == 0 or not np.all(grid > 0):  # NaN fails too
-            raise ValueError("h_grid must contain positive bandwidths")
-        lim = min(self.z0, 1.0 - self.z0)
-        if np.any(grid > lim + 1e-15):
-            raise ValueError("h_grid bandwidths must keep [z0-h, z0+h] in [0, 1]")
+        check_probe_bandwidths(self.z0, grid)
         object.__setattr__(self, "h_grid", grid)
 
 
@@ -100,13 +108,7 @@ def weak_defects(S: FunctionSpec, z0: float, beta: float,
     """
     check_beta(beta)
     hs = np.asarray(hs, dtype=float).reshape(-1)
-    if not np.all(hs > 0):  # NaN fails too
-        raise ValueError("h must be positive")
-    # Negated bounds, so a NaN z0 is rejected as well.
-    outside = ~((z0 - hs >= -1e-15) & (z0 + hs <= 1.0 + 1e-15))
-    if np.any(outside):
-        raise ValueError(
-            f"window [z0-h, z0+h] leaves [0, 1] for h={hs[outside][0]}")
+    check_probe_bandwidths(z0, hs)
     s0 = float(S.eval(z0))
     rows = max(1, DEFECT_BLOCK_BYTES // (8 * (2 * DEFECT_QUAD_PANELS + 1)))
     defects = np.empty(hs.size)

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimator import EstimatorConfig, check_beta, window_profile
+from .estimator import EstimatorConfig, check_beta, window_law
 from .holder import check_delta
 from .model import FunctionSpec, ScaleSpec, constant_fn, scale_eval
 from .numerics import composite_simpson
@@ -250,7 +250,7 @@ def _window_terms(pert: PerturbationSpec, scale: ScaleSpec
     """(V values, g values, varsigma_n^2) over the estimation window."""
     cfg = pert.cfg
     vvals = pert.kernel.values((cfg.window_x - cfg.z0) / cfg.h)
-    g_w = window_profile(pert.to_function(), scale, cfg)[0]
+    g_w = window_law(pert.to_function(), scale, cfg).g_window
     vs = float(np.sum((vvals / g_w) ** 2)) / cfg.phi_n ** 2
     return vvals, g_w, vs
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import EstimatorConfig, window_profile
+from .estimator import EstimatorConfig, WindowLaw, window_law
 from .model import (FunctionSpec, NoiseSpec, ScaleSpec, check_reps, replicate,
                     rng_from_seed)
 from .numerics import ks_statistic, normal_cdf
@@ -39,10 +39,15 @@ def _density_integral(noise: NoiseSpec, f, lo: float, hi: float) -> float:
     return float(val)
 
 
+def check_threshold(a: float) -> None:
+    """The one definition of the truncation-threshold rule: 0 < a < inf."""
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"a must be positive and finite, got {a}")
+
+
 def tail_second_moment(noise: NoiseSpec, a: float) -> float:
     """K_p(a) = E[xi^2 1{|xi| > a}]."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    check_threshold(a)
     if noise.tail_second_moment is not None:
         return float(noise.tail_second_moment(a))
     if noise.discrete:
@@ -53,8 +58,7 @@ def tail_second_moment(noise: NoiseSpec, a: float) -> float:
 
 def truncated_mean(noise: NoiseSpec, a: float) -> float:
     """E[xi 1{|xi| <= a}] (zero for the symmetric catalog entries)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    check_threshold(a)
     if noise.truncated_mean is not None:
         return float(noise.truncated_mean(a))
     if noise.discrete:
@@ -91,22 +95,16 @@ class RealizedSplit:
     xi: np.ndarray  # the window draws that produced the split
 
 
-def _window_weights(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig
-                    ) -> np.ndarray:
-    """g(x_k,S)/g(z0,S) over the window."""
-    g_window, g0 = window_profile(S, scale, cfg)
-    return g_window / g0
-
-
-def truncation_report(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
-                      cfg: EstimatorConfig) -> TruncationReport:
-    """The deterministic summary of the split at a = q_n^(1/4); it draws
-    nothing."""
+def _split_terms(law: WindowLaw, noise: NoiseSpec
+                 ) -> tuple[TruncationReport, np.ndarray]:
+    """``truncation_report`` from the window law, and the summands' scales
+    g(x_k,S)/(g(z0,S) sqrt(q_n)) over the window."""
+    cfg = law.cfg
     a = cfg.q_n ** 0.25
     k_p = tail_second_moment(noise, a)
     m_above = noise.mean - truncated_mean(noise, a)
     a_n = truncated_variance(noise, a)
-    ratio = _window_weights(S, scale, cfg)
+    ratio = law.g_window / law.g0
     g_n_over_qn = float(np.sum(ratio ** 2)) / cfg.q_n
     return TruncationReport(
         a_threshold=a,
@@ -116,7 +114,14 @@ def truncation_report(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
         r_n=g_n_over_qn * a_n,
         tau_n=cfg.k_hi,
         second_moment_zeta_dd=g_n_over_qn * (k_p - m_above ** 2),
-    )
+    ), ratio / math.sqrt(cfg.q_n)
+
+
+def truncation_report(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
+                      cfg: EstimatorConfig) -> TruncationReport:
+    """The deterministic summary of the split at a = q_n^(1/4); it draws
+    nothing."""
+    return _split_terms(window_law(S, scale, cfg), noise)[0]
 
 
 def truncation_split(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
@@ -129,16 +134,14 @@ def truncation_split(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     variance budget is exhausted); zeta_dd sums the tail parts.  Their sum
     reconstructs zeta_n / g(z0, S) exactly.
     """
-    report = truncation_report(S, scale, noise, cfg)
+    report, scale_fac = _split_terms(window_law(S, scale, cfg), noise)
     a = report.a_threshold
     m_below = truncated_mean(noise, a)
     m_above = noise.mean - m_below
 
-    ratio = _window_weights(S, scale, cfg)
     rng = rng_from_seed(seed)
     xi = np.asarray(noise.sampler(rng, cfg.q_n), dtype=float)
     below = np.abs(xi) <= a
-    scale_fac = ratio / math.sqrt(cfg.q_n)
     u_prime = scale_fac * (np.where(below, xi, 0.0) - m_below)
     u_dd = scale_fac * (np.where(below, 0.0, xi) - m_above)
 
@@ -154,14 +157,19 @@ def truncation_split(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
 NORMAL_CHECK_MIN_REPS = 100
 
 
+def check_clt_reps(reps: int) -> None:
+    """The one definition of the CLT check's replication floor."""
+    if not reps >= NORMAL_CHECK_MIN_REPS:
+        raise ValueError(f"reps must be >= {NORMAL_CHECK_MIN_REPS}")
+
+
 def normal_approx_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
                         cfg: EstimatorConfig, reps: int, seed: int) -> float:
     """Kolmogorov-Smirnov distance of simulated zeta_tilde draws to the
     standard Gaussian CDF."""
-    if reps < NORMAL_CHECK_MIN_REPS:
-        raise ValueError(f"reps must be >= {NORMAL_CHECK_MIN_REPS}")
-    ratio = _window_weights(S, scale, cfg)
-    w = ratio / math.sqrt(cfg.q_n)
+    check_clt_reps(reps)
+    law = window_law(S, scale, cfg)  # _split_terms's weights, without its moments
+    w = law.g_window / law.g0 / math.sqrt(cfg.q_n)
 
     def weighted_sum(xi: np.ndarray) -> np.ndarray:
         xi *= w
@@ -180,11 +188,9 @@ def zeta_dd_moment_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     expected = (G_n/q_n) * Var(xi 1{|xi| > a}).
     """
     check_reps(reps)
-    report = truncation_report(S, scale, noise, cfg)
+    report, w = _split_terms(window_law(S, scale, cfg), noise)
     a = report.a_threshold
     m_above = noise.mean - truncated_mean(noise, a)
-    ratio = _window_weights(S, scale, cfg)
-    w = ratio / math.sqrt(cfg.q_n)
 
     mag = below = None  # scratch, sized by the first (largest) block
 

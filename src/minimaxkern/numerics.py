@@ -1,6 +1,6 @@
 """Shared numerical helpers: fixed-panel Simpson quadrature, compensated
-window sums, the standard normal CDF and the exact one-sample
-Kolmogorov-Smirnov statistic."""
+window sums, the standard normal CDF, the folded-normal mean and the
+exact one-sample Kolmogorov-Smirnov statistic."""
 
 from __future__ import annotations
 
@@ -57,6 +57,15 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
     accurate; absolute error stays within a few 1e-16 everywhere.
     """
     return 0.5 * _erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+
+def folded_normal_mean(m: float, s: float) -> float:
+    """E|X| for X ~ N(m, s^2):  s sqrt(2/pi) exp(-m^2/(2s^2)) + m (2 Phi(m/s) - 1)."""
+    if s <= 0:
+        raise ValueError("s must be positive")
+    z = m / s
+    return s * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z) \
+        + m * math.erf(z / math.sqrt(2.0))
 
 
 def ks_statistic(sample: np.ndarray, cdf: Callable) -> float:

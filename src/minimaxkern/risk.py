@@ -46,15 +46,6 @@ EFFICIENCY_CONSTANT = 1.0 / math.sqrt(math.pi)
 FAMILY_BUMP_NU = 0.1
 
 
-def folded_normal_mean(m: float, s: float) -> float:
-    """E|X| for X ~ N(m, s^2):  s sqrt(2/pi) exp(-m^2/(2s^2)) + m (2 Phi(m/s) - 1)."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    z = m / s
-    return s * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z) \
-        + m * math.erf(z / math.sqrt(2.0))
-
-
 # Weak-class certificates by curve object, then by (z0, delta, beta).  The
 # keys are weak: an entry lives only as long as its curve, so a family that
 # is rebuilt is certified afresh.
@@ -134,17 +125,12 @@ class RiskReport:
     constant_target: float = field(default=EFFICIENCY_CONSTANT)
 
 
-def _gaussian_oracle(dec: DecompositionReport, cfg: EstimatorConfig) -> float:
-    """phi_n E|B_n + N(0, sigma_n^2/q_n)| / g(z0, S) from a decomposition."""
-    s = math.sqrt(dec.sigma_n_sq / cfg.q_n)
-    return cfg.phi_n * folded_normal_mean(dec.b_n, s) / dec.g0
-
-
 def exact_gaussian_risk(S: FunctionSpec, rc: RiskConfig) -> float:
     """Folded-normal oracle phi_n E|B_n + N(0, sigma_n^2/q_n)| / g(z0, S)."""
     if not rc.noise.gaussian:
         raise ValueError("the exact oracle applies to Gaussian noise only")
-    return _gaussian_oracle(decompose(S, rc.scale, rc.cfg), rc.cfg)
+    dec = decompose(S, rc.scale, rc.cfg)
+    return dec.law.gaussian_abs_mean(dec.b_n)
 
 
 def _family_stats(decs: list[DecompositionReport], rc: RiskConfig,
@@ -153,14 +139,14 @@ def _family_stats(decs: list[DecompositionReport], rc: RiskConfig,
 
     Member f's statistic for the window draws xi is
     phi_n |B_f + sum_k g_f(x_k) xi_k / q_n| / g(z0, f), with B_f, g_f and
-    g(z0, f) read from f's decomposition.  Members are scored one at a
-    time through one scratch block, and each noise sum is a numpy
-    reduction along one contiguous row, so a member's values do not depend
-    on which other members share the draws.
+    g(z0, f) read from f's decomposition and its window law.  Members are
+    scored one at a time through one scratch block, and each noise sum is a
+    numpy reduction along one contiguous row, so a member's values do not
+    depend on which other members share the draws.
     """
     cfg = rc.cfg
     b = np.array([d.b_n for d in decs])
-    g0 = np.array([d.g0 for d in decs])
+    g0 = np.array([d.law.g0 for d in decs])
 
     scratch = None  # sized by the first (largest) block, then reused
 
@@ -171,7 +157,7 @@ def _family_stats(decs: list[DecompositionReport], rc: RiskConfig,
         prod = scratch[:xi.shape[0]]
         sums = np.empty((xi.shape[0], len(decs)))
         for j, d in enumerate(decs):
-            np.multiply(xi, d.g_window, out=prod)
+            np.multiply(xi, d.law.g_window, out=prod)
             sums[:, j] = prod.sum(axis=1)
         return cfg.phi_n * np.abs(b + sums / cfg.q_n) / g0
 
@@ -229,7 +215,7 @@ def sup_risks(rcs: Sequence[RiskConfig],
         for S, dec in zip(rc.family, family_decs):
             for noise, cell in zip(noise_list, risks):
                 mc, se = cell[j]
-                oracle = _gaussian_oracle(dec, cfg) if noise.gaussian else None
+                oracle = dec.law.gaussian_abs_mean(dec.b_n) if noise.gaussian else None
                 rows.append(RiskRow(function=S.label, noise=noise.label,
                                     risk_mc=mc, stderr=se, risk_oracle=oracle,
                                     phin_bn=cfg.phi_n * dec.b_n))

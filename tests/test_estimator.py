@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from minimaxkern.estimator import (EstimatorConfig, _window_indices, bandwidth,
                                    decompose, kernel_estimate, rate,
-                                   sigma_n_limit_check)
+                                   sigma_n_limit_check, window_law)
 from minimaxkern.model import (constant_fn, design_grid, flat_scale,
                                function_catalog, rng_from_seed, sample_run,
                                scale_catalog, scale_eval, scale_profile)
+from minimaxkern.numerics import folded_normal_mean, window_sum
 from minimaxkern.risk import default_family
 
 
@@ -169,7 +170,7 @@ class TestDecomposition:
     def test_constant_scale_gives_exact_variance(self):
         cfg = EstimatorConfig(n=2_000, beta=2.0, z0=0.5)
         dec = decompose(function_catalog()["sine"], flat_scale(1.7), cfg)
-        assert dec.sigma_n_sq == pytest.approx(1.7 ** 2, rel=1e-14)
+        assert dec.law.sigma_n_sq == pytest.approx(1.7 ** 2, rel=1e-14)
 
     def test_bias_splits_into_integral_plus_gap(self, mixed_scale,
                                                 fixed_curves):
@@ -215,8 +216,8 @@ class TestDecomposition:
                   *fixed_curves(0.5).values()]
         for S in curves:
             dec = decompose(S, scale, cfg)
-            assert dec.g0 == scale_eval(scale, cfg.z0, S), S.label
-            assert np.all(dec.g_window
+            assert dec.law.g0 == scale_eval(scale, cfg.z0, S), S.label
+            assert np.all(dec.law.g_window
                           == scale_profile(scale, cfg.window_x, S)), S.label
 
     @given(n=st.integers(10, 200_000), z0=st.floats(0.2, 0.8),
@@ -265,6 +266,40 @@ class TestDecomposition:
             assert abs(dec.integral_term) <= delta * cfg.h ** beta + 1e-12
 
 
+class TestWindowLaw:
+    @pytest.mark.parametrize("n", [1_000, 100_000])
+    @pytest.mark.parametrize("scale_name", ["mixed", "flat"])
+    def test_matches_direct_expressions(self, plateau_kernel_01, mixed_scale,
+                                        n, scale_name):
+        # sigma_n^2 and the Gaussian oracle are bitwise the expressions the
+        # risk layer wrote out before the law owned them
+        scale = mixed_scale if scale_name == "mixed" else flat_scale()
+        cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+        for S in default_family(0.5, 0.1, 2.0, n, plateau_kernel_01):
+            dec = decompose(S, scale, cfg)
+            g_w = scale_profile(scale, cfg.window_x, S)
+            g0 = scale_eval(scale, cfg.z0, S)
+            sigma_n_sq = window_sum(g_w ** 2) / cfg.q_n
+            oracle = cfg.phi_n * folded_normal_mean(
+                dec.b_n, math.sqrt(sigma_n_sq / cfg.q_n)) / g0
+            assert dec.law.sigma_n_sq == sigma_n_sq, S.label
+            assert dec.law.gaussian_abs_mean(dec.b_n) == oracle, S.label
+
+    @given(n=st.integers(10, 20_000), t=st.floats(-8.0, 8.0),
+           u=st.floats(-8.0, 8.0),
+           scale=st.sampled_from([*scale_catalog().values(), flat_scale()]))
+    def test_oracle_even_and_nondecreasing_in_abs_bias(self, n, t, u, scale):
+        # t and u are biases in units of the error's standard deviation;
+        # monotone up to a few ulps of rounding
+        cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+        law = window_law(function_catalog()["sine"], scale, cfg)
+        s = math.sqrt(law.sigma_n_sq / cfg.q_n)
+        lo, hi = sorted((abs(t) * s, abs(u) * s))
+        assert law.gaussian_abs_mean(-t * s) == law.gaussian_abs_mean(t * s)
+        assert law.gaussian_abs_mean(lo) <= law.gaussian_abs_mean(hi) * (
+            1.0 + 4.0 * np.finfo(float).eps)
+
+
 class TestVarianceLimit:
     def test_constant_scale_zero_gaps(self):
         rows = sigma_n_limit_check(constant_fn(0.1), flat_scale(), 0.5, 2.0,
@@ -305,5 +340,5 @@ class TestVarianceLimit:
         for r in rows:
             dec = decompose(S, mixed_scale, EstimatorConfig(n=r.n, beta=2.0,
                                                             z0=0.5))
-            assert r.sigma_n_sq == dec.sigma_n_sq
-            assert r.g_sq_z0 == dec.g0 ** 2
+            assert r.sigma_n_sq == dec.law.sigma_n_sq
+            assert r.g_sq_z0 == dec.law.g0 ** 2

@@ -286,6 +286,33 @@ class TestFailClosed:
             check_weak_holder(quadratic(), self.P, resolution)
 
 
+# The last bandwidth the probe-bandwidth rule accepts at z0 and the float
+# after it: z0 - h >= -1e-15 binds at 0.3, both sides at 0.5 and
+# z0 + h <= 1 + 1e-15 at 0.637 and 0.913.
+_PROBE_EDGES = [(0.3, 0.300000000000001),
+                (0.5, 0.500000000000001),
+                (0.637, 0.36300000000000116),
+                (0.913, 0.08700000000000117)]
+
+
+@pytest.mark.parametrize("z0,h_in", _PROBE_EDGES)
+def test_probe_bandwidth_edge_is_one_rule(z0, h_in):
+    # WeakHolderParams and weak_defects decide both sides of the edge alike
+    h_out = math.nextafter(h_in, 1.0)
+    WeakHolderParams(z0=z0, delta=0.1, beta=2.0, h_grid=np.array([h_in]))
+    weak_defects(quadratic(), z0, 2.0, [h_in])
+    with pytest.raises(ValueError, match="leaves"):
+        WeakHolderParams(z0=z0, delta=0.1, beta=2.0, h_grid=np.array([h_out]))
+    with pytest.raises(ValueError, match="leaves"):
+        weak_defects(quadratic(), z0, 2.0, [h_out])
+
+
+@given(st.floats(1e-9, 1.0 - 1e-9))
+def test_default_probe_grid_accepted(z0):
+    grid = WeakHolderParams(z0=z0, delta=0.1, beta=2.0).h_grid
+    holder.check_probe_bandwidths(z0, grid)
+
+
 # ---------------------------------------------------------------------------
 # properties of weak_defects
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm, t
 
-from minimaxkern.estimator import EstimatorConfig
-from minimaxkern.martingale import (_window_weights, normal_approx_check,
+from minimaxkern import martingale
+from minimaxkern.estimator import EstimatorConfig, window_law
+from minimaxkern.martingale import (_split_terms, normal_approx_check,
                                     tail_second_moment,
                                     truncated_mean, truncated_variance,
                                     truncation_report, truncation_split,
@@ -15,6 +16,7 @@ from minimaxkern.martingale import (_window_weights, normal_approx_check,
 from minimaxkern.model import (constant_fn, flat_scale, get_noise,
                                noise_catalog, scale_catalog, scale_eval,
                                scale_profile)
+from minimaxkern.risk import default_family
 
 ALL_NOISES = sorted(noise_catalog())
 
@@ -65,6 +67,16 @@ class TestTailSecondMoment:
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
             tail_second_moment(get_noise("gaussian"), 0.0)
+
+    @pytest.mark.parametrize("moment", [tail_second_moment, truncated_mean,
+                                        truncated_variance])
+    @pytest.mark.parametrize("label", ALL_NOISES)
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_threshold_rule_fails_closed(self, moment, label, a):
+        # NaN used to pass the `a <= 0` check (Gaussian K_p gave nan,
+        # Rademacher's truncated mean 0.0), and a = inf gave nan
+        with pytest.raises(ValueError, match="a must be positive and finite"):
+            moment(get_noise(label), a)
 
 
 # thresholds from below the unit scale to far past n = 1e5 (a = 11.89) and
@@ -140,15 +152,42 @@ class TestTruncationSplit:
     @pytest.mark.parametrize("n", [1_000, 100_000])
     @pytest.mark.parametrize("scale", [*scale_catalog().values(), flat_scale()],
                              ids=[*scale_catalog(), "flat"])
-    def test_window_weights_match_direct_profile(self, fixed_curves, n,
-                                                 scale):
-        # the weights come from the estimator's window profile; bitwise the
-        # direct g(x_k, S) / g(z0, S)
+    def test_window_weights_match_direct_profile(self, fixed_curves,
+                                                 plateau_kernel_01, gaussian,
+                                                 n, scale):
+        # the weights come from the estimator's window law; bitwise the
+        # direct g(x_k, S) / g(z0, S), and the split's summand scales and
+        # G_n/q_n are bitwise the expressions built on it
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
-        for S in fixed_curves(0.5).values():
+        curves = [*default_family(0.5, 0.1, 2.0, n, plateau_kernel_01),
+                  *fixed_curves(0.5).values()]
+        for S in curves:
             direct = (scale_profile(scale, cfg.window_x, S)
                       / scale_eval(scale, cfg.z0, S))
-            assert np.array_equal(_window_weights(S, scale, cfg), direct), S.label
+            law = window_law(S, scale, cfg)
+            assert np.array_equal(law.g_window / law.g0, direct), S.label
+            report, w = _split_terms(law, gaussian)
+            assert np.array_equal(w, direct / math.sqrt(cfg.q_n)), S.label
+            assert report.g_n_over_qn == float(np.sum(direct ** 2)) / cfg.q_n
+
+    @pytest.mark.parametrize("run", ["split", "moment_check"])
+    def test_one_window_law_per_call(self, monkeypatch, mixed_scale, run):
+        # a counting wrapper on the window law, at the name martingale
+        # calls it by: the report and the draws share one evaluation
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return window_law(*args)
+
+        monkeypatch.setattr(martingale, "window_law", counting)
+        cfg = EstimatorConfig(n=2_000, beta=2.0, z0=0.5)
+        args = (constant_fn(0.2), mixed_scale, get_noise("laplace_std"), cfg)
+        if run == "split":
+            truncation_split(*args, seed=3)
+        else:
+            zeta_dd_moment_check(*args, reps=10, seed=3)
+        assert len(calls) == 1
 
     def test_split_reconstructs_normalized_sum(self, mixed_scale):
         cfg = EstimatorConfig(n=20_000, beta=2.0, z0=0.5)

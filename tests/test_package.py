@@ -95,6 +95,10 @@ _RANGE_RULES = [
     "alpha0 must be positive",
     "alpha1..alpha3 must be non-negative",
     "reps must be >= 2",
+    "reps must be >= {NORMAL_CHECK_MIN_REPS}",  # clt-check's floor, 100
+    "a must be positive and finite",
+    "probe bandwidths must be positive",
+    "leaves [0, 1] for h=",
 ]
 
 

@@ -15,11 +15,11 @@ from minimaxkern.model import (FunctionSpec, constant_fn, flat_scale,
                                function_catalog, get_noise, noise_catalog,
                                replicate, rng_from_seed, scale_eval,
                                zero_noise)
+from minimaxkern.numerics import folded_normal_mean
 from minimaxkern.risk import (DEFAULT_TABLE_LABELS, EFFICIENCY_CONSTANT,
                               RiskConfig, _family_stats,
                               default_family, exact_gaussian_risk,
-                              folded_normal_mean, monte_carlo_risk, sup_risk,
-                              sup_risks)
+                              monte_carlo_risk, sup_risk, sup_risks)
 
 
 class TestFoldedNormalMean:
@@ -78,7 +78,7 @@ class TestExactGaussianRisk:
         rc = _single_config(constant_fn(-0.4, "c"), mixed_scale, gaussian)
         dec = decompose(rc.family[0], mixed_scale, rc.cfg)
         g0 = scale_eval(mixed_scale, 0.5, rc.family[0])
-        expected = (rc.cfg.phi_n * math.sqrt(dec.sigma_n_sq / rc.cfg.q_n)
+        expected = (rc.cfg.phi_n * math.sqrt(dec.law.sigma_n_sq / rc.cfg.q_n)
                     * math.sqrt(2.0 / math.pi) / g0)
         assert exact_gaussian_risk(rc.family[0], rc) == pytest.approx(
             expected, rel=1e-12)
