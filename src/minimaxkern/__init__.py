@@ -21,8 +21,8 @@ from .martingale import (RealizedSplit, TruncationReport, normal_approx_check,
                          tail_second_moment, truncated_mean,
                          truncated_variance, truncation_report,
                          truncation_split, zeta_dd_moment_check)
-from .model import (FunctionSpec, NoiseSpec, ScaleSpec, certify_noise,
-                    constant_fn, derive_seed, design_grid, flat_scale,
+from .model import (FunctionSpec, NoiseSpec, ScaleSpec, constant_fn,
+                    derive_seed, design_grid, flat_scale,
                     function_catalog, get_noise, linear_fn, noise_catalog,
                     replicate, sample_run, scale_catalog, scale_eval,
                     scale_frechet, zero_noise)
@@ -37,7 +37,7 @@ __all__ = [
     # model
     "FunctionSpec", "ScaleSpec", "NoiseSpec",
     "design_grid", "scale_eval", "scale_frechet", "sample_run",
-    "certify_noise", "noise_catalog", "get_noise", "zero_noise",
+    "noise_catalog", "get_noise", "zero_noise",
     "scale_catalog", "flat_scale", "function_catalog",
     "constant_fn", "linear_fn", "derive_seed", "replicate",
     # holder

@@ -35,14 +35,14 @@ import numpy as np
 from . import __version__
 from .estimator import EstimatorConfig, check_beta, check_z0, sigma_n_limit_check
 from .holder import WeakHolderParams, check_delta, check_weak_holder
-from .lowerbound import bayes_bound, build_kernel, check_b, check_nu
+from .lowerbound import (bayes_bound, build_kernel, check_b, check_nu,
+                         pure_noise_scale, sigma_nu_sq)
 # truncation_split is not called here, but bench/trace_driver.py wraps it
 # under this module's name, so the name stays importable from cli.
 from .martingale import (check_clt_reps, normal_approx_check,
                          truncation_report, truncation_split)  # noqa: F401
 from .model import (ScaleSpec, check_alpha0, check_alpha123, check_n, check_reps,
-                    constant_fn, function_catalog, get_noise, noise_catalog,
-                    derive_seed, scale_eval)
+                    function_catalog, get_noise, derive_seed)
 # default_family and sup_risk are not called here, but bench/trace_driver.py
 # wraps them under this module's names, so the names stay importable from cli.
 from .risk import (DEFAULT_TABLE_LABELS, FAMILY_BUMP_NU, RiskConfig,
@@ -80,13 +80,6 @@ class ExperimentConfig:
     seed_source: str = "config"
 
 
-def _check_noise(label: str) -> None:
-    known = set(noise_catalog()) | {"zero"}
-    if label not in known:
-        raise ValueError(
-            f"unknown noise label {label!r}; choose from {sorted(known)}")
-
-
 # Every key but ``command``: (item type, whether the value is a nonempty
 # comma-separated list of items, range check).  The range check is the
 # library's owner of the parameter's rule; it raises ValueError per item.
@@ -99,7 +92,7 @@ _KEYS = {
     "seed": (int, False, None),
     "alpha0": (float, False, check_alpha0),
     **dict.fromkeys(("alpha1", "alpha2", "alpha3"), (float, False, check_alpha123)),
-    "noise_list": (str, True, _check_noise),
+    "noise_list": (str, True, get_noise),
     "function_list": (str, True, None),
     "nu_list": (float, True, check_nu),
     "b_list": (float, True, check_b),
@@ -280,13 +273,13 @@ def _risk_table(config: ExperimentConfig, threads: int
 def _lower_bound(config: ExperimentConfig, threads: int
                 ) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
-    g_z0 = scale_eval(scale, config.z0, constant_fn(0.0))
+    g_z0 = pure_noise_scale(scale, config.z0)
     rows: list[list] = []
     for nu in sorted(config.nu_list, reverse=True):
         kernel = build_kernel(nu)
-        sigma_nu_sq = kernel.sq_integral / g_z0 ** 2
+        sigma_sq = sigma_nu_sq(kernel, g_z0)
         for b in sorted(config.b_list):
-            rows.append([nu, b, sigma_nu_sq, bayes_bound(kernel, b, g_z0)])
+            rows.append([nu, b, sigma_sq, bayes_bound(kernel, b, g_z0)])
     return ["nu", "b", "sigma_nu_sq", "bayes_bound"], rows, {}
 
 

@@ -14,7 +14,7 @@ the nodes z0 + h u of a fixed Simpson rule, with ``DEFECT_BLOCK_BYTES``
 bounding a block's node array.  Every defect takes the same floating-point
 operations whatever the block size, so certificates do not depend on it.
 Certificates fail closed: a NaN defect or derivative sample is never
-certified, and NaN bandwidths or too-coarse derivative grids are errors.
+certified, and NaN bandwidths are errors.
 """
 
 from __future__ import annotations
@@ -56,14 +56,11 @@ def check_probe_bandwidths(z0: float, hs: np.ndarray) -> None:
             f"window [z0-h, z0+h] leaves [0, 1] for h={hs[outside][0]}")
 
 
-def default_h_grid(z0: float, count: int = DEFAULT_H_COUNT,
-                   factor: float = DEFAULT_H_FACTOR) -> np.ndarray:
-    """Geometric probe bandwidths from min(z0, 1-z0) shrinking by ``factor``."""
+def default_h_grid(z0: float) -> np.ndarray:
+    """min(z0, 1-z0) * DEFAULT_H_FACTOR^k for k below DEFAULT_H_COUNT."""
     check_z0(z0)
-    if not (0.0 < factor < 1.0):
-        raise ValueError("factor must lie in (0, 1)")
     h_max = min(z0, 1.0 - z0)
-    return h_max * factor ** np.arange(count, dtype=float)
+    return h_max * DEFAULT_H_FACTOR ** np.arange(DEFAULT_H_COUNT, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,6 @@ class WeakHolderReport:
     max_defect: float
     defect_bound: float
     worst_h: float
-    resolution: int
 
 
 def weak_defects(S: FunctionSpec, z0: float, beta: float,
@@ -129,19 +125,17 @@ def weak_defect(S: FunctionSpec, z0: float, beta: float, h: float) -> float:
     return float(weak_defects(S, z0, beta, [h])[0])
 
 
-def check_weak_holder(S: FunctionSpec, p: WeakHolderParams,
-                      resolution: int = DEFAULT_SUP_RESOLUTION) -> WeakHolderReport:
+def check_weak_holder(S: FunctionSpec, p: WeakHolderParams) -> WeakHolderReport:
     """Certificate for the local weak class at (z0, delta, beta).
 
-    True iff the grid supremum of |S'| stays below 1/delta and the window
-    defect stays below delta on every probe bandwidth.  ``worst_h`` is the
-    first probe attaining the largest defect.  A NaN derivative sample
-    makes ``sup_deriv`` NaN and a NaN defect makes ``max_defect`` NaN (with
+    True iff the supremum of |S'| on DEFAULT_SUP_RESOLUTION equispaced
+    points of [0, 1] stays below 1/delta and the window defect stays below
+    delta on every probe bandwidth.  ``worst_h`` is the first probe
+    attaining the largest defect.  A NaN derivative sample makes
+    ``sup_deriv`` NaN and a NaN defect makes ``max_defect`` NaN (with
     ``worst_h`` its probe); either way the curve is not certified.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    d = S.deriv(np.linspace(0.0, 1.0, resolution))
+    d = S.deriv(np.linspace(0.0, 1.0, DEFAULT_SUP_RESOLUTION))
     sup_deriv = float(np.max(np.abs(d)))
     deriv_bound = 1.0 / p.delta
 
@@ -156,5 +150,4 @@ def check_weak_holder(S: FunctionSpec, p: WeakHolderParams,
         max_defect=max_defect,
         defect_bound=p.delta,
         worst_h=float(p.h_grid[worst]),
-        resolution=resolution,
     )

@@ -195,6 +195,16 @@ def build_kernel(nu: float) -> PlateauKernel:
     return PlateauKernel(nu=nu)
 
 
+def pure_noise_scale(scale: ScaleSpec, z0: float) -> float:
+    """g(z0, 0), the noise scale at z0 under the pure-noise (zero) curve."""
+    return scale_eval(scale, z0, constant_fn(0.0))
+
+
+def sigma_nu_sq(kernel: PlateauKernel, g_z0: float) -> float:
+    """sigma_nu^2 = int_{-1}^{1} V_nu^2 / g_z0^2."""
+    return kernel.sq_integral / g_z0 ** 2
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Window-localized perturbation S(x) = (u/phi_n) V_nu((x - z0)/h).
@@ -263,8 +273,7 @@ def varsigma_sq(pert: PerturbationSpec, scale: ScaleSpec) -> tuple[float, float]
     sigma_nu^2 = int_{-1}^{1} V_nu^2 / g^2(z0, 0).
     """
     vs = _window_terms(pert, scale)[2]
-    g0 = scale_eval(scale, pert.z0, constant_fn(0.0))
-    return vs, pert.kernel.sq_integral / g0 ** 2
+    return vs, sigma_nu_sq(pert.kernel, pure_noise_scale(scale, pert.z0))
 
 
 def shift_statistic(pert: PerturbationSpec, scale: ScaleSpec,
@@ -315,7 +324,7 @@ def bayes_bound(kernel: PlateauKernel, b: float, g_z0: float) -> float:
     check_b(b)
     if not 0.0 < g_z0 < math.inf:
         raise ValueError(f"g_z0 must be positive and finite, got {g_z0}")
-    sigma_sq = kernel.sq_integral / g_z0 ** 2
+    sigma_sq = sigma_nu_sq(kernel, g_z0)
     sigma = math.sqrt(sigma_sq)
     root_b = math.sqrt(b)
     integral = 2.0 / g_z0 * -math.expm1(-0.5 * sigma_sq * b) / sigma_sq

@@ -7,10 +7,9 @@ a = q_n^(1/4) and re-centering yields a bounded martingale-difference part
 plus a tail part whose second moment is (G_n/q_n) * K_p(a), with
 K_p(a) = E[xi^2 1{|xi| > a}] and G_n the window sum of g^2(x_k,S)/g^2(z0,S).
 
-Truncated moments come from the noise law itself: its closed forms when it
-carries them (every continuous catalog entry does), its atoms when it is
-discrete, and otherwise adaptive quadrature of its density (tolerance
-1e-10 relative); centering errors would bias the split directly.
+Truncated moments are the closed forms the noise law carries (every law
+carries ``tail_second_moment`` and ``truncated_mean``), so they are exact
+to rounding: a centering error would bias the split directly.
 """
 
 from __future__ import annotations
@@ -26,19 +25,6 @@ from .model import (FunctionSpec, NoiseSpec, ScaleSpec, check_reps, replicate,
 from .numerics import ks_statistic, normal_cdf
 
 
-def _density_integral(noise: NoiseSpec, f, lo: float, hi: float) -> float:
-    """int_lo^hi f(x) density(x) dx by adaptive quadrature.
-
-    Only laws without closed-form truncated moments get here, so only they
-    pay for importing scipy.
-    """
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda x: f(x) * noise.density(x), lo, hi,
-                  epsabs=1e-12, epsrel=1e-10, limit=200)
-    return float(val)
-
-
 def check_threshold(a: float) -> None:
     """The one definition of the truncation-threshold rule: 0 < a < inf."""
     if not 0.0 < a < math.inf:
@@ -48,26 +34,17 @@ def check_threshold(a: float) -> None:
 def tail_second_moment(noise: NoiseSpec, a: float) -> float:
     """K_p(a) = E[xi^2 1{|xi| > a}]."""
     check_threshold(a)
-    if noise.tail_second_moment is not None:
-        return float(noise.tail_second_moment(a))
-    if noise.discrete:
-        return float(sum(w * x * x for x, w in noise.atoms if abs(x) > a))
-    return (_density_integral(noise, lambda x: x * x, a, math.inf)
-            + _density_integral(noise, lambda x: x * x, -math.inf, -a))
+    return float(noise.tail_second_moment(a))
 
 
 def truncated_mean(noise: NoiseSpec, a: float) -> float:
     """E[xi 1{|xi| <= a}] (zero for the symmetric catalog entries)."""
     check_threshold(a)
-    if noise.truncated_mean is not None:
-        return float(noise.truncated_mean(a))
-    if noise.discrete:
-        return float(sum(w * x for x, w in noise.atoms if abs(x) <= a))
-    return _density_integral(noise, lambda x: x, -a, a)
+    return float(noise.truncated_mean(a))
 
 
 def truncated_variance(noise: NoiseSpec, a: float) -> float:
-    """Var(xi 1{|xi| <= a}) through the same moment backends."""
+    """Var(xi 1{|xi| <= a}) from the law's two closed forms."""
     m = truncated_mean(noise, a)
     second = noise.variance - tail_second_moment(noise, a)
     return second - m * m

@@ -9,8 +9,8 @@ regression curve,
 
 which keeps g uniformly bounded between sqrt(a0) and
 sqrt(a0 + a1 + a2 + a3) and Frechet-differentiable in S.  The module also
-carries the catalog of standardized noise densities (mean 0, variance 1)
-together with their moment certificates.
+carries the catalog of standardized noise laws (mean 0, variance 1), each
+with the closed forms of its moments.
 """
 
 from __future__ import annotations
@@ -230,16 +230,16 @@ def scale_frechet(scale: ScaleSpec, x: float, S: FunctionSpec, f: FunctionSpec) 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """A standardized noise law with sampler, density and moment certificate.
+    """A standardized noise law: its sampler, density and closed forms.
 
-    ``abs_moment`` is the closed-form E|xi|^(2+epsilon); membership in the
-    moment class requires mean 0, variance 1 and abs_moment <= L_bound.
-    ``density`` is the pdf for continuous entries; discrete entries carry
-    their atoms explicitly.  ``tail_second_moment`` (a -> E[xi^2 1{|xi| > a}])
-    and ``truncated_mean`` (a -> E[xi 1{|xi| <= a}]) are optional closed
-    forms; a continuous law without them has its truncated moments
-    integrated from ``density``.  ``gaussian`` marks the standard normal
-    law, the one law for which the risk has the exact folded-normal oracle.
+    ``abs_moment`` is the closed-form E|xi|^(2+epsilon); ``member`` tells
+    whether the law lies in the moment class (mean 0, variance 1 and
+    abs_moment <= L_bound).  ``density`` is the pdf (the pmf for a discrete
+    law).  ``tail_second_moment`` (a -> E[xi^2 1{|xi| > a}]) and
+    ``truncated_mean`` (a -> E[xi 1{|xi| <= a}]) are the closed forms the
+    truncation split needs; every law carries both.  ``gaussian`` marks the
+    standard normal law, the one law for which the risk has the exact
+    folded-normal oracle.
 
     ``sampler(rng, size, out=None)`` draws ``size`` values from ``rng``.
     Given ``out`` (a C-contiguous float64 array of ``size`` values) it
@@ -254,24 +254,17 @@ class NoiseSpec:
     mean: float
     variance: float
     abs_moment: float
+    tail_second_moment: Callable[[float], float]
+    truncated_mean: Callable[[float], float]
     epsilon: float = 1.0
     L_bound: float = 10.0
-    discrete: bool = False
     gaussian: bool = False
-    atoms: tuple = ()
-    tail_second_moment: Callable[[float], float] | None = None
-    truncated_mean: Callable[[float], float] | None = None
 
-
-@dataclass(frozen=True)
-class NoiseCertification:
-    label: str
-    mean: float
-    variance: float
-    abs_moment: float
-    epsilon: float
-    L_bound: float
-    member: bool
+    @property
+    def member(self) -> bool:
+        """Mean 0, variance 1 and E|xi|^(2+eps) <= L: the moment class."""
+        return (self.mean == 0.0 and self.variance == 1.0
+                and self.abs_moment <= self.L_bound)
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -453,7 +446,8 @@ def noise_catalog() -> dict[str, NoiseSpec]:
             density=_rademacher_pmf,
             mean=0.0, variance=1.0,
             abs_moment=1.0,
-            discrete=True, atoms=((-1.0, 0.5), (1.0, 0.5)),
+            tail_second_moment=lambda a: 1.0 if a < 1.0 else 0.0,  # atoms +-1
+            truncated_mean=_symmetric_truncated_mean,
         ),
         "laplace_std": NoiseSpec(
             label="laplace_std",
@@ -483,37 +477,20 @@ def zero_noise() -> NoiseSpec:
         sampler=_zero_sampler,
         density=lambda x: np.where(np.asarray(x, dtype=float) == 0.0, 1.0, 0.0),
         mean=0.0, variance=0.0, abs_moment=0.0,
-        discrete=True, atoms=((0.0, 1.0),),
+        tail_second_moment=lambda a: 0.0,
+        truncated_mean=_symmetric_truncated_mean,
     )
 
 
 def get_noise(label: str) -> NoiseSpec:
+    """The catalog law or ``zero`` named ``label``: the noise-label rule."""
     if label == "zero":
         return zero_noise()
     cat = noise_catalog()
     if label not in cat:
-        raise KeyError(f"unknown noise label {label!r}; "
-                       f"choose from {sorted(cat)} or 'zero'")
+        raise ValueError(f"unknown noise label {label!r}; "
+                         f"choose from {sorted([*cat, 'zero'])}")
     return cat[label]
-
-
-def certify_noise(noise: NoiseSpec) -> NoiseCertification:
-    """Moment certificate: mean 0, variance 1 and E|xi|^(2+eps) <= L.
-
-    Non-member densities are flagged rather than rejected.
-    """
-    member = (noise.mean == 0.0
-              and noise.variance == 1.0
-              and noise.abs_moment <= noise.L_bound)
-    return NoiseCertification(
-        label=noise.label,
-        mean=noise.mean,
-        variance=noise.variance,
-        abs_moment=noise.abs_moment,
-        epsilon=noise.epsilon,
-        L_bound=noise.L_bound,
-        member=member,
-    )
 
 
 # ---------------------------------------------------------------------------

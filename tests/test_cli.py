@@ -759,8 +759,7 @@ print(json.dumps({"codes": codes,
 
 
 def test_cli_commands_do_not_import_scipy(tmp_path):
-    """Every command runs on numpy alone: scipy is left for laws that carry
-    only a density."""
+    """Every command runs on numpy alone: scipy is a test-only dependency."""
     jobs = []
     for command, body in _STARTUP_CONFIGS.items():
         cfg = tmp_path / f"{command}.cfg"

@@ -142,8 +142,7 @@ def _reference_report(S, p, resolution=DEFAULT_SUP_RESOLUTION):
     return WeakHolderReport(
         certified=sup_deriv <= 1.0 / p.delta and max_defect <= p.delta,
         sup_deriv=sup_deriv, deriv_bound=1.0 / p.delta,
-        max_defect=max_defect, defect_bound=p.delta, worst_h=worst_h,
-        resolution=resolution)
+        max_defect=max_defect, defect_bound=p.delta, worst_h=worst_h)
 
 
 def _all_curves(z0, delta, beta, n, kernel, fixed_curves):
@@ -279,11 +278,6 @@ class TestFailClosed:
     def test_nan_point_rejected(self):
         with pytest.raises(ValueError, match="leaves"):
             weak_defect(quadratic(), math.nan, 2.0, 0.1)
-
-    @pytest.mark.parametrize("resolution", [1, 0])
-    def test_coarse_derivative_grid_rejected(self, resolution):
-        with pytest.raises(ValueError, match="resolution"):
-            check_weak_holder(quadratic(), self.P, resolution)
 
 
 # The last bandwidth the probe-bandwidth rule accepts at z0 and the float

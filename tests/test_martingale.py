@@ -83,6 +83,9 @@ class TestTailSecondMoment:
 # the n at which the Student-t(5) tail first drops below 1e-3 (a = 20.57)
 CLOSED_FORM_THRESHOLDS = [0.5, 2.0, 11.89, 20.57, 40.0]
 SYMMETRIC_CONTINUOUS = ["gaussian", "laplace_std", "student5_std", "uniform_std"]
+# (a, K_p(a)) for Rademacher, on both sides of its atoms and at n = 1e5
+RADEMACHER_TAILS = [(0.5, 1.0), (math.nextafter(1.0, 0.0), 1.0), (1.0, 0.0),
+                    (math.nextafter(1.0, 2.0), 0.0), (2.0, 0.0), (11.89, 0.0)]
 
 
 class TestClosedFormMoments:
@@ -106,16 +109,14 @@ class TestClosedFormMoments:
         assert all(truncated_mean(noise, a) == 0.0
                    for a in CLOSED_FORM_THRESHOLDS)
 
-    def test_density_only_law_uses_quadrature(self):
-        laplace = get_noise("laplace_std")
-        density_only = replace(laplace, tail_second_moment=None,
-                               truncated_mean=None)
-        for a in (0.5, 2.0, 11.89):
-            assert tail_second_moment(density_only, a) == pytest.approx(
-                tail_second_moment(laplace, a), rel=1e-9, abs=0.0)
-            assert truncated_mean(density_only, a) == pytest.approx(0.0, abs=1e-9)
-            assert truncated_variance(density_only, a) == pytest.approx(
-                truncated_variance(laplace, a), rel=1e-9)
+    @pytest.mark.parametrize("a,rademacher_k_p", RADEMACHER_TAILS)
+    def test_atomic_closed_forms_pinned(self, a, rademacher_k_p):
+        # both Rademacher atoms +-1 lie beyond a exactly when a < 1; the
+        # zero law's one atom never does
+        assert tail_second_moment(get_noise("rademacher"), a) == rademacher_k_p
+        assert truncated_mean(get_noise("rademacher"), a) == 0.0
+        assert tail_second_moment(get_noise("zero"), a) == 0.0
+        assert truncated_mean(get_noise("zero"), a) == 0.0
 
     def test_moments_follow_the_law_not_its_label(self):
         # a law labelled "gaussian" gets the moments it carries

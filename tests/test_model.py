@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 from minimaxkern.estimator import EstimatorConfig, decompose
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.model import (SAMPLER_CHUNK, FunctionSpec, ScaleSpec,
-                               certify_noise, constant_fn, derive_seed,
+                               constant_fn, derive_seed,
                                design_grid, flat_scale, function_catalog,
                                get_noise, noise_catalog, rng_from_seed,
                                sample_run, scale_catalog, scale_eval,
@@ -139,18 +141,23 @@ class TestScaleFrechet:
 class TestNoiseCatalog:
     def test_certificates(self):
         for label, noise in noise_catalog().items():
-            cert = certify_noise(noise)
-            assert cert.member, label
-            assert cert.mean == 0.0
-            assert cert.variance == 1.0
-            assert cert.abs_moment <= 10.0
+            assert noise.member, label
+            assert noise.mean == 0.0
+            assert noise.variance == 1.0
+            assert noise.abs_moment <= 10.0
+
+    def test_member_follows_the_fields(self):
+        gaussian = get_noise("gaussian")
+        assert not replace(gaussian, L_bound=1.5).member  # abs_moment 1.596
+        assert not replace(gaussian, mean=0.1).member
+        assert not replace(gaussian, variance=2.0).member
 
     def test_gaussian_third_moment(self):
-        cert = certify_noise(get_noise("gaussian"))
-        assert cert.abs_moment == pytest.approx(1.5957691216057308, abs=1e-12)
+        noise = get_noise("gaussian")
+        assert noise.abs_moment == pytest.approx(1.5957691216057308, abs=1e-12)
 
     def test_rademacher_third_moment(self):
-        assert certify_noise(get_noise("rademacher")).abs_moment == 1.0
+        assert get_noise("rademacher").abs_moment == 1.0
 
     def test_uniform_variance_closed_form(self):
         # int x^2 / (2 sqrt 3) over [-sqrt3, sqrt3] = 1
@@ -159,14 +166,16 @@ class TestNoiseCatalog:
         dens = noise.density(xs)
         var = np.trapezoid(xs ** 2 * dens, xs)
         assert var == pytest.approx(1.0, abs=1e-6)
-        assert certify_noise(noise).member
+        assert noise.member
 
     def test_zero_noise_flagged_not_member(self):
-        cert = certify_noise(zero_noise())
-        assert not cert.member
+        assert not zero_noise().member
 
     def test_unknown_label(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown noise label 'cauchy'; choose from ['gaussian', "
+                "'laplace_std', 'rademacher', 'student5_std', 'uniform_std', "
+                "'zero']")):
             get_noise("cauchy")
 
     @pytest.mark.parametrize("label", sorted(noise_catalog()))

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,34 @@ def _unused_imports(path: Path) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{path.name}:{line} {name}"
             for name, line in imported.items() if name not in used]
+
+
+def test_no_src_module_imports_scipy():
+    # scipy is a test-only dependency: every law carries its closed forms,
+    # so no import of it, at module level or inside a function, stays in src
+    found = []
+    for path in sorted((ROOT / "src" / "minimaxkern").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    import tomllib
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = [re.split(r"[<>=!~ \[;]", dep, maxsplit=1)[0]
+             for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy")
+               for dep in project["optional-dependencies"]["test"])
 
 
 def test_no_unused_imports():
@@ -99,6 +128,7 @@ _RANGE_RULES = [
     "a must be positive and finite",
     "probe bandwidths must be positive",
     "leaves [0, 1] for h=",
+    "unknown noise label",
 ]
 
 
