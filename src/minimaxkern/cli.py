@@ -45,9 +45,9 @@ from .model import (ScaleSpec, check_alpha0, check_alpha123, check_n, check_reps
                     function_catalog, get_noise, derive_seed)
 # default_family and sup_risk are not called here, but bench/trace_driver.py
 # wraps them under this module's names, so the names stay importable from cli.
-from .risk import (DEFAULT_TABLE_LABELS, FAMILY_BUMP_NU, RiskConfig,
-                   default_family, family_bump, family_candidates,
-                   sup_risk, sup_risks)  # noqa: F401
+from .risk import (DEFAULT_TABLE_LABELS, RiskConfig, default_family,
+                   family_bump, family_candidates, sup_risk,
+                   sup_risks)  # noqa: F401
 
 
 class ConfigError(Exception):
@@ -184,7 +184,7 @@ def _function_lookup(config: ExperimentConfig, delta: float) -> dict:
     the catalog's and the family's, whose labels are disjoint."""
     return {**function_catalog(config.z0),
             **{S.label: S
-               for S in family_candidates(config.z0, delta, config.beta)}}
+               for S in family_candidates(config.z0, delta)}}
 
 
 def _select(lookup: dict, labels) -> list:
@@ -227,7 +227,6 @@ def _risk_table(config: ExperimentConfig, threads: int
     # only the bump, whose shape follows n, is built per (n, delta).  At
     # each n, every delta's family is scored on one stream per noise.
     scale = _scale_from(config)
-    kernel = build_kernel(FAMILY_BUMP_NU)
     noises = [get_noise(l) for l in sorted(config.noise_list)]
     deltas = sorted(config.delta_list)
     labels = (DEFAULT_TABLE_LABELS if tuple(config.function_list) == ("default",)
@@ -241,7 +240,7 @@ def _risk_table(config: ExperimentConfig, threads: int
         cfg = EstimatorConfig(n=n, beta=config.beta, z0=config.z0)
         rcs = []
         for delta in deltas:
-            bump = family_bump(config.z0, delta, config.beta, n, kernel)
+            bump = family_bump(cfg, delta)
             family = _select({**n_free[delta], "bump": bump}, labels)
             try:  # RiskConfig certifies every member at delta
                 rc = RiskConfig(cfg=cfg, delta=delta, reps=config.reps,
@@ -334,15 +333,13 @@ def _clt_check(config: ExperimentConfig, threads: int
 
 def _holder_check(config: ExperimentConfig, threads: int
                  ) -> tuple[list[str], list[list], dict]:
-    kernel = build_kernel(FAMILY_BUMP_NU)
-    n = max(config.n_list)
+    cfg = EstimatorConfig(n=max(config.n_list), beta=config.beta, z0=config.z0)
     rows: list[list] = []
     for delta in sorted(config.delta_list):
-        bump = family_bump(config.z0, delta, config.beta, n, kernel)
+        bump = family_bump(cfg, delta)
         functions = _resolve_functions(
             config, delta, bump=bump,
-            default=lambda: [*family_candidates(config.z0, delta, config.beta),
-                             bump])
+            default=lambda: [*family_candidates(config.z0, delta), bump])
         params = WeakHolderParams(z0=config.z0, delta=delta, beta=config.beta)
         for S in sorted(functions, key=lambda s: s.label):
             rep = check_weak_holder(S, params)

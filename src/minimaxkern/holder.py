@@ -65,30 +65,30 @@ def default_h_grid(z0: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeakHolderParams:
-    """Local weak-class parameters at z0 with budget delta."""
+    """Local weak-class parameters at z0 with budget delta, probed on the
+    bandwidths ``h_grid`` (default: ``default_h_grid(z0)``).  The grid is
+    kept as a tuple of floats, so params compare and hash as values."""
 
     z0: float
     delta: float
     beta: float
-    h_grid: np.ndarray = None  # defaults to the geometric grid below
+    h_grid: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         check_z0(self.z0)
         check_delta(self.delta)
         check_beta(self.beta)
         grid = np.asarray(default_h_grid(self.z0) if self.h_grid is None
-                          else self.h_grid, dtype=float)
+                          else self.h_grid, dtype=float).reshape(-1)
         check_probe_bandwidths(self.z0, grid)
-        object.__setattr__(self, "h_grid", grid)
+        object.__setattr__(self, "h_grid", tuple(grid.tolist()))
 
 
 @dataclass(frozen=True)
 class WeakHolderReport:
     certified: bool
     sup_deriv: float
-    deriv_bound: float
     max_defect: float
-    defect_bound: float
     worst_h: float
 
 
@@ -137,17 +137,13 @@ def check_weak_holder(S: FunctionSpec, p: WeakHolderParams) -> WeakHolderReport:
     """
     d = S.deriv(np.linspace(0.0, 1.0, DEFAULT_SUP_RESOLUTION))
     sup_deriv = float(np.max(np.abs(d)))
-    deriv_bound = 1.0 / p.delta
 
     defects = weak_defects(S, p.z0, p.beta, p.h_grid)
     worst = int(np.argmax(defects))  # first maximum, or first NaN
     max_defect = float(defects[worst])
-    certified = sup_deriv <= deriv_bound and max_defect <= p.delta
     return WeakHolderReport(
-        certified=certified,
+        certified=sup_deriv <= 1.0 / p.delta and max_defect <= p.delta,
         sup_deriv=sup_deriv,
-        deriv_bound=deriv_bound,
         max_defect=max_defect,
-        defect_bound=p.delta,
-        worst_h=float(p.h_grid[worst]),
+        worst_h=p.h_grid[worst],
     )

@@ -190,8 +190,10 @@ class PlateauKernel:
         return out
 
 
+@lru_cache(maxsize=None)
 def build_kernel(nu: float) -> PlateauKernel:
-    """Construct the plateau kernel for a mollification width nu in (0, 1/4)."""
+    """The plateau kernel for a mollification width nu in (0, 1/4), built
+    once per nu in a process (a kernel is a pure function of nu)."""
     return PlateauKernel(nu=nu)
 
 
@@ -209,20 +211,13 @@ def sigma_nu_sq(kernel: PlateauKernel, g_z0: float) -> float:
 class PerturbationSpec:
     """Window-localized perturbation S(x) = (u/phi_n) V_nu((x - z0)/h).
 
-    ``cfg`` is the operating point (n, beta, z0); it validates them and
-    owns h, phi_n and the window.
+    ``cfg`` is the operating point (n, beta, z0), which owns h, phi_n and
+    the window.
     """
 
     kernel: PlateauKernel
     u: float
-    n: int
-    beta: float
-    z0: float
-    cfg: EstimatorConfig = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cfg", EstimatorConfig(
-            n=self.n, beta=self.beta, z0=self.z0))
+    cfg: EstimatorConfig
 
     @property
     def amplitude(self) -> float:
@@ -231,9 +226,9 @@ class PerturbationSpec:
 
     def to_function(self, label: str | None = None) -> FunctionSpec:
         amp = self.amplitude
-        h, z0, kern = self.cfg.h, self.z0, self.kernel
+        h, z0, kern = self.cfg.h, self.cfg.z0, self.kernel
         return FunctionSpec(
-            label=label or f"bump(nu={kern.nu:g},u={self.u:g},n={self.n})",
+            label=label or f"bump(nu={kern.nu:g},u={self.u:g},n={self.cfg.n})",
             eval=lambda x: amp * kern.values((x - z0) / h),
             deriv=lambda x: (amp / h) * kern.deriv((x - z0) / h),
         )
@@ -273,7 +268,7 @@ def varsigma_sq(pert: PerturbationSpec, scale: ScaleSpec) -> tuple[float, float]
     sigma_nu^2 = int_{-1}^{1} V_nu^2 / g^2(z0, 0).
     """
     vs = _window_terms(pert, scale)[2]
-    return vs, sigma_nu_sq(pert.kernel, pure_noise_scale(scale, pert.z0))
+    return vs, sigma_nu_sq(pert.kernel, pure_noise_scale(scale, pert.cfg.z0))
 
 
 def shift_statistic(pert: PerturbationSpec, scale: ScaleSpec,
@@ -283,13 +278,14 @@ def shift_statistic(pert: PerturbationSpec, scale: ScaleSpec,
     eta_n = (1/(varsigma_n phi_n)) sum_k V_nu((x_k-z0)/h) y_k / g^2(x_k, S);
     under the pure-noise law it is standard Gaussian.
     """
+    cfg = pert.cfg
     y = np.asarray(y, dtype=float)
-    if y.shape != (pert.n,):
-        raise ValueError(f"expected {pert.n} observations, got shape {y.shape}")
+    if y.shape != (cfg.n,):
+        raise ValueError(f"expected {cfg.n} observations, got shape {y.shape}")
     vvals, g_w, vs = _window_terms(pert, scale)
     varsigma = math.sqrt(vs)
-    eta = float(np.sum(vvals * y[pert.cfg.window_slice] / g_w ** 2)) / (
-        varsigma * pert.cfg.phi_n)
+    eta = float(np.sum(vvals * y[cfg.window_slice] / g_w ** 2)) / (
+        varsigma * cfg.phi_n)
     return eta, varsigma
 
 

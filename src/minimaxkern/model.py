@@ -230,16 +230,15 @@ def scale_frechet(scale: ScaleSpec, x: float, S: FunctionSpec, f: FunctionSpec) 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """A standardized noise law: its sampler, density and closed forms.
+    """A standardized noise law: its sampler and closed forms.
 
     ``abs_moment`` is the closed-form E|xi|^(2+epsilon); ``member`` tells
     whether the law lies in the moment class (mean 0, variance 1 and
-    abs_moment <= L_bound).  ``density`` is the pdf (the pmf for a discrete
-    law).  ``tail_second_moment`` (a -> E[xi^2 1{|xi| > a}]) and
-    ``truncated_mean`` (a -> E[xi 1{|xi| <= a}]) are the closed forms the
-    truncation split needs; every law carries both.  ``gaussian`` marks the
-    standard normal law, the one law for which the risk has the exact
-    folded-normal oracle.
+    abs_moment <= L_bound).  ``tail_second_moment``
+    (a -> E[xi^2 1{|xi| > a}]) and ``truncated_mean`` (a -> E[xi 1{|xi| <= a}])
+    are the closed forms the truncation split needs; every law carries both.
+    ``gaussian`` marks the standard normal law, the one law for which the
+    risk has the exact folded-normal oracle.
 
     ``sampler(rng, size, out=None)`` draws ``size`` values from ``rng``.
     Given ``out`` (a C-contiguous float64 array of ``size`` values) it
@@ -250,7 +249,6 @@ class NoiseSpec:
 
     label: str
     sampler: Callable
-    density: Callable
     mean: float
     variance: float
     abs_moment: float
@@ -347,30 +345,6 @@ def _zero_sampler(rng, size, out=None):
     return out
 
 
-def _gaussian_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _uniform_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) <= _SQRT3, 1.0 / (2.0 * _SQRT3), 0.0)
-
-
-def _laplace_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-np.abs(x) / _LAPLACE_B) / (2.0 * _LAPLACE_B)
-
-
-# Student-t(5) rescaled to unit variance: xi = sqrt(3/5) * T.
-_T5_NORM = math.gamma(3.0) / (math.sqrt(5.0 * math.pi) * math.gamma(2.5))
-
-
-def _student5_pdf(x):
-    x = np.asarray(x, dtype=float) / _STUDENT_C
-    return _T5_NORM * (1.0 + x * x / 5.0) ** (-3.0) / _STUDENT_C
-
-
 def _gaussian_tail_moment(a: float) -> float:
     # 2 (a phi(a) + Phi(-a)); Phi(-a) = erfc(a/sqrt2)/2 keeps the far tail
     phi = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
@@ -406,11 +380,6 @@ def _symmetric_truncated_mean(a: float) -> float:
     return 0.0
 
 
-def _rademacher_pmf(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(np.abs(x) - 1.0) < 1e-12, 0.5, 0.0)
-
-
 def _student5_abs3() -> float:
     # E|T_5|^3 = 5^(3/2) Gamma(2) Gamma(1) / (sqrt(pi) Gamma(5/2)), then
     # rescaled by (3/5)^(3/2).
@@ -424,7 +393,6 @@ def noise_catalog() -> dict[str, NoiseSpec]:
         "gaussian": NoiseSpec(
             label="gaussian",
             sampler=_gaussian_sampler,
-            density=_gaussian_pdf,
             mean=0.0, variance=1.0,
             abs_moment=2.0 * math.sqrt(2.0 / math.pi),
             gaussian=True,
@@ -434,7 +402,6 @@ def noise_catalog() -> dict[str, NoiseSpec]:
         "uniform_std": NoiseSpec(
             label="uniform_std",
             sampler=_uniform_sampler,
-            density=_uniform_pdf,
             mean=0.0, variance=1.0,
             abs_moment=3.0 * _SQRT3 / 4.0,
             tail_second_moment=_uniform_tail_moment,
@@ -443,7 +410,6 @@ def noise_catalog() -> dict[str, NoiseSpec]:
         "rademacher": NoiseSpec(
             label="rademacher",
             sampler=_rademacher_sampler,
-            density=_rademacher_pmf,
             mean=0.0, variance=1.0,
             abs_moment=1.0,
             tail_second_moment=lambda a: 1.0 if a < 1.0 else 0.0,  # atoms +-1
@@ -452,7 +418,6 @@ def noise_catalog() -> dict[str, NoiseSpec]:
         "laplace_std": NoiseSpec(
             label="laplace_std",
             sampler=_laplace_sampler,
-            density=_laplace_pdf,
             mean=0.0, variance=1.0,
             abs_moment=3.0 / math.sqrt(2.0),
             tail_second_moment=_laplace_tail_moment,
@@ -461,7 +426,6 @@ def noise_catalog() -> dict[str, NoiseSpec]:
         "student5_std": NoiseSpec(
             label="student5_std",
             sampler=_student5_sampler,
-            density=_student5_pdf,
             mean=0.0, variance=1.0,
             abs_moment=_student5_abs3(),
             tail_second_moment=_student5_tail_moment,
@@ -475,7 +439,6 @@ def zero_noise() -> NoiseSpec:
     return NoiseSpec(
         label="zero",
         sampler=_zero_sampler,
-        density=lambda x: np.where(np.asarray(x, dtype=float) == 0.0, 1.0, 0.0),
         mean=0.0, variance=0.0, abs_moment=0.0,
         tail_second_moment=lambda a: 0.0,
         truncated_mean=_symmetric_truncated_mean,

@@ -17,9 +17,10 @@ the risk has a folded-normal closed form that serves as the exact oracle
 for every Monte Carlo run.  Worst-case behaviour over the weak local
 class is probed by taking the maximum over a finite certified family
 (constants, tilts, odd oscillations, even dips and window-scaled plateau
-bumps).  A certificate depends only on the curve and (z0, delta, beta), so
-it is computed once per curve object and reused by every config that holds
-that object; only the plateau bump's shape follows n.
+bumps).  A certificate depends only on the curve and its
+``WeakHolderParams``, so it is computed once per curve object and reused by
+every config that holds that object; only the plateau bump's shape follows
+n.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .estimator import (DecompositionReport, EstimatorConfig, decompose,
                         kernel_estimate)  # noqa: F401
 from .holder import WeakHolderParams, WeakHolderReport, check_delta, check_weak_holder
-from .lowerbound import PlateauKernel, PerturbationSpec, build_kernel
+from .lowerbound import PerturbationSpec, build_kernel
 from .model import (FunctionSpec, NoiseSpec, ScaleSpec, check_reps,
                     constant_fn, linear_fn, replicate)
 
@@ -46,21 +47,20 @@ EFFICIENCY_CONSTANT = 1.0 / math.sqrt(math.pi)
 FAMILY_BUMP_NU = 0.1
 
 
-# Weak-class certificates by curve object, then by (z0, delta, beta).  The
-# keys are weak: an entry lives only as long as its curve, so a family that
-# is rebuilt is certified afresh.
+# Weak-class certificates by curve object, then by ``WeakHolderParams``
+# (z0, delta, beta and probe grid).  The curve keys are weak: an entry lives
+# only as long as its curve, so a family that is rebuilt is certified afresh.
 _CERTIFICATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _certificate(S: FunctionSpec, params: WeakHolderParams
                  ) -> tuple[WeakHolderReport, bool]:
-    """S's certificate at ``params`` (default probe grid) and whether it was
-    computed now rather than reused."""
-    by_point = _CERTIFICATES.setdefault(S, {})
-    key = (params.z0, params.delta, params.beta)
-    if key in by_point:
-        return by_point[key], False
-    report = by_point[key] = check_weak_holder(S, params)
+    """S's certificate at ``params`` and whether it was computed now rather
+    than reused."""
+    by_params = _CERTIFICATES.setdefault(S, {})
+    if params in by_params:
+        return by_params[params], False
+    report = by_params[params] = check_weak_holder(S, params)
     return report, True
 
 
@@ -250,8 +250,7 @@ def _cube(d):
     return d * d * d
 
 
-def family_candidates(z0: float, delta: float, beta: float
-                      ) -> list[FunctionSpec]:
+def family_candidates(z0: float, delta: float) -> list[FunctionSpec]:
     """The eleven n-free candidate curves for the class with budget delta
     at the point z0.
 
@@ -292,32 +291,28 @@ def family_candidates(z0: float, delta: float, beta: float
     ]
 
 
-def family_bump(z0: float, delta: float, beta: float, n: int,
-                kernel: PlateauKernel | None = None) -> FunctionSpec:
-    """The family's plateau bump, labelled ``bump``: the one member whose
-    shape follows n (its width is the estimation window at n) and the only
-    place it is built.  Its amplitude is ``min(1, 2.2 delta)``; ``kernel``
-    defaults to ``build_kernel(FAMILY_BUMP_NU)``."""
-    kern = kernel if kernel is not None else build_kernel(FAMILY_BUMP_NU)
-    amp = min(1.0, 2.2 * delta)
-    pert = PerturbationSpec(kernel=kern, u=amp, n=int(n), beta=beta,
-                            z0=float(z0))
+def family_bump(cfg: EstimatorConfig, delta: float) -> FunctionSpec:
+    """The family's plateau bump at the operating point ``cfg``, labelled
+    ``bump``: the one member whose shape follows n (its width is the
+    estimation window at n) and the only place it is built.  Its kernel is
+    ``build_kernel(FAMILY_BUMP_NU)`` and its amplitude ``min(1, 2.2 delta)``."""
+    pert = PerturbationSpec(kernel=build_kernel(FAMILY_BUMP_NU),
+                            u=min(1.0, 2.2 * delta), cfg=cfg)
     return pert.to_function(label="bump")
 
 
 DEFAULT_TABLE_LABELS = ("const_plus", "odd_sine", "cos_dip", "bowl", "bump")
 
 
-def default_family(z0: float, delta: float, beta: float, n: int,
-                   kernel: PlateauKernel | None = None) -> list[FunctionSpec]:
+def default_family(cfg: EstimatorConfig, delta: float) -> list[FunctionSpec]:
     """The five-member family used by the default risk table, in
-    ``DEFAULT_TABLE_LABELS`` order.
+    ``DEFAULT_TABLE_LABELS`` order, at the operating point ``cfg``.
 
     The members are picked from ``family_candidates`` plus
     ``family_bump`` without being certified here: ``RiskConfig``
     certifies its family once when it is built and rejects any member
     outside the class at delta.
     """
-    by_label = {S.label: S for S in family_candidates(z0, delta, beta)}
-    by_label["bump"] = family_bump(z0, delta, beta, n, kernel)
+    by_label = {S.label: S for S in family_candidates(cfg.z0, delta)}
+    by_label["bump"] = family_bump(cfg, delta)
     return [by_label[lab] for lab in DEFAULT_TABLE_LABELS]

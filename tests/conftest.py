@@ -37,14 +37,15 @@ def plateau_kernel_01():
     return build_kernel(0.1)
 
 
-def _certified_family(z0, delta, beta, n=None, count=10, kernel=None):
+def _certified_family(z0, delta, beta, n=None, count=10):
     """First ``count`` of the bump at n (if n is given) and
     ``family_candidates`` that pass the weak local certification at
     (z0, delta, beta); ValueError if fewer certify."""
     params = WeakHolderParams(z0=z0, delta=delta, beta=beta)
-    candidates = family_candidates(z0, delta, beta)
+    candidates = family_candidates(z0, delta)
     if n is not None:
-        candidates.insert(0, family_bump(z0, delta, beta, n, kernel))
+        cfg = EstimatorConfig(n=n, beta=beta, z0=z0)
+        candidates.insert(0, family_bump(cfg, delta))
     keep = [S for S in candidates if check_weak_holder(S, params).certified]
     if len(keep) < count:
         raise ValueError(
@@ -63,7 +64,7 @@ def _fixed_curves(z0):
     the catalog's five and five family members at fixed budgets (zero,
     odd_cubic, cos_dip and bowl at delta 0.1, odd_sine at delta 0.5)."""
     catalog = function_catalog(z0)
-    family = {delta: {S.label: S for S in family_candidates(z0, delta, 2.0)}
+    family = {delta: {S.label: S for S in family_candidates(z0, delta)}
               for delta in (0.1, 0.5)}
     return {"zero": family[0.1]["zero"],
             **{label: catalog[label] for label in

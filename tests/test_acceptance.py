@@ -67,11 +67,10 @@ def test_criterion_01_efficiency_constant():
 def test_criterion_02_oracle_identity():
     """Every (function, n) cell of the default risk table matches the exact
     Gaussian oracle within three standard errors."""
-    kernel = build_kernel(0.1)
     worst = 0.0
     for n in (1_000, 10_000):
         cfg = EstimatorConfig(n=n, beta=BETA, z0=Z0)
-        for S in default_family(Z0, 0.1, BETA, n, kernel):
+        for S in default_family(cfg, 0.1):
             rc = RiskConfig(cfg=cfg, delta=0.1, reps=4_000, seed=SEED,
                             family=(S,), scale=MIXED, noise=GAUSSIAN)
             mc, se = monte_carlo_risk(S, rc)
@@ -102,11 +101,10 @@ def test_criterion_03_variance_limit():
 def test_criterion_04_riemann_gap_bound(certified_family):
     """|R_n| <= 6/(delta n) for ten certified members at delta = 0.1."""
     delta = 0.1
-    kernel = build_kernel(0.1)
     worst = 0.0
     for n in (1_000, 10_000, 100_000):
         cfg = EstimatorConfig(n=n, beta=BETA, z0=Z0)
-        family = certified_family(Z0, delta, BETA, n=n, count=10, kernel=kernel)
+        family = certified_family(Z0, delta, BETA, n=n, count=10)
         assert len(family) == 10
         bound = 6.0 / (delta * n)
         for S in family:
@@ -138,7 +136,8 @@ def test_criterion_06_membership_threshold():
     n_star = min_n_membership(0.1, 0.5, BETA, bump_deriv_sup())
     params = WeakHolderParams(z0=Z0, delta=0.5, beta=BETA)
     for n in (n_star, 4 * n_star):
-        pert = PerturbationSpec(kernel=kern, u=1.0, n=n, beta=BETA, z0=Z0)
+        pert = PerturbationSpec(kernel=kern, u=1.0,
+                                cfg=EstimatorConfig(n=n, beta=BETA, z0=Z0))
         assert check_weak_holder(pert.to_function(), params).certified, n
     _report("criterion 6 (membership threshold)", True,
             f"certified at n={n_star} and n={4 * n_star}")
@@ -150,15 +149,17 @@ def test_criterion_07_shift_variance_limit():
     kern = build_kernel(0.1)
     gaps = {}
     for n in (1_000, 1_000_000):
-        pert = PerturbationSpec(kernel=kern, u=1.0, n=n, beta=BETA, z0=Z0)
+        pert = PerturbationSpec(kernel=kern, u=1.0,
+                                cfg=EstimatorConfig(n=n, beta=BETA, z0=Z0))
         vs, sigma_nu = varsigma_sq(pert, MIXED)
         gaps[n] = abs(vs - sigma_nu) / sigma_nu
     assert gaps[1_000_000] < 1e-2
     assert gaps[1_000_000] < gaps[1_000]
 
     g0 = scale_eval(MIXED, Z0, constant_fn(0.0))
-    pert_small = PerturbationSpec(kernel=build_kernel(0.01), u=1.0, n=10_000,
-                                  beta=BETA, z0=Z0)
+    pert_small = PerturbationSpec(
+        kernel=build_kernel(0.01), u=1.0,
+        cfg=EstimatorConfig(n=10_000, beta=BETA, z0=Z0))
     _, sigma_small = varsigma_sq(pert_small, MIXED)
     limit_rel = abs(sigma_small - 2.0 / g0 ** 2) / (2.0 / g0 ** 2)
     assert limit_rel < 0.02
@@ -266,14 +267,12 @@ def test_criterion_10_bias_slack_and_trend(certified_family):
     """Bias contribution stays within delta/2 plus the Riemann slack, and
     the sup-risk table moves monotonically toward the constant as delta
     shrinks (trend only; the double limit has no finite-n target)."""
-    kernel = build_kernel(0.1)
     cfg = EstimatorConfig(n=100_000, beta=BETA, z0=Z0)
     deltas = (0.5, 0.2, 0.1, 0.05)
 
     for delta in deltas:
         bound = delta / 2.0 + 6.0 * cfg.phi_n ** 3 / (delta * cfg.q_n * cfg.n)
-        for S in certified_family(Z0, delta, BETA, n=cfg.n, count=10,
-                                  kernel=kernel):
+        for S in certified_family(Z0, delta, BETA, n=cfg.n, count=10):
             bias = cfg.phi_n * abs(decompose(S, MIXED, cfg).b_n)
             assert bias <= bound, (delta, S.label)
 
@@ -281,7 +280,7 @@ def test_criterion_10_bias_slack_and_trend(certified_family):
     mc_sups = []
     max_se = 0.0
     for delta in deltas:
-        fam = default_family(Z0, delta, BETA, cfg.n, kernel)
+        fam = default_family(cfg, delta)
         rc = RiskConfig(cfg=cfg, delta=delta, reps=1_200, seed=SEED,
                         family=tuple(fam), scale=MIXED, noise=GAUSSIAN)
         report = sup_risk(rc)

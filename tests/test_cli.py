@@ -213,7 +213,7 @@ class TestRunRiskTable:
         row = next(l.split(",") for l in lines
                    if l.startswith("400,") and ",const_plus,gaussian," in l)
         cfg = EstimatorConfig(n=400, beta=2.0, z0=0.5)
-        fam = default_family(0.5, 0.1, 2.0, 400)
+        fam = default_family(cfg, 0.1)
         S = next(f for f in fam if f.label == "const_plus")
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=60, seed=7, family=(S,),
                         scale=ScaleSpec(1.0, 0.5, 0.5, 0.5),
@@ -238,7 +238,8 @@ class TestRunRiskTable:
             for label in sorted(DEFAULT_TABLE_LABELS)]
         params = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
         for n in (400, 800):
-            family = {S.label: S for S in default_family(0.5, 0.1, 2.0, n)}
+            family = {S.label: S for S in default_family(
+                EstimatorConfig(n=n, beta=2.0, z0=0.5), 0.1)}
             for e in (e for e in entries if e["n"] == n):
                 rep = check_weak_holder(family[e["function"]], params)
                 assert e["sup_deriv_times_delta"] == rep.sup_deriv * 0.1
@@ -555,7 +556,7 @@ def test_non_finite_or_repeated_entry_exits_two(tmp_path, capsys, command,
 @pytest.mark.parametrize("beta", [1.5, 2.0])
 def test_catalog_and_family_labels_are_disjoint(z0, delta, beta):
     catalog = set(function_catalog(z0))
-    family = {S.label for S in family_candidates(z0, delta, beta)}
+    family = {S.label for S in family_candidates(z0, delta)}
     assert len(family) == 11
     assert not catalog & family
     assert "bump" not in catalog | family
@@ -597,7 +598,7 @@ def test_shared_labels_name_family_members(tmp_path, monkeypatch, command):
                 f"{extra}function_list = {', '.join(labels)}\n")
         assert run(parse_config(text), out_dir=str(tmp_path), quiet=True,
                    threads=1) == 0
-    family = {S.label: S for S in family_candidates(0.5, 0.2, 2.0)}
+    family = {S.label: S for S in family_candidates(0.5, 0.2)}
     x = np.linspace(0.0, 1.0, 101)
     assert sorted(S.label for S in seen) == sorted(SHARED_LABELS)
     for S in seen:
@@ -686,7 +687,7 @@ class TestRiskTableSharedDraws:
             cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
             for delta in (0.05, 0.1, 0.2):
                 rc = RiskConfig(cfg=cfg, delta=delta, reps=40, seed=11,
-                                family=tuple(default_family(0.5, delta, 2.0, n)),
+                                family=tuple(default_family(cfg, delta)),
                                 scale=scale, noise=noises[0])
                 report = sup_risk(rc, noises)
                 for r in sorted(report.rows, key=lambda r: (r.function, r.noise)):
@@ -704,8 +705,8 @@ class TestRiskTableSharedDraws:
             (n, delta, label) for n in (400, 1000) for delta in (0.05, 0.1, 0.2)
             for label in sorted(DEFAULT_TABLE_LABELS)]
         for e in entries:
-            family = {S.label: S for S in
-                      default_family(0.5, e["delta"], 2.0, e["n"])}
+            cfg = EstimatorConfig(n=e["n"], beta=2.0, z0=0.5)
+            family = {S.label: S for S in default_family(cfg, e["delta"])}
             params = WeakHolderParams(z0=0.5, delta=e["delta"], beta=2.0)
             rep = check_weak_holder(family[e["function"]], params)
             assert e["sup_deriv_times_delta"] == rep.sup_deriv * e["delta"]

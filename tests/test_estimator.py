@@ -207,12 +207,11 @@ class TestDecomposition:
     @pytest.mark.parametrize("n", [1_000, 100_000])
     @pytest.mark.parametrize("scale", [*scale_catalog().values(), flat_scale()],
                              ids=[*scale_catalog(), "flat"])
-    def test_carries_scale_profile(self, plateau_kernel_01, fixed_curves, n,
-                                   scale):
+    def test_carries_scale_profile(self, fixed_curves, n, scale):
         # g(z0, S) and the window profile are exactly what scale_eval and
         # scale_profile give, so the risk layer can read them from here
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
-        curves = [*default_family(0.5, 0.1, 2.0, n, plateau_kernel_01),
+        curves = [*default_family(cfg, 0.1),
                   *fixed_curves(0.5).values()]
         for S in curves:
             dec = decompose(S, scale, cfg)
@@ -227,12 +226,11 @@ class TestDecomposition:
            seed=st.integers(0, 2 ** 63 - 1))
     @settings(max_examples=150)
     def test_one_window_reconstructs_sampled_estimate(
-            self, plateau_kernel_01, fixed_curves, gaussian, n, z0, beta,
-            curve, scale, seed):
+            self, fixed_curves, gaussian, n, z0, beta, curve, scale, seed):
         # decompose and kernel_estimate sum over one window: the known-draw
         # estimate is bitwise the estimate of the sampled run
         cfg = EstimatorConfig(n=n, beta=beta, z0=z0)
-        curves = [*default_family(z0, 0.1, beta, n, plateau_kernel_01),
+        curves = [*default_family(cfg, 0.1),
                   *fixed_curves(z0).values()]
         S = curves[curve]
         xi = gaussian.sampler(rng_from_seed(seed), n)
@@ -241,26 +239,22 @@ class TestDecomposition:
                 == kernel_estimate(y, cfg)[0])
         assert np.array_equal(cfg.window_x, design_grid(n)[cfg.window_slice])
 
-    def test_riemann_gap_bound_on_certified_family(self, plateau_kernel_01,
-                                                   certified_family):
+    def test_riemann_gap_bound_on_certified_family(self, certified_family):
         # |R_n| <= 6/(delta n) whenever sup|S'| <= 1/delta
         delta = 0.1
         for n in (1_000, 10_000):
             cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
-            fam = certified_family(0.5, delta, 2.0, n=n, count=10,
-                                   kernel=plateau_kernel_01)
+            fam = certified_family(0.5, delta, 2.0, n=n, count=10)
             for S in fam:
                 dec = decompose(S, flat_scale(), cfg)
                 assert abs(dec.r_n) <= 6.0 / (delta * n)
 
-    def test_integral_term_bounded_by_class_budget(self, plateau_kernel_01,
-                                                   certified_family):
+    def test_integral_term_bounded_by_class_budget(self, certified_family):
         # certified members satisfy |integral| <= delta h^beta at the
         # operating bandwidth
         delta, beta = 0.1, 2.0
         cfg = EstimatorConfig(n=10_000, beta=beta, z0=0.5)
-        fam = certified_family(0.5, delta, beta, n=cfg.n, count=10,
-                               kernel=plateau_kernel_01)
+        fam = certified_family(0.5, delta, beta, n=cfg.n, count=10)
         for S in fam:
             dec = decompose(S, flat_scale(), cfg)
             assert abs(dec.integral_term) <= delta * cfg.h ** beta + 1e-12
@@ -269,13 +263,12 @@ class TestDecomposition:
 class TestWindowLaw:
     @pytest.mark.parametrize("n", [1_000, 100_000])
     @pytest.mark.parametrize("scale_name", ["mixed", "flat"])
-    def test_matches_direct_expressions(self, plateau_kernel_01, mixed_scale,
-                                        n, scale_name):
+    def test_matches_direct_expressions(self, mixed_scale, n, scale_name):
         # sigma_n^2 and the Gaussian oracle are bitwise the expressions the
         # risk layer wrote out before the law owned them
         scale = mixed_scale if scale_name == "mixed" else flat_scale()
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
-        for S in default_family(0.5, 0.1, 2.0, n, plateau_kernel_01):
+        for S in default_family(cfg, 0.1):
             dec = decompose(S, scale, cfg)
             g_w = scale_profile(scale, cfg.window_x, S)
             g0 = scale_eval(scale, cfg.z0, S)
@@ -329,10 +322,10 @@ class TestVarianceLimit:
         assert all(r.g_sq_z0 == g0_sq for r in rows)
         assert all(r.abs_gap == abs(r.sigma_n_sq - g0_sq) for r in rows)
 
-    def test_rejects_decreasing_sequence(self, mixed_scale):
-        with pytest.raises(ValueError):
-            sigma_n_limit_check(constant_fn(0.0), mixed_scale, 0.5, 2.0,
-                                [1000, 100])
+    @pytest.mark.parametrize("ns", [[1000, 100], [1000, 1000]])
+    def test_rejects_decreasing_sequence(self, mixed_scale, ns):
+        with pytest.raises(ValueError, match="n_sequence must be increasing"):
+            sigma_n_limit_check(constant_fn(0.0), mixed_scale, 0.5, 2.0, ns)
 
     def test_matches_decompose(self, mixed_scale):
         S = function_catalog()["sine"]

@@ -9,6 +9,7 @@ from minimaxkern.holder import (DEFAULT_SUP_RESOLUTION, DEFECT_QUAD_PANELS,
                                 WeakHolderParams, WeakHolderReport,
                                 check_weak_holder, default_h_grid, weak_defect,
                                 weak_defects)
+from minimaxkern.estimator import EstimatorConfig
 from minimaxkern.model import FunctionSpec, constant_fn, linear_fn
 from minimaxkern.numerics import composite_simpson
 from minimaxkern.risk import family_bump, family_candidates
@@ -96,7 +97,7 @@ class TestWeakHolderClass:
         p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0)
         rep = check_weak_holder(linear_fn(6.0), p)  # sup|S'| = 6 > 5
         assert not rep.certified
-        assert rep.sup_deriv > rep.deriv_bound
+        assert rep.sup_deriv > 1.0 / p.delta
 
     def test_default_grid_shape(self):
         grid = default_h_grid(0.3)
@@ -104,6 +105,18 @@ class TestWeakHolderClass:
         assert grid[0] == pytest.approx(0.3)
         assert np.all(np.diff(grid) < 0)
         assert grid[1] / grid[0] == pytest.approx(0.7)
+
+    def test_params_are_values(self):
+        # the probe grid is a tuple of floats, so params compare and hash
+        # by value and can key a memo
+        p = WeakHolderParams(0.5, 0.1, 2.0)
+        assert p == WeakHolderParams(0.5, 0.1, 2.0)
+        assert hash(p) == hash(WeakHolderParams(0.5, 0.1, 2.0))
+        assert p.h_grid == tuple(default_h_grid(0.5).tolist())
+        single = WeakHolderParams(0.5, 0.1, 2.0, h_grid=np.array([0.3]))
+        assert single.h_grid == (0.3,)
+        assert single == WeakHolderParams(0.5, 0.1, 2.0, h_grid=[0.3])
+        assert single != p
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -141,13 +154,12 @@ def _reference_report(S, p, resolution=DEFAULT_SUP_RESOLUTION):
             max_defect, worst_h = defect, h
     return WeakHolderReport(
         certified=sup_deriv <= 1.0 / p.delta and max_defect <= p.delta,
-        sup_deriv=sup_deriv, deriv_bound=1.0 / p.delta,
-        max_defect=max_defect, defect_bound=p.delta, worst_h=worst_h)
+        sup_deriv=sup_deriv, max_defect=max_defect, worst_h=worst_h)
 
 
-def _all_curves(z0, delta, beta, n, kernel, fixed_curves):
-    return [*family_candidates(z0, delta, beta),
-            family_bump(z0, delta, beta, n, kernel),
+def _all_curves(z0, delta, beta, n, fixed_curves):
+    return [*family_candidates(z0, delta),
+            family_bump(EstimatorConfig(n=n, beta=beta, z0=z0), delta),
             *fixed_curves(z0).values()]
 
 
@@ -156,10 +168,9 @@ _CELLS = [(0.5, 1000, 0.2, 2.0), (0.5, 3000, 0.1, 2.0),
 
 
 @pytest.mark.parametrize("z0,n,delta,beta", _CELLS)
-def test_certificate_matches_per_probe_loop(z0, n, delta, beta,
-                                            plateau_kernel_01, fixed_curves):
+def test_certificate_matches_per_probe_loop(z0, n, delta, beta, fixed_curves):
     p = WeakHolderParams(z0=z0, delta=delta, beta=beta)
-    for S in _all_curves(z0, delta, beta, n, plateau_kernel_01, fixed_curves):
+    for S in _all_curves(z0, delta, beta, n, fixed_curves):
         assert check_weak_holder(S, p) == _reference_report(S, p), S.label
 
 
@@ -179,10 +190,9 @@ def test_default_budget_batches_probes():
 
 @pytest.mark.parametrize("budget", _BUDGETS)
 def test_certificate_independent_of_block_budget(budget, monkeypatch,
-                                                 plateau_kernel_01,
                                                  fixed_curves):
     p = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
-    curves = _all_curves(0.5, 0.1, 2.0, 3000, plateau_kernel_01, fixed_curves)
+    curves = _all_curves(0.5, 0.1, 2.0, 3000, fixed_curves)
     expected = [check_weak_holder(S, p) for S in curves]
     monkeypatch.setattr(holder, "DEFECT_BLOCK_BYTES", budget)
     assert [check_weak_holder(S, p) for S in curves] == expected
@@ -203,12 +213,12 @@ def test_one_curve_evaluation_per_block(budget, monkeypatch):
     p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0)
     check_weak_holder(S, p)
     rows = _rows(budget)
-    blocks = -(-p.h_grid.size // rows)
+    blocks = -(-len(p.h_grid) // rows)
     assert len(shapes) == blocks + 1
     assert shapes[0] == ()
     nodes = 2 * DEFECT_QUAD_PANELS + 1
     assert shapes[1:] == ([(rows, nodes)] * (blocks - 1)
-                          + [(p.h_grid.size - rows * (blocks - 1), nodes)])
+                          + [(len(p.h_grid) - rows * (blocks - 1), nodes)])
 
 
 def test_weak_defect_is_one_probe_of_weak_defects():

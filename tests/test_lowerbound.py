@@ -219,8 +219,8 @@ class TestMembershipThreshold:
         n_star = min_n_membership(0.1, 0.5, 2.0, bump_deriv_sup())
         params = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0)
         for n in (n_star, 4 * n_star):
-            pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=n,
-                                    beta=2.0, z0=0.5)
+            pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
+                                    cfg=EstimatorConfig(n=n, beta=2.0, z0=0.5))
             assert check_weak_holder(pert.to_function(), params).certified
 
     def test_amplitude_cap_folds_into_slope(self, plateau_kernel_01):
@@ -229,15 +229,15 @@ class TestMembershipThreshold:
         n_star = min_n_membership(0.1, 0.5, 2.0, b * bump_deriv_sup())
         params = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0)
         for u in (-b, -0.5, 0.7, b):
-            pert = PerturbationSpec(kernel=plateau_kernel_01, u=u, n=n_star,
-                                    beta=2.0, z0=0.5)
+            pert = PerturbationSpec(kernel=plateau_kernel_01, u=u,
+                                    cfg=EstimatorConfig(n=n_star, beta=2.0, z0=0.5))
             assert check_weak_holder(pert.to_function(), params).certified
 
 
 class TestPerturbation:
     def test_holds_estimator_config(self, plateau_kernel_01):
-        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.3, n=10_000,
-                                beta=1.7, z0=0.4)
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.3,
+                                cfg=EstimatorConfig(n=10_000, beta=1.7, z0=0.4))
         assert pert.cfg == EstimatorConfig(n=10_000, beta=1.7, z0=0.4)
         moved = replace(pert, u=-0.6)
         assert moved.u == -0.6
@@ -249,8 +249,8 @@ class TestPerturbation:
         for n in (n_star, 4 * n_star):
             tracemalloc.start()
             try:
-                pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=n,
-                                        beta=2.0, z0=0.5)
+                pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
+                                        cfg=EstimatorConfig(n=n, beta=2.0, z0=0.5))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -267,12 +267,12 @@ class TestPerturbation:
     def test_rejects_invalid_operating_point(self, plateau_kernel_01, n, beta,
                                              z0, match):
         with pytest.raises(ValueError, match=match):
-            PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=n, beta=beta,
-                             z0=z0)
+            PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
+                             cfg=EstimatorConfig(n=n, beta=beta, z0=z0))
 
     def test_peak_value(self, plateau_kernel_01):
-        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.3, n=10_000,
-                                beta=2.0, z0=0.5)
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.3,
+                                cfg=EstimatorConfig(n=10_000, beta=2.0, z0=0.5))
         S = pert.to_function()
         assert float(np.asarray(S.eval(0.5))) == pytest.approx(
             1.3 / pert.cfg.phi_n, rel=1e-9)
@@ -280,16 +280,16 @@ class TestPerturbation:
         assert pert.cfg.phi_n == rate(10_000, 2.0)
 
     def test_support_in_window(self, plateau_kernel_01):
-        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=10_000,
-                                beta=2.0, z0=0.5)
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
+                                cfg=EstimatorConfig(n=10_000, beta=2.0, z0=0.5))
         S = pert.to_function()
         h = pert.cfg.h
         xs = np.array([0.5 - 1.01 * h, 0.5 + 1.01 * h, 0.1, 0.9])
         assert np.all(np.asarray(S.eval(xs)) == 0.0)
 
     def test_derivative_consistency(self, plateau_kernel_01):
-        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=10_000,
-                                beta=2.0, z0=0.5)
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
+                                cfg=EstimatorConfig(n=10_000, beta=2.0, z0=0.5))
         S = pert.to_function()
         xs = np.linspace(0.4, 0.6, 101)
         step = 1e-8
@@ -305,9 +305,8 @@ class TestShiftVariance:
         # direct sum of (V/g)^2 over the window divided by phi_n^2
         for scale in (*scale_catalog().values(), flat_scale()):
             for u in (1.0, -2.5):
-                pert = PerturbationSpec(kernel=plateau_kernel_01, u=u, n=n,
-                                        beta=1.8, z0=0.4)
                 cfg = EstimatorConfig(n=n, beta=1.8, z0=0.4)
+                pert = PerturbationSpec(kernel=plateau_kernel_01, u=u, cfg=cfg)
                 xw = cfg.window_x
                 vvals = plateau_kernel_01.values((xw - 0.4) / bandwidth(n, 1.8))
                 g_w = scale_profile(scale, xw, pert.to_function())
@@ -316,8 +315,8 @@ class TestShiftVariance:
 
     def test_flat_scale_riemann_limit(self, plateau_kernel_01):
         # with g = 1 the shift variance is a plain Riemann sum of V^2
-        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=1_000_000,
-                                beta=2.0, z0=0.5)
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
+                                cfg=EstimatorConfig(n=1_000_000, beta=2.0, z0=0.5))
         vs, sigma_nu = varsigma_sq(pert, flat_scale())
         assert sigma_nu == pytest.approx(plateau_kernel_01.sq_integral, rel=1e-12)
         assert vs == pytest.approx(plateau_kernel_01.sq_integral, rel=1e-3)
@@ -325,8 +324,8 @@ class TestShiftVariance:
     def test_gap_shrinks_with_n(self, mixed_scale, plateau_kernel_01):
         gaps = []
         for n in (1_000, 1_000_000):
-            pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=n,
-                                    beta=2.0, z0=0.5)
+            pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
+                                    cfg=EstimatorConfig(n=n, beta=2.0, z0=0.5))
             vs, sigma_nu = varsigma_sq(pert, mixed_scale)
             gaps.append(abs(vs - sigma_nu))
         assert gaps[-1] < gaps[0]
@@ -337,8 +336,8 @@ class TestShiftVariance:
         target = 2.0 / g0 ** 2
         vals = []
         for nu in (0.2, 0.1, 0.05, 0.01):
-            pert = PerturbationSpec(kernel=build_kernel(nu), u=1.0, n=10_000,
-                                    beta=2.0, z0=0.5)
+            pert = PerturbationSpec(kernel=build_kernel(nu), u=1.0,
+                                    cfg=EstimatorConfig(n=10_000, beta=2.0, z0=0.5))
             _, sigma_nu = varsigma_sq(pert, mixed_scale)
             vals.append(sigma_nu)
         errors = [abs(v - target) / target for v in vals]
@@ -348,25 +347,25 @@ class TestShiftVariance:
 
 class TestLikelihoodRatio:
     def _pure_noise_run(self, pert, scale, seed):
-        x = design_grid(pert.n)
+        x = design_grid(pert.cfg.n)
         gvec = scale_profile(scale, x, pert.to_function())
         rng = rng_from_seed(seed)
-        return gvec * rng.standard_normal(pert.n), gvec
+        return gvec * rng.standard_normal(pert.cfg.n), gvec
 
     def test_unit_at_zero_amplitude(self, mixed_scale, plateau_kernel_01):
-        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=2_000,
-                                beta=2.0, z0=0.5)
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
+                                cfg=EstimatorConfig(n=2_000, beta=2.0, z0=0.5))
         y, _ = self._pure_noise_run(pert, mixed_scale, 1)
         assert likelihood_ratio(0.0, pert, mixed_scale, y) == 1.0
 
     def test_matches_direct_density_ratio(self, mixed_scale, plateau_kernel_01):
-        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.3, n=10_000,
-                                beta=2.0, z0=0.5)
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.3,
+                                cfg=EstimatorConfig(n=10_000, beta=2.0, z0=0.5))
         y, gvec = self._pure_noise_run(pert, mixed_scale, 123)
         u = 1.3
         at_u = replace(pert, u=u)
-        svals = np.asarray(at_u.to_function().eval(design_grid(pert.n)))
-        gvec_u = scale_profile(mixed_scale, design_grid(pert.n),
+        svals = np.asarray(at_u.to_function().eval(design_grid(pert.cfg.n)))
+        gvec_u = scale_profile(mixed_scale, design_grid(pert.cfg.n),
                                at_u.to_function())
         direct = math.exp(-0.5 * float(
             np.sum(((y - svals) / gvec_u) ** 2 - (y / gvec_u) ** 2)))
@@ -375,10 +374,9 @@ class TestLikelihoodRatio:
 
     def test_pure_noise_statistics(self, mixed_scale, plateau_kernel_01):
         # eta is standard Gaussian under the centered law and E[rho] = 1
-        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=4_000,
-                                beta=2.0, z0=0.5)
         cfg = EstimatorConfig(n=4_000, beta=2.0, z0=0.5)
-        x = design_grid(pert.n)
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, cfg=cfg)
+        x = design_grid(pert.cfg.n)
         gvec = scale_profile(mixed_scale, x, pert.to_function())
         gw = gvec[cfg.window_slice]
         vv = plateau_kernel_01.values((cfg.window_x - 0.5) / cfg.h)
@@ -397,8 +395,8 @@ class TestLikelihoodRatio:
 
     def test_shift_statistic_consistent_with_ratio(self, mixed_scale,
                                                    plateau_kernel_01):
-        pert = PerturbationSpec(kernel=plateau_kernel_01, u=0.8, n=2_000,
-                                beta=2.0, z0=0.5)
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=0.8,
+                                cfg=EstimatorConfig(n=2_000, beta=2.0, z0=0.5))
         y, _ = self._pure_noise_run(pert, mixed_scale, 9)
         eta, varsig = shift_statistic(pert, mixed_scale, y)
         expected = math.exp(0.8 * varsig * eta - 0.5 * 0.8 ** 2 * varsig ** 2)
@@ -409,8 +407,8 @@ class TestLikelihoodRatio:
     def test_ratio_never_overflows(self, mixed_scale, plateau_kernel_01):
         # observations far out along the perturbation push u varsigma eta
         # past the float range of exp
-        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0, n=2_000,
-                                beta=2.0, z0=0.5)
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
+                                cfg=EstimatorConfig(n=2_000, beta=2.0, z0=0.5))
         y, gvec = self._pure_noise_run(pert, mixed_scale, 4)
         y = y + 1e6 * gvec
         ratios = {}

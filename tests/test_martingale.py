@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm, t
+from scipy.stats import laplace, norm, t
 
 from minimaxkern import martingale
 from minimaxkern.estimator import EstimatorConfig, window_law
@@ -36,8 +36,7 @@ class TestTailSecondMoment:
     def test_gaussian_matches_quadrature(self):
         noise = get_noise("gaussian")
         for a in (0.5, 1.5, 3.0):
-            ref = 2.0 * quad(lambda x: x * x * float(noise.density(x)),
-                             a, np.inf)[0]
+            ref = 2.0 * quad(lambda x: x * x * norm.pdf(x), a, np.inf)[0]
             assert tail_second_moment(noise, a) == pytest.approx(ref, abs=1e-10)
 
     def test_gaussian_far_tail_relative(self):
@@ -52,7 +51,7 @@ class TestTailSecondMoment:
         noise = get_noise("uniform_std")
         # full mass below sqrt(3)
         assert tail_second_moment(noise, math.sqrt(3.0)) == 0.0
-        ref = 2.0 * quad(lambda x: x * x * float(noise.density(x)),
+        ref = 2.0 * quad(lambda x: x * x / (2.0 * math.sqrt(3.0)),
                          1.0, math.sqrt(3.0))[0]
         assert tail_second_moment(noise, 1.0) == pytest.approx(ref, abs=1e-10)
 
@@ -92,7 +91,8 @@ class TestClosedFormMoments:
     @pytest.mark.parametrize("a", CLOSED_FORM_THRESHOLDS)
     def test_laplace_matches_quadrature(self, a):
         noise = get_noise("laplace_std")
-        ref = 2.0 * quad(lambda x: x * x * float(noise.density(x)), a, np.inf,
+        b = 1.0 / math.sqrt(2.0)  # unit variance
+        ref = 2.0 * quad(lambda x: x * x * laplace.pdf(x, scale=b), a, np.inf,
                          epsabs=0.0, epsrel=1e-13, limit=200)[0]
         assert tail_second_moment(noise, a) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -153,14 +153,13 @@ class TestTruncationSplit:
     @pytest.mark.parametrize("n", [1_000, 100_000])
     @pytest.mark.parametrize("scale", [*scale_catalog().values(), flat_scale()],
                              ids=[*scale_catalog(), "flat"])
-    def test_window_weights_match_direct_profile(self, fixed_curves,
-                                                 plateau_kernel_01, gaussian,
+    def test_window_weights_match_direct_profile(self, fixed_curves, gaussian,
                                                  n, scale):
         # the weights come from the estimator's window law; bitwise the
         # direct g(x_k, S) / g(z0, S), and the split's summand scales and
         # G_n/q_n are bitwise the expressions built on it
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
-        curves = [*default_family(0.5, 0.1, 2.0, n, plateau_kernel_01),
+        curves = [*default_family(cfg, 0.1),
                   *fixed_curves(0.5).values()]
         for S in curves:
             direct = (scale_profile(scale, cfg.window_x, S)

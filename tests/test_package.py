@@ -77,6 +77,51 @@ def test_no_unused_imports():
     assert unused == []
 
 
+# Parameters that a protocol fixes but one implementation does not need:
+# the commands of cli._DISPATCH that run no pool ignore their worker
+# budget, the zero law draws nothing from its generator, and a symmetric
+# law's truncated mean is 0 at every threshold.
+_UNREAD_PROTOCOL_SLOTS = {
+    ("cli.py", "_risk_table", "threads"),
+    ("cli.py", "_lower_bound", "threads"),
+    ("cli.py", "_holder_check", "threads"),
+    ("cli.py", "_convergence", "threads"),
+    ("model.py", "_zero_sampler", "rng"),
+    ("model.py", "_symmetric_truncated_mean", "a"),
+}
+
+
+def test_every_src_parameter_is_read():
+    # a parameter that no line of its function reads is an input with no
+    # effect: callers pass it, and nothing tells them it is ignored
+    unread = set()
+    for path in sorted((ROOT / "src" / "minimaxkern").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread |= {(path.name, node.name, p) for p in params
+                       if p not in read}
+    assert unread == _UNREAD_PROTOCOL_SLOTS
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's python block runs as written, so its signatures cannot
+    # go stale; it prints one row per default member, then the supremum
+    from minimaxkern.risk import DEFAULT_TABLE_LABELS
+
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [*DEFAULT_TABLE_LABELS, "sup"]
+
+
 def test_readme_config_block_names_every_key():
     # the README's example config names exactly the keys parse_config
     # accepts, so the docs cannot drift from the key table

@@ -83,10 +83,9 @@ class TestExactGaussianRisk:
         assert exact_gaussian_risk(rc.family[0], rc) == pytest.approx(
             expected, rel=1e-12)
 
-    def test_dominates_bias_contribution(self, mixed_scale, gaussian,
-                                         plateau_kernel_01):
+    def test_dominates_bias_contribution(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=10_000, beta=2.0, z0=0.5)
-        for S in default_family(0.5, 0.2, 2.0, cfg.n, plateau_kernel_01):
+        for S in default_family(cfg, 0.2):
             rc = RiskConfig(cfg=cfg, delta=0.2, reps=10, seed=1, family=(S,),
                             scale=mixed_scale, noise=gaussian)
             dec = decompose(S, mixed_scale, cfg)
@@ -143,11 +142,10 @@ class TestMonteCarloRisk:
         assert monte_carlo_risk(rc1.family[0], rc1) != monte_carlo_risk(
             rc2.family[0], rc2)
 
-    def test_oracle_agreement_default_family(self, mixed_scale, gaussian,
-                                             plateau_kernel_01):
+    def test_oracle_agreement_default_family(self, mixed_scale, gaussian):
         # each default family member at n = 1e4, 2e4 replications
         cfg = EstimatorConfig(n=10_000, beta=2.0, z0=0.5)
-        for S in default_family(0.5, 0.1, 2.0, cfg.n, plateau_kernel_01):
+        for S in default_family(cfg, 0.1):
             rc = RiskConfig(cfg=cfg, delta=0.1, reps=20_000, seed=42,
                             family=(S,), scale=mixed_scale, noise=gaussian)
             mc, se = monte_carlo_risk(S, rc)
@@ -175,10 +173,9 @@ class TestSupRisk:
         assert report.attained_by == ("zero", "gaussian")
         assert report.constant_target == pytest.approx(EFFICIENCY_CONSTANT)
 
-    def test_enlarging_family_never_decreases(self, mixed_scale, gaussian,
-                                              plateau_kernel_01):
+    def test_enlarging_family_never_decreases(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
-        fam = default_family(0.5, 0.1, 2.0, cfg.n, plateau_kernel_01)
+        fam = default_family(cfg, 0.1)
         small = RiskConfig(cfg=cfg, delta=0.1, reps=300, seed=7,
                            family=tuple(fam[:2]), scale=mixed_scale,
                            noise=gaussian)
@@ -187,12 +184,11 @@ class TestSupRisk:
                            noise=gaussian)
         assert sup_risk(large).sup_risk >= sup_risk(small).sup_risk
 
-    def test_sup_bounded_by_constant_plus_slack(self, mixed_scale, gaussian,
-                                                plateau_kernel_01):
+    def test_sup_bounded_by_constant_plus_slack(self, mixed_scale, gaussian):
         # sup <= 1/sqrt(pi) + delta/2 + 3 max stderr for certified members
         delta = 0.1
         cfg = EstimatorConfig(n=100_000, beta=2.0, z0=0.5)
-        fam = default_family(0.5, delta, 2.0, cfg.n, plateau_kernel_01)
+        fam = default_family(cfg, delta)
         rc = RiskConfig(cfg=cfg, delta=delta, reps=2_000, seed=42,
                         family=tuple(fam), scale=mixed_scale, noise=gaussian)
         report = sup_risk(rc)
@@ -207,10 +203,9 @@ class TestSupRisk:
         assert report.rows[0].risk_oracle is not None
         assert report.rows[1].risk_oracle is None
 
-    def test_report_is_reproducible(self, mixed_scale, gaussian,
-                                    plateau_kernel_01):
+    def test_report_is_reproducible(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
-        fam = default_family(0.5, 0.1, 2.0, cfg.n, plateau_kernel_01)
+        fam = default_family(cfg, 0.1)
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=150, seed=3,
                         family=tuple(fam), scale=mixed_scale, noise=gaussian)
         assert sup_risk(rc) == sup_risk(rc)
@@ -220,7 +215,7 @@ class TestSupRisks:
     def _configs(self, scale, noise, n=1_000):
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         return [RiskConfig(cfg=cfg, delta=delta, reps=50, seed=4,
-                           family=tuple(default_family(0.5, delta, 2.0, n)),
+                           family=tuple(default_family(cfg, delta)),
                            scale=scale, noise=noise)
                 for delta in (0.2, 0.1)]
 
@@ -265,10 +260,9 @@ class TestRiskConfigValidation:
             RiskConfig(cfg=cfg, delta=0.1, reps=10, seed=0, family=(steep,),
                        scale=mixed_scale, noise=gaussian)
 
-    def test_keeps_member_certificates(self, mixed_scale, gaussian,
-                                       plateau_kernel_01):
+    def test_keeps_member_certificates(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
-        fam = tuple(default_family(0.5, 0.1, 2.0, cfg.n, plateau_kernel_01))
+        fam = tuple(default_family(cfg, 0.1))
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=10, seed=0, family=fam,
                         scale=mixed_scale, noise=gaussian)
         params = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
@@ -283,7 +277,8 @@ class TestRiskConfigValidation:
             return check_weak_holder(S, params)
 
         monkeypatch.setattr(risk_module, "check_weak_holder", counting)
-        fam = tuple(default_family(0.5, 0.1, 2.0, 1_000))
+        cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
+        fam = tuple(default_family(cfg, 0.1))
         built = [RiskConfig(cfg=EstimatorConfig(n=n, beta=2.0, z0=0.5),
                             delta=0.1, reps=10, seed=0, family=fam,
                             scale=mixed_scale, noise=gaussian)
@@ -294,10 +289,25 @@ class TestRiskConfigValidation:
         # another delta, or a rebuilt curve, is certified afresh
         RiskConfig(cfg=built[0].cfg, delta=0.2, reps=10, seed=0,
                    family=fam[:1], scale=mixed_scale, noise=gaussian)
-        rebuilt = tuple(default_family(0.5, 0.1, 2.0, 1_000))[:1]
+        rebuilt = tuple(default_family(cfg, 0.1))[:1]
         RiskConfig(cfg=built[0].cfg, delta=0.1, reps=10, seed=0,
                    family=rebuilt, scale=mixed_scale, noise=gaussian)
         assert calls[5:] == [("const_plus", 0.2), ("const_plus", 0.1)]
+
+    def test_certificate_memo_keys_by_probe_grid(self):
+        # a certificate on another probe grid is computed, not reused
+        S = next(f for f in risk_module.family_candidates(0.5, 0.1)
+                 if f.label == "cos_dip")
+        default = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
+        single = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0, h_grid=[0.3])
+        assert risk_module._certificate(S, default)[1]
+        report, new = risk_module._certificate(S, single)
+        assert new
+        assert report == check_weak_holder(S, single)
+        assert report.worst_h == 0.3
+        again = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0, h_grid=(0.3,))
+        assert risk_module._certificate(S, again) == (report, False)
+        assert risk_module._certificate(S, default)[1] is False
 
     def test_certificate_memo_lets_curves_go(self, mixed_scale, gaussian):
         S = constant_fn(0.3, "transient")
@@ -323,11 +333,9 @@ class TestRiskConfigValidation:
             RiskConfig(cfg=cfg, delta=0.1, reps=10, seed=0, family=(),
                        scale=mixed_scale, noise=gaussian)
 
-    def test_certified_families_have_ten_members(self, plateau_kernel_01,
-                                                 certified_family):
+    def test_certified_families_have_ten_members(self, certified_family):
         for delta in (0.5, 0.2, 0.1, 0.05):
-            fam = certified_family(0.5, delta, 2.0, n=10_000, count=10,
-                                   kernel=plateau_kernel_01)
+            fam = certified_family(0.5, delta, 2.0, n=10_000, count=10)
             assert len(fam) == 10
             assert len({S.label for S in fam}) == 10
 
@@ -343,13 +351,12 @@ def _recording(noise, sizes):
 class TestReplicationEngine:
     @pytest.mark.parametrize("n", [1_000, 100_000])
     @pytest.mark.parametrize("label", ["gaussian", "student5_std"])
-    def test_statistic_matches_decompose(self, mixed_scale, plateau_kernel_01,
-                                         n, label):
+    def test_statistic_matches_decompose(self, mixed_scale, n, label):
         # the engine's per-replication statistic against the fsum
         # reconstruction of the estimate from the same window draws
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         noise = get_noise(label)
-        fam = default_family(0.5, 0.1, 2.0, n, plateau_kernel_01)
+        fam = default_family(cfg, 0.1)
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=12, seed=42,
                         family=tuple(fam), scale=mixed_scale, noise=noise)
         stats = _family_stats([decompose(S, rc.scale, rc.cfg) for S in fam],
@@ -365,10 +372,9 @@ class TestReplicationEngine:
                 assert row[i] == pytest.approx(expected, rel=0, abs=1e-12), \
                     (S.label, i)
 
-    def test_rows_match_single_member_risk(self, mixed_scale, gaussian,
-                                           plateau_kernel_01):
+    def test_rows_match_single_member_risk(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
-        fam = default_family(0.5, 0.1, 2.0, cfg.n, plateau_kernel_01)
+        fam = default_family(cfg, 0.1)
         noises = [gaussian, get_noise("uniform_std")]
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=200, seed=9,
                         family=tuple(fam), scale=mixed_scale, noise=gaussian)
@@ -380,10 +386,9 @@ class TestReplicationEngine:
             assert row.risk_mc == pytest.approx(mc, rel=1e-12, abs=0)
             assert row.stderr == pytest.approx(se, rel=1e-12, abs=0)
 
-    def test_member_row_unchanged_by_added_members(self, mixed_scale, gaussian,
-                                                   plateau_kernel_01):
+    def test_member_row_unchanged_by_added_members(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
-        fam = default_family(0.5, 0.1, 2.0, cfg.n, plateau_kernel_01)
+        fam = default_family(cfg, 0.1)
         noises = [gaussian, get_noise("laplace_std")]
         small = RiskConfig(cfg=cfg, delta=0.1, reps=150, seed=5,
                            family=(fam[2],), scale=mixed_scale, noise=gaussian)
@@ -394,10 +399,9 @@ class TestReplicationEngine:
         assert list(small_rows) == large_rows
 
     def test_each_replication_draws_exactly_the_window(self, mixed_scale,
-                                                       gaussian,
-                                                       plateau_kernel_01):
+                                                       gaussian):
         cfg = EstimatorConfig(n=3_000, beta=2.0, z0=0.5)
-        fam = default_family(0.5, 0.1, 2.0, cfg.n, plateau_kernel_01)
+        fam = default_family(cfg, 0.1)
         sizes: list = []
         noises = [_recording(gaussian, sizes),
                   _recording(get_noise("rademacher"), sizes)]
@@ -490,10 +494,10 @@ CONSTANT_SHIFT_TOL = 1e-13
 
 @given(st.sampled_from(DEFAULT_TABLE_LABELS), st.sampled_from(sorted(noise_catalog())),
        st.integers(100, 10_000), st.floats(-10.0, 10.0), st.integers(0, 2 ** 32))
-def test_risk_invariant_under_constant_shift(plateau_kernel_01, label, noise,
-                                             n, c, seed):
+def test_risk_invariant_under_constant_shift(label, noise, n, c, seed):
     # common draws: both curves are scored under one RiskConfig and seed
-    S = next(f for f in default_family(0.5, 0.1, 2.0, n, plateau_kernel_01)
+    S = next(f for f in
+             default_family(EstimatorConfig(n=n, beta=2.0, z0=0.5), 0.1)
              if f.label == label)
     shifted = FunctionSpec("shifted", lambda x: S.eval(x) + c, S.deriv)
     rc = _single_config(S, flat_scale(), get_noise(noise), n=n, reps=200,
