@@ -6,13 +6,14 @@ JSON manifest.  Identical configs produce byte-identical CSV bodies.  A
 ranged key is checked by the library's own rule for it (see ``_KEYS``);
 non-finite numbers and repeated list entries are config errors.
 
-``--threads K`` (default: the CPUs this process may use) runs the
-independent (noise, n) cells of ``clt-check`` on a pool of at most K worker
-threads; numpy's samplers and large reductions release the interpreter
-lock, so the cells overlap.  Every cell keeps the seed of its position in
-the sorted cell list and rows are assembled in that order, so results never
-depend on K.  The other commands run serially: their cells are small and
-bound by the interpreter lock (``risk-table`` got slower on a pool).
+``clt-check`` runs its independent (noise, n) cells on a pool of one
+worker thread per CPU this process may use (``available_cpus``), at most
+one per cell; numpy's samplers and large reductions release the
+interpreter lock, so the cells overlap.  CPU affinity (e.g. ``taskset``)
+caps the pool.  Every cell keeps the seed of its position in the sorted
+cell list and rows are assembled in that order, so results never depend on
+the worker count.  The other commands run serially: their cells are small
+and bound by the interpreter lock (``risk-table`` got slower on a pool).
 The manifest records the number of workers used.
 
 Exit codes: 0 success, 2 config error, 3 numeric or module error.
@@ -43,11 +44,8 @@ from .martingale import (check_clt_reps, normal_approx_check,
                          truncation_report, truncation_split)  # noqa: F401
 from .model import (ScaleSpec, check_alpha0, check_alpha123, check_n, check_reps,
                     function_catalog, get_noise, derive_seed)
-# default_family and sup_risk are not called here, but bench/trace_driver.py
-# wraps them under this module's names, so the names stay importable from cli.
-from .risk import (DEFAULT_TABLE_LABELS, RiskConfig, default_family,
-                   family_bump, family_candidates, sup_risk,
-                   sup_risks)  # noqa: F401
+from .risk import (DEFAULT_TABLE_LABELS, RiskConfig, family_bump,
+                   family_candidates, sup_risks)
 
 
 class ConfigError(Exception):
@@ -211,8 +209,7 @@ def _resolve_functions(config: ExperimentConfig, delta: float,
     return _select(lookup, config.function_list)
 
 
-def _risk_table(config: ExperimentConfig, threads: int
-               ) -> tuple[list[str], list[list], dict]:
+def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     """Risk rows per (n, delta, function, noise), plus two manifest entries.
 
     ``certification`` holds each member's margins: sup|S'| * delta and
@@ -245,7 +242,7 @@ def _risk_table(config: ExperimentConfig, threads: int
             try:  # RiskConfig certifies every member at delta
                 rc = RiskConfig(cfg=cfg, delta=delta, reps=config.reps,
                                 seed=config.seed, family=tuple(family),
-                                scale=scale, noise=noises[0])
+                                scale=scale)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             rcs.append(rc)
@@ -269,8 +266,7 @@ def _risk_table(config: ExperimentConfig, threads: int
     return columns, rows, {"certification": margins, "counters": counters}
 
 
-def _lower_bound(config: ExperimentConfig, threads: int
-                ) -> tuple[list[str], list[list], dict]:
+def _lower_bound(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
     g_z0 = pure_noise_scale(scale, config.z0)
     rows: list[list] = []
@@ -282,17 +278,17 @@ def _lower_bound(config: ExperimentConfig, threads: int
     return ["nu", "b", "sigma_nu_sq", "bayes_bound"], rows, {}
 
 
-def _clt_check(config: ExperimentConfig, threads: int
-               ) -> tuple[list[str], list[list], dict]:
+def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     # Both checks run before any draw, so a bad config is exit 2, not 3.
     try:
         check_clt_reps(config.reps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     scale = _scale_from(config)
+    delta = config.delta_list[0]
     functions = _resolve_functions(
-        config, config.delta_list[0],
-        default=lambda: [function_catalog(config.z0)["const02"]])
+        config, delta,
+        default=lambda: [_function_lookup(config, delta)["const_plus"]])
     if len(functions) != 1:
         raise ConfigError(f"clt-check scores one curve; function_list names "
                           f"{len(functions)}")
@@ -310,7 +306,7 @@ def _clt_check(config: ExperimentConfig, threads: int
         ks = normal_approx_check(S, scale, noise, cfg, config.reps, seed)
         return [label, cfg.n, report.a_n, report.k_p, report.r_n, ks]
 
-    workers = min(threads, len(cells))
+    workers = min(available_cpus(), len(cells))
     if workers == 1:
         rows = [cell_row(*cell) for cell in cells]
     else:
@@ -331,8 +327,7 @@ def _clt_check(config: ExperimentConfig, threads: int
             {"threads": workers})
 
 
-def _holder_check(config: ExperimentConfig, threads: int
-                 ) -> tuple[list[str], list[list], dict]:
+def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     cfg = EstimatorConfig(n=max(config.n_list), beta=config.beta, z0=config.z0)
     rows: list[list] = []
     for delta in sorted(config.delta_list):
@@ -349,8 +344,7 @@ def _holder_check(config: ExperimentConfig, threads: int
             "certified"], rows, {}
 
 
-def _convergence(config: ExperimentConfig, threads: int
-                ) -> tuple[list[str], list[list], dict]:
+def _convergence(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
     functions = _resolve_functions(
         config, config.delta_list[0],
@@ -365,9 +359,9 @@ def _convergence(config: ExperimentConfig, threads: int
             "abs_gap"], rows, {}
 
 
-# Each command takes the config and the worker budget and returns its CSV
-# columns and rows plus extra manifest entries.  Only clt-check uses the
-# budget (see the module docstring); its entries carry the workers it used.
+# Each command takes the config and returns its CSV columns and rows plus
+# extra manifest entries.  Only clt-check runs a pool (see the module
+# docstring); its entries carry the workers it used.
 _DISPATCH = {
     "risk-table": _risk_table,
     "lower-bound": _lower_bound,
@@ -385,7 +379,7 @@ def _write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
 
 
 def available_cpus() -> int:
-    """The CPUs this process may run on: the default worker budget."""
+    """The CPUs this process may run on: clt-check's worker budget."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -393,19 +387,14 @@ def available_cpus() -> int:
 
 
 def run(config: ExperimentConfig, out_dir: str | None = None,
-        quiet: bool = False, threads: int | None = None) -> int:
+        quiet: bool = False) -> int:
     """Execute one experiment; writes <stem>.csv plus manifest.json, where
     <stem> is the command with '-' replaced by '_' (e.g. clt_check.csv).
 
-    ``threads`` caps the worker threads (default ``available_cpus()``); it
-    never changes a result.  Any failure removes files written so far, so
-    output directories never hold partial tables.
+    Any failure removes files written so far, so output directories never
+    hold partial tables.
     """
     start = time.perf_counter()
-    if threads is None:
-        threads = available_cpus()
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     out = Path(out_dir if out_dir is not None else config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -415,7 +404,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
     written: list[Path] = []
     try:
         # The manifest entries never reach the CSV.
-        columns, rows, notes = _DISPATCH[config.command](config, threads)
+        columns, rows, notes = _DISPATCH[config.command](config)
         stem = config.command.replace("-", "_")
         csv_path = out / f"{stem}.csv"
         written.append(csv_path)
@@ -456,9 +445,6 @@ def main(argv: list[str] | None = None) -> int:
                     "under heteroscedastic noise.")
     parser.add_argument("--config", required=True, help="experiment file")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for clt-check's cells (default: "
-                             "the CPUs available); never affects results")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -478,8 +464,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(
                     f"MINIMAXKERN_SEED must be an integer, got {env_seed!r}")
             config = dataclasses.replace(config, seed=seed, seed_source="env")
-        return run(config, out_dir=args.out, quiet=args.quiet,
-                   threads=args.threads)
+        return run(config, out_dir=args.out, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

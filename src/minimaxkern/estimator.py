@@ -132,6 +132,12 @@ class WindowLaw:
         """Window average of g^2(x_k, S), summed on first use."""
         return window_sum(self.g_window ** 2) / self.cfg.q_n
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """g(x_k, S) / (g0 sqrt(q_n)) over the window: the scales of the
+        normalized noise sum's summands."""
+        return self.g_window / self.g0 / math.sqrt(self.cfg.q_n)
+
     def gaussian_abs_mean(self, b_n: float) -> float:
         """phi_n E|b_n + N(0, sigma_n^2/q_n)| / g0: the Gaussian-noise risk."""
         s = math.sqrt(self.sigma_n_sq / self.cfg.q_n)

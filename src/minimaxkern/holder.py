@@ -66,8 +66,10 @@ def default_h_grid(z0: float) -> np.ndarray:
 @dataclass(frozen=True)
 class WeakHolderParams:
     """Local weak-class parameters at z0 with budget delta, probed on the
-    bandwidths ``h_grid`` (default: ``default_h_grid(z0)``).  The grid is
-    kept as a tuple of floats, so params compare and hash as values."""
+    distinct bandwidths ``h_grid`` (default: ``default_h_grid(z0)``).  The
+    grid is kept as a tuple of floats, so params compare and hash as
+    values, and a repeated bandwidth is an error: it would only make equal
+    params compare unequal."""
 
     z0: float
     delta: float
@@ -81,7 +83,10 @@ class WeakHolderParams:
         grid = np.asarray(default_h_grid(self.z0) if self.h_grid is None
                           else self.h_grid, dtype=float).reshape(-1)
         check_probe_bandwidths(self.z0, grid)
-        object.__setattr__(self, "h_grid", tuple(grid.tolist()))
+        h_grid = tuple(grid.tolist())
+        if len(set(h_grid)) != len(h_grid):
+            raise ValueError(f"probe bandwidths must be distinct, got {h_grid}")
+        object.__setattr__(self, "h_grid", h_grid)
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,8 @@ class RealizedSplit:
     xi: np.ndarray  # the window draws that produced the split
 
 
-def _split_terms(law: WindowLaw, noise: NoiseSpec
-                 ) -> tuple[TruncationReport, np.ndarray]:
-    """``truncation_report`` from the window law, and the summands' scales
-    g(x_k,S)/(g(z0,S) sqrt(q_n)) over the window."""
+def _truncation_report(law: WindowLaw, noise: NoiseSpec) -> TruncationReport:
+    """``truncation_report`` from the window law."""
     cfg = law.cfg
     a = cfg.q_n ** 0.25
     k_p = tail_second_moment(noise, a)
@@ -91,14 +89,14 @@ def _split_terms(law: WindowLaw, noise: NoiseSpec
         r_n=g_n_over_qn * a_n,
         tau_n=cfg.k_hi,
         second_moment_zeta_dd=g_n_over_qn * (k_p - m_above ** 2),
-    ), ratio / math.sqrt(cfg.q_n)
+    )
 
 
 def truncation_report(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
                       cfg: EstimatorConfig) -> TruncationReport:
     """The deterministic summary of the split at a = q_n^(1/4); it draws
     nothing."""
-    return _split_terms(window_law(S, scale, cfg), noise)[0]
+    return _truncation_report(window_law(S, scale, cfg), noise)
 
 
 def truncation_split(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
@@ -111,7 +109,8 @@ def truncation_split(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     variance budget is exhausted); zeta_dd sums the tail parts.  Their sum
     reconstructs zeta_n / g(z0, S) exactly.
     """
-    report, scale_fac = _split_terms(window_law(S, scale, cfg), noise)
+    law = window_law(S, scale, cfg)
+    report, scale_fac = _truncation_report(law, noise), law.weights
     a = report.a_threshold
     m_below = truncated_mean(noise, a)
     m_above = noise.mean - m_below
@@ -145,8 +144,7 @@ def normal_approx_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     """Kolmogorov-Smirnov distance of simulated zeta_tilde draws to the
     standard Gaussian CDF."""
     check_clt_reps(reps)
-    law = window_law(S, scale, cfg)  # _split_terms's weights, without its moments
-    w = law.g_window / law.g0 / math.sqrt(cfg.q_n)
+    w = window_law(S, scale, cfg).weights
 
     def weighted_sum(xi: np.ndarray) -> np.ndarray:
         xi *= w
@@ -165,7 +163,8 @@ def zeta_dd_moment_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     expected = (G_n/q_n) * Var(xi 1{|xi| > a}).
     """
     check_reps(reps)
-    report, w = _split_terms(window_law(S, scale, cfg), noise)
+    law = window_law(S, scale, cfg)
+    report, w = _truncation_report(law, noise), law.weights
     a = report.a_threshold
     m_above = noise.mean - truncated_mean(noise, a)
 

@@ -106,18 +106,17 @@ def linear_fn(slope: float, intercept: float = 0.0, center: float = 0.0,
 
 
 def function_catalog(z0: float = 0.5) -> dict[str, FunctionSpec]:
-    """Five fixed regression curves, anchored at the estimation point z0.
+    """Three fixed regression curves, anchored at the estimation point z0.
 
-    Their labels are disjoint from those of ``risk.family_candidates``,
-    whose members scale with the class budget delta; a config's
-    ``function_list`` may name either.  The "sine" entry is intentionally
-    uncertified (it carries genuine curvature at z0 and is meant for
-    variance-convergence runs).
+    Their labels and curves are disjoint from those of
+    ``risk.family_candidates``, whose members scale with the class budget
+    delta (the constants are the family's); a config's ``function_list``
+    may name either.  The "sine" entry is intentionally uncertified (it
+    carries genuine curvature at z0 and is meant for variance-convergence
+    runs).
     """
     z0 = float(z0)
     return {
-        "const02": constant_fn(0.2, "const02"),
-        "const_neg": constant_fn(-0.4, "const_neg"),
         "linear": linear_fn(2.0, 0.0, z0, "linear"),
         "steep_linear": linear_fn(-8.0, 0.1, z0, "steep_linear"),
         "sine": FunctionSpec("sine",

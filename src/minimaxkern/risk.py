@@ -67,7 +67,8 @@ def _certificate(S: FunctionSpec, params: WeakHolderParams
 @dataclass(frozen=True)
 class RiskConfig:
     """Risk experiment: operating point, class budget delta, replication
-    budget, master seed, certified function family, scale and noise.
+    budget, master seed, certified function family and scale.  The noise
+    laws are given where draws are made (``sup_risk``, ``monte_carlo_risk``).
 
     Building a RiskConfig is the one place a risk family is certified:
     every member is checked against the weak local class at
@@ -83,7 +84,6 @@ class RiskConfig:
     seed: int
     family: tuple[FunctionSpec, ...]
     scale: ScaleSpec
-    noise: NoiseSpec
     reports: tuple[WeakHolderReport, ...] = field(
         init=False, repr=False, compare=False)
     new_certificates: int = field(init=False, repr=False, compare=False)
@@ -122,13 +122,11 @@ class RiskReport:
     rows: tuple[RiskRow, ...]
     sup_risk: float
     attained_by: tuple[str, str]
-    constant_target: float = field(default=EFFICIENCY_CONSTANT)
 
 
 def exact_gaussian_risk(S: FunctionSpec, rc: RiskConfig) -> float:
-    """Folded-normal oracle phi_n E|B_n + N(0, sigma_n^2/q_n)| / g(z0, S)."""
-    if not rc.noise.gaussian:
-        raise ValueError("the exact oracle applies to Gaussian noise only")
+    """Folded-normal oracle phi_n E|B_n + N(0, sigma_n^2/q_n)| / g(z0, S):
+    S's risk under Gaussian noise."""
     dec = decompose(S, rc.scale, rc.cfg)
     return dec.law.gaussian_abs_mean(dec.b_n)
 
@@ -172,15 +170,16 @@ def _family_risk(decs: list[DecompositionReport], rc: RiskConfig,
             for row in _family_stats(decs, rc, noise)]
 
 
-def monte_carlo_risk(S: FunctionSpec, rc: RiskConfig) -> tuple[float, float]:
-    """Replicated risk estimate of S under rc.noise and its standard error.
+def monte_carlo_risk(S: FunctionSpec, rc: RiskConfig,
+                     noise: NoiseSpec) -> tuple[float, float]:
+    """Replicated risk estimate of S under ``noise`` and its standard error.
 
     Replication i scores row i of the window noises drawn by
-    ``replicate(rc.noise, q_n, rc.reps, rc.seed, ...)``; aggregation is in
+    ``replicate(noise, q_n, rc.reps, rc.seed, ...)``; aggregation is in
     replication order, so reruns on one platform and numpy build are
     bit-identical.  The value equals S's row in ``sup_risk``.
     """
-    return _family_risk([decompose(S, rc.scale, rc.cfg)], rc, rc.noise)[0]
+    return _family_risk([decompose(S, rc.scale, rc.cfg)], rc, noise)[0]
 
 
 def sup_risks(rcs: Sequence[RiskConfig],
@@ -228,15 +227,15 @@ def sup_risks(rcs: Sequence[RiskConfig],
     return reports
 
 
-def sup_risk(rc: RiskConfig, noises: list[NoiseSpec] | None = None) -> RiskReport:
+def sup_risk(rc: RiskConfig, noises: Sequence[NoiseSpec]) -> RiskReport:
     """Monte Carlo risk per (function, noise) pair and the family supremum.
 
     Each member is decomposed once; per noise, every member is scored on
-    common draws (common random numbers).  ``noises`` defaults to
-    ``[rc.noise]``.  The family was certified when ``rc`` was built, so
-    cells are not re-certified.  This is ``sup_risks`` on one config.
+    common draws (common random numbers).  The family was certified when
+    ``rc`` was built, so cells are not re-certified.  This is ``sup_risks``
+    on one config.
     """
-    return sup_risks([rc], [rc.noise] if noises is None else noises)[0]
+    return sup_risks([rc], noises)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -61,14 +61,15 @@ def certified_family():
 
 def _fixed_curves(z0):
     """Ten labelled curves whose amplitudes do not follow a test's delta:
-    the catalog's five and five family members at fixed budgets (zero,
-    odd_cubic, cos_dip and bowl at delta 0.1, odd_sine at delta 0.5)."""
+    the catalog's three and seven family members at fixed budgets (zero,
+    const_plus, const_minus, odd_cubic, cos_dip and bowl at delta 0.1,
+    odd_sine at delta 0.5)."""
     catalog = function_catalog(z0)
     family = {delta: {S.label: S for S in family_candidates(z0, delta)}
               for delta in (0.1, 0.5)}
-    return {"zero": family[0.1]["zero"],
-            **{label: catalog[label] for label in
-               ("const02", "const_neg", "linear", "steep_linear")},
+    return {**{label: family[0.1][label] for label in
+               ("zero", "const_plus", "const_minus")},
+            **{label: catalog[label] for label in ("linear", "steep_linear")},
             "odd_sine": family[0.5]["odd_sine"],
             "cos_dip": family[0.1]["cos_dip"],
             "bowl": family[0.1]["bowl"],

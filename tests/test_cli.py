@@ -216,9 +216,8 @@ class TestRunRiskTable:
         fam = default_family(cfg, 0.1)
         S = next(f for f in fam if f.label == "const_plus")
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=60, seed=7, family=(S,),
-                        scale=ScaleSpec(1.0, 0.5, 0.5, 0.5),
-                        noise=get_noise("gaussian"))
-        mc, se = monte_carlo_risk(S, rc)
+                        scale=ScaleSpec(1.0, 0.5, 0.5, 0.5))
+        mc, se = monte_carlo_risk(S, rc, get_noise("gaussian"))
         assert float(row[8]) == pytest.approx(mc, rel=1e-12)
         assert float(row[9]) == pytest.approx(se, rel=1e-12)
 
@@ -250,7 +249,7 @@ class TestRunRiskTable:
 
     def test_byte_identical_rerun(self, outputs, tmp_path):
         assert run(parse_config(RISK_CFG), out_dir=str(tmp_path),
-                   quiet=True, threads=4) == 0
+                   quiet=True) == 0
         assert ((tmp_path / "risk_table.csv").read_bytes()
                 == (outputs / "risk_table.csv").read_bytes())
 
@@ -284,28 +283,35 @@ noise_list = gaussian, laplace_std
 """
 
 
+def _cap_cpus(monkeypatch, cpus: int) -> None:
+    """Make clt-check see ``cpus`` usable CPUs, as a CPU affinity would."""
+    monkeypatch.setattr(cli, "available_cpus", lambda: cpus)
+
+
 @pytest.fixture(scope="module")
 def clt_outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("clt")
-    assert run(parse_config(CLT_CFG), out_dir=str(out), quiet=True,
-               threads=1) == 0
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _cap_cpus(monkeypatch, 1)
+        assert run(parse_config(CLT_CFG), out_dir=str(out), quiet=True) == 0
     return out
 
 
 class TestCltCheckReproducibility:
     # The reference run is serial.  CLT_CFG has 4 cells, so no test here
-    # runs more than 4 workers, whatever the default budget.
+    # runs more than 4 workers, whatever the CPUs available.
     def test_byte_identical_rerun(self, clt_outputs, tmp_path):
         assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
                    quiet=True) == 0
         assert ((tmp_path / "clt_check.csv").read_bytes()
                 == (clt_outputs / "clt_check.csv").read_bytes())
 
-    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("cpus", [2, 3])
     def test_thread_count_never_changes_csv(self, clt_outputs, tmp_path,
-                                            threads):
+                                            monkeypatch, cpus):
+        _cap_cpus(monkeypatch, cpus)
         assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
-                   quiet=True, threads=threads) == 0
+                   quiet=True) == 0
         assert ((tmp_path / "clt_check.csv").read_bytes()
                 == (clt_outputs / "clt_check.csv").read_bytes())
 
@@ -313,24 +319,26 @@ class TestCltCheckReproducibility:
     def test_block_budget_never_changes_csv(self, clt_outputs, tmp_path,
                                             monkeypatch, budget):
         monkeypatch.setattr(model, "REPLICATION_BLOCK_BYTES", budget)
+        _cap_cpus(monkeypatch, 2)
         assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
-                   quiet=True, threads=2) == 0
+                   quiet=True) == 0
         assert ((tmp_path / "clt_check.csv").read_bytes()
                 == (clt_outputs / "clt_check.csv").read_bytes())
 
-    @pytest.mark.parametrize("threads, cells, used", [
+    @pytest.mark.parametrize("cpus, cells, used", [
         (1, 4, 1), (3, 4, 3), (4, 4, 4), (3, 2, 2)])
-    def test_manifest_records_workers_used(self, tmp_path, threads, cells,
-                                           used):
+    def test_manifest_records_workers_used(self, tmp_path, monkeypatch, cpus,
+                                           cells, used):
+        _cap_cpus(monkeypatch, cpus)
         text = CLT_CFG if cells == 4 else CLT_CFG.replace(", 2000", "")
-        assert run(parse_config(text), out_dir=str(tmp_path), quiet=True,
-                   threads=threads) == 0
+        assert run(parse_config(text), out_dir=str(tmp_path), quiet=True) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["threads"] == used
 
-    def test_serial_commands_record_one_worker(self, tmp_path):
+    def test_serial_commands_record_one_worker(self, tmp_path, monkeypatch):
+        _cap_cpus(monkeypatch, 2)
         cfg = parse_config("command = lower-bound\nnu_list = 0.1\nb_list = 4\n")
-        assert run(cfg, out_dir=str(tmp_path), quiet=True, threads=2) == 0
+        assert run(cfg, out_dir=str(tmp_path), quiet=True) == 0
         assert json.loads((tmp_path / "manifest.json").read_text())["threads"] == 1
 
     def test_failing_cell_exits_three_without_outputs(self, tmp_path,
@@ -343,27 +351,31 @@ class TestCltCheckReproducibility:
             return real(S, scale, noise, cfg, reps, seed)
 
         monkeypatch.setattr(cli, "normal_approx_check", failing)
+        _cap_cpus(monkeypatch, 2)
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(CLT_CFG)
         out = tmp_path / "out"
         codes = []
         worker = threading.Thread(target=lambda: codes.append(main(
-            ["--config", str(cfg_file), "--out", str(out), "--threads", "2",
-             "--quiet"])), daemon=True)
+            ["--config", str(cfg_file), "--out", str(out), "--quiet"])),
+            daemon=True)
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
         assert codes == [3]
         assert not list(out.glob("*"))
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_nonpositive_threads_is_config_error(self, tmp_path, threads):
+    def test_threads_option_is_usage_error(self, tmp_path, capsys):
+        # the worker count has one source, the CPUs available
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(CLT_CFG)
         out = tmp_path / "out"
-        assert main(["--config", str(cfg_file), "--out", str(out),
-                     "--threads", threads, "--quiet"]) == 2
-        assert not list(out.glob("*"))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_file), "--out", str(out),
+                  "--threads", "2", "--quiet"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunOtherCommands:
@@ -416,11 +428,17 @@ class TestRunOtherCommands:
         rows = {l.split(",")[0]: l.split(",")[6] for l in lines}
         assert rows == {"sine": "false", "zero": "true"}
 
-    def test_unknown_function_label(self, tmp_path):
-        cfg = parse_config(
-            "command = holder-check\nfunction_list = nonexistent\n")
-        with pytest.raises(ConfigError, match="nonexistent"):
+    @pytest.mark.parametrize("label", ["nonexistent", "const02", "const_neg"])
+    def test_unknown_function_label(self, tmp_path, label):
+        # the constants 0.2 and -0.4 have one label each, the family's
+        # const_plus and const_minus; the error lists every known label
+        cfg = parse_config(f"command = holder-check\nfunction_list = {label}\n")
+        known = sorted([*function_catalog(0.5), "bump",
+                        *(S.label for S in family_candidates(0.5, 0.1))])
+        with pytest.raises(ConfigError) as exc:
             run(cfg, out_dir=str(tmp_path), quiet=True)
+        assert str(exc.value) == (
+            f"unknown function label {label!r}; known: {known}")
 
 
 class TestMainEntry:
@@ -472,7 +490,7 @@ class TestMainEntry:
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(
             "command = clt-check\nn_list = 500\nreps = 100\n"
-            "noise_list = gaussian\nfunction_list = sine, const02\n")
+            "noise_list = gaussian\nfunction_list = sine, const_plus\n")
         out = tmp_path / "out"
         assert main(["--config", str(cfg_file), "--out", str(out),
                      "--quiet"]) == 2
@@ -551,15 +569,28 @@ def test_non_finite_or_repeated_entry_exits_two(tmp_path, capsys, command,
     assert not out.exists() or not list(out.iterdir())
 
 
+def _samples(S, x):
+    """S's values and derivatives on ``x`` (a constant's are scalars)."""
+    return [np.broadcast_to(f(x), x.shape) for f in (S.eval, S.deriv)]
+
+
 @pytest.mark.parametrize("z0", [0.3, 0.5, 0.77])
 @pytest.mark.parametrize("delta", [0.05, 0.1, 0.5])
-@pytest.mark.parametrize("beta", [1.5, 2.0])
-def test_catalog_and_family_labels_are_disjoint(z0, delta, beta):
-    catalog = set(function_catalog(z0))
-    family = {S.label for S in family_candidates(z0, delta)}
+def test_catalog_and_family_labels_are_disjoint(z0, delta):
+    # the catalog and the family share no label, and no two of their
+    # labels name one curve (equal values and derivatives on [0, 1])
+    catalog = function_catalog(z0)
+    family = {S.label: S for S in family_candidates(z0, delta)}
     assert len(family) == 11
-    assert not catalog & family
-    assert "bump" not in catalog | family
+    assert not set(catalog) & set(family)
+    assert "bump" not in {*catalog, *family}
+    x = np.linspace(0.0, 1.0, 101)
+    curves = [(S.label, _samples(S, x))
+              for S in (*catalog.values(), *family.values())]
+    same = [(a, b) for i, (a, sa) in enumerate(curves)
+            for b, sb in curves[i + 1:]
+            if all(np.array_equal(u, v) for u, v in zip(sa, sb))]
+    assert same == []
 
 
 # Labels defined by the family alone that the catalog once defined too.
@@ -596,8 +627,7 @@ def test_shared_labels_name_family_members(tmp_path, monkeypatch, command):
     for labels in lists:
         text = (f"command = {command}\nn_list = 400\ndelta_list = 0.2\n"
                 f"{extra}function_list = {', '.join(labels)}\n")
-        assert run(parse_config(text), out_dir=str(tmp_path), quiet=True,
-                   threads=1) == 0
+        assert run(parse_config(text), out_dir=str(tmp_path), quiet=True) == 0
     family = {S.label: S for S in family_candidates(0.5, 0.2)}
     x = np.linspace(0.0, 1.0, 101)
     assert sorted(S.label for S in seen) == sorted(SHARED_LABELS)
@@ -679,7 +709,7 @@ class TestRiskTableSharedDraws:
         """Every row equals, bit for bit, the row of its (n, delta) cell
         scored on its own through sup_risk."""
         config = parse_config(MULTI_DELTA_CFG)
-        _, rows, _ = cli._risk_table(config, 1)
+        _, rows, _ = cli._risk_table(config)
         noises = [get_noise(l) for l in sorted(config.noise_list)]
         scale = ScaleSpec(1.0, 0.5, 0.5, 0.5)
         expected = []
@@ -688,7 +718,7 @@ class TestRiskTableSharedDraws:
             for delta in (0.05, 0.1, 0.2):
                 rc = RiskConfig(cfg=cfg, delta=delta, reps=40, seed=11,
                                 family=tuple(default_family(cfg, delta)),
-                                scale=scale, noise=noises[0])
+                                scale=scale)
                 report = sup_risk(rc, noises)
                 for r in sorted(report.rows, key=lambda r: (r.function, r.noise)):
                     expected.append([n, 2.0, 0.5, delta, r.function, r.noise,

@@ -127,6 +127,17 @@ class TestWeakHolderClass:
             WeakHolderParams(z0=0.5, delta=0.1, beta=2.0,
                              h_grid=np.array([0.7]))  # leaves [0, 1]
 
+    @pytest.mark.parametrize("h_grid", [[0.3, 0.3], [0.3, 0.2, 0.3]])
+    def test_repeated_bandwidth_rejected(self, h_grid):
+        # a repeated probe adds nothing to the certificate but would make
+        # the params unequal to those of its distinct grid, so the
+        # certificate memo would compute the same certificate twice
+        with pytest.raises(ValueError, match="distinct"):
+            WeakHolderParams(z0=0.5, delta=0.1, beta=2.0, h_grid=h_grid)
+        # the defects themselves do not mind a repeated probe
+        defects = weak_defects(quadratic(), 0.5, 2.0, h_grid)
+        assert defects[0] == defects[h_grid.index(0.3, 1)]
+
 
 # ---------------------------------------------------------------------------
 # one-pass certificates: blocked weak_defects against a per-probe loop

@@ -8,11 +8,10 @@ from scipy.stats import laplace, norm, t
 
 from minimaxkern import martingale
 from minimaxkern.estimator import EstimatorConfig, window_law
-from minimaxkern.martingale import (_split_terms, normal_approx_check,
-                                    tail_second_moment,
-                                    truncated_mean, truncated_variance,
-                                    truncation_report, truncation_split,
-                                    zeta_dd_moment_check)
+from minimaxkern.martingale import (_truncation_report, normal_approx_check,
+                                    tail_second_moment, truncated_mean,
+                                    truncated_variance, truncation_report,
+                                    truncation_split, zeta_dd_moment_check)
 from minimaxkern.model import (constant_fn, flat_scale, get_noise,
                                noise_catalog, scale_catalog, scale_eval,
                                scale_profile)
@@ -156,7 +155,8 @@ class TestTruncationSplit:
     def test_window_weights_match_direct_profile(self, fixed_curves, gaussian,
                                                  n, scale):
         # the weights come from the estimator's window law; bitwise the
-        # direct g(x_k, S) / g(z0, S), and the split's summand scales and
+        # direct g(x_k, S) / g(z0, S), and the law's summand scales
+        # (WindowLaw.weights, read by the split and the CLT check) and
         # G_n/q_n are bitwise the expressions built on it
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         curves = [*default_family(cfg, 0.1),
@@ -166,8 +166,9 @@ class TestTruncationSplit:
                       / scale_eval(scale, cfg.z0, S))
             law = window_law(S, scale, cfg)
             assert np.array_equal(law.g_window / law.g0, direct), S.label
-            report, w = _split_terms(law, gaussian)
-            assert np.array_equal(w, direct / math.sqrt(cfg.q_n)), S.label
+            assert np.array_equal(law.weights, direct / math.sqrt(cfg.q_n)), \
+                S.label
+            report = _truncation_report(law, gaussian)
             assert report.g_n_over_qn == float(np.sum(direct ** 2)) / cfg.q_n
 
     @pytest.mark.parametrize("run", ["split", "moment_check"])

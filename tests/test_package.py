@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import minimaxkern
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,14 +80,9 @@ def test_no_unused_imports():
 
 
 # Parameters that a protocol fixes but one implementation does not need:
-# the commands of cli._DISPATCH that run no pool ignore their worker
-# budget, the zero law draws nothing from its generator, and a symmetric
-# law's truncated mean is 0 at every threshold.
+# the zero law draws nothing from its generator, and a symmetric law's
+# truncated mean is 0 at every threshold.
 _UNREAD_PROTOCOL_SLOTS = {
-    ("cli.py", "_risk_table", "threads"),
-    ("cli.py", "_lower_bound", "threads"),
-    ("cli.py", "_holder_check", "threads"),
-    ("cli.py", "_convergence", "threads"),
     ("model.py", "_zero_sampler", "rng"),
     ("model.py", "_symmetric_truncated_mean", "a"),
 }
@@ -134,6 +131,25 @@ def test_readme_config_block_names_every_key():
     assert keys == set(cli._KEYS) | {"command"}
 
 
+def test_readme_synopsis_names_every_option(capsys):
+    # the README's `minimaxkern --config ...` synopsis names exactly the
+    # options of cli.main's parser (--help aside), so the docs cannot keep
+    # a removed flag or miss a new one
+    from minimaxkern import cli
+
+    readme = (ROOT / "README.md").read_text()
+    synopsis = [line for line in readme.splitlines()
+                if line.startswith("minimaxkern --config")]
+    assert len(synopsis) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    option = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+    parsed = set(option.findall(capsys.readouterr().out)) - {"--help"}
+    assert set(option.findall(synopsis[0])) == parsed
+    assert parsed  # the help text was read
+
+
 def test_trace_driver_installs():
     # bench/trace_driver.py wraps package names where other modules import
     # them; a dropped or renamed name makes install raise
@@ -172,6 +188,7 @@ _RANGE_RULES = [
     "reps must be >= {NORMAL_CHECK_MIN_REPS}",  # clt-check's floor, 100
     "a must be positive and finite",
     "probe bandwidths must be positive",
+    "probe bandwidths must be distinct",
     "leaves [0, 1] for h=",
     "unknown noise label",
 ]

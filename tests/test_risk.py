@@ -53,29 +53,29 @@ class TestFoldedNormalMean:
             folded_normal_mean(0.0, 0.0)
 
 
-def _single_config(S, scale, noise, n=100_000, delta=0.1, reps=100, seed=42):
+def _single_config(S, scale, n=100_000, delta=0.1, reps=100, seed=42):
     cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
     return RiskConfig(cfg=cfg, delta=delta, reps=reps, seed=seed,
-                      family=(S,), scale=scale, noise=noise)
+                      family=(S,), scale=scale)
 
 
 class TestExactGaussianRisk:
-    def test_flat_scale_constant_curve(self, gaussian):
+    def test_flat_scale_constant_curve(self):
         # phi/sqrt(q) * sqrt(2/pi) with q = 20001 at n = 1e5
-        rc = _single_config(constant_fn(0.2, "c"), flat_scale(), gaussian)
+        rc = _single_config(constant_fn(0.2, "c"), flat_scale())
         val = exact_gaussian_risk(rc.family[0], rc)
         formula = rc.cfg.phi_n / math.sqrt(rc.cfg.q_n) * math.sqrt(2.0 / math.pi)
         assert val == pytest.approx(formula, rel=1e-12)
         assert val == pytest.approx(0.5641754793370735, abs=1e-12)
 
-    def test_constant_curve_mixed_scale_near_target(self, mixed_scale, gaussian):
-        rc = _single_config(constant_fn(0.2, "c"), mixed_scale, gaussian)
+    def test_constant_curve_mixed_scale_near_target(self, mixed_scale):
+        rc = _single_config(constant_fn(0.2, "c"), mixed_scale)
         val = exact_gaussian_risk(rc.family[0], rc)
         assert abs(val - EFFICIENCY_CONSTANT) / EFFICIENCY_CONSTANT < 0.01
 
-    def test_zero_bias_form(self, mixed_scale, gaussian):
+    def test_zero_bias_form(self, mixed_scale):
         # B_n = 0 collapses the oracle to the pure folded-normal term
-        rc = _single_config(constant_fn(-0.4, "c"), mixed_scale, gaussian)
+        rc = _single_config(constant_fn(-0.4, "c"), mixed_scale)
         dec = decompose(rc.family[0], mixed_scale, rc.cfg)
         g0 = scale_eval(mixed_scale, 0.5, rc.family[0])
         expected = (rc.cfg.phi_n * math.sqrt(dec.law.sigma_n_sq / rc.cfg.q_n)
@@ -83,106 +83,93 @@ class TestExactGaussianRisk:
         assert exact_gaussian_risk(rc.family[0], rc) == pytest.approx(
             expected, rel=1e-12)
 
-    def test_dominates_bias_contribution(self, mixed_scale, gaussian):
+    def test_dominates_bias_contribution(self, mixed_scale):
         cfg = EstimatorConfig(n=10_000, beta=2.0, z0=0.5)
         for S in default_family(cfg, 0.2):
             rc = RiskConfig(cfg=cfg, delta=0.2, reps=10, seed=1, family=(S,),
-                            scale=mixed_scale, noise=gaussian)
+                            scale=mixed_scale)
             dec = decompose(S, mixed_scale, cfg)
             g0 = scale_eval(mixed_scale, 0.5, S)
             assert exact_gaussian_risk(S, rc) >= cfg.phi_n * abs(dec.b_n) / g0
-
-    def test_rejects_non_gaussian(self, mixed_scale):
-        rc = _single_config(constant_fn(0.0, "c"), mixed_scale,
-                            get_noise("rademacher"))
-        with pytest.raises(ValueError):
-            exact_gaussian_risk(rc.family[0], rc)
 
     def test_label_alone_earns_no_oracle(self, mixed_scale):
         # Laplace draws under the Gaussian label: the folded-normal value
         # would not be the risk of these draws
         impostor = dataclasses.replace(get_noise("laplace_std"),
                                        label="gaussian")
-        rc = _single_config(constant_fn(0.2, "c"), mixed_scale, impostor,
+        rc = _single_config(constant_fn(0.2, "c"), mixed_scale,
                             n=1_000, reps=50)
-        assert sup_risk(rc).rows[0].risk_oracle is None
-        with pytest.raises(ValueError):
-            exact_gaussian_risk(rc.family[0], rc)
+        assert sup_risk(rc, [impostor]).rows[0].risk_oracle is None
 
     def test_relabelled_gaussian_keeps_oracle(self, mixed_scale, gaussian):
         S = constant_fn(0.2, "c")
         normal = dataclasses.replace(gaussian, label="normal")
-        rc = _single_config(S, mixed_scale, normal, n=1_000, reps=50)
-        ref = _single_config(S, mixed_scale, gaussian, n=1_000, reps=50)
-        row = sup_risk(rc).rows[0]
+        rc = _single_config(S, mixed_scale, n=1_000, reps=50)
+        row = sup_risk(rc, [normal]).rows[0]
         assert row.noise == "normal"
         assert row.risk_oracle is not None
         assert row.risk_oracle == exact_gaussian_risk(S, rc)
-        assert row.risk_oracle == exact_gaussian_risk(S, ref)
+        assert row.risk_oracle == sup_risk(rc, [gaussian]).rows[0].risk_oracle
 
 
 class TestMonteCarloRisk:
     def test_noiseless_hook_is_exactly_zero(self, mixed_scale):
-        rc = _single_config(constant_fn(0.7, "c"), mixed_scale, zero_noise(),
+        rc = _single_config(constant_fn(0.7, "c"), mixed_scale,
                             n=2_000, reps=50)
-        est, se = monte_carlo_risk(rc.family[0], rc)
+        est, se = monte_carlo_risk(rc.family[0], rc, zero_noise())
         assert (est, se) == (0.0, 0.0)
 
     def test_deterministic_given_seed(self, mixed_scale, gaussian):
-        rc = _single_config(constant_fn(0.2, "c"), mixed_scale, gaussian,
+        rc = _single_config(constant_fn(0.2, "c"), mixed_scale,
                             n=2_000, reps=200, seed=11)
-        assert monte_carlo_risk(rc.family[0], rc) == monte_carlo_risk(
-            rc.family[0], rc)
+        assert (monte_carlo_risk(rc.family[0], rc, gaussian)
+                == monte_carlo_risk(rc.family[0], rc, gaussian))
 
     def test_seed_sensitivity(self, mixed_scale, gaussian):
-        rc1 = _single_config(constant_fn(0.2, "c"), mixed_scale, gaussian,
+        rc1 = _single_config(constant_fn(0.2, "c"), mixed_scale,
                              n=2_000, reps=200, seed=11)
-        rc2 = _single_config(constant_fn(0.2, "c"), mixed_scale, gaussian,
+        rc2 = _single_config(constant_fn(0.2, "c"), mixed_scale,
                              n=2_000, reps=200, seed=12)
-        assert monte_carlo_risk(rc1.family[0], rc1) != monte_carlo_risk(
-            rc2.family[0], rc2)
+        assert (monte_carlo_risk(rc1.family[0], rc1, gaussian)
+                != monte_carlo_risk(rc2.family[0], rc2, gaussian))
 
     def test_oracle_agreement_default_family(self, mixed_scale, gaussian):
         # each default family member at n = 1e4, 2e4 replications
         cfg = EstimatorConfig(n=10_000, beta=2.0, z0=0.5)
         for S in default_family(cfg, 0.1):
             rc = RiskConfig(cfg=cfg, delta=0.1, reps=20_000, seed=42,
-                            family=(S,), scale=mixed_scale, noise=gaussian)
-            mc, se = monte_carlo_risk(S, rc)
+                            family=(S,), scale=mixed_scale)
+            mc, se = monte_carlo_risk(S, rc, gaussian)
             oracle = exact_gaussian_risk(S, rc)
             assert abs(mc - oracle) <= 3.0 * se, S.label
 
-    def test_rademacher_matches_gaussian_oracle(self, mixed_scale, gaussian):
+    def test_rademacher_matches_gaussian_oracle(self, mixed_scale):
         # CLT regime: non-Gaussian noise lands on the Gaussian oracle value
         S = constant_fn(0.2, "c")
-        rc = _single_config(S, mixed_scale, get_noise("rademacher"),
-                            n=100_000, reps=4_000, seed=42)
-        mc, se = monte_carlo_risk(S, rc)
-        oracle_rc = _single_config(S, mixed_scale, gaussian, n=100_000)
-        oracle = exact_gaussian_risk(S, oracle_rc)
+        rc = _single_config(S, mixed_scale, n=100_000, reps=4_000, seed=42)
+        mc, se = monte_carlo_risk(S, rc, get_noise("rademacher"))
+        oracle = exact_gaussian_risk(S, rc)
         assert abs(mc - oracle) <= 5.0 * se
 
 
 class TestSupRisk:
     def test_single_member_family(self, mixed_scale, gaussian):
-        rc = _single_config(constant_fn(0.0, "zero"), mixed_scale, gaussian,
+        rc = _single_config(constant_fn(0.0, "zero"), mixed_scale,
                             n=1_000, reps=300)
-        report = sup_risk(rc)
+        report = sup_risk(rc, [gaussian])
         assert len(report.rows) == 1
         assert report.sup_risk == report.rows[0].risk_mc
         assert report.attained_by == ("zero", "gaussian")
-        assert report.constant_target == pytest.approx(EFFICIENCY_CONSTANT)
 
     def test_enlarging_family_never_decreases(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
         fam = default_family(cfg, 0.1)
         small = RiskConfig(cfg=cfg, delta=0.1, reps=300, seed=7,
-                           family=tuple(fam[:2]), scale=mixed_scale,
-                           noise=gaussian)
+                           family=tuple(fam[:2]), scale=mixed_scale)
         large = RiskConfig(cfg=cfg, delta=0.1, reps=300, seed=7,
-                           family=tuple(fam), scale=mixed_scale,
-                           noise=gaussian)
-        assert sup_risk(large).sup_risk >= sup_risk(small).sup_risk
+                           family=tuple(fam), scale=mixed_scale)
+        assert (sup_risk(large, [gaussian]).sup_risk
+                >= sup_risk(small, [gaussian]).sup_risk)
 
     def test_sup_bounded_by_constant_plus_slack(self, mixed_scale, gaussian):
         # sup <= 1/sqrt(pi) + delta/2 + 3 max stderr for certified members
@@ -190,13 +177,13 @@ class TestSupRisk:
         cfg = EstimatorConfig(n=100_000, beta=2.0, z0=0.5)
         fam = default_family(cfg, delta)
         rc = RiskConfig(cfg=cfg, delta=delta, reps=2_000, seed=42,
-                        family=tuple(fam), scale=mixed_scale, noise=gaussian)
-        report = sup_risk(rc)
+                        family=tuple(fam), scale=mixed_scale)
+        report = sup_risk(rc, [gaussian])
         slack = 3.0 * max(r.stderr for r in report.rows)
         assert report.sup_risk <= EFFICIENCY_CONSTANT + delta / 2.0 + slack
 
     def test_multi_noise_rows(self, mixed_scale, gaussian):
-        rc = _single_config(constant_fn(0.2, "c"), mixed_scale, gaussian,
+        rc = _single_config(constant_fn(0.2, "c"), mixed_scale,
                             n=1_000, reps=200)
         report = sup_risk(rc, noises=[gaussian, get_noise("uniform_std")])
         assert [r.noise for r in report.rows] == ["gaussian", "uniform_std"]
@@ -207,21 +194,21 @@ class TestSupRisk:
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
         fam = default_family(cfg, 0.1)
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=150, seed=3,
-                        family=tuple(fam), scale=mixed_scale, noise=gaussian)
-        assert sup_risk(rc) == sup_risk(rc)
+                        family=tuple(fam), scale=mixed_scale)
+        assert sup_risk(rc, [gaussian]) == sup_risk(rc, [gaussian])
 
 
 class TestSupRisks:
-    def _configs(self, scale, noise, n=1_000):
+    def _configs(self, scale, n=1_000):
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         return [RiskConfig(cfg=cfg, delta=delta, reps=50, seed=4,
                            family=tuple(default_family(cfg, delta)),
-                           scale=scale, noise=noise)
+                           scale=scale)
                 for delta in (0.2, 0.1)]
 
     def test_equals_configs_scored_alone(self, mixed_scale, gaussian):
         noises = [gaussian, get_noise("laplace_std")]
-        rcs = self._configs(mixed_scale, gaussian)
+        rcs = self._configs(mixed_scale)
         assert sup_risks(rcs, noises) == [sup_risk(rc, noises) for rc in rcs]
 
     def test_one_stream_per_noise(self, mixed_scale, gaussian, monkeypatch):
@@ -233,12 +220,12 @@ class TestSupRisks:
 
         monkeypatch.setattr(risk_module, "replicate", counting)
         noises = [gaussian, get_noise("rademacher")]
-        sup_risks(self._configs(mixed_scale, gaussian), noises)
+        sup_risks(self._configs(mixed_scale), noises)
         assert calls == ["gaussian", "rademacher"]
 
     @pytest.mark.parametrize("name", ["cfg", "reps", "seed", "scale"])
     def test_configs_must_share_draw_fields(self, mixed_scale, gaussian, name):
-        rcs = self._configs(mixed_scale, gaussian)
+        rcs = self._configs(mixed_scale)
         other = {"cfg": EstimatorConfig(n=1_001, beta=2.0, z0=0.5),
                  "reps": 51, "seed": 5, "scale": flat_scale()}[name]
         rcs[1] = dataclasses.replace(rcs[1], **{name: other})
@@ -249,27 +236,26 @@ class TestSupRisks:
         with pytest.raises(ValueError):
             sup_risks([], [gaussian])
         with pytest.raises(ValueError):
-            sup_risks(self._configs(mixed_scale, gaussian), [])
+            sup_risks(self._configs(mixed_scale), [])
 
 
 class TestRiskConfigValidation:
-    def test_uncertified_member_rejected(self, mixed_scale, gaussian):
+    def test_uncertified_member_rejected(self, mixed_scale):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
         steep = function_catalog()["sine"]  # genuine curvature at z0
         with pytest.raises(ValueError, match="sine"):
             RiskConfig(cfg=cfg, delta=0.1, reps=10, seed=0, family=(steep,),
-                       scale=mixed_scale, noise=gaussian)
+                       scale=mixed_scale)
 
-    def test_keeps_member_certificates(self, mixed_scale, gaussian):
+    def test_keeps_member_certificates(self, mixed_scale):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
         fam = tuple(default_family(cfg, 0.1))
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=10, seed=0, family=fam,
-                        scale=mixed_scale, noise=gaussian)
+                        scale=mixed_scale)
         params = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
         assert rc.reports == tuple(check_weak_holder(S, params) for S in fam)
 
-    def test_reuses_certificate_of_same_curve(self, mixed_scale, gaussian,
-                                              monkeypatch):
+    def test_reuses_certificate_of_same_curve(self, mixed_scale, monkeypatch):
         calls = []
 
         def counting(S, params):
@@ -281,17 +267,17 @@ class TestRiskConfigValidation:
         fam = tuple(default_family(cfg, 0.1))
         built = [RiskConfig(cfg=EstimatorConfig(n=n, beta=2.0, z0=0.5),
                             delta=0.1, reps=10, seed=0, family=fam,
-                            scale=mixed_scale, noise=gaussian)
+                            scale=mixed_scale)
                  for n in (1_000, 2_000)]
         assert [rc.new_certificates for rc in built] == [5, 0]
         assert built[0].reports == built[1].reports
         assert len(calls) == 5
         # another delta, or a rebuilt curve, is certified afresh
         RiskConfig(cfg=built[0].cfg, delta=0.2, reps=10, seed=0,
-                   family=fam[:1], scale=mixed_scale, noise=gaussian)
+                   family=fam[:1], scale=mixed_scale)
         rebuilt = tuple(default_family(cfg, 0.1))[:1]
         RiskConfig(cfg=built[0].cfg, delta=0.1, reps=10, seed=0,
-                   family=rebuilt, scale=mixed_scale, noise=gaussian)
+                   family=rebuilt, scale=mixed_scale)
         assert calls[5:] == [("const_plus", 0.2), ("const_plus", 0.1)]
 
     def test_certificate_memo_keys_by_probe_grid(self):
@@ -309,29 +295,27 @@ class TestRiskConfigValidation:
         assert risk_module._certificate(S, again) == (report, False)
         assert risk_module._certificate(S, default)[1] is False
 
-    def test_certificate_memo_lets_curves_go(self, mixed_scale, gaussian):
+    def test_certificate_memo_lets_curves_go(self, mixed_scale):
         S = constant_fn(0.3, "transient")
         RiskConfig(cfg=EstimatorConfig(n=1_000, beta=2.0, z0=0.5), delta=0.1,
-                   reps=10, seed=0, family=(S,), scale=mixed_scale,
-                   noise=gaussian)
+                   reps=10, seed=0, family=(S,), scale=mixed_scale)
         ref = weakref.ref(S)
         del S
         gc.collect()
         assert ref() is None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_delta_rejected(self, mixed_scale, gaussian, bad):
+    def test_non_finite_delta_rejected(self, mixed_scale, bad):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
         with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
             RiskConfig(cfg=cfg, delta=bad, reps=10, seed=0,
-                       family=(constant_fn(0.0),), scale=mixed_scale,
-                       noise=gaussian)
+                       family=(constant_fn(0.0),), scale=mixed_scale)
 
-    def test_empty_family_rejected(self, mixed_scale, gaussian):
+    def test_empty_family_rejected(self, mixed_scale):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
         with pytest.raises(ValueError):
             RiskConfig(cfg=cfg, delta=0.1, reps=10, seed=0, family=(),
-                       scale=mixed_scale, noise=gaussian)
+                       scale=mixed_scale)
 
     def test_certified_families_have_ten_members(self, certified_family):
         for delta in (0.5, 0.2, 0.1, 0.05):
@@ -358,7 +342,7 @@ class TestReplicationEngine:
         noise = get_noise(label)
         fam = default_family(cfg, 0.1)
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=12, seed=42,
-                        family=tuple(fam), scale=mixed_scale, noise=noise)
+                        family=tuple(fam), scale=mixed_scale)
         stats = _family_stats([decompose(S, rc.scale, rc.cfg) for S in fam],
                               rc, noise)
         assert stats.shape == (len(fam), rc.reps)
@@ -377,12 +361,12 @@ class TestReplicationEngine:
         fam = default_family(cfg, 0.1)
         noises = [gaussian, get_noise("uniform_std")]
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=200, seed=9,
-                        family=tuple(fam), scale=mixed_scale, noise=gaussian)
+                        family=tuple(fam), scale=mixed_scale)
         report = sup_risk(rc, noises=noises)
         for row in report.rows:
             S = next(f for f in fam if f.label == row.function)
             noise = next(z for z in noises if z.label == row.noise)
-            mc, se = monte_carlo_risk(S, dataclasses.replace(rc, noise=noise))
+            mc, se = monte_carlo_risk(S, rc, noise)
             assert row.risk_mc == pytest.approx(mc, rel=1e-12, abs=0)
             assert row.stderr == pytest.approx(se, rel=1e-12, abs=0)
 
@@ -391,7 +375,7 @@ class TestReplicationEngine:
         fam = default_family(cfg, 0.1)
         noises = [gaussian, get_noise("laplace_std")]
         small = RiskConfig(cfg=cfg, delta=0.1, reps=150, seed=5,
-                           family=(fam[2],), scale=mixed_scale, noise=gaussian)
+                           family=(fam[2],), scale=mixed_scale)
         large = dataclasses.replace(small, family=tuple(fam))
         small_rows = sup_risk(small, noises=noises).rows
         large_rows = [r for r in sup_risk(large, noises=noises).rows
@@ -406,7 +390,7 @@ class TestReplicationEngine:
         noises = [_recording(gaussian, sizes),
                   _recording(get_noise("rademacher"), sizes)]
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=40, seed=2,
-                        family=tuple(fam), scale=mixed_scale, noise=noises[0])
+                        family=tuple(fam), scale=mixed_scale)
         rows = max(1, model.REPLICATION_BLOCK_BYTES // (8 * cfg.q_n))
         assert 1 < rows < rc.reps  # several blocks, the last one short
         blocks = [min(rows, rc.reps - start) * cfg.q_n
@@ -418,7 +402,7 @@ class TestReplicationEngine:
         assert sizes == blocks * len(noises)
         assert all(type(size) is int for size in sizes)
         sizes.clear()
-        monte_carlo_risk(fam[0], rc)
+        monte_carlo_risk(fam[0], rc, noises[0])
         assert sizes == blocks
 
     def test_replicate_is_deterministic(self, gaussian):
@@ -500,8 +484,9 @@ def test_risk_invariant_under_constant_shift(label, noise, n, c, seed):
              default_family(EstimatorConfig(n=n, beta=2.0, z0=0.5), 0.1)
              if f.label == label)
     shifted = FunctionSpec("shifted", lambda x: S.eval(x) + c, S.deriv)
-    rc = _single_config(S, flat_scale(), get_noise(noise), n=n, reps=200,
-                        seed=seed)
+    rc = _single_config(S, flat_scale(), n=n, reps=200, seed=seed)
+    noise = get_noise(noise)
     tol = CONSTANT_SHIFT_TOL * (1.0 + abs(c))
-    for got, want in zip(monte_carlo_risk(shifted, rc), monte_carlo_risk(S, rc)):
+    for got, want in zip(monte_carlo_risk(shifted, rc, noise),
+                         monte_carlo_risk(S, rc, noise)):
         assert abs(got - want) <= tol * want
