@@ -326,7 +326,7 @@ class TestCltCheckReproducibility:
                 == (clt_outputs / "clt_check.csv").read_bytes())
 
     @pytest.mark.parametrize("cpus, cells, used", [
-        (1, 4, 1), (3, 4, 3), (4, 4, 4), (3, 2, 2)])
+        (1, 4, 1), (2, 4, 2), (3, 4, 3), (4, 4, 4), (3, 2, 2)])
     def test_manifest_records_workers_used(self, tmp_path, monkeypatch, cpus,
                                            cells, used):
         _cap_cpus(monkeypatch, cpus)
@@ -335,10 +335,20 @@ class TestCltCheckReproducibility:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["threads"] == used
 
-    def test_serial_commands_record_one_worker(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("text", [
+        "command = lower-bound\nnu_list = 0.1\nb_list = 4\n",
+        "command = risk-table\nn_list = 400\ndelta_list = 0.1\nreps = 10\n"
+        "noise_list = gaussian\nfunction_list = zero\n",
+        "command = holder-check\nn_list = 400\ndelta_list = 0.1\n"
+        "function_list = zero\n",
+        "command = convergence\nn_list = 400\nfunction_list = zero\n",
+    ], ids=lambda text: text.split("\n")[0].split(" = ")[1])
+    def test_serial_commands_record_one_worker(self, tmp_path, monkeypatch,
+                                               text):
+        # only clt-check runs a pool; the others use one worker whatever
+        # the CPUs available
         _cap_cpus(monkeypatch, 2)
-        cfg = parse_config("command = lower-bound\nnu_list = 0.1\nb_list = 4\n")
-        assert run(cfg, out_dir=str(tmp_path), quiet=True) == 0
+        assert run(parse_config(text), out_dir=str(tmp_path), quiet=True) == 0
         assert json.loads((tmp_path / "manifest.json").read_text())["threads"] == 1
 
     def test_failing_cell_exits_three_without_outputs(self, tmp_path,
@@ -365,16 +375,19 @@ class TestCltCheckReproducibility:
         assert codes == [3]
         assert not list(out.glob("*"))
 
-    def test_threads_option_is_usage_error(self, tmp_path, capsys):
-        # the worker count has one source, the CPUs available
+    @pytest.mark.parametrize("threads", ["2", "0", "-1"])
+    def test_threads_option_is_usage_error(self, tmp_path, capsys, threads):
+        # the worker count has one source, the CPUs available; no value of
+        # the old option, valid or not, is read
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(CLT_CFG)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg_file), "--out", str(out),
-                  "--threads", "2", "--quiet"])
+                  f"--threads={threads}", "--quiet"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert (f"unrecognized arguments: --threads={threads}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -634,6 +647,28 @@ def test_shared_labels_name_family_members(tmp_path, monkeypatch, command):
     for S in seen:
         assert np.array_equal(S.eval(x), family[S.label].eval(x)), S.label
         assert np.array_equal(S.deriv(x), family[S.label].deriv(x)), S.label
+
+
+def test_clt_check_default_curve_is_family_const_plus(tmp_path, monkeypatch):
+    """With no function_list, clt-check scores the family's const_plus at
+    the config's first delta."""
+    real = cli.truncation_report
+    seen = []
+
+    def sink(S, *rest):
+        seen.append(S)
+        return real(S, *rest)
+
+    monkeypatch.setattr(cli, "truncation_report", sink)
+    text = ("command = clt-check\nn_list = 400\ndelta_list = 0.2, 0.1\n"
+            "reps = 100\nnoise_list = gaussian\n")
+    assert run(parse_config(text), out_dir=str(tmp_path), quiet=True) == 0
+    const_plus = {S.label: S
+                  for S in family_candidates(0.5, 0.2)}["const_plus"]
+    x = np.linspace(0.0, 1.0, 101)
+    assert [S.label for S in seen] == ["const_plus"]
+    assert np.array_equal(seen[0].eval(x), const_plus.eval(x))
+    assert np.array_equal(seen[0].deriv(x), const_plus.deriv(x))
 
 
 def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):

@@ -357,6 +357,13 @@ class TestFunctionCatalog:
             fd = (S.eval(xs + step) - S.eval(xs - step)) / (2 * step)
             assert np.max(np.abs(fd - S.deriv(xs))) < 1e-6
 
+    def test_labels(self):
+        # the constants 0.2 and -0.4 are the family's const_plus and
+        # const_minus, so the catalog holds only its three own curves
+        catalog = function_catalog(0.3)
+        assert sorted(catalog) == ["linear", "sine", "steep_linear"]
+        assert all(S.label == label for label, S in catalog.items())
+
     def test_flat_scale_helper(self):
         sc = flat_scale(2.0)
         assert scale_eval(sc, 0.3, constant_fn(5.0)) == pytest.approx(2.0)

@@ -107,6 +107,21 @@ def test_every_src_parameter_is_read():
     assert unread == _UNREAD_PROTOCOL_SLOTS
 
 
+def test_no_src_function_takes_a_worker_count():
+    # clt-check sizes its pool from the CPUs available (capped through CPU
+    # affinity), so no function takes a worker count of its own
+    found = []
+    for path in sorted((ROOT / "src" / "minimaxkern").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                found += [f"{path.name}:{node.lineno} {node.name}({a.arg})"
+                          for a in (*args.posonlyargs, *args.args,
+                                    *args.kwonlyargs)
+                          if a.arg in ("threads", "workers")]
+    assert found == []
+
+
 def test_readme_library_example_runs(capsys):
     # the README's python block runs as written, so its signatures cannot
     # go stale; it prints one row per default member, then the supremum
