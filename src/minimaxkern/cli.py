@@ -34,7 +34,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .estimator import EstimatorConfig, check_beta, check_z0, sigma_n_limit_check
+from .estimator import (EstimatorConfig, check_beta, check_z0,
+                        sigma_n_limit_check, window_law)
 from .holder import WeakHolderParams, check_delta, check_weak_holder
 from .lowerbound import (bayes_bound, build_kernel, check_b, check_nu,
                          pure_noise_scale, sigma_nu_sq)
@@ -302,8 +303,10 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
             cells.append((label, noise, cfg, derive_seed(config.seed, len(cells))))
 
     def cell_row(label, noise, cfg, seed) -> list:
-        report = truncation_report(S, scale, noise, cfg)
-        ks = normal_approx_check(S, scale, noise, cfg, config.reps, seed)
+        law = window_law(S, scale, cfg)
+        report = truncation_report(law, noise)
+        # by keyword: bench/trace_driver.py reads reps at position 4 or by name
+        ks = normal_approx_check(law, noise, reps=config.reps, seed=seed)
         return [label, cfg.n, report.a_n, report.k_p, report.r_n, ks]
 
     workers = min(available_cpus(), len(cells))
@@ -455,16 +458,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        config = parse_config(text)
-        env_seed = os.environ.get("MINIMAXKERN_SEED")
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError:
-                raise ConfigError(
-                    f"MINIMAXKERN_SEED must be an integer, got {env_seed!r}")
-            config = dataclasses.replace(config, seed=seed, seed_source="env")
-        return run(config, out_dir=args.out, quiet=args.quiet)
+        return run(parse_config(text), out_dir=args.out, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -135,8 +135,10 @@ class WindowLaw:
     @cached_property
     def weights(self) -> np.ndarray:
         """g(x_k, S) / (g0 sqrt(q_n)) over the window: the scales of the
-        normalized noise sum's summands."""
-        return self.g_window / self.g0 / math.sqrt(self.cfg.q_n)
+        normalized noise sum's summands (divided in place: same bits)."""
+        w = self.g_window / self.g0
+        w /= math.sqrt(self.cfg.q_n)
+        return w
 
     def gaussian_abs_mean(self, b_n: float) -> float:
         """phi_n E|b_n + N(0, sigma_n^2/q_n)| / g0: the Gaussian-noise risk."""

@@ -7,6 +7,9 @@ a = q_n^(1/4) and re-centering yields a bounded martingale-difference part
 plus a tail part whose second moment is (G_n/q_n) * K_p(a), with
 K_p(a) = E[xi^2 1{|xi| > a}] and G_n the window sum of g^2(x_k,S)/g^2(z0,S).
 
+The split and its checks take the window law (``estimator.WindowLaw``) and
+the noise law, which fix the law of zeta_tilde; one window law serves all.
+
 Truncated moments are the closed forms the noise law carries (every law
 carries ``tail_second_moment`` and ``truncated_mean``), so they are exact
 to rounding: a centering error would bias the split directly.
@@ -19,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import EstimatorConfig, WindowLaw, window_law
-from .model import (FunctionSpec, NoiseSpec, ScaleSpec, check_reps, replicate,
-                    rng_from_seed)
+from .estimator import WindowLaw
+from .model import NoiseSpec, check_reps, replicate, rng_from_seed
 from .numerics import ks_statistic, normal_cdf
 
 
@@ -72,35 +74,26 @@ class RealizedSplit:
     xi: np.ndarray  # the window draws that produced the split
 
 
-def _truncation_report(law: WindowLaw, noise: NoiseSpec) -> TruncationReport:
-    """``truncation_report`` from the window law."""
-    cfg = law.cfg
-    a = cfg.q_n ** 0.25
+def truncation_report(law: WindowLaw, noise: NoiseSpec) -> TruncationReport:
+    """The deterministic summary of the split at a = q_n^(1/4); it draws
+    nothing.  G_n/q_n is the law's sigma_n^2 / g0^2."""
+    a = law.cfg.q_n ** 0.25
     k_p = tail_second_moment(noise, a)
     m_above = noise.mean - truncated_mean(noise, a)
     a_n = truncated_variance(noise, a)
-    ratio = law.g_window / law.g0
-    g_n_over_qn = float(np.sum(ratio ** 2)) / cfg.q_n
+    g_n_over_qn = law.sigma_n_sq / law.g0 ** 2
     return TruncationReport(
         a_threshold=a,
         a_n=a_n,
         k_p=k_p,
         g_n_over_qn=g_n_over_qn,
         r_n=g_n_over_qn * a_n,
-        tau_n=cfg.k_hi,
+        tau_n=law.cfg.k_hi,
         second_moment_zeta_dd=g_n_over_qn * (k_p - m_above ** 2),
     )
 
 
-def truncation_report(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
-                      cfg: EstimatorConfig) -> TruncationReport:
-    """The deterministic summary of the split at a = q_n^(1/4); it draws
-    nothing."""
-    return _truncation_report(window_law(S, scale, cfg), noise)
-
-
-def truncation_split(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
-                     cfg: EstimatorConfig, seed: int
+def truncation_split(law: WindowLaw, noise: NoiseSpec, seed: int
                      ) -> tuple[TruncationReport, RealizedSplit]:
     """``truncation_report`` plus one drawn run split at a = q_n^(1/4).
 
@@ -109,14 +102,13 @@ def truncation_split(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
     variance budget is exhausted); zeta_dd sums the tail parts.  Their sum
     reconstructs zeta_n / g(z0, S) exactly.
     """
-    law = window_law(S, scale, cfg)
-    report, scale_fac = _truncation_report(law, noise), law.weights
+    report, scale_fac = truncation_report(law, noise), law.weights
     a = report.a_threshold
     m_below = truncated_mean(noise, a)
     m_above = noise.mean - m_below
 
     rng = rng_from_seed(seed)
-    xi = np.asarray(noise.sampler(rng, cfg.q_n), dtype=float)
+    xi = np.asarray(noise.sampler(rng, law.cfg.q_n), dtype=float)
     below = np.abs(xi) <= a
     u_prime = scale_fac * (np.where(below, xi, 0.0) - m_below)
     u_dd = scale_fac * (np.where(below, 0.0, xi) - m_above)
@@ -139,32 +131,30 @@ def check_clt_reps(reps: int) -> None:
         raise ValueError(f"reps must be >= {NORMAL_CHECK_MIN_REPS}")
 
 
-def normal_approx_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
-                        cfg: EstimatorConfig, reps: int, seed: int) -> float:
+def normal_approx_check(law: WindowLaw, noise: NoiseSpec, reps: int,
+                        seed: int) -> float:
     """Kolmogorov-Smirnov distance of simulated zeta_tilde draws to the
     standard Gaussian CDF."""
     check_clt_reps(reps)
-    w = window_law(S, scale, cfg).weights
+    w = law.weights
 
     def weighted_sum(xi: np.ndarray) -> np.ndarray:
         xi *= w
         return xi.sum(axis=1)
 
-    stats = replicate(noise, cfg.q_n, reps, seed, weighted_sum)
+    stats = replicate(noise, law.cfg.q_n, reps, seed, weighted_sum)
     return ks_statistic(stats, normal_cdf)
 
 
-def zeta_dd_moment_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
-                         cfg: EstimatorConfig, reps: int, seed: int
-                         ) -> tuple[float, float, float]:
+def zeta_dd_moment_check(law: WindowLaw, noise: NoiseSpec, reps: int,
+                         seed: int) -> tuple[float, float, float]:
     """Monte Carlo second moment of the tail part against its exact value.
 
     Returns (mc_estimate, mc_stderr, expected) with
     expected = (G_n/q_n) * Var(xi 1{|xi| > a}).
     """
     check_reps(reps)
-    law = window_law(S, scale, cfg)
-    report, w = _truncation_report(law, noise), law.weights
+    report, w = truncation_report(law, noise), law.weights
     a = report.a_threshold
     m_above = noise.mean - truncated_mean(noise, a)
 
@@ -182,7 +172,7 @@ def zeta_dd_moment_check(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,
         z_dd = xi.sum(axis=1)
         return z_dd * z_dd
 
-    sq = replicate(noise, cfg.q_n, reps, seed, squared_tail_sum)
+    sq = replicate(noise, law.cfg.q_n, reps, seed, squared_tail_sum)
     est = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1)) / math.sqrt(reps)
     return est, stderr, report.second_moment_zeta_dd

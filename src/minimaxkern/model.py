@@ -16,6 +16,7 @@ with the closed forms of its moments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,9 +37,9 @@ SCALE_QUAD_PANELS = 2048
 
 
 def check_n(n: int) -> None:
-    """The one definition of the sample-size rule: n in [1, inf)."""
-    if not 1 <= n < math.inf:
-        raise ValueError(f"n must be >= 1 and finite, got {n}")
+    """The one definition of the sample-size rule: n an integer >= 1."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be >= 1 and an integer, got {n}")
 
 
 def design_grid(n: int) -> np.ndarray:
@@ -227,13 +228,18 @@ def scale_frechet(scale: ScaleSpec, x: float, S: FunctionSpec, f: FunctionSpec) 
 # ---------------------------------------------------------------------------
 
 
+#: The moment class's E|xi|^(2+MOMENT_EPSILON) bound; abs_moment is E|xi|^3.
+MOMENT_EPSILON = 1.0
+MOMENT_BOUND = 10.0
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """A standardized noise law: its sampler and closed forms.
 
-    ``abs_moment`` is the closed-form E|xi|^(2+epsilon); ``member`` tells
-    whether the law lies in the moment class (mean 0, variance 1 and
-    abs_moment <= L_bound).  ``tail_second_moment``
+    ``abs_moment`` is the closed-form E|xi|^(2+MOMENT_EPSILON); ``member``
+    tells whether the law lies in the moment class (mean 0, variance 1 and
+    abs_moment <= MOMENT_BOUND).  ``tail_second_moment``
     (a -> E[xi^2 1{|xi| > a}]) and ``truncated_mean`` (a -> E[xi 1{|xi| <= a}])
     are the closed forms the truncation split needs; every law carries both.
     ``gaussian`` marks the standard normal law, the one law for which the
@@ -253,15 +259,13 @@ class NoiseSpec:
     abs_moment: float
     tail_second_moment: Callable[[float], float]
     truncated_mean: Callable[[float], float]
-    epsilon: float = 1.0
-    L_bound: float = 10.0
     gaussian: bool = False
 
     @property
     def member(self) -> bool:
-        """Mean 0, variance 1 and E|xi|^(2+eps) <= L: the moment class."""
+        """Mean 0, variance 1, abs_moment <= MOMENT_BOUND: the moment class."""
         return (self.mean == 0.0 and self.variance == 1.0
-                and self.abs_moment <= self.L_bound)
+                and self.abs_moment <= MOMENT_BOUND)
 
 
 _SQRT3 = math.sqrt(3.0)

@@ -4,9 +4,9 @@ One test per criterion; each prints a single pass/fail line (visible under
 ``pytest -s``).  Every tolerance is pinned here.  The tail-size sub-test of
 criterion 9 checks, for every catalog law at n = 1e5 and a = q_n^(1/4),
 that K_p(a) stays under the law's moment-certificate bound
-abs_moment * a^(-epsilon) and equals an independent closed form to 1e-9
-relative.  It asserts no fixed level: the unit-variance Student-t(5) has
-K_p = 5.05e-3 there (K_p ~ 8.8 a^-3) and first drops below 1e-3 at
+abs_moment * a^(-MOMENT_EPSILON) and equals an independent closed form to
+1e-9 relative.  It asserts no fixed level: the unit-variance Student-t(5)
+has K_p = 5.05e-3 there (K_p ~ 8.8 a^-3) and first drops below 1e-3 at
 n ~ 1.55e6.
 """
 
@@ -17,15 +17,17 @@ import numpy as np
 import pytest
 from scipy.stats import norm, t
 
-from minimaxkern.estimator import EstimatorConfig, decompose, sigma_n_limit_check
+from minimaxkern.estimator import (EstimatorConfig, decompose,
+                                   sigma_n_limit_check, window_law)
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.lowerbound import (PerturbationSpec, bayes_bound,
                                     build_kernel, bump_deriv_sup,
                                     min_n_membership, varsigma_sq)
 from minimaxkern.martingale import (tail_second_moment, truncated_variance,
                                     normal_approx_check, zeta_dd_moment_check)
-from minimaxkern.model import (constant_fn, function_catalog, get_noise,
-                               noise_catalog, scale_catalog, scale_eval)
+from minimaxkern.model import (MOMENT_EPSILON, constant_fn, function_catalog,
+                               get_noise, noise_catalog, scale_catalog,
+                               scale_eval)
 from minimaxkern.numerics import composite_simpson
 from minimaxkern.risk import (EFFICIENCY_CONSTANT, RiskConfig, default_family,
                               exact_gaussian_risk, monte_carlo_risk, sup_risk)
@@ -183,7 +185,7 @@ def test_criterion_08_bayes_chain():
 
 
 CLT_CFG = EstimatorConfig(n=100_000, beta=BETA, z0=Z0)
-CLT_S = constant_fn(0.2, "const_plus")
+CLT_LAW = window_law(constant_fn(0.2, "const_plus"), MIXED, CLT_CFG)
 
 
 @pytest.mark.parametrize("label", NOISE_LABELS)
@@ -191,8 +193,7 @@ def test_criterion_09_normal_approximation(label):
     """KS distance of the normalized noise sum to the standard Gaussian is
     below 0.015 at n=1e5 with 1e4 replications (below 0.01 for the
     two-point noise)."""
-    ks = normal_approx_check(CLT_S, MIXED, get_noise(label), CLT_CFG,
-                             reps=10_000, seed=4242)
+    ks = normal_approx_check(CLT_LAW, get_noise(label), reps=10_000, seed=4242)
     ok = ks < 0.015 and (label != "rademacher" or ks < 0.01)
     _report(f"criterion 9 ({label} KS)", ok, f"KS={ks:.5f}")
     assert ok
@@ -242,7 +243,7 @@ def test_criterion_09_tail_size(label):
     noise = get_noise(label)
     a = CLT_CFG.q_n ** 0.25
     k_p = tail_second_moment(noise, a)
-    bound = noise.abs_moment * a ** (-noise.epsilon)
+    bound = noise.abs_moment * a ** (-MOMENT_EPSILON)
     ref = _tail_moment_closed_form(label, a)
     bound_ok = k_p <= bound
     exact_ok = k_p == pytest.approx(ref, rel=1e-9, abs=0.0)
@@ -256,7 +257,7 @@ def test_criterion_09_tail_size(label):
 def test_criterion_09_tail_second_moment(label):
     """Simulated E[zeta_dd^2] matches (G_n/q_n) K_p within 3 MC errors."""
     est, se, expected = zeta_dd_moment_check(
-        CLT_S, MIXED, get_noise(label), CLT_CFG, reps=10_000, seed=777)
+        CLT_LAW, get_noise(label), reps=10_000, seed=777)
     ok = abs(est - expected) <= 3.0 * se + 1e-12
     _report(f"criterion 9 ({label} tail moment)", ok,
             f"est={est:.3e} expected={expected:.3e} se={se:.3e}")

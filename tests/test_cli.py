@@ -11,7 +11,7 @@ import pytest
 
 import minimaxkern
 
-from minimaxkern import cli, model
+from minimaxkern import cli, estimator, model
 from minimaxkern.cli import ConfigError, main, parse_config, run
 from minimaxkern.estimator import EstimatorConfig, check_beta, check_z0
 from minimaxkern.holder import WeakHolderParams, check_delta, check_weak_holder
@@ -325,6 +325,22 @@ class TestCltCheckReproducibility:
         assert ((tmp_path / "clt_check.csv").read_bytes()
                 == (clt_outputs / "clt_check.csv").read_bytes())
 
+    def test_one_window_law_per_cell(self, tmp_path, monkeypatch):
+        # g is evaluated over each (noise, n) cell's window once: the
+        # truncation report and the normal check share the cell's law
+        calls = []
+        real = estimator.scale_profile
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(estimator, "scale_profile", counting)
+        _cap_cpus(monkeypatch, 2)
+        assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
+                   quiet=True) == 0
+        assert len(calls) == 4  # CLT_CFG's cells
+
     @pytest.mark.parametrize("cpus, cells, used", [
         (1, 4, 1), (2, 4, 2), (3, 4, 3), (4, 4, 4), (3, 2, 2)])
     def test_manifest_records_workers_used(self, tmp_path, monkeypatch, cpus,
@@ -355,10 +371,11 @@ class TestCltCheckReproducibility:
                                                       monkeypatch):
         real = cli.normal_approx_check
 
-        def failing(S, scale, noise, cfg, reps, seed):
-            if noise.label == "laplace_std" and cfg.n == 1000:
+        def failing(*args, **kwargs):
+            law, noise = args
+            if noise.label == "laplace_std" and law.cfg.n == 1000:
                 raise ValueError("injected cell failure")
-            return real(S, scale, noise, cfg, reps, seed)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "normal_approx_check", failing)
         _cap_cpus(monkeypatch, 2)
@@ -471,7 +488,7 @@ class TestMainEntry:
 
     def test_module_error_exit_three_and_cleanup(self, tmp_path, monkeypatch):
         # a numeric failure inside a module is exit 3
-        def failing(*args):
+        def failing(*args, **kwargs):
             raise ValueError("injected module failure")
 
         monkeypatch.setattr(cli, "normal_approx_check", failing)
@@ -510,18 +527,26 @@ class TestMainEntry:
         assert "one curve" in capsys.readouterr().err
         assert not list(out.glob("*"))
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_env_seed_changes_nothing(self, tmp_path, monkeypatch):
+        # the config file alone decides a run: MINIMAXKERN_SEED, which once
+        # overrode the config seed, is not read
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(
             "command = clt-check\nn_list = 800\nreps = 150\n"
             "noise_list = rademacher\nseed = 5\n")
-        monkeypatch.setenv("MINIMAXKERN_SEED", "123")
-        out = tmp_path / "env_out"
-        assert main(["--config", str(cfg_file), "--out", str(out),
-                     "--quiet"]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 123
-        assert manifest["seed_source"] == "env"
+        tables = []
+        for env_seed in (None, "123", "not-a-number"):
+            if env_seed is None:
+                monkeypatch.delenv("MINIMAXKERN_SEED", raising=False)
+            else:
+                monkeypatch.setenv("MINIMAXKERN_SEED", env_seed)
+            out = tmp_path / f"out{len(tables)}"
+            assert main(["--config", str(cfg_file), "--out", str(out),
+                         "--quiet"]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert (manifest["seed"], manifest["seed_source"]) == (5, "config")
+            tables.append((out / "clt_check.csv").read_bytes())
+        assert tables[1:] == [tables[0]] * 2
 
     def test_uncertified_function_exit_two(self, tmp_path, capsys):
         # the catalog "sine" carries curvature at z0 and fails certification
@@ -557,12 +582,6 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "delta=0.5" in err and "'bump'" in err
         assert not list(out.glob("*"))
-
-    def test_bad_env_seed_is_config_error(self, tmp_path, monkeypatch):
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text("command = lower-bound\n")
-        monkeypatch.setenv("MINIMAXKERN_SEED", "not-a-number")
-        assert main(["--config", str(cfg_file), "--quiet"]) == 2
 
 
 @pytest.mark.parametrize("command, line, message", [
@@ -614,7 +633,7 @@ SHARED_LABELS = ("zero", "odd_sine", "cos_dip", "bowl", "odd_cubic")
 _CURVE_SINKS = {
     "risk-table": ("reps = 10\n", "sup_risks",
                    lambda rcs, noises: [S for rc in rcs for S in rc.family]),
-    "clt-check": ("reps = 100\n", "truncation_report", lambda S, *rest: [S]),
+    "clt-check": ("reps = 100\n", "window_law", lambda S, *rest: [S]),
     "holder-check": ("", "check_weak_holder", lambda S, *rest: [S]),
     "convergence": ("", "sigma_n_limit_check", lambda S, *rest: [S]),
 }
@@ -652,14 +671,14 @@ def test_shared_labels_name_family_members(tmp_path, monkeypatch, command):
 def test_clt_check_default_curve_is_family_const_plus(tmp_path, monkeypatch):
     """With no function_list, clt-check scores the family's const_plus at
     the config's first delta."""
-    real = cli.truncation_report
+    real = cli.window_law
     seen = []
 
     def sink(S, *rest):
         seen.append(S)
         return real(S, *rest)
 
-    monkeypatch.setattr(cli, "truncation_report", sink)
+    monkeypatch.setattr(cli, "window_law", sink)
     text = ("command = clt-check\nn_list = 400\ndelta_list = 0.2, 0.1\n"
             "reps = 100\nnoise_list = gaussian\n")
     assert run(parse_config(text), out_dir=str(tmp_path), quiet=True) == 0

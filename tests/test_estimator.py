@@ -45,6 +45,13 @@ class TestEstimatorConfig:
         cfg = EstimatorConfig(n=5, beta=2.0, z0=0.5)
         assert (cfg.k_lo, cfg.k_hi, cfg.q_n) == (1, 5, 5)
 
+    def test_rejects_non_integer_n(self):
+        # n = 1000.5 used to build a window with q_n = 503
+        with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
+            EstimatorConfig(n=1000.5, beta=2.0, z0=0.5)
+        assert (EstimatorConfig(n=np.int64(1000), beta=2.0, z0=0.5)
+                == EstimatorConfig(n=1000, beta=2.0, z0=0.5))
+
     def test_window_count_1e5(self, cfg_1e5):
         assert cfg_1e5.q_n == 20_001
         assert (cfg_1e5.k_lo, cfg_1e5.k_hi) == (40_000, 60_000)

@@ -6,9 +6,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import laplace, norm, t
 
-from minimaxkern import martingale
 from minimaxkern.estimator import EstimatorConfig, window_law
-from minimaxkern.martingale import (_truncation_report, normal_approx_check,
+from minimaxkern.martingale import (normal_approx_check,
                                     tail_second_moment, truncated_mean,
                                     truncated_variance, truncation_report,
                                     truncation_split, zeta_dd_moment_check)
@@ -156,8 +155,9 @@ class TestTruncationSplit:
                                                  n, scale):
         # the weights come from the estimator's window law; bitwise the
         # direct g(x_k, S) / g(z0, S), and the law's summand scales
-        # (WindowLaw.weights, read by the split and the CLT check) and
-        # G_n/q_n are bitwise the expressions built on it
+        # (WindowLaw.weights, read by the split and the CLT check) are
+        # bitwise the expression built on it.  G_n/q_n is bitwise the
+        # law's sigma_n^2 / g0^2 and within rounding of the numpy sum
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         curves = [*default_family(cfg, 0.1),
                   *fixed_curves(0.5).values()]
@@ -168,34 +168,17 @@ class TestTruncationSplit:
             assert np.array_equal(law.g_window / law.g0, direct), S.label
             assert np.array_equal(law.weights, direct / math.sqrt(cfg.q_n)), \
                 S.label
-            report = _truncation_report(law, gaussian)
-            assert report.g_n_over_qn == float(np.sum(direct ** 2)) / cfg.q_n
-
-    @pytest.mark.parametrize("run", ["split", "moment_check"])
-    def test_one_window_law_per_call(self, monkeypatch, mixed_scale, run):
-        # a counting wrapper on the window law, at the name martingale
-        # calls it by: the report and the draws share one evaluation
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return window_law(*args)
-
-        monkeypatch.setattr(martingale, "window_law", counting)
-        cfg = EstimatorConfig(n=2_000, beta=2.0, z0=0.5)
-        args = (constant_fn(0.2), mixed_scale, get_noise("laplace_std"), cfg)
-        if run == "split":
-            truncation_split(*args, seed=3)
-        else:
-            zeta_dd_moment_check(*args, reps=10, seed=3)
-        assert len(calls) == 1
+            report = truncation_report(law, gaussian)
+            assert report.g_n_over_qn == law.sigma_n_sq / law.g0 ** 2
+            assert report.g_n_over_qn == pytest.approx(
+                float(np.sum(direct ** 2)) / cfg.q_n, rel=1e-15, abs=0.0)
 
     def test_split_reconstructs_normalized_sum(self, mixed_scale):
         cfg = EstimatorConfig(n=20_000, beta=2.0, z0=0.5)
         S = constant_fn(0.2)
         for label in ("gaussian", "student5_std"):
-            report, real = truncation_split(S, mixed_scale, get_noise(label),
-                                            cfg, seed=99)
+            report, real = truncation_split(window_law(S, mixed_scale, cfg),
+                                            get_noise(label), seed=99)
             g_w = scale_profile(mixed_scale, cfg.window_x, S)
             g0 = scale_eval(mixed_scale, 0.5, S)
             direct = float(np.sum(g_w / g0 * real.xi)) / math.sqrt(cfg.q_n)
@@ -211,19 +194,18 @@ class TestTruncationSplit:
         def no_draws(rng, size, out=None):
             raise AssertionError("truncation_report drew noise")
 
-        report = truncation_report(constant_fn(0.2), mixed_scale,
-                                   replace(noise, sampler=no_draws), cfg)
-        split_report, _ = truncation_split(constant_fn(0.2), mixed_scale,
-                                           noise, cfg, seed=5)
+        law = window_law(constant_fn(0.2), mixed_scale, cfg)
+        report = truncation_report(law, replace(noise, sampler=no_draws))
+        split_report, _ = truncation_split(law, noise, seed=5)
         assert report == split_report
 
     def test_report_identity_second_moment(self, mixed_scale):
         # E[zeta_dd^2] = (G_n/q_n) K_p(a) for the symmetric catalog
         cfg = EstimatorConfig(n=20_000, beta=2.0, z0=0.5)
         S = constant_fn(0.2)
+        law = window_law(S, mixed_scale, cfg)
         for label in ALL_NOISES:
-            report, _ = truncation_split(S, mixed_scale, get_noise(label),
-                                         cfg, seed=5)
+            report, _ = truncation_split(law, get_noise(label), seed=5)
             expected = report.g_n_over_qn * report.k_p
             if expected == 0.0:
                 assert report.second_moment_zeta_dd == 0.0
@@ -236,9 +218,10 @@ class TestTruncationSplit:
         cfg = EstimatorConfig(n=20_000, beta=2.0, z0=0.5)
         S = constant_fn(0.2)
         bound = 2.0 * (mixed_scale.g_ceil / mixed_scale.g_floor) * cfg.q_n ** -0.25
+        law = window_law(S, mixed_scale, cfg)
         for label in ("gaussian", "laplace_std", "student5_std"):
             noise = get_noise(label)
-            report, real = truncation_split(S, mixed_scale, noise, cfg, seed=3)
+            report, real = truncation_split(law, noise, seed=3)
             a = report.a_threshold
             m_below = truncated_mean(noise, a)
             g_w = scale_profile(mixed_scale, cfg.window_x, S)
@@ -251,9 +234,9 @@ class TestTruncationSplit:
     def test_r_n_close_to_one_at_large_n(self, mixed_scale):
         cfg = EstimatorConfig(n=1_000_000, beta=2.0, z0=0.5)
         S = constant_fn(0.2)
+        law = window_law(S, mixed_scale, cfg)
         for label in ALL_NOISES:
-            report, _ = truncation_split(S, mixed_scale, get_noise(label),
-                                         cfg, seed=1)
+            report, _ = truncation_split(law, get_noise(label), seed=1)
             assert abs(report.r_n - 1.0) < 1e-2
 
     def test_tail_decay_along_n(self):
@@ -272,8 +255,8 @@ class TestNormalApproximation:
         # gaussian noise with constant scale: the sum is exactly N(0, 1)
         cfg = EstimatorConfig(n=20_000, beta=2.0, z0=0.5)
         reps = 4_000
-        ks = normal_approx_check(constant_fn(0.2), flat_scale(),
-                                 get_noise("gaussian"), cfg, reps, seed=11)
+        law = window_law(constant_fn(0.2), flat_scale(), cfg)
+        ks = normal_approx_check(law, get_noise("gaussian"), reps, seed=11)
         assert ks < 2.0 / math.sqrt(reps)
 
     def test_centering_kills_truncation_bias(self):
@@ -290,12 +273,12 @@ class TestNormalApproximation:
     def test_moment_check_agrees_with_identity(self, mixed_scale):
         cfg = EstimatorConfig(n=20_000, beta=2.0, z0=0.5)
         est, se, expected = zeta_dd_moment_check(
-            constant_fn(0.2), mixed_scale, get_noise("student5_std"), cfg,
-            reps=2_000, seed=777)
+            window_law(constant_fn(0.2), mixed_scale, cfg),
+            get_noise("student5_std"), reps=2_000, seed=777)
         assert abs(est - expected) <= 3 * se + 1e-12
 
     def test_reps_floor(self, mixed_scale):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
         with pytest.raises(ValueError):
-            normal_approx_check(constant_fn(0.0), mixed_scale,
-                                get_noise("gaussian"), cfg, reps=10, seed=0)
+            normal_approx_check(window_law(constant_fn(0.0), mixed_scale, cfg),
+                                get_noise("gaussian"), reps=10, seed=0)

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from minimaxkern.estimator import EstimatorConfig, decompose
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
-from minimaxkern.model import (SAMPLER_CHUNK, FunctionSpec, ScaleSpec,
+from minimaxkern.model import (MOMENT_BOUND, SAMPLER_CHUNK, FunctionSpec,
+                               ScaleSpec,
                                constant_fn, derive_seed,
                                design_grid, flat_scale, function_catalog,
                                get_noise, noise_catalog, rng_from_seed,
@@ -42,6 +43,12 @@ class TestDesignGrid:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             design_grid(0)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, math.inf, math.nan])
+    def test_rejects_non_integer(self, n):
+        # 2.5 used to give [0.4, 0.8, 1.2], a design point outside [0, 1]
+        with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
+            design_grid(n)
 
 
 class TestScaleEval:
@@ -148,7 +155,8 @@ class TestNoiseCatalog:
 
     def test_member_follows_the_fields(self):
         gaussian = get_noise("gaussian")
-        assert not replace(gaussian, L_bound=1.5).member  # abs_moment 1.596
+        assert replace(gaussian, abs_moment=MOMENT_BOUND).member
+        assert not replace(gaussian, abs_moment=MOMENT_BOUND * 1.01).member
         assert not replace(gaussian, mean=0.1).member
         assert not replace(gaussian, variance=2.0).member
 

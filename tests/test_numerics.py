@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from scipy.special import ndtr
 from scipy.stats import kstest
 
-from minimaxkern.numerics import (composite_simpson, ks_statistic,
-                                 normal_cdf, window_sum)
+from minimaxkern.numerics import (WINDOW_SUM_CHUNK, composite_simpson,
+                                 ks_statistic, normal_cdf, window_sum)
 
 
 class TestCompositeSimpson:
@@ -64,6 +64,16 @@ class TestWindowSum:
         # values engineered to lose bits under naive accumulation
         vals = np.array([1e16, 1.0, -1e16, 1.0] * 100)
         assert window_sum(vals) == 200.0
+
+    @pytest.mark.parametrize("size", [WINDOW_SUM_CHUNK - 1, WINDOW_SUM_CHUNK,
+                                      3 * WINDOW_SUM_CHUNK + 5])
+    def test_chunks_sum_as_one(self, size):
+        # the first value cancels against the last, in another chunk when
+        # there are several: the chunks feed one exactly rounded sum,
+        # bitwise math.fsum of all the values
+        vals = np.random.default_rng(size).standard_normal(size)
+        vals[0], vals[-1] = 1e16, -1e16
+        assert window_sum(vals) == math.fsum(vals.tolist())
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
     def test_close_to_numpy(self, vals):

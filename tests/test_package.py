@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import re
 import subprocess
@@ -174,6 +175,53 @@ def test_trace_driver_installs():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# A small config of each command for the traced-run check.
+_TRACE_CONFIGS = {
+    "risk-table": "n_list = 400, 1000\nreps = 100\n"
+                  "noise_list = gaussian, laplace_std\n",
+    "lower-bound": "nu_list = 0.1, 0.05\nb_list = 4, 16\n",
+    "clt-check": "n_list = 400, 1000\nreps = 100\n"
+                 "noise_list = gaussian, laplace_std\n",
+    "holder-check": "n_list = 400, 1000\n",
+    "convergence": "n_list = 400, 1000\n",
+}
+
+
+def _one_cpu() -> None:
+    # The driver's tracer keeps one span stack for all threads, so the
+    # traced child runs clt-check's cells on one worker.
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.parametrize("command", sorted(_TRACE_CONFIGS))
+def test_traced_run_matches_untraced(tmp_path, command):
+    # bench/trace_driver.py wraps package functions and reads their
+    # arguments (by position or name); a call it cannot read fails the
+    # traced run, and a wrapper must not change a byte of the table
+    from minimaxkern import cli
+
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"command = {command}\n{_TRACE_CONFIGS[command]}")
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert cli.main(["--config", str(cfg_file), "--out", str(plain),
+                     "--quiet"]) == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "trace_driver.py"),
+         "--config", str(cfg_file), "--out", str(traced),
+         "--trace-out", str(tmp_path / "trace.json")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_one_cpu)
+    assert proc.returncode == 0, proc.stderr
+    stem = command.replace("-", "_")
+    assert ((traced / f"{stem}.csv").read_bytes()
+            == (plain / f"{stem}.csv").read_bytes())
+    if command == "clt-check":  # the driver read each cell's reps
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert trace["counters"]["martingale.reps"] == 4 * 100
 
 
 def test_cli_import_leaves_thread_pool_unloaded():
