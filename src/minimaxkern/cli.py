@@ -10,11 +10,17 @@ non-finite numbers and repeated list entries are config errors.
 worker thread per CPU this process may use (``available_cpus``), at most
 one per cell; numpy's samplers and large reductions release the
 interpreter lock, so the cells overlap.  CPU affinity (e.g. ``taskset``)
-caps the pool.  Every cell keeps the seed of its position in the sorted
-cell list and rows are assembled in that order, so results never depend on
-the worker count.  The other commands run serially: their cells are small
-and bound by the interpreter lock (``risk-table`` got slower on a pool).
-The manifest records the number of workers used.
+caps the pool.  The pool starts the costliest cell first: cells go in by
+decreasing expected draw time, q_n times the seconds per value of the
+cell's law, which one warm probe of each law's sampler measures on a
+throwaway generator (longest processing time first; the longest cell
+bounds the wall time, so it must not start last).  The serial path probes
+nothing.  Every cell keeps the seed of its position in the sorted cell
+list and rows are assembled in that order, so results never depend on the
+worker count or the order the cells ran in.  The other commands run
+serially: their cells are small and bound by the interpreter lock
+(``risk-table`` got slower on a pool).  The manifest records the number of
+workers used.
 
 Exit codes: 0 success, 2 config error, 3 numeric or module error.
 """
@@ -43,8 +49,9 @@ from .lowerbound import (bayes_bound, build_kernel, check_b, check_nu,
 # under this module's name, so the name stays importable from cli.
 from .martingale import (check_clt_reps, normal_approx_check,
                          truncation_report, truncation_split)  # noqa: F401
-from .model import (ScaleSpec, check_alpha0, check_alpha123, check_n, check_reps,
-                    function_catalog, get_noise, derive_seed)
+from .model import (NoiseSpec, ScaleSpec, check_alpha0, check_alpha123, check_n,
+                    check_reps, function_catalog, get_noise, derive_seed,
+                    rng_from_seed)
 from .risk import (DEFAULT_TABLE_LABELS, RiskConfig, family_bump,
                    family_candidates, sup_risks)
 
@@ -279,6 +286,30 @@ def _lower_bound(config: ExperimentConfig) -> tuple[list[str], list[list], dict]
     return ["nu", "b", "sigma_nu_sq", "bayes_bound"], rows, {}
 
 
+#: Values in each of the two draws of ``_seconds_per_value``'s probe.
+PROBE_VALUES = 4096
+
+
+def _seconds_per_value(noise: NoiseSpec) -> float:
+    """Seconds ``noise``'s sampler takes per value: of two draws of
+    PROBE_VALUES values from a throwaway generator, the second, warm one is
+    timed.  No cell's stream is touched."""
+    rng, buf = rng_from_seed(0), np.empty(PROBE_VALUES)
+    noise.sampler(rng, PROBE_VALUES, out=buf)
+    start = time.perf_counter()
+    noise.sampler(rng, PROBE_VALUES, out=buf)
+    return (time.perf_counter() - start) / PROBE_VALUES
+
+
+def _costliest_first(cells: list, rates: dict[str, float]) -> list[int]:
+    """Positions of the clt-check ``cells`` (label, noise, cfg, seed) by
+    decreasing expected draw time, reps * q_n * rates[label]; reps is the
+    same for every cell, so q_n * rates[label] orders them.  Equal times
+    keep position order."""
+    return sorted(range(len(cells)),
+                  key=lambda i: -cells[i][2].q_n * rates[cells[i][0]])
+
+
 def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     # Both checks run before any draw, so a bad config is exit 2, not 3.
     try:
@@ -294,10 +325,10 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
         raise ConfigError(f"clt-check scores one curve; function_list names "
                           f"{len(functions)}")
     S = functions[0]
+    noises = {label: get_noise(label) for label in sorted(config.noise_list)}
     # One cell per (noise, n) in sorted order; its seed is fixed by position.
     cells = []
-    for label in sorted(config.noise_list):
-        noise = get_noise(label)
+    for label, noise in noises.items():
         for n in sorted(config.n_list):
             cfg = EstimatorConfig(n=n, beta=config.beta, z0=config.z0)
             cells.append((label, noise, cfg, derive_seed(config.seed, len(cells))))
@@ -316,18 +347,23 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
         # imported here so that importing the CLI does not pay for it
         from concurrent.futures import ThreadPoolExecutor
 
+        rates = {label: _seconds_per_value(noise)
+                 for label, noise in noises.items()}
         with ThreadPoolExecutor(workers) as pool:
-            # Largest draw volume (reps * q_n) first: the longest cell bounds
-            # the wall time, so it must not start last.
-            order = sorted(range(len(cells)), key=lambda i: -cells[i][2].q_n)
-            futures = {i: pool.submit(cell_row, *cells[i]) for i in order}
+            # Costliest cell first, by measured draw time: the longest cell
+            # bounds the wall time, so it must not start last.
+            futures = {i: pool.submit(cell_row, *cells[i])
+                       for i in _costliest_first(cells, rates)}
             try:
                 rows = [futures[i].result() for i in range(len(cells))]
             except BaseException:  # drop the cells not yet started
                 pool.shutdown(cancel_futures=True)
                 raise
+    counters = {"cells": len(cells), "draw_streams": len(cells),
+                "values_drawn": sum(config.reps * cfg.q_n
+                                    for _, _, cfg, _ in cells)}
     return (["noise", "n", "a_n", "K_p", "r_n", "ks_distance"], rows,
-            {"threads": workers})
+            {"threads": workers, "counters": counters})
 
 
 def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:

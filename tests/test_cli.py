@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -350,6 +351,86 @@ class TestCltCheckReproducibility:
         assert run(parse_config(text), out_dir=str(tmp_path), quiet=True) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["threads"] == used
+
+    def test_costliest_first_orders_by_expected_draw_time(self):
+        # cells are (label, noise, cfg, seed); reps is common to all of them
+        cells = [(label, get_noise(label), EstimatorConfig(n=n, beta=2.0, z0=0.5),
+                  0) for label in ("gaussian", "student5_std")
+                 for n in (1000, 2000)]
+        q1, q2 = (cells[i][2].q_n for i in (0, 1))
+        assert q2 > 1.5 * q1  # the orders below rest on it
+        order = cli._costliest_first
+        # by q_n * rate, descending: a dearer law can overtake a larger window
+        assert order(cells, {"gaussian": 1.0, "student5_std": 1.0}) == [1, 3, 0, 2]
+        assert order(cells, {"gaussian": 1.0, "student5_std": 1.5}) == [3, 1, 2, 0]
+        assert order(cells, {"gaussian": 1.0, "student5_std": 2.0}) == [3, 2, 1, 0]
+        assert order(cells, {"gaussian": 3.0, "student5_std": 1.0}) == [1, 0, 3, 2]
+        # equal expected times keep cell position: cells 0 and 3 tie here
+        assert order(cells, {"gaussian": float(q2), "student5_std": float(q1)}
+                     ) == [1, 0, 3, 2]
+        tied = [cells[0], cells[2], cells[0], cells[2]]
+        assert order(tied, {"gaussian": 1.0, "student5_std": 1.0}) == [0, 1, 2, 3]
+        assert order(cells, dict.fromkeys(("gaussian", "student5_std"), 0.0)
+                     ) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("cpus, probed", [
+        (1, []), (2, ["gaussian", "laplace_std"])])
+    def test_only_the_pool_probes_each_law_once(self, tmp_path, monkeypatch,
+                                                cpus, probed):
+        calls = []
+        monkeypatch.setattr(cli, "_seconds_per_value",
+                            lambda noise: calls.append(noise.label) or 1.0)
+        _cap_cpus(monkeypatch, cpus)
+        assert run(parse_config(CLT_CFG), out_dir=str(tmp_path), quiet=True) == 0
+        assert calls == probed
+
+    def test_probe_draws_twice_from_one_generator(self):
+        # a warm-up draw, then the timed one, both of PROBE_VALUES values
+        noise, draws = get_noise("student5_std"), []
+
+        def sampler(rng, size, out=None):
+            draws.append((rng, size))
+            return noise.sampler(rng, size, out=out)
+
+        assert cli._seconds_per_value(
+            dataclasses.replace(noise, sampler=sampler)) > 0.0
+        assert [size for _, size in draws] == [cli.PROBE_VALUES] * 2
+        assert draws[0][0] is draws[1][0]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("rates, order", [
+        ({"gaussian": 1.0, "laplace_std": 2.0}, [3, 2, 1, 0]),  # reversed
+        ({"gaussian": 1.0, "laplace_std": 1.5}, [3, 1, 2, 0]),  # shuffled
+    ], ids=["reversed", "shuffled"])
+    def test_submission_order_never_changes_csv(self, clt_outputs, tmp_path,
+                                                monkeypatch, cpus, rates,
+                                                order):
+        monkeypatch.setattr(cli, "_seconds_per_value",
+                            lambda noise: rates[noise.label])
+        orders, real = [], cli._costliest_first
+
+        def recorded(*args):
+            orders.append(real(*args))
+            return orders[-1]
+
+        monkeypatch.setattr(cli, "_costliest_first", recorded)
+        _cap_cpus(monkeypatch, cpus)
+        assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
+                   quiet=True) == 0
+        assert orders == [order]
+        assert ((tmp_path / "clt_check.csv").read_bytes()
+                == (clt_outputs / "clt_check.csv").read_bytes())
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_manifest_counts_cells_streams_and_values(self, tmp_path,
+                                                      monkeypatch, cpus):
+        # the probe's draws are not counted
+        _cap_cpus(monkeypatch, cpus)
+        assert run(parse_config(CLT_CFG), out_dir=str(tmp_path), quiet=True) == 0
+        counters = json.loads((tmp_path / "manifest.json").read_text())["counters"]
+        qn = sum(EstimatorConfig(n=n, beta=2.0, z0=0.5).q_n for n in (1000, 2000))
+        assert counters == {"cells": 4, "draw_streams": 4,
+                            "values_drawn": 2 * 200 * qn}
 
     @pytest.mark.parametrize("text", [
         "command = lower-bound\nnu_list = 0.1\nb_list = 4\n",
