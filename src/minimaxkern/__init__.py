@@ -12,8 +12,7 @@ __version__ = "0.2.1"
 
 from .estimator import (DecompositionReport, EstimatorConfig, bandwidth,
                         decompose, kernel_estimate, rate, sigma_n_limit_check)
-from .holder import (WeakHolderParams, check_weak_holder, default_h_grid,
-                     weak_defect)
+from .holder import WeakHolderParams, check_weak_holder, default_h_grid
 from .lowerbound import (PerturbationSpec, PlateauKernel, bayes_bound,
                          build_kernel, likelihood_ratio, log_likelihood_ratio,
                          min_n_membership, shift_statistic, varsigma_sq)
@@ -41,7 +40,7 @@ __all__ = [
     "scale_catalog", "flat_scale", "function_catalog",
     "constant_fn", "linear_fn", "derive_seed", "replicate",
     # holder
-    "WeakHolderParams", "weak_defect", "check_weak_holder", "default_h_grid",
+    "WeakHolderParams", "check_weak_holder", "default_h_grid",
     # estimator
     "EstimatorConfig", "DecompositionReport", "bandwidth", "rate",
     "kernel_estimate", "decompose", "sigma_n_limit_check",

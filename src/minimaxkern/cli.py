@@ -220,17 +220,21 @@ def _resolve_functions(config: ExperimentConfig, delta: float,
 def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     """Risk rows per (n, delta, function, noise), plus two manifest entries.
 
+    Every member is certified on the bandwidth class at its (n, delta)
+    (``WeakHolderParams.at_bandwidth``), so the window [z0 - h_n, z0 + h_n]
+    of every n must lie in [0, 1] (config error otherwise).
     ``certification`` holds each member's margins: sup|S'| * delta and
-    max_defect / delta (both at most 1 when certified) and the probe
-    bandwidth of the largest defect.  ``counters`` holds the work done:
-    (n, delta) cells, draw streams (``replicate`` calls), values drawn and
-    certificates computed (reused ones are not counted)."""
+    max_defect / delta (both at most 1 when certified) and ``worst_h``,
+    which is h_n.  ``counters`` holds the work done: (n, delta) cells, draw
+    streams (``replicate`` calls), values drawn and certificates computed
+    (one per member per cell)."""
     # Serial on purpose: its cells are small certification and decompose
     # steps that hold the interpreter lock, and a pool made them slower.
-    # Instead each unit of work is done once.  A delta's n-free curves are
-    # built once and reused at every n, so RiskConfig certifies each once;
-    # only the bump, whose shape follows n, is built per (n, delta).  At
-    # each n, every delta's family is scored on one stream per noise.
+    # Instead each curve is built once: a delta's n-free curves are built
+    # once and reused at every n (the class follows n, so RiskConfig
+    # certifies them at each n); only the bump, whose shape follows n, is
+    # built per (n, delta).  At each n, every delta's family is scored on
+    # one stream per noise.
     scale = _scale_from(config)
     noises = [get_noise(l) for l in sorted(config.noise_list)]
     deltas = sorted(config.delta_list)
@@ -247,14 +251,14 @@ def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
         for delta in deltas:
             bump = family_bump(cfg, delta)
             family = _select({**n_free[delta], "bump": bump}, labels)
-            try:  # RiskConfig certifies every member at delta
+            try:  # RiskConfig certifies every member at (n, delta)
                 rc = RiskConfig(cfg=cfg, delta=delta, reps=config.reps,
                                 seed=config.seed, family=tuple(family),
                                 scale=scale)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             rcs.append(rc)
-            counters["certificates"] += rc.new_certificates
+            counters["certificates"] += len(rc.reports)
             for S, rep in sorted(zip(rc.family, rc.reports),
                                  key=lambda pair: pair[0].label):
                 margins.append({"n": n, "delta": delta, "function": S.label,

@@ -1,12 +1,18 @@
 """Smoothness certification for the local weak class.
 
 The local weak class at z0 with budget delta allows derivatives up to
-1/delta but requires the symmetrized window integral
-|int_{-1}^{1} (S(z0 + h u) - S(z0)) du| <= delta * h^beta for every
-bandwidth h; the "for every h" clause is probed on a finite geometric
-grid, which is recorded in the report.  It is the one class certified
-here: risk families (plateau bump included) and the ``holder-check``
-command are checked against it.
+1/delta but bounds the symmetrized window integral
+|int_{-1}^{1} (S(z0 + h u) - S(z0)) du| <= delta * h^beta on a set of probe
+bandwidths h, which the params record (the report names the worst).  Two probe
+sets are in use:
+
+- the *bandwidth class* (``WeakHolderParams.at_bandwidth``): the one probe
+  h_n, the estimation bandwidth at n.  It is the paper's class, and the
+  one ``RiskConfig`` certifies every risk family on;
+- the *probe grid* (the default): 32 geometric probes
+  min(z0, 1-z0) * 0.7^j, which ``holder-check`` reports.  It cannot be the
+  paper's class: on it a window wider than h_n has normalized risk below
+  1/sqrt(pi), tending to 0 as delta -> 0.
 
 A weak-class certificate is one pass over its curve: ``weak_defects``
 evaluates S(z0) once and S itself once per block of probe bandwidths, on
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import check_beta, check_z0
+from .estimator import EstimatorConfig, check_beta, check_z0
 from .model import FunctionSpec
 from .numerics import composite_simpson
 
@@ -66,7 +72,8 @@ def default_h_grid(z0: float) -> np.ndarray:
 @dataclass(frozen=True)
 class WeakHolderParams:
     """Local weak-class parameters at z0 with budget delta, probed on the
-    distinct bandwidths ``h_grid`` (default: ``default_h_grid(z0)``).  The
+    distinct bandwidths ``h_grid`` (default: the probe grid
+    ``default_h_grid(z0)``; ``at_bandwidth`` gives the bandwidth class).  The
     grid is kept as a tuple of floats, so params compare and hash as
     values, and a repeated bandwidth is an error: it would only make equal
     params compare unequal."""
@@ -87,6 +94,15 @@ class WeakHolderParams:
         if len(set(h_grid)) != len(h_grid):
             raise ValueError(f"probe bandwidths must be distinct, got {h_grid}")
         object.__setattr__(self, "h_grid", h_grid)
+
+    @classmethod
+    def at_bandwidth(cls, cfg: EstimatorConfig,
+                     delta: float) -> WeakHolderParams:
+        """The bandwidth class at the operating point ``cfg``: budget delta
+        at (z0, beta), probed at the estimation bandwidth ``cfg.h`` alone.
+        The window [z0 - h_n, z0 + h_n] must lie in [0, 1]
+        (``check_probe_bandwidths``)."""
+        return cls(z0=cfg.z0, delta=delta, beta=cfg.beta, h_grid=(cfg.h,))
 
 
 @dataclass(frozen=True)
@@ -123,11 +139,6 @@ def weak_defects(S: FunctionSpec, z0: float, beta: float,
             abs(integral) / h ** beta
             for h, integral in zip(block.tolist(), integrals.tolist())]
     return defects
-
-
-def weak_defect(S: FunctionSpec, z0: float, beta: float, h: float) -> float:
-    """|int_{-1}^{1} (S(z0 + h u) - S(z0)) du| / h^beta by Simpson quadrature."""
-    return float(weak_defects(S, z0, beta, [h])[0])
 
 
 def check_weak_holder(S: FunctionSpec, p: WeakHolderParams) -> WeakHolderReport:

@@ -17,16 +17,14 @@ the risk has a folded-normal closed form that serves as the exact oracle
 for every Monte Carlo run.  Worst-case behaviour over the weak local
 class is probed by taking the maximum over a finite certified family
 (constants, tilts, odd oscillations, even dips and window-scaled plateau
-bumps).  A certificate depends only on the curve and its
-``WeakHolderParams``, so it is computed once per curve object and reused by
-every config that holds that object; only the plateau bump's shape follows
-n.
+bumps).  The class is the bandwidth class at the config's n (see
+``holder``), so each config certifies its own family; only the plateau
+bump's shape follows n.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -47,23 +45,6 @@ EFFICIENCY_CONSTANT = 1.0 / math.sqrt(math.pi)
 FAMILY_BUMP_NU = 0.1
 
 
-# Weak-class certificates by curve object, then by ``WeakHolderParams``
-# (z0, delta, beta and probe grid).  The curve keys are weak: an entry lives
-# only as long as its curve, so a family that is rebuilt is certified afresh.
-_CERTIFICATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _certificate(S: FunctionSpec, params: WeakHolderParams
-                 ) -> tuple[WeakHolderReport, bool]:
-    """S's certificate at ``params`` and whether it was computed now rather
-    than reused."""
-    by_params = _CERTIFICATES.setdefault(S, {})
-    if params in by_params:
-        return by_params[params], False
-    report = by_params[params] = check_weak_holder(S, params)
-    return report, True
-
-
 @dataclass(frozen=True)
 class RiskConfig:
     """Risk experiment: operating point, class budget delta, replication
@@ -71,11 +52,10 @@ class RiskConfig:
     laws are given where draws are made (``sup_risk``, ``monte_carlo_risk``).
 
     Building a RiskConfig is the one place a risk family is certified:
-    every member is checked against the weak local class at
-    (z0, delta, beta), and any rejected member raises ValueError.  A
-    member object certified at the same (z0, delta, beta) before reuses
-    that certificate.  The certificates are kept in ``reports``, in family
-    order; ``new_certificates`` counts those computed for this config.
+    every member is checked against the bandwidth class
+    ``WeakHolderParams.at_bandwidth(cfg, delta)``, and any rejected member
+    raises ValueError, as does a window [z0 - h_n, z0 + h_n] that leaves
+    [0, 1].  The certificates are kept in ``reports``, in family order.
     """
 
     cfg: EstimatorConfig
@@ -86,7 +66,6 @@ class RiskConfig:
     scale: ScaleSpec
     reports: tuple[WeakHolderReport, ...] = field(
         init=False, repr=False, compare=False)
-    new_certificates: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_delta(self.delta)
@@ -94,17 +73,15 @@ class RiskConfig:
         if not self.family:
             raise ValueError("family must be nonempty")
         object.__setattr__(self, "family", tuple(self.family))
-        params = WeakHolderParams(z0=self.cfg.z0, delta=self.delta, beta=self.cfg.beta)
-        certs = [_certificate(S, params) for S in self.family]
-        rejected = [S.label for S, (rep, _) in zip(self.family, certs)
+        params = WeakHolderParams.at_bandwidth(self.cfg, self.delta)
+        reports = tuple(check_weak_holder(S, params) for S in self.family)
+        rejected = [S.label for S, rep in zip(self.family, reports)
                     if not rep.certified]
         if rejected:
             raise ValueError(
                 f"family members fail weak local certification at "
                 f"delta={self.delta}: {rejected}")
-        object.__setattr__(self, "reports", tuple(rep for rep, _ in certs))
-        object.__setattr__(self, "new_certificates",
-                           sum(new for _, new in certs))
+        object.__setattr__(self, "reports", reports)
 
 
 @dataclass(frozen=True)

@@ -231,20 +231,21 @@ class TestRunRiskTable:
         assert manifest["outputs"] == ["risk_table.csv"]
 
     def test_manifest_certification_margins(self, outputs):
-        """One entry per (n, delta, member), from the member's certificate."""
+        """One entry per (n, delta, member), from the member's certificate
+        on the bandwidth class at (n, delta)."""
         entries = json.loads((outputs / "manifest.json").read_text())["certification"]
         assert [(e["n"], e["delta"], e["function"]) for e in entries] == [
             (n, 0.1, label) for n in (400, 800)
             for label in sorted(DEFAULT_TABLE_LABELS)]
-        params = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
         for n in (400, 800):
-            family = {S.label: S for S in default_family(
-                EstimatorConfig(n=n, beta=2.0, z0=0.5), 0.1)}
+            cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+            params = WeakHolderParams.at_bandwidth(cfg, 0.1)
+            family = {S.label: S for S in default_family(cfg, 0.1)}
             for e in (e for e in entries if e["n"] == n):
                 rep = check_weak_holder(family[e["function"]], params)
                 assert e["sup_deriv_times_delta"] == rep.sup_deriv * 0.1
                 assert e["max_defect_over_delta"] == rep.max_defect / 0.1
-                assert e["worst_h"] == rep.worst_h
+                assert e["worst_h"] == rep.worst_h == cfg.h
                 assert e["sup_deriv_times_delta"] <= 1.0
                 assert e["max_defect_over_delta"] <= 1.0
 
@@ -664,6 +665,21 @@ class TestMainEntry:
         assert "delta=0.5" in err and "'bump'" in err
         assert not list(out.glob("*"))
 
+    def test_window_outside_unit_interval_exit_two(self, tmp_path, capsys):
+        # the bandwidth class needs h_n <= min(z0, 1 - z0); at z0 = 0.85,
+        # n = 1000 has h_n = 0.2512, and the window is not clipped
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            "command = risk-table\nn_list = 1000\nz0 = 0.85\n"
+            "delta_list = 0.1\nreps = 20\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out),
+                     "--quiet"]) == 2
+        h = EstimatorConfig(n=1000, beta=2.0, z0=0.85).h
+        assert capsys.readouterr().err == (
+            f"config error: window [z0-h, z0+h] leaves [0, 1] for h={h}\n")
+        assert not list(out.glob("*"))
+
 
 @pytest.mark.parametrize("command, line, message", [
     ("risk-table", "alpha1 = nan",
@@ -772,11 +788,12 @@ def test_clt_check_default_curve_is_family_const_plus(tmp_path, monkeypatch):
 
 
 def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):
-    """Default-family risk-table: each distinct (curve, delta) is certified
-    once per run, so a delta's n-free members are certified at the first n
-    only and the bump at every n; each (n, noise) stream is drawn once."""
+    """Default-family risk-table: each (curve, n, delta) is certified once
+    per run, on the bandwidth class at (n, delta), so a delta's n-free
+    members are certified at every n; each (n, noise) stream is drawn
+    once."""
     members: list = []  # keeps ids unique
-    calls: list[tuple[int, float]] = []
+    calls: list[tuple[int, float, tuple[float, ...]]] = []
     scored: list = []
     streams: list[tuple[int, int]] = []
     real_check = risk_module.check_weak_holder
@@ -785,7 +802,7 @@ def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):
 
     def check(S, params, *args, **kwargs):
         members.append(S)
-        calls.append((id(S), params.delta))
+        calls.append((id(S), params.delta, params.h_grid))
         return real_check(S, params, *args, **kwargs)
 
     def replicate(noise, q_n, reps, seed, stat):
@@ -805,14 +822,14 @@ def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):
         "reps = 10\nnoise_list = gaussian, rademacher\n")
     assert main(["--config", str(cfg_file), "--out", str(tmp_path / "o"),
                  "--quiet"]) == 0
-    # 4 n-free members x 2 deltas, plus one bump per (n, delta)
-    assert len(calls) == 4 * 2 + 2 * 2
+    # 5 members per (n, delta): the n-free ones are certified at every n
+    assert len(calls) == 5 * 2 * 2
     assert len(set(calls)) == len(calls)
     assert sorted((rc.cfg.n, rc.delta) for rc in scored) == [
         (n, delta) for n in (400, 1000) for delta in (0.1, 0.2)]
     for rc in scored:
         assert [S.label for S in rc.family] == list(DEFAULT_TABLE_LABELS)
-        assert all((id(S), rc.delta) in calls for S in rc.family)
+        assert all((id(S), rc.delta, (rc.cfg.h,)) in calls for S in rc.family)
     # one stream per (n, noise), shared by both deltas
     qn = {n: EstimatorConfig(n=n, beta=2.0, z0=0.5).q_n for n in (400, 1000)}
     assert sorted(streams) == sorted([(qn[n], 10) for n in (400, 1000)] * 2)
@@ -872,11 +889,11 @@ class TestRiskTableSharedDraws:
         for e in entries:
             cfg = EstimatorConfig(n=e["n"], beta=2.0, z0=0.5)
             family = {S.label: S for S in default_family(cfg, e["delta"])}
-            params = WeakHolderParams(z0=0.5, delta=e["delta"], beta=2.0)
+            params = WeakHolderParams.at_bandwidth(cfg, e["delta"])
             rep = check_weak_holder(family[e["function"]], params)
             assert e["sup_deriv_times_delta"] == rep.sup_deriv * e["delta"]
             assert e["max_defect_over_delta"] == rep.max_defect / e["delta"]
-            assert e["worst_h"] == rep.worst_h
+            assert e["worst_h"] == rep.worst_h == cfg.h
 
     @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
     def test_block_budget_never_changes_csv(self, multi_delta_outputs,
@@ -900,7 +917,7 @@ class TestRiskTableSharedDraws:
                               .read_text())["counters"]
         qn = sum(EstimatorConfig(n=n, beta=2.0, z0=0.5).q_n for n in (1000, 3000))
         assert counters == {"cells": 6, "draw_streams": 10,
-                            "values_drawn": 5 * 10 * qn, "certificates": 18}
+                            "values_drawn": 5 * 10 * qn, "certificates": 30}
 
 
 # Each command on a small config; clt-check covers every catalog noise.

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from minimaxkern import holder
 from minimaxkern.holder import (DEFAULT_SUP_RESOLUTION, DEFECT_QUAD_PANELS,
                                 WeakHolderParams, WeakHolderReport,
-                                check_weak_holder, default_h_grid, weak_defect,
+                                check_weak_holder, default_h_grid,
                                 weak_defects)
 from minimaxkern.estimator import EstimatorConfig
 from minimaxkern.model import FunctionSpec, constant_fn, linear_fn
@@ -26,19 +26,19 @@ def scaled(S, c):
 
 class TestWeakDefect:
     def test_constant_zero(self):
-        assert weak_defect(constant_fn(4.2), 0.5, 2.0, 0.3) == 0.0
+        assert weak_defects(constant_fn(4.2), 0.5, 2.0, [0.3])[0] == 0.0
 
     def test_linear_zero_by_symmetry(self):
-        assert weak_defect(linear_fn(1.0), 0.5, 1.8, 0.25) == pytest.approx(0.0, abs=1e-14)
+        assert weak_defects(linear_fn(1.0), 0.5, 1.8, [0.25])[0] == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("h", [0.05, 0.2, 0.45])
     def test_quadratic_closed_form(self, h):
         # int (2 z0 h u + h^2 u^2) du over [-1,1] = 2 h^2 / 3
-        assert weak_defect(quadratic(), 0.5, 2.0, h) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert weak_defects(quadratic(), 0.5, 2.0, [h])[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_rejects_window_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            weak_defect(quadratic(), 0.9, 2.0, 0.2)
+            weak_defects(quadratic(), 0.9, 2.0, [0.2])
 
     @given(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))
     def test_invariant_under_affine_about_z0(self, a, b):
@@ -49,8 +49,8 @@ class TestWeakDefect:
             "shifted",
             lambda x: base.eval(x) + a + b * (x - z0),
             lambda x: base.deriv(x) + b)
-        assert weak_defect(shifted, z0, beta, h) == pytest.approx(
-            weak_defect(base, z0, beta, h), abs=1e-10)
+        assert weak_defects(shifted, z0, beta, [h])[0] == pytest.approx(
+            weak_defects(base, z0, beta, [h])[0], abs=1e-10)
 
     def test_holder_ball_defect_bound(self):
         # members of H(M, K, beta) have defect at most 2K/(beta (beta+1))
@@ -59,7 +59,7 @@ class TestWeakDefect:
             S = scaled(quadratic(), c)  # K = 2c exactly
             bound = 2.0 * (2.0 * c) / (beta * (beta + 1.0))
             for h in (0.1, 0.3):
-                assert weak_defect(S, 0.5, beta, h) <= bound + 1e-12
+                assert weak_defects(S, 0.5, beta, [h])[0] <= bound + 1e-12
 
 
 class TestWeakHolderClass:
@@ -232,11 +232,11 @@ def test_one_curve_evaluation_per_block(budget, monkeypatch):
                           + [(len(p.h_grid) - rows * (blocks - 1), nodes)])
 
 
-def test_weak_defect_is_one_probe_of_weak_defects():
+def test_one_probe_defect_equals_blocked_defect():
     hs = default_h_grid(0.5)[::5]
     blocked = weak_defects(quadratic(), 0.5, 2.0, hs)
     assert blocked.shape == hs.shape
-    assert [weak_defect(quadratic(), 0.5, 2.0, float(h)) for h in hs] \
+    assert [weak_defects(quadratic(), 0.5, 2.0, [float(h)])[0] for h in hs] \
         == blocked.tolist()
 
 
@@ -294,11 +294,11 @@ class TestFailClosed:
     @pytest.mark.parametrize("h", [math.nan, 0.0, -0.1])
     def test_bad_bandwidth_rejected(self, h):
         with pytest.raises(ValueError, match="positive"):
-            weak_defect(quadratic(), 0.5, 2.0, h)
+            weak_defects(quadratic(), 0.5, 2.0, [h])
 
     def test_nan_point_rejected(self):
         with pytest.raises(ValueError, match="leaves"):
-            weak_defect(quadratic(), math.nan, 2.0, 0.1)
+            weak_defects(quadratic(), math.nan, 2.0, [0.1])
 
 
 # The last bandwidth the probe-bandwidth rule accepts at z0 and the float

@@ -1,7 +1,5 @@
 import dataclasses
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +9,7 @@ from minimaxkern import model
 from minimaxkern import risk as risk_module
 from minimaxkern.estimator import EstimatorConfig, decompose
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
+from minimaxkern.lowerbound import PerturbationSpec, build_kernel
 from minimaxkern.model import (FunctionSpec, constant_fn, flat_scale,
                                function_catalog, get_noise, noise_catalog,
                                replicate, rng_from_seed, scale_eval,
@@ -252,14 +251,17 @@ class TestRiskConfigValidation:
         fam = tuple(default_family(cfg, 0.1))
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=10, seed=0, family=fam,
                         scale=mixed_scale)
-        params = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
+        params = WeakHolderParams.at_bandwidth(cfg, 0.1)
+        assert params.h_grid == (cfg.h,)
         assert rc.reports == tuple(check_weak_holder(S, params) for S in fam)
+        assert all(rep.worst_h == cfg.h for rep in rc.reports)
 
-    def test_reuses_certificate_of_same_curve(self, mixed_scale, monkeypatch):
+    def test_certifies_each_config_on_its_bandwidth(self, mixed_scale,
+                                                    monkeypatch):
         calls = []
 
         def counting(S, params):
-            calls.append((S.label, params.delta))
+            calls.append((S.label, params.delta, params.h_grid))
             return check_weak_holder(S, params)
 
         monkeypatch.setattr(risk_module, "check_weak_holder", counting)
@@ -269,40 +271,14 @@ class TestRiskConfigValidation:
                             delta=0.1, reps=10, seed=0, family=fam,
                             scale=mixed_scale)
                  for n in (1_000, 2_000)]
-        assert [rc.new_certificates for rc in built] == [5, 0]
-        assert built[0].reports == built[1].reports
-        assert len(calls) == 5
-        # another delta, or a rebuilt curve, is certified afresh
-        RiskConfig(cfg=built[0].cfg, delta=0.2, reps=10, seed=0,
-                   family=fam[:1], scale=mixed_scale)
-        rebuilt = tuple(default_family(cfg, 0.1))[:1]
-        RiskConfig(cfg=built[0].cfg, delta=0.1, reps=10, seed=0,
-                   family=rebuilt, scale=mixed_scale)
-        assert calls[5:] == [("const_plus", 0.2), ("const_plus", 0.1)]
-
-    def test_certificate_memo_keys_by_probe_grid(self):
-        # a certificate on another probe grid is computed, not reused
-        S = next(f for f in risk_module.family_candidates(0.5, 0.1)
-                 if f.label == "cos_dip")
-        default = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
-        single = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0, h_grid=[0.3])
-        assert risk_module._certificate(S, default)[1]
-        report, new = risk_module._certificate(S, single)
-        assert new
-        assert report == check_weak_holder(S, single)
-        assert report.worst_h == 0.3
-        again = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0, h_grid=(0.3,))
-        assert risk_module._certificate(S, again) == (report, False)
-        assert risk_module._certificate(S, default)[1] is False
-
-    def test_certificate_memo_lets_curves_go(self, mixed_scale):
-        S = constant_fn(0.3, "transient")
-        RiskConfig(cfg=EstimatorConfig(n=1_000, beta=2.0, z0=0.5), delta=0.1,
-                   reps=10, seed=0, family=(S,), scale=mixed_scale)
-        ref = weakref.ref(S)
-        del S
-        gc.collect()
-        assert ref() is None
+        # the same curve objects are certified afresh at each n
+        assert [len(rc.reports) for rc in built] == [5, 5]
+        assert calls == [(S.label, 0.1, (rc.cfg.h,))
+                         for rc in built for S in fam]
+        for rc in built:
+            params = WeakHolderParams.at_bandwidth(rc.cfg, 0.1)
+            assert rc.reports == tuple(check_weak_holder(S, params)
+                                       for S in fam)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_delta_rejected(self, mixed_scale, bad):
@@ -322,6 +298,42 @@ class TestRiskConfigValidation:
             fam = certified_family(0.5, delta, 2.0, n=10_000, count=10)
             assert len(fam) == 10
             assert len({S.label for S in fam}) == 10
+
+
+class TestBandwidthClass:
+    """RiskConfig certifies on the bandwidth class (the defect at h_n
+    alone), not on the 32-probe grid that ``holder-check`` reports."""
+
+    @pytest.mark.parametrize("n", [400, 1_000, 3_000, 10_000, 100_000])
+    def test_same_verdicts_as_probe_grid(self, n):
+        # every candidate and the bump: no verdict flips, so the
+        # default-family risk tables do not move
+        cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+        for delta in (0.05, 0.1, 0.2, 0.5):
+            grid = WeakHolderParams(z0=0.5, delta=delta, beta=2.0)
+            band = WeakHolderParams.at_bandwidth(cfg, delta)
+            for S in [*risk_module.family_candidates(0.5, delta),
+                      risk_module.family_bump(cfg, delta)]:
+                assert (check_weak_holder(S, band).certified
+                        == check_weak_holder(S, grid).certified), \
+                    (S.label, delta)
+
+    @pytest.mark.parametrize("n, ratio, probe", [
+        (10_000, 1.478, 2), (1_000_000, 1.405, 5)])
+    def test_bump_fails_probe_grid_passes_bandwidth(self, n, ratio, probe):
+        # the plateau bump at u = 0.5, delta = 0.1: a probe wider than h_n
+        # sees its defect, h_n itself sees none
+        cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+        S = PerturbationSpec(build_kernel(0.1), u=0.5, cfg=cfg).to_function()
+        grid = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
+        on_grid = check_weak_holder(S, grid)
+        assert not on_grid.certified
+        assert on_grid.max_defect / 0.1 == pytest.approx(ratio, abs=5e-4)
+        assert on_grid.worst_h == grid.h_grid[probe]
+        on_band = check_weak_holder(S, WeakHolderParams.at_bandwidth(cfg, 0.1))
+        assert on_band.certified
+        assert on_band.worst_h == cfg.h
+        assert on_band.max_defect < 1e-15
 
 
 def _recording(noise, sizes):
