@@ -12,9 +12,9 @@ __version__ = "0.2.1"
 
 from .estimator import (DecompositionReport, EstimatorConfig, bandwidth,
                         decompose, kernel_estimate, rate, sigma_n_limit_check)
-from .holder import WeakHolderParams, check_weak_holder, default_h_grid
+from .holder import WeakHolderParams, check_weak_holder
 from .lowerbound import (PerturbationSpec, PlateauKernel, bayes_bound,
-                         build_kernel, likelihood_ratio, log_likelihood_ratio,
+                         build_kernel, log_likelihood_ratio,
                          min_n_membership, shift_statistic, varsigma_sq)
 from .martingale import (RealizedSplit, TruncationReport, normal_approx_check,
                          tail_second_moment, truncated_mean,
@@ -24,7 +24,7 @@ from .model import (FunctionSpec, NoiseSpec, ScaleSpec, constant_fn,
                     derive_seed, design_grid, flat_scale,
                     function_catalog, get_noise, linear_fn, noise_catalog,
                     replicate, sample_run, scale_catalog, scale_eval,
-                    scale_frechet, zero_noise)
+                    zero_noise)
 from .numerics import folded_normal_mean
 from .risk import (EFFICIENCY_CONSTANT, RiskConfig, RiskReport, RiskRow,
                    default_family, exact_gaussian_risk, monte_carlo_risk,
@@ -35,12 +35,12 @@ __all__ = [
     "EFFICIENCY_CONSTANT",
     # model
     "FunctionSpec", "ScaleSpec", "NoiseSpec",
-    "design_grid", "scale_eval", "scale_frechet", "sample_run",
+    "design_grid", "scale_eval", "sample_run",
     "noise_catalog", "get_noise", "zero_noise",
     "scale_catalog", "flat_scale", "function_catalog",
     "constant_fn", "linear_fn", "derive_seed", "replicate",
     # holder
-    "WeakHolderParams", "check_weak_holder", "default_h_grid",
+    "WeakHolderParams", "check_weak_holder",
     # estimator
     "EstimatorConfig", "DecompositionReport", "bandwidth", "rate",
     "kernel_estimate", "decompose", "sigma_n_limit_check",
@@ -51,7 +51,7 @@ __all__ = [
     # lowerbound
     "PlateauKernel", "PerturbationSpec", "build_kernel",
     "min_n_membership", "varsigma_sq", "shift_statistic",
-    "likelihood_ratio", "log_likelihood_ratio", "bayes_bound",
+    "log_likelihood_ratio", "bayes_bound",
     # martingale
     "TruncationReport", "RealizedSplit", "tail_second_moment",
     "truncated_mean", "truncated_variance", "truncation_report",

@@ -205,16 +205,13 @@ def _select(lookup: dict, labels) -> list:
 
 
 def _resolve_functions(config: ExperimentConfig, delta: float,
-                       default: Callable[[], list], bump=None) -> list:
-    """The curves named by ``function_list``, which may name ``bump`` when
-    the command passes one; ``default()`` builds the command's default
-    list, and only when ``function_list`` asks for it."""
+                       default: Callable[[], list]) -> list:
+    """The n-free curves named by ``function_list`` (no ``bump``);
+    ``default()`` builds the command's default list, and only when
+    ``function_list`` asks for it."""
     if tuple(config.function_list) == ("default",):
         return default()
-    lookup = _function_lookup(config, delta)
-    if bump is not None:
-        lookup["bump"] = bump
-    return _select(lookup, config.function_list)
+    return _select(_function_lookup(config, delta), config.function_list)
 
 
 def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
@@ -371,19 +368,34 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
 
 
 def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
-    cfg = EstimatorConfig(n=max(config.n_list), beta=config.beta, z0=config.z0)
+    """Certificate rows per (n, delta, function) on the bandwidth class at
+    (n, delta) (``WeakHolderParams.at_bandwidth``), so the window
+    [z0 - h_n, z0 + h_n] of every n must lie in [0, 1] (config error
+    otherwise).  As in ``_risk_table``, a delta's n-free curves are built
+    once for all n and only the bump is built per (n, delta).  The default
+    curves are the family candidates and the bump."""
+    deltas = sorted(config.delta_list)
+    default = tuple(config.function_list) == ("default",)
+    n_free = {delta: (family_candidates(config.z0, delta) if default
+                      else _function_lookup(config, delta))
+              for delta in deltas}
     rows: list[list] = []
-    for delta in sorted(config.delta_list):
-        bump = family_bump(cfg, delta)
-        functions = _resolve_functions(
-            config, delta, bump=bump,
-            default=lambda: [*family_candidates(config.z0, delta), bump])
-        params = WeakHolderParams(z0=config.z0, delta=delta, beta=config.beta)
-        for S in sorted(functions, key=lambda s: s.label):
-            rep = check_weak_holder(S, params)
-            rows.append([S.label, config.z0, config.beta, delta,
-                         rep.sup_deriv, rep.max_defect, rep.certified])
-    return ["function", "z0", "beta", "delta", "sup_deriv", "max_defect",
+    for n in sorted(config.n_list):
+        cfg = EstimatorConfig(n=n, beta=config.beta, z0=config.z0)
+        for delta in deltas:
+            try:
+                params = WeakHolderParams.at_bandwidth(cfg, delta)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            bump = family_bump(cfg, delta)
+            functions = ([*n_free[delta], bump] if default else
+                         _select({**n_free[delta], "bump": bump},
+                                 config.function_list))
+            for S in sorted(functions, key=lambda s: s.label):
+                rep = check_weak_holder(S, params)
+                rows.append([n, S.label, config.z0, config.beta, delta,
+                             rep.sup_deriv, rep.max_defect, rep.certified])
+    return ["n", "function", "z0", "beta", "delta", "sup_deriv", "max_defect",
             "certified"], rows, {}
 
 

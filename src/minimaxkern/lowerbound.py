@@ -298,16 +298,6 @@ def log_likelihood_ratio(u: float, pert: PerturbationSpec, scale: ScaleSpec,
     return u * varsigma * eta - 0.5 * u * u * varsigma * varsigma
 
 
-def likelihood_ratio(u: float, pert: PerturbationSpec, scale: ScaleSpec,
-                     y: np.ndarray) -> float:
-    """Gaussian likelihood ratio exp(log_likelihood_ratio); math.inf once
-    the ratio exceeds the float range."""
-    try:
-        return math.exp(log_likelihood_ratio(u, pert, scale, y))
-    except OverflowError:
-        return math.inf
-
-
 def bayes_bound(kernel: PlateauKernel, b: float, g_z0: float) -> float:
     """Closed-form Bayes-risk lower bound for the kernel V_nu and prior cap b.
 

@@ -207,22 +207,6 @@ def scale_eval(scale: ScaleSpec, x: float, S: FunctionSpec) -> float:
     return float(scale_profile(scale, np.asarray([x], dtype=float), S)[0])
 
 
-def scale_frechet(scale: ScaleSpec, x: float, S: FunctionSpec, f: FunctionSpec) -> float:
-    """Linear term of g(x, S + f) - g(x, S) in the direction f.
-
-    Equals (1/2g) * [a2*sin(2 S(x)) f(x) + a3 * int_0^1 sin(2 S(t)) f(t) dt].
-    """
-    g = scale_eval(scale, x, S)
-    point_term = scale.alpha2 * math.sin(2.0 * float(S.eval(x))) * float(f.eval(x))
-    if scale.alpha3 != 0.0:
-        integral = composite_simpson(
-            lambda t: np.sin(2.0 * S.eval(t)) * f.eval(t),
-            0.0, 1.0, SCALE_QUAD_PANELS)
-    else:
-        integral = 0.0
-    return (point_term + scale.alpha3 * integral) / (2.0 * g)
-
-
 # ---------------------------------------------------------------------------
 # noise catalog
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -37,11 +38,19 @@ def plateau_kernel_01():
     return build_kernel(0.1)
 
 
+def probe_grid(z0):
+    """The 32-probe geometric grid min(z0, 1-z0) * 0.7^j.  It is not the
+    paper's class (``tests/test_risk.py::TestBandwidthClass``), but tests
+    keep it as a fixed, many-probe class."""
+    return min(z0, 1 - z0) * 0.7 ** np.arange(32, dtype=float)
+
+
 def _certified_family(z0, delta, beta, n=None, count=10):
     """First ``count`` of the bump at n (if n is given) and
     ``family_candidates`` that pass the weak local certification at
-    (z0, delta, beta); ValueError if fewer certify."""
-    params = WeakHolderParams(z0=z0, delta=delta, beta=beta)
+    (z0, delta, beta) on ``probe_grid(z0)``; ValueError if fewer certify."""
+    params = WeakHolderParams(z0=z0, delta=delta, beta=beta,
+                              h_grid=probe_grid(z0))
     candidates = family_candidates(z0, delta)
     if n is not None:
         cfg = EstimatorConfig(n=n, beta=beta, z0=z0)

@@ -526,8 +526,9 @@ class TestRunOtherCommands:
             "command = holder-check\nn_list = 1000\ndelta_list = 0.1\n")
         assert run(cfg, out_dir=str(tmp_path), quiet=True) == 0
         lines = (tmp_path / "holder_check.csv").read_text().splitlines()
-        assert lines[0] == "function,z0,beta,delta,sup_deriv,max_defect,certified"
-        certified = {l.split(",")[0]: l.split(",")[6] for l in lines[1:]}
+        assert lines[0] == ("n,function,z0,beta,delta,sup_deriv,max_defect,"
+                            "certified")
+        certified = {l.split(",")[1]: l.split(",")[7] for l in lines[1:]}
         assert certified["zero"] == "true"
         assert certified["bump"] == "true"
 
@@ -537,7 +538,7 @@ class TestRunOtherCommands:
             "function_list = sine, zero\n")
         assert run(cfg, out_dir=str(tmp_path), quiet=True) == 0
         lines = (tmp_path / "holder_check.csv").read_text().splitlines()[1:]
-        rows = {l.split(",")[0]: l.split(",")[6] for l in lines}
+        rows = {l.split(",")[1]: l.split(",")[7] for l in lines}
         assert rows == {"sine": "false", "zero": "true"}
 
     @pytest.mark.parametrize("label", ["nonexistent", "const02", "const_neg"])
@@ -551,6 +552,63 @@ class TestRunOtherCommands:
             run(cfg, out_dir=str(tmp_path), quiet=True)
         assert str(exc.value) == (
             f"unknown function label {label!r}; known: {known}")
+
+
+def _holder_rows(tmp_path, text):
+    """holder-check's CSV rows for config ``text``, as dicts."""
+    assert run(parse_config(f"command = holder-check\n{text}"),
+               out_dir=str(tmp_path), quiet=True) == 0
+    header, *lines = (tmp_path / "holder_check.csv").read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+class TestHolderCheck:
+    """holder-check certifies on the bandwidth class at each (n, delta),
+    the class risk-table certifies its families on."""
+
+    def test_default_members_certified_at_1e5(self, tmp_path):
+        # the benchmark's holder-check config and its correctness check
+        rows = _holder_rows(tmp_path, "n_list = 100000\n"
+                            "delta_list = 0.5, 0.2, 0.1, 0.05\n")
+        assert len(rows) == 4 * 12
+        members = [r for r in rows if r["function"] in DEFAULT_TABLE_LABELS]
+        assert len(members) == 4 * len(DEFAULT_TABLE_LABELS)
+        assert all(r["certified"] == "true" for r in members)
+
+    def test_rows_equal_bandwidth_class_certificates(self):
+        # one row per (n, delta, function), in that order, each exactly
+        # the certificate on WeakHolderParams.at_bandwidth(cfg, delta)
+        config = parse_config("command = holder-check\n"
+                              "n_list = 10000, 1000\ndelta_list = 0.5, 0.1\n")
+        columns, rows, _ = cli._holder_check(config)
+        assert columns[:2] == ["n", "function"]
+        expected = []
+        for n in (1000, 10000):
+            cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+            for delta in (0.1, 0.5):
+                params = WeakHolderParams.at_bandwidth(cfg, delta)
+                curves = [*family_candidates(0.5, delta),
+                          risk_module.family_bump(cfg, delta)]
+                for S in sorted(curves, key=lambda S: S.label):
+                    rep = check_weak_holder(S, params)
+                    expected.append([n, S.label, 0.5, 2.0, delta,
+                                     rep.sup_deriv, rep.max_defect,
+                                     rep.certified])
+        assert rows == expected  # exact, not approx
+
+    def test_window_outside_unit_interval_exit_two(self, tmp_path, capsys):
+        # as in risk-table: at z0 = 0.85, n = 1000 has h_n = 0.2512
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            "command = holder-check\nn_list = 1000\nz0 = 0.85\n"
+            "delta_list = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out),
+                     "--quiet"]) == 2
+        h = EstimatorConfig(n=1000, beta=2.0, z0=0.85).h
+        assert capsys.readouterr().err == (
+            f"config error: window [z0-h, z0+h] leaves [0, 1] for h={h}\n")
+        assert not list(out.glob("*"))
 
 
 class TestMainEntry:

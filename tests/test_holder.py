@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from minimaxkern import holder
+from conftest import probe_grid
 from minimaxkern.holder import (DEFAULT_SUP_RESOLUTION, DEFECT_QUAD_PANELS,
                                 WeakHolderParams, WeakHolderReport,
-                                check_weak_holder, default_h_grid,
-                                weak_defects)
+                                check_weak_holder, weak_defects)
 from minimaxkern.estimator import EstimatorConfig
 from minimaxkern.model import FunctionSpec, constant_fn, linear_fn
 from minimaxkern.numerics import composite_simpson
@@ -62,14 +61,17 @@ class TestWeakDefect:
                 assert weak_defects(S, 0.5, beta, [h])[0] <= bound + 1e-12
 
 
+GRID = probe_grid(0.5)
+
+
 class TestWeakHolderClass:
     def test_zero_always_certified(self):
-        p = WeakHolderParams(z0=0.5, delta=0.3, beta=2.0)
+        p = WeakHolderParams(z0=0.5, delta=0.3, beta=2.0, h_grid=GRID)
         assert check_weak_holder(constant_fn(0.0), p).certified
 
     def test_quadratic_fails_small_delta(self):
         # defect 2/3 exceeds delta = 0.5 at every window
-        p = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0)
+        p = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0, h_grid=GRID)
         rep = check_weak_holder(quadratic(), p)
         assert not rep.certified
         # tiny-h probes amplify quadrature roundoff, hence the looser bound
@@ -82,11 +84,12 @@ class TestWeakHolderClass:
         k_cap = delta * beta * (beta + 1.0) / 2.0
         c = 0.45 * k_cap  # quadratic c x^2 has K = 2c and sup|S'| = 2c
         S = scaled(quadratic(), c)
-        assert check_weak_holder(S, WeakHolderParams(z0=0.5, delta=delta, beta=beta)).certified
+        assert check_weak_holder(S, WeakHolderParams(
+            z0=0.5, delta=delta, beta=beta, h_grid=GRID)).certified
 
     @pytest.mark.parametrize("c", [1.0, 0.5, 0.1, -0.7])
     def test_shrinking_preserves_membership(self, c):
-        p = WeakHolderParams(z0=0.5, delta=0.25, beta=2.0)
+        p = WeakHolderParams(z0=0.5, delta=0.25, beta=2.0, h_grid=GRID)
         base = FunctionSpec(
             "dip", lambda x: 0.06 * np.cos(3.0 * (x - 0.5)),
             lambda x: -0.18 * np.sin(3.0 * (x - 0.5)))
@@ -94,35 +97,37 @@ class TestWeakHolderClass:
         assert check_weak_holder(scaled(base, c), p).certified
 
     def test_steep_derivative_rejected(self):
-        p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0)
+        p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0, h_grid=GRID)
         rep = check_weak_holder(linear_fn(6.0), p)  # sup|S'| = 6 > 5
         assert not rep.certified
         assert rep.sup_deriv > 1.0 / p.delta
 
-    def test_default_grid_shape(self):
-        grid = default_h_grid(0.3)
+    def test_probe_grid_shape(self):
+        grid = probe_grid(0.3)
         assert grid.size == 32
         assert grid[0] == pytest.approx(0.3)
         assert np.all(np.diff(grid) < 0)
         assert grid[1] / grid[0] == pytest.approx(0.7)
 
     def test_params_are_values(self):
-        # the probe grid is a tuple of floats, so params compare and hash
-        # by value and can key a memo
-        p = WeakHolderParams(0.5, 0.1, 2.0)
-        assert p == WeakHolderParams(0.5, 0.1, 2.0)
-        assert hash(p) == hash(WeakHolderParams(0.5, 0.1, 2.0))
-        assert p.h_grid == tuple(default_h_grid(0.5).tolist())
+        # the probe bandwidths are a tuple of floats, so params compare and
+        # hash by value and can key a memo
+        p = WeakHolderParams(0.5, 0.1, 2.0, GRID)
+        assert p == WeakHolderParams(0.5, 0.1, 2.0, GRID.tolist())
+        assert hash(p) == hash(WeakHolderParams(0.5, 0.1, 2.0, GRID))
+        assert p.h_grid == tuple(GRID.tolist())
         single = WeakHolderParams(0.5, 0.1, 2.0, h_grid=np.array([0.3]))
         assert single.h_grid == (0.3,)
         assert single == WeakHolderParams(0.5, 0.1, 2.0, h_grid=[0.3])
         assert single != p
 
     def test_params_validation(self):
+        with pytest.raises(TypeError, match="h_grid"):  # no default class
+            WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
         with pytest.raises(ValueError):
-            WeakHolderParams(z0=0.0, delta=0.1, beta=2.0)
+            WeakHolderParams(z0=0.0, delta=0.1, beta=2.0, h_grid=[0.3])
         with pytest.raises(ValueError):
-            WeakHolderParams(z0=0.5, delta=1.0, beta=2.0)
+            WeakHolderParams(z0=0.5, delta=1.0, beta=2.0, h_grid=[0.3])
         with pytest.raises(ValueError):
             WeakHolderParams(z0=0.5, delta=0.1, beta=2.0,
                              h_grid=np.array([0.7]))  # leaves [0, 1]
@@ -140,7 +145,7 @@ class TestWeakHolderClass:
 
 
 # ---------------------------------------------------------------------------
-# one-pass certificates: blocked weak_defects against a per-probe loop
+# one-pass certificates: weak_defects on all probes against a per-probe loop
 # ---------------------------------------------------------------------------
 
 
@@ -180,38 +185,31 @@ _CELLS = [(0.5, 1000, 0.2, 2.0), (0.5, 3000, 0.1, 2.0),
 
 @pytest.mark.parametrize("z0,n,delta,beta", _CELLS)
 def test_certificate_matches_per_probe_loop(z0, n, delta, beta, fixed_curves):
-    p = WeakHolderParams(z0=z0, delta=delta, beta=beta)
+    p = WeakHolderParams(z0=z0, delta=delta, beta=beta, h_grid=probe_grid(z0))
     for S in _all_curves(z0, delta, beta, n, fixed_curves):
         assert check_weak_holder(S, p) == _reference_report(S, p), S.label
 
 
-def _rows(budget):
-    return max(1, budget // (8 * (2 * DEFECT_QUAD_PANELS + 1)))
+# One probe (the bandwidth class), three probes, and the whole probe grid.
+_PROBE_COUNTS = (1, 3, len(GRID))
 
 
-# One probe per block, three probes (32 = 10 * 3 + 2 leaves a short last
-# block), and the default budget.
-_BUDGETS = (1, 3 * 8 * (2 * DEFECT_QUAD_PANELS + 1), holder.DEFECT_BLOCK_BYTES)
+@pytest.mark.parametrize("count", _PROBE_COUNTS)
+def test_certificate_independent_of_probe_split(count, fixed_curves):
+    # the defects of the grid, computed `count` probes per call, are the
+    # defects of one call on the whole grid, bit for bit, on every curve
+    p = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0, h_grid=GRID)
+    for S in _all_curves(0.5, 0.1, 2.0, 3000, fixed_curves):
+        whole = weak_defects(S, p.z0, p.beta, p.h_grid)
+        split = np.concatenate([
+            weak_defects(S, p.z0, p.beta, p.h_grid[i:i + count])
+            for i in range(0, len(p.h_grid), count)])
+        assert split.tolist() == whole.tolist(), S.label
 
 
-def test_default_budget_batches_probes():
-    assert _rows(holder.DEFECT_BLOCK_BYTES) > 1
-    assert [_rows(b) for b in _BUDGETS[:2]] == [1, 3]
-
-
-@pytest.mark.parametrize("budget", _BUDGETS)
-def test_certificate_independent_of_block_budget(budget, monkeypatch,
-                                                 fixed_curves):
-    p = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
-    curves = _all_curves(0.5, 0.1, 2.0, 3000, fixed_curves)
-    expected = [check_weak_holder(S, p) for S in curves]
-    monkeypatch.setattr(holder, "DEFECT_BLOCK_BYTES", budget)
-    assert [check_weak_holder(S, p) for S in curves] == expected
-
-
-@pytest.mark.parametrize("budget", _BUDGETS)
-def test_one_curve_evaluation_per_block(budget, monkeypatch):
-    """S is evaluated at z0 once and on each block of probes once."""
+@pytest.mark.parametrize("count", _PROBE_COUNTS)
+def test_one_curve_evaluation_for_all_probes(count):
+    """S is evaluated at z0 once and on the (probes, nodes) array once."""
     shapes = []
 
     def record(x):
@@ -220,24 +218,18 @@ def test_one_curve_evaluation_per_block(budget, monkeypatch):
         return np.cos(3.0 * x)
 
     S = FunctionSpec("recorded", record, lambda x: -3.0 * np.sin(3.0 * x))
-    monkeypatch.setattr(holder, "DEFECT_BLOCK_BYTES", budget)
-    p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0)
+    p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0, h_grid=GRID[:count])
     check_weak_holder(S, p)
-    rows = _rows(budget)
-    blocks = -(-len(p.h_grid) // rows)
-    assert len(shapes) == blocks + 1
-    assert shapes[0] == ()
-    nodes = 2 * DEFECT_QUAD_PANELS + 1
-    assert shapes[1:] == ([(rows, nodes)] * (blocks - 1)
-                          + [(len(p.h_grid) - rows * (blocks - 1), nodes)])
+    assert shapes == [(), (count, 2 * DEFECT_QUAD_PANELS + 1)]
 
 
 def test_one_probe_defect_equals_blocked_defect():
-    hs = default_h_grid(0.5)[::5]
-    blocked = weak_defects(quadratic(), 0.5, 2.0, hs)
-    assert blocked.shape == hs.shape
+    # one call over several probes gives each probe's defect bit for bit
+    hs = probe_grid(0.5)[::5]
+    batched = weak_defects(quadratic(), 0.5, 2.0, hs)
+    assert batched.shape == hs.shape
     assert [weak_defects(quadratic(), 0.5, 2.0, [float(h)])[0] for h in hs] \
-        == blocked.tolist()
+        == batched.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +238,7 @@ def test_one_probe_defect_equals_blocked_defect():
 
 
 class TestFailClosed:
-    P = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0)
+    P = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0, h_grid=GRID)
 
     def test_all_nan_curve_not_certified(self):
         S = FunctionSpec("nan", lambda x: np.full(np.shape(x), np.nan),
@@ -323,9 +315,10 @@ def test_probe_bandwidth_edge_is_one_rule(z0, h_in):
 
 
 @given(st.floats(1e-9, 1.0 - 1e-9))
-def test_default_probe_grid_accepted(z0):
-    # the first default probe, min(z0, 1 - z0), sits on the edge
-    grid = WeakHolderParams(z0=z0, delta=0.1, beta=2.0).h_grid
+def test_probe_grid_accepted(z0):
+    # the widest probe, min(z0, 1 - z0), sits on the edge
+    grid = WeakHolderParams(z0=z0, delta=0.1, beta=2.0,
+                            h_grid=probe_grid(z0)).h_grid
     weak_defects(quadratic(), z0, 2.0, grid[:1])
 
 

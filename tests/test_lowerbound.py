@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
+from conftest import probe_grid
 from minimaxkern.estimator import EstimatorConfig, bandwidth, rate
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern import lowerbound
 from minimaxkern.lowerbound import (PerturbationSpec, PlateauKernel,
                                     _bump_tables, bayes_bound, build_kernel,
                                     bump, bump_cdf, bump_deriv_sup,
-                                    likelihood_ratio, log_likelihood_ratio,
+                                    log_likelihood_ratio,
                                     min_n_membership,
                                     shift_statistic, varsigma_sq)
 from minimaxkern.model import (constant_fn, derive_seed, design_grid,
@@ -217,7 +218,8 @@ class TestMembershipThreshold:
 
     def test_membership_at_threshold_and_beyond(self, plateau_kernel_01):
         n_star = min_n_membership(0.1, 0.5, 2.0, bump_deriv_sup())
-        params = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0)
+        params = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0,
+                                  h_grid=probe_grid(0.5))
         for n in (n_star, 4 * n_star):
             pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
                                     cfg=EstimatorConfig(n=n, beta=2.0, z0=0.5))
@@ -227,7 +229,8 @@ class TestMembershipThreshold:
         # membership for |u| <= b via threshold at b * sup|l'|
         b = 1.5
         n_star = min_n_membership(0.1, 0.5, 2.0, b * bump_deriv_sup())
-        params = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0)
+        params = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0,
+                                  h_grid=probe_grid(0.5))
         for u in (-b, -0.5, 0.7, b):
             pert = PerturbationSpec(kernel=plateau_kernel_01, u=u,
                                     cfg=EstimatorConfig(n=n_star, beta=2.0, z0=0.5))
@@ -356,7 +359,7 @@ class TestLikelihoodRatio:
         pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
                                 cfg=EstimatorConfig(n=2_000, beta=2.0, z0=0.5))
         y, _ = self._pure_noise_run(pert, mixed_scale, 1)
-        assert likelihood_ratio(0.0, pert, mixed_scale, y) == 1.0
+        assert math.exp(log_likelihood_ratio(0.0, pert, mixed_scale, y)) == 1.0
 
     def test_matches_direct_density_ratio(self, mixed_scale, plateau_kernel_01):
         pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.3,
@@ -369,7 +372,7 @@ class TestLikelihoodRatio:
                                at_u.to_function())
         direct = math.exp(-0.5 * float(
             np.sum(((y - svals) / gvec_u) ** 2 - (y / gvec_u) ** 2)))
-        ours = likelihood_ratio(u, pert, mixed_scale, y)
+        ours = math.exp(log_likelihood_ratio(u, pert, mixed_scale, y))
         assert ours == pytest.approx(direct, rel=1e-8)
 
     def test_pure_noise_statistics(self, mixed_scale, plateau_kernel_01):
@@ -400,29 +403,25 @@ class TestLikelihoodRatio:
         y, _ = self._pure_noise_run(pert, mixed_scale, 9)
         eta, varsig = shift_statistic(pert, mixed_scale, y)
         expected = math.exp(0.8 * varsig * eta - 0.5 * 0.8 ** 2 * varsig ** 2)
-        assert likelihood_ratio(0.8, pert, mixed_scale, y) == pytest.approx(
-            expected, rel=1e-12)
+        assert math.exp(log_likelihood_ratio(0.8, pert, mixed_scale, y)) \
+            == pytest.approx(expected, rel=1e-12)
 
-
-    def test_ratio_never_overflows(self, mixed_scale, plateau_kernel_01):
+    def test_log_ratio_never_overflows(self, mixed_scale, plateau_kernel_01):
         # observations far out along the perturbation push u varsigma eta
-        # past the float range of exp
+        # past the float range of exp; the log ratio stays finite and keeps
+        # its closed form
         pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
                                 cfg=EstimatorConfig(n=2_000, beta=2.0, z0=0.5))
         y, gvec = self._pure_noise_run(pert, mixed_scale, 4)
         y = y + 1e6 * gvec
-        ratios = {}
         for u in (1e-6, 1e-4, 0.01, 1.0, 30.0):
-            rho = likelihood_ratio(u, pert, mixed_scale, y)
+            eta, varsig = shift_statistic(replace(pert, u=u), mixed_scale, y)
             log_rho = log_likelihood_ratio(u, pert, mixed_scale, y)
-            assert math.isfinite(rho) or rho == math.inf
-            if math.isfinite(rho) and rho > 0.0:
-                assert log_rho == pytest.approx(math.log(rho), rel=1e-12)
-            else:
-                assert log_rho > 700.0
-            ratios[u] = rho
-        assert ratios[1.0] == math.inf
-        assert 1.0 < ratios[1e-6] < math.inf
+            assert math.isfinite(log_rho)
+            assert log_rho == pytest.approx(
+                u * varsig * eta - 0.5 * u * u * varsig * varsig, rel=1e-12)
+        assert log_likelihood_ratio(1.0, pert, mixed_scale, y) > 710.0
+        assert 0.0 < log_likelihood_ratio(1e-6, pert, mixed_scale, y) < 710.0
 
 
 class TestBayesBound:

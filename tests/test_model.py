@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import probe_grid
 from minimaxkern.estimator import EstimatorConfig, decompose
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.model import (MOMENT_BOUND, SAMPLER_CHUNK, FunctionSpec,
@@ -14,7 +15,7 @@ from minimaxkern.model import (MOMENT_BOUND, SAMPLER_CHUNK, FunctionSpec,
                                design_grid, flat_scale, function_catalog,
                                get_noise, noise_catalog, rng_from_seed,
                                sample_run, scale_catalog, scale_eval,
-                               scale_frechet, scale_profile, zero_noise)
+                               scale_profile, zero_noise)
 from minimaxkern.numerics import ks_statistic
 from minimaxkern.risk import family_candidates
 
@@ -81,6 +82,27 @@ class TestScaleEval:
         for x, g in zip(xs, prof):
             assert scale_eval(mixed_scale, float(x), S) == pytest.approx(float(g))
 
+    def test_lipschitz_in_curve(self):
+        # sin^2 is 1-Lipschitz and g >= sqrt(a0), so moving the curve by f
+        # moves g(x, .) by at most (a2 + a3) / (2 sqrt(a0)) * sup|f|
+        rng = np.random.default_rng(11)
+        for sc in scale_catalog().values():
+            bound = (sc.alpha2 + sc.alpha3) / (2.0 * math.sqrt(sc.alpha0))
+            for _ in range(10):
+                amp = rng.uniform(0.1, 2.0)
+                om = rng.uniform(0.5, 6.0)
+                x0 = rng.uniform(0.0, 1.0)
+                S = FunctionSpec(
+                    "s", lambda x, a=amp, o=om: a * np.sin(o * x),
+                    lambda x, a=amp, o=om: a * o * np.cos(o * x))
+                moved = FunctionSpec(
+                    "s+f",
+                    lambda x, a=amp, o=om: a * (np.sin(o * x) + np.cos(o * x)),
+                    lambda x, a=amp, o=om: a * o * (np.cos(o * x)
+                                                    - np.sin(o * x)))
+                step = scale_eval(sc, x0, moved) - scale_eval(sc, x0, S)
+                assert abs(step) <= bound * amp + 1e-12
+
     def test_rejects_bad_alphas(self):
         with pytest.raises(ValueError):
             ScaleSpec(0.0, 0.1, 0.1, 0.1)
@@ -94,55 +116,6 @@ class TestScaleEval:
         alphas[slot] = bad
         with pytest.raises(ValueError, match="finite"):
             ScaleSpec(*alphas)
-
-
-class TestScaleFrechet:
-    def test_zero_for_constant_scale(self):
-        sc = ScaleSpec(1.0, 0.0, 0.0, 0.0)
-        f = constant_fn(1.0)
-        assert scale_frechet(sc, 0.5, constant_fn(0.3), f) == 0.0
-
-    def test_zero_slope_at_origin(self):
-        # d/dy sin^2 vanishes at y = 0
-        sc = ScaleSpec(1.0, 0.0, 1.0, 0.0)
-        val = scale_frechet(sc, 0.2, constant_fn(0.0), constant_fn(1.0))
-        assert val == pytest.approx(0.0, abs=1e-14)
-
-    def test_operator_bound_on_random_probes(self):
-        rng = np.random.default_rng(11)
-        for sc in scale_catalog().values():
-            bound = (sc.alpha2 + sc.alpha3) / (2.0 * math.sqrt(sc.alpha0))
-            for _ in range(10):
-                amp = rng.uniform(0.1, 2.0)
-                om = rng.uniform(0.5, 6.0)
-                x0 = rng.uniform(0.0, 1.0)
-                S = FunctionSpec(
-                    "s", lambda x, a=amp, o=om: a * np.sin(o * x),
-                    lambda x, a=amp, o=om: a * o * np.cos(o * x))
-                f = FunctionSpec(
-                    "f", lambda x, a=amp, o=om: a * np.cos(o * x),
-                    lambda x, a=amp, o=om: -a * o * np.sin(o * x))
-                val = scale_frechet(sc, x0, S, f)
-                assert abs(val) <= bound * amp + 1e-12
-
-    def test_first_order_expansion(self):
-        # |g(x, S+f) - g(x, S) - L(f)| / ||f|| stays small at ||f|| = 1e-3
-        eps = 1e-3
-        direction = FunctionSpec(
-            "dir", lambda x: np.cos(2.0 * x), lambda x: -2.0 * np.sin(2.0 * x))
-        f = FunctionSpec(
-            "f", lambda x: eps * direction.eval(x),
-            lambda x: eps * direction.deriv(x))
-        base = function_catalog()["sine"]
-        perturbed = FunctionSpec(
-            "pert",
-            lambda x: base.eval(x) + eps * direction.eval(x),
-            lambda x: base.deriv(x) + eps * direction.deriv(x))
-        for sc in scale_catalog().values():
-            for x0 in (0.1, 0.5, 0.9):
-                lhs = (scale_eval(sc, x0, perturbed) - scale_eval(sc, x0, base)
-                       - scale_frechet(sc, x0, base, f))
-                assert abs(lhs) / eps < 1e-2
 
 
 class TestNoiseCatalog:
@@ -419,5 +392,6 @@ class TestCurveContract:
         x = np.linspace(0.0, 1.0, 17)
         assert np.array_equal(scale_profile(scale, x, loose),
                               scale_profile(scale, x, const))
-        p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0)
+        p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0,
+                             h_grid=probe_grid(0.5))
         assert check_weak_holder(loose, p) == check_weak_holder(const, p)

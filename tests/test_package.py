@@ -166,6 +166,35 @@ def test_readme_synopsis_names_every_option(capsys):
     assert parsed  # the help text was read
 
 
+# A small config of each command for the README schema check.
+_SCHEMA_CONFIGS = {
+    "risk-table": "n_list = 400\nreps = 10\n",
+    "lower-bound": "nu_list = 0.1\nb_list = 4\n",
+    "clt-check": "n_list = 400\nreps = 100\n",
+    "holder-check": "n_list = 400\n",
+    "convergence": "n_list = 400\n",
+}
+
+
+def test_readme_schema_table_names_every_column(tmp_path):
+    # the README's `| command | columns |` table names exactly the header
+    # each command writes, so the docs cannot drift from the CSVs
+    from minimaxkern import cli
+
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("| command | columns |\n", 1)[1].split("\n\n", 1)[0]
+    documented = dict(re.findall(r"^\| `([a-z-]+)` \| `([\w,]+)` \|$", table,
+                                 re.MULTILINE))
+    assert sorted(documented) == sorted(cli.COMMANDS) == sorted(_SCHEMA_CONFIGS)
+    for command, body in _SCHEMA_CONFIGS.items():
+        out = tmp_path / command
+        config = cli.parse_config(f"command = {command}\n{body}")
+        assert cli.run(config, out_dir=str(out), quiet=True) == 0
+        stem = command.replace("-", "_")
+        header = (out / f"{stem}.csv").read_text().splitlines()[0]
+        assert header == documented[command], command
+
+
 def test_trace_driver_installs():
     # bench/trace_driver.py wraps package names where other modules import
     # them; a dropped or renamed name makes install raise

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import probe_grid
 from minimaxkern import model
 from minimaxkern import risk as risk_module
 from minimaxkern.estimator import EstimatorConfig, decompose
@@ -301,8 +302,9 @@ class TestRiskConfigValidation:
 
 
 class TestBandwidthClass:
-    """RiskConfig certifies on the bandwidth class (the defect at h_n
-    alone), not on the 32-probe grid that ``holder-check`` reports."""
+    """The package certifies on the bandwidth class (the defect at h_n
+    alone), not on the 32-probe grid ``probe_grid``: on that grid a window
+    wider than h_n beats 1/sqrt(pi), so it cannot be the paper's class."""
 
     @pytest.mark.parametrize("n", [400, 1_000, 3_000, 10_000, 100_000])
     def test_same_verdicts_as_probe_grid(self, n):
@@ -310,7 +312,8 @@ class TestBandwidthClass:
         # default-family risk tables do not move
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         for delta in (0.05, 0.1, 0.2, 0.5):
-            grid = WeakHolderParams(z0=0.5, delta=delta, beta=2.0)
+            grid = WeakHolderParams(z0=0.5, delta=delta, beta=2.0,
+                                    h_grid=probe_grid(0.5))
             band = WeakHolderParams.at_bandwidth(cfg, delta)
             for S in [*risk_module.family_candidates(0.5, delta),
                       risk_module.family_bump(cfg, delta)]:
@@ -325,7 +328,8 @@ class TestBandwidthClass:
         # sees its defect, h_n itself sees none
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         S = PerturbationSpec(build_kernel(0.1), u=0.5, cfg=cfg).to_function()
-        grid = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
+        grid = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0,
+                                h_grid=probe_grid(0.5))
         on_grid = check_weak_holder(S, grid)
         assert not on_grid.certified
         assert on_grid.max_defect / 0.1 == pytest.approx(ratio, abs=5e-4)
