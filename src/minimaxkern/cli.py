@@ -50,8 +50,8 @@ from .lowerbound import (bayes_bound, build_kernel, check_b, check_nu,
 from .martingale import (check_clt_reps, normal_approx_check,
                          truncation_report, truncation_split)  # noqa: F401
 from .model import (NoiseSpec, ScaleSpec, check_alpha0, check_alpha123, check_n,
-                    check_reps, function_catalog, get_noise, derive_seed,
-                    rng_from_seed)
+                    check_reps, check_seed, function_catalog, get_noise,
+                    derive_seed, rng_from_seed)
 from .risk import (DEFAULT_TABLE_LABELS, RiskConfig, family_bump,
                    family_candidates, sup_risks)
 
@@ -95,7 +95,7 @@ _KEYS = {
     "z0": (float, False, check_z0),
     "delta_list": (float, True, check_delta),
     "reps": (int, False, check_reps),
-    "seed": (int, False, None),
+    "seed": (int, False, check_seed),
     "alpha0": (float, False, check_alpha0),
     **dict.fromkeys(("alpha1", "alpha2", "alpha3"), (float, False, check_alpha123)),
     "noise_list": (str, True, get_noise),
@@ -214,17 +214,26 @@ def _resolve_functions(config: ExperimentConfig, delta: float,
     return _select(_function_lookup(config, delta), config.function_list)
 
 
+def _one_delta(config: ExperimentConfig) -> float:
+    """The one class budget at which clt-check and convergence build their
+    family curves: neither CSV has a delta column, so a second delta would
+    be silently dropped (config error)."""
+    if len(config.delta_list) != 1:
+        raise ConfigError(f"{config.command} builds its curves at one delta; "
+                          f"delta_list names {len(config.delta_list)}")
+    return config.delta_list[0]
+
+
 def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     """Risk rows per (n, delta, function, noise), plus two manifest entries.
 
     Every member is certified on the bandwidth class at its (n, delta)
-    (``WeakHolderParams.at_bandwidth``), so the window [z0 - h_n, z0 + h_n]
+    (``WeakHolderParams(cfg, delta)``), so the window [z0 - h_n, z0 + h_n]
     of every n must lie in [0, 1] (config error otherwise).
     ``certification`` holds each member's margins: sup|S'| * delta and
-    max_defect / delta (both at most 1 when certified) and ``worst_h``,
-    which is h_n.  ``counters`` holds the work done: (n, delta) cells, draw
-    streams (``replicate`` calls), values drawn and certificates computed
-    (one per member per cell)."""
+    max_defect / delta, both at most 1 when certified.  ``counters`` holds
+    the work done: (n, delta) cells, draw streams (``replicate`` calls),
+    values drawn and certificates computed (one per member per cell)."""
     # Serial on purpose: its cells are small certification and decompose
     # steps that hold the interpreter lock, and a pool made them slower.
     # Instead each curve is built once: a delta's n-free curves are built
@@ -260,8 +269,7 @@ def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
                                  key=lambda pair: pair[0].label):
                 margins.append({"n": n, "delta": delta, "function": S.label,
                                 "sup_deriv_times_delta": rep.sup_deriv * delta,
-                                "max_defect_over_delta": rep.max_defect / delta,
-                                "worst_h": rep.worst_h})
+                                "max_defect_over_delta": rep.max_defect / delta})
         for rc, report in zip(rcs, sup_risks(rcs, noises)):
             for row in sorted(report.rows, key=lambda r: (r.function, r.noise)):
                 rows.append([n, config.beta, config.z0, rc.delta, row.function,
@@ -312,13 +320,13 @@ def _costliest_first(cells: list, rates: dict[str, float]) -> list[int]:
 
 
 def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
-    # Both checks run before any draw, so a bad config is exit 2, not 3.
+    # Every check here runs before any draw, so a bad config is exit 2, not 3.
     try:
         check_clt_reps(config.reps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     scale = _scale_from(config)
-    delta = config.delta_list[0]
+    delta = _one_delta(config)
     functions = _resolve_functions(
         config, delta,
         default=lambda: [_function_lookup(config, delta)["const_plus"]])
@@ -369,7 +377,7 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
 
 def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     """Certificate rows per (n, delta, function) on the bandwidth class at
-    (n, delta) (``WeakHolderParams.at_bandwidth``), so the window
+    (n, delta) (``WeakHolderParams(cfg, delta)``), so the window
     [z0 - h_n, z0 + h_n] of every n must lie in [0, 1] (config error
     otherwise).  As in ``_risk_table``, a delta's n-free curves are built
     once for all n and only the bump is built per (n, delta).  The default
@@ -384,7 +392,7 @@ def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict
         cfg = EstimatorConfig(n=n, beta=config.beta, z0=config.z0)
         for delta in deltas:
             try:
-                params = WeakHolderParams.at_bandwidth(cfg, delta)
+                params = WeakHolderParams(cfg, delta)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             bump = family_bump(cfg, delta)
@@ -402,7 +410,7 @@ def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict
 def _convergence(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
     functions = _resolve_functions(
-        config, config.delta_list[0],
+        config, _one_delta(config),
         default=lambda: [function_catalog(config.z0)["sine"]])
     rows: list[list] = []
     for S in sorted(functions, key=lambda s: s.label):

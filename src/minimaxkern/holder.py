@@ -2,18 +2,15 @@
 
 The local weak class at z0 with budget delta allows derivatives up to
 1/delta but bounds the symmetrized window integral
-|int_{-1}^{1} (S(z0 + h u) - S(z0)) du| <= delta * h^beta at the probe
-bandwidths h that the params record (the report names the worst).  The
-paper's class is the *bandwidth class*
-(``WeakHolderParams.at_bandwidth``): the one probe h_n, the estimation
-bandwidth at n, so the class follows n.  ``RiskConfig`` certifies every
-risk family on it and ``holder-check`` reports it.
+|int_{-1}^{1} (S(z0 + h u) - S(z0)) du| <= delta * h^beta.  The paper's
+class is the *bandwidth class* (``WeakHolderParams``): the one probe h_n,
+the estimation bandwidth at n, so the class follows n.  ``RiskConfig``
+certifies every risk family on it and ``holder-check`` reports it.
 
-A weak-class certificate is one pass over its curve: ``weak_defects``
-evaluates S(z0) once and S itself once on the nodes z0 + h u of a fixed
-Simpson rule for all the probes it is given.  Certificates fail closed: a
-NaN defect or derivative sample is never certified, and NaN bandwidths
-are errors.
+``weak_defects`` is the defect rule for any probe bandwidths: it evaluates
+S(z0) once and S itself once on the nodes z0 + h u of a fixed Simpson rule
+for all the probes it is given.  Certificates fail closed: a NaN defect or
+derivative sample is never certified, and NaN bandwidths are errors.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import EstimatorConfig, check_beta, check_z0
+from .estimator import EstimatorConfig, check_beta
 from .model import FunctionSpec
 from .numerics import composite_simpson
 
@@ -50,36 +47,17 @@ def check_probe_bandwidths(z0: float, hs: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class WeakHolderParams:
-    """Local weak-class parameters at z0 with budget delta, probed on the
-    distinct bandwidths ``h_grid`` (``at_bandwidth`` gives the bandwidth
-    class).  The bandwidths are kept as a tuple of floats, so params
-    compare and hash as values, and a repeated bandwidth is an error: it
-    would only make equal params compare unequal."""
+    """The bandwidth class at the operating point ``cfg``: budget delta at
+    (cfg.z0, cfg.beta), probed at the estimation bandwidth cfg.h alone.
+    The window [z0 - h_n, z0 + h_n] must lie in [0, 1]
+    (``check_probe_bandwidths``)."""
 
-    z0: float
+    cfg: EstimatorConfig
     delta: float
-    beta: float
-    h_grid: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        check_z0(self.z0)
         check_delta(self.delta)
-        check_beta(self.beta)
-        grid = np.asarray(self.h_grid, dtype=float).reshape(-1)
-        check_probe_bandwidths(self.z0, grid)
-        h_grid = tuple(grid.tolist())
-        if len(set(h_grid)) != len(h_grid):
-            raise ValueError(f"probe bandwidths must be distinct, got {h_grid}")
-        object.__setattr__(self, "h_grid", h_grid)
-
-    @classmethod
-    def at_bandwidth(cls, cfg: EstimatorConfig,
-                     delta: float) -> WeakHolderParams:
-        """The bandwidth class at the operating point ``cfg``: budget delta
-        at (z0, beta), probed at the estimation bandwidth ``cfg.h`` alone.
-        The window [z0 - h_n, z0 + h_n] must lie in [0, 1]
-        (``check_probe_bandwidths``)."""
-        return cls(z0=cfg.z0, delta=delta, beta=cfg.beta, h_grid=(cfg.h,))
+        check_probe_bandwidths(self.cfg.z0, np.array([self.cfg.h]))
 
 
 @dataclass(frozen=True)
@@ -87,7 +65,6 @@ class WeakHolderReport:
     certified: bool
     sup_deriv: float
     max_defect: float
-    worst_h: float
 
 
 def weak_defects(S: FunctionSpec, z0: float, beta: float,
@@ -111,24 +88,18 @@ def weak_defects(S: FunctionSpec, z0: float, beta: float,
 
 
 def check_weak_holder(S: FunctionSpec, p: WeakHolderParams) -> WeakHolderReport:
-    """Certificate for the local weak class at (z0, delta, beta).
+    """Certificate for the bandwidth class ``p``.
 
     True iff the supremum of |S'| on DEFAULT_SUP_RESOLUTION equispaced
-    points of [0, 1] stays below 1/delta and the window defect stays below
-    delta on every probe bandwidth.  ``worst_h`` is the first probe
-    attaining the largest defect.  A NaN derivative sample makes
-    ``sup_deriv`` NaN and a NaN defect makes ``max_defect`` NaN (with
-    ``worst_h`` its probe); either way the curve is not certified.
+    points of [0, 1] stays below 1/delta and the window defect at h_n stays
+    below delta.  A NaN derivative sample makes ``sup_deriv`` NaN and a NaN
+    defect makes ``max_defect`` NaN; either way the curve is not certified.
     """
     d = S.deriv(np.linspace(0.0, 1.0, DEFAULT_SUP_RESOLUTION))
     sup_deriv = float(np.max(np.abs(d)))
-
-    defects = weak_defects(S, p.z0, p.beta, p.h_grid)
-    worst = int(np.argmax(defects))  # first maximum, or first NaN
-    max_defect = float(defects[worst])
+    max_defect = float(weak_defects(S, p.cfg.z0, p.cfg.beta, [p.cfg.h])[0])
     return WeakHolderReport(
         certified=sup_deriv <= 1.0 / p.delta and max_defect <= p.delta,
         sup_deriv=sup_deriv,
         max_defect=max_defect,
-        worst_h=p.h_grid[worst],
     )

@@ -24,8 +24,6 @@ import numpy as np
 
 from .numerics import composite_simpson
 
-_MASK64 = (1 << 64) - 1
-
 # Panel count for the int_0^1 V(S(t)) dt quadrature inside g; fixed so that
 # scale evaluations are pure functions of their inputs.
 SCALE_QUAD_PANELS = 2048
@@ -448,22 +446,31 @@ def get_noise(label: str) -> NoiseSpec:
 # ---------------------------------------------------------------------------
 
 
+def check_seed(seed: int) -> None:
+    """The one definition of the seed rule: an integer in [0, 2^64), so
+    distinct seeds never name the same stream."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """Fresh generator for a 64-bit seed (no shared mutable state)."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed) & _MASK64))
+    """Fresh generator for a seed in [0, 2^64) (no shared mutable state)."""
+    check_seed(seed)
+    return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Sub-seed number ``index`` under a master seed.
+    """Sub-seed number ``index`` under a master seed (``check_seed``).
 
     Splittable counter scheme: the pair (master, index) is hashed through a
     seed sequence, so distinct indices give independent streams.  Callers
     use it to give each Monte Carlo cell its own seed; the replications of
     one cell share one generator (see ``replicate``).
     """
+    check_seed(master)
     if index < 0:
         raise ValueError("seed index must be non-negative")
-    ss = np.random.SeedSequence(entropy=int(master) & _MASK64, spawn_key=(int(index),))
+    ss = np.random.SeedSequence(entropy=int(master), spawn_key=(int(index),))
     return int(ss.generate_state(1, np.uint64)[0])
 
 

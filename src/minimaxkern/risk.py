@@ -34,7 +34,7 @@ import numpy as np
 # under this module's name, so the name stays importable from risk.
 from .estimator import (DecompositionReport, EstimatorConfig, decompose,
                         kernel_estimate)  # noqa: F401
-from .holder import WeakHolderParams, WeakHolderReport, check_delta, check_weak_holder
+from .holder import WeakHolderParams, WeakHolderReport, check_weak_holder
 from .lowerbound import PerturbationSpec, build_kernel
 from .model import (FunctionSpec, NoiseSpec, ScaleSpec, check_reps,
                     constant_fn, linear_fn, replicate)
@@ -53,7 +53,7 @@ class RiskConfig:
 
     Building a RiskConfig is the one place a risk family is certified:
     every member is checked against the bandwidth class
-    ``WeakHolderParams.at_bandwidth(cfg, delta)``, and any rejected member
+    ``WeakHolderParams(cfg, delta)``, and any rejected member
     raises ValueError, as does a window [z0 - h_n, z0 + h_n] that leaves
     [0, 1].  The certificates are kept in ``reports``, in family order.
     """
@@ -68,12 +68,11 @@ class RiskConfig:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_delta(self.delta)
+        params = WeakHolderParams(self.cfg, self.delta)  # checks delta
         check_reps(self.reps)
         if not self.family:
             raise ValueError("family must be nonempty")
         object.__setattr__(self, "family", tuple(self.family))
-        params = WeakHolderParams.at_bandwidth(self.cfg, self.delta)
         reports = tuple(check_weak_holder(S, params) for S in self.family)
         rejected = [S.label for S, rep in zip(self.family, reports)
                     if not rep.certified]

@@ -1,9 +1,11 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from minimaxkern.estimator import EstimatorConfig
-from minimaxkern.holder import WeakHolderParams, check_weak_holder
+from minimaxkern.holder import DEFAULT_SUP_RESOLUTION, weak_defects
 from minimaxkern.model import function_catalog, get_noise, scale_catalog
 from minimaxkern.risk import family_bump, family_candidates
 
@@ -45,17 +47,39 @@ def probe_grid(z0):
     return min(z0, 1 - z0) * 0.7 ** np.arange(32, dtype=float)
 
 
+class GridCertificate(NamedTuple):
+    certified: bool
+    sup_deriv: float
+    max_defect: float
+    worst_h: float  # the first probe attaining max_defect (or the first NaN)
+
+
+def certify_on_grid(S, z0, delta, beta):
+    """The certificate on the probe grid at (z0, delta, beta): the
+    package's derivative cap (sup|S'| <= 1/delta on DEFAULT_SUP_RESOLUTION
+    equispaced points of [0, 1]) and its defect rule ``weak_defects`` at
+    every probe of ``probe_grid(z0)``, the largest defect at most delta."""
+    hs = probe_grid(z0)
+    sup_deriv = float(np.max(np.abs(
+        S.deriv(np.linspace(0.0, 1.0, DEFAULT_SUP_RESOLUTION)))))
+    defects = weak_defects(S, z0, beta, hs)
+    worst = int(np.argmax(defects))  # first maximum, or first NaN
+    max_defect = float(defects[worst])
+    return GridCertificate(
+        certified=sup_deriv <= 1.0 / delta and max_defect <= delta,
+        sup_deriv=sup_deriv, max_defect=max_defect, worst_h=float(hs[worst]))
+
+
 def _certified_family(z0, delta, beta, n=None, count=10):
     """First ``count`` of the bump at n (if n is given) and
     ``family_candidates`` that pass the weak local certification at
     (z0, delta, beta) on ``probe_grid(z0)``; ValueError if fewer certify."""
-    params = WeakHolderParams(z0=z0, delta=delta, beta=beta,
-                              h_grid=probe_grid(z0))
     candidates = family_candidates(z0, delta)
     if n is not None:
         cfg = EstimatorConfig(n=n, beta=beta, z0=z0)
         candidates.insert(0, family_bump(cfg, delta))
-    keep = [S for S in candidates if check_weak_holder(S, params).certified]
+    keep = [S for S in candidates
+            if certify_on_grid(S, z0, delta, beta).certified]
     if len(keep) < count:
         raise ValueError(
             f"only {len(keep)} candidates certify at delta={delta}; "

@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm, t
 
-from conftest import probe_grid
+from conftest import certify_on_grid
 from minimaxkern.estimator import (EstimatorConfig, decompose,
                                    sigma_n_limit_check, window_law)
-from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.lowerbound import (PerturbationSpec, bayes_bound,
                                     build_kernel, bump_deriv_sup,
                                     min_n_membership, varsigma_sq)
@@ -137,12 +136,10 @@ def test_criterion_06_membership_threshold():
     stays inside at four times it (property, no tolerance)."""
     kern = build_kernel(0.1)
     n_star = min_n_membership(0.1, 0.5, BETA, bump_deriv_sup())
-    params = WeakHolderParams(z0=Z0, delta=0.5, beta=BETA,
-                              h_grid=probe_grid(Z0))
     for n in (n_star, 4 * n_star):
         pert = PerturbationSpec(kernel=kern, u=1.0,
                                 cfg=EstimatorConfig(n=n, beta=BETA, z0=Z0))
-        assert check_weak_holder(pert.to_function(), params).certified, n
+        assert certify_on_grid(pert.to_function(), Z0, 0.5, BETA).certified, n
     _report("criterion 6 (membership threshold)", True,
             f"certified at n={n_star} and n={4 * n_star}")
 

@@ -18,7 +18,7 @@ from minimaxkern.estimator import EstimatorConfig, check_beta, check_z0
 from minimaxkern.holder import WeakHolderParams, check_delta, check_weak_holder
 from minimaxkern.lowerbound import check_b, check_nu
 from minimaxkern.model import (ScaleSpec, check_alpha0, check_alpha123, check_n,
-                               function_catalog, get_noise)
+                               check_seed, function_catalog, get_noise)
 from minimaxkern import risk as risk_module
 from minimaxkern.risk import (DEFAULT_TABLE_LABELS, RiskConfig, default_family,
                               family_candidates, monte_carlo_risk, sup_risk)
@@ -130,6 +130,9 @@ _RANGES = {
                 [(0.0, False), (0.25, False), (0.3, False), (0.1, True)]),
     "b_list": (check_b, "lower-bound",
                [(1.0, False), (0.5, False), (4.0, True)]),
+    "seed": (check_seed, "risk-table",
+             [(0, True), (-1, False), (2 ** 64 - 1, True), (2 ** 64, False),
+              (2 ** 65 - 1, False)]),
 }
 
 
@@ -237,15 +240,17 @@ class TestRunRiskTable:
         assert [(e["n"], e["delta"], e["function"]) for e in entries] == [
             (n, 0.1, label) for n in (400, 800)
             for label in sorted(DEFAULT_TABLE_LABELS)]
+        assert {tuple(sorted(e)) for e in entries} == {(
+            "delta", "function", "max_defect_over_delta", "n",
+            "sup_deriv_times_delta")}
         for n in (400, 800):
             cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
-            params = WeakHolderParams.at_bandwidth(cfg, 0.1)
+            params = WeakHolderParams(cfg, 0.1)
             family = {S.label: S for S in default_family(cfg, 0.1)}
             for e in (e for e in entries if e["n"] == n):
                 rep = check_weak_holder(family[e["function"]], params)
                 assert e["sup_deriv_times_delta"] == rep.sup_deriv * 0.1
                 assert e["max_defect_over_delta"] == rep.max_defect / 0.1
-                assert e["worst_h"] == rep.worst_h == cfg.h
                 assert e["sup_deriv_times_delta"] <= 1.0
                 assert e["max_defect_over_delta"] <= 1.0
 
@@ -577,7 +582,7 @@ class TestHolderCheck:
 
     def test_rows_equal_bandwidth_class_certificates(self):
         # one row per (n, delta, function), in that order, each exactly
-        # the certificate on WeakHolderParams.at_bandwidth(cfg, delta)
+        # the certificate on WeakHolderParams(cfg, delta)
         config = parse_config("command = holder-check\n"
                               "n_list = 10000, 1000\ndelta_list = 0.5, 0.1\n")
         columns, rows, _ = cli._holder_check(config)
@@ -586,7 +591,7 @@ class TestHolderCheck:
         for n in (1000, 10000):
             cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
             for delta in (0.1, 0.5):
-                params = WeakHolderParams.at_bandwidth(cfg, delta)
+                params = WeakHolderParams(cfg, delta)
                 curves = [*family_candidates(0.5, delta),
                           risk_module.family_bump(cfg, delta)]
                 for S in sorted(curves, key=lambda S: S.label):
@@ -666,6 +671,46 @@ class TestMainEntry:
                      "--quiet"]) == 2
         assert "one curve" in capsys.readouterr().err
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("command, sink", [
+        ("clt-check", "window_law"), ("convergence", "sigma_n_limit_check")])
+    def test_one_delta_commands_reject_several(self, tmp_path, capsys,
+                                               monkeypatch, command, sink):
+        # neither CSV has a delta column, so the family curves are built at
+        # the one delta given; a second one is an error before any curve is
+        # scored or drawn for
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{sink} called")
+
+        monkeypatch.setattr(cli, sink, refuse)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            f"command = {command}\nn_list = 500\nreps = 100\n"
+            "delta_list = 0.2, 0.1\nfunction_list = odd_wiggle\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out),
+                     "--quiet"]) == 2
+        assert (f"config error: {command} builds its curves at one delta; "
+                "delta_list names 2") in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("seed, code", [
+        (-1, 2), (2 ** 64, 2), (2 ** 65 - 1, 2), (0, 0), (2 ** 64 - 1, 0)])
+    def test_seed_range(self, tmp_path, capsys, seed, code):
+        # seeds outside [0, 2^64) once wrapped onto in-range streams
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("command = risk-table\nn_list = 400\nreps = 10\n"
+                            f"seed = {seed}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out),
+                     "--quiet"]) == code
+        if code:
+            assert ("config error: line 4: seed must be an integer in "
+                    "[0, 2^64)") in capsys.readouterr().err
+            assert not list(out.glob("*"))
+        else:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["seed"] == seed
 
     def test_env_seed_changes_nothing(self, tmp_path, monkeypatch):
         # the config file alone decides a run: MINIMAXKERN_SEED, which once
@@ -797,7 +842,7 @@ _CURVE_SINKS = {
 @pytest.mark.parametrize("command", sorted(_CURVE_SINKS))
 def test_shared_labels_name_family_members(tmp_path, monkeypatch, command):
     """Each label in SHARED_LABELS names the family member at the config's
-    first delta in every command (delta 0.2 tells it from the fixed curves
+    delta in every command (delta 0.2 tells it from the fixed curves
     of delta 0.1 and 0.5)."""
     extra, name, curves_of = _CURVE_SINKS[command]
     real = getattr(cli, name)
@@ -825,7 +870,7 @@ def test_shared_labels_name_family_members(tmp_path, monkeypatch, command):
 
 def test_clt_check_default_curve_is_family_const_plus(tmp_path, monkeypatch):
     """With no function_list, clt-check scores the family's const_plus at
-    the config's first delta."""
+    the config's delta."""
     real = cli.window_law
     seen = []
 
@@ -834,7 +879,7 @@ def test_clt_check_default_curve_is_family_const_plus(tmp_path, monkeypatch):
         return real(S, *rest)
 
     monkeypatch.setattr(cli, "window_law", sink)
-    text = ("command = clt-check\nn_list = 400\ndelta_list = 0.2, 0.1\n"
+    text = ("command = clt-check\nn_list = 400\ndelta_list = 0.2\n"
             "reps = 100\nnoise_list = gaussian\n")
     assert run(parse_config(text), out_dir=str(tmp_path), quiet=True) == 0
     const_plus = {S.label: S
@@ -851,7 +896,7 @@ def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):
     members are certified at every n; each (n, noise) stream is drawn
     once."""
     members: list = []  # keeps ids unique
-    calls: list[tuple[int, float, tuple[float, ...]]] = []
+    calls: list[tuple[int, float, EstimatorConfig]] = []
     scored: list = []
     streams: list[tuple[int, int]] = []
     real_check = risk_module.check_weak_holder
@@ -860,7 +905,7 @@ def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):
 
     def check(S, params, *args, **kwargs):
         members.append(S)
-        calls.append((id(S), params.delta, params.h_grid))
+        calls.append((id(S), params.delta, params.cfg))
         return real_check(S, params, *args, **kwargs)
 
     def replicate(noise, q_n, reps, seed, stat):
@@ -887,7 +932,7 @@ def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):
         (n, delta) for n in (400, 1000) for delta in (0.1, 0.2)]
     for rc in scored:
         assert [S.label for S in rc.family] == list(DEFAULT_TABLE_LABELS)
-        assert all((id(S), rc.delta, (rc.cfg.h,)) in calls for S in rc.family)
+        assert all((id(S), rc.delta, rc.cfg) in calls for S in rc.family)
     # one stream per (n, noise), shared by both deltas
     qn = {n: EstimatorConfig(n=n, beta=2.0, z0=0.5).q_n for n in (400, 1000)}
     assert sorted(streams) == sorted([(qn[n], 10) for n in (400, 1000)] * 2)
@@ -947,11 +992,10 @@ class TestRiskTableSharedDraws:
         for e in entries:
             cfg = EstimatorConfig(n=e["n"], beta=2.0, z0=0.5)
             family = {S.label: S for S in default_family(cfg, e["delta"])}
-            params = WeakHolderParams.at_bandwidth(cfg, e["delta"])
+            params = WeakHolderParams(cfg, e["delta"])
             rep = check_weak_holder(family[e["function"]], params)
             assert e["sup_deriv_times_delta"] == rep.sup_deriv * e["delta"]
             assert e["max_defect_over_delta"] == rep.max_defect / e["delta"]
-            assert e["worst_h"] == rep.worst_h == cfg.h
 
     @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
     def test_block_budget_never_changes_csv(self, multi_delta_outputs,

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import probe_grid
+from conftest import GridCertificate, certify_on_grid, probe_grid
 from minimaxkern.holder import (DEFAULT_SUP_RESOLUTION, DEFECT_QUAD_PANELS,
                                 WeakHolderParams, WeakHolderReport,
                                 check_weak_holder, weak_defects)
@@ -64,43 +65,53 @@ class TestWeakDefect:
 GRID = probe_grid(0.5)
 
 
-class TestWeakHolderClass:
-    def test_zero_always_certified(self):
-        p = WeakHolderParams(z0=0.5, delta=0.3, beta=2.0, h_grid=GRID)
-        assert check_weak_holder(constant_fn(0.0), p).certified
+def on_band(S, z0, delta, beta, n=1_000):
+    """The package's certificate: the bandwidth class at (n, beta, z0)."""
+    cfg = EstimatorConfig(n=n, beta=beta, z0=z0)
+    return check_weak_holder(S, WeakHolderParams(cfg, delta))
 
-    def test_quadratic_fails_small_delta(self):
+
+# The bandwidth class and the many-probe grid class of the tests
+_CERTIFIERS = {"band": on_band, "grid": certify_on_grid}
+
+
+@pytest.fixture(params=sorted(_CERTIFIERS))
+def certify(request):
+    return _CERTIFIERS[request.param]
+
+
+class TestWeakHolderClass:
+    def test_zero_always_certified(self, certify):
+        assert certify(constant_fn(0.0), 0.5, 0.3, 2.0).certified
+
+    def test_quadratic_fails_small_delta(self, certify):
         # defect 2/3 exceeds delta = 0.5 at every window
-        p = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0, h_grid=GRID)
-        rep = check_weak_holder(quadratic(), p)
+        rep = certify(quadratic(), 0.5, 0.5, 2.0)
         assert not rep.certified
         # tiny-h probes amplify quadrature roundoff, hence the looser bound
         assert rep.max_defect == pytest.approx(2.0 / 3.0, abs=1e-6)
 
-    def test_ball_containment(self):
+    def test_ball_containment(self, certify):
         # H(1/delta, delta*beta*(beta+1)/2, beta) members certify; probe
         # strictly inside the ball to stay clear of float boundary ties
         delta, beta = 0.4, 2.0
         k_cap = delta * beta * (beta + 1.0) / 2.0
         c = 0.45 * k_cap  # quadratic c x^2 has K = 2c and sup|S'| = 2c
         S = scaled(quadratic(), c)
-        assert check_weak_holder(S, WeakHolderParams(
-            z0=0.5, delta=delta, beta=beta, h_grid=GRID)).certified
+        assert certify(S, 0.5, delta, beta).certified
 
     @pytest.mark.parametrize("c", [1.0, 0.5, 0.1, -0.7])
-    def test_shrinking_preserves_membership(self, c):
-        p = WeakHolderParams(z0=0.5, delta=0.25, beta=2.0, h_grid=GRID)
+    def test_shrinking_preserves_membership(self, certify, c):
         base = FunctionSpec(
             "dip", lambda x: 0.06 * np.cos(3.0 * (x - 0.5)),
             lambda x: -0.18 * np.sin(3.0 * (x - 0.5)))
-        assert check_weak_holder(base, p).certified
-        assert check_weak_holder(scaled(base, c), p).certified
+        assert certify(base, 0.5, 0.25, 2.0).certified
+        assert certify(scaled(base, c), 0.5, 0.25, 2.0).certified
 
-    def test_steep_derivative_rejected(self):
-        p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0, h_grid=GRID)
-        rep = check_weak_holder(linear_fn(6.0), p)  # sup|S'| = 6 > 5
+    def test_steep_derivative_rejected(self, certify):
+        rep = certify(linear_fn(6.0), 0.5, 0.2, 2.0)  # sup|S'| = 6 > 5
         assert not rep.certified
-        assert rep.sup_deriv > 1.0 / p.delta
+        assert rep.sup_deriv > 1.0 / 0.2
 
     def test_probe_grid_shape(self):
         grid = probe_grid(0.3)
@@ -109,39 +120,28 @@ class TestWeakHolderClass:
         assert np.all(np.diff(grid) < 0)
         assert grid[1] / grid[0] == pytest.approx(0.7)
 
-    def test_params_are_values(self):
-        # the probe bandwidths are a tuple of floats, so params compare and
-        # hash by value and can key a memo
-        p = WeakHolderParams(0.5, 0.1, 2.0, GRID)
-        assert p == WeakHolderParams(0.5, 0.1, 2.0, GRID.tolist())
-        assert hash(p) == hash(WeakHolderParams(0.5, 0.1, 2.0, GRID))
-        assert p.h_grid == tuple(GRID.tolist())
-        single = WeakHolderParams(0.5, 0.1, 2.0, h_grid=np.array([0.3]))
-        assert single.h_grid == (0.3,)
-        assert single == WeakHolderParams(0.5, 0.1, 2.0, h_grid=[0.3])
-        assert single != p
+    def test_params_are_the_bandwidth_class(self):
+        # the class is (cfg, delta) and nothing else, so params compare and
+        # hash by value
+        assert [f.name for f in dataclasses.fields(WeakHolderParams)] == [
+            "cfg", "delta"]
+        cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
+        p = WeakHolderParams(cfg, 0.1)
+        same = WeakHolderParams(EstimatorConfig(n=1_000, beta=2.0, z0=0.5), 0.1)
+        assert p == same and hash(p) == hash(same)
+        assert p != WeakHolderParams(cfg, 0.2)
+        assert p != WeakHolderParams(
+            EstimatorConfig(n=2_000, beta=2.0, z0=0.5), 0.1)
 
     def test_params_validation(self):
-        with pytest.raises(TypeError, match="h_grid"):  # no default class
-            WeakHolderParams(z0=0.5, delta=0.1, beta=2.0)
-        with pytest.raises(ValueError):
-            WeakHolderParams(z0=0.0, delta=0.1, beta=2.0, h_grid=[0.3])
-        with pytest.raises(ValueError):
-            WeakHolderParams(z0=0.5, delta=1.0, beta=2.0, h_grid=[0.3])
-        with pytest.raises(ValueError):
-            WeakHolderParams(z0=0.5, delta=0.1, beta=2.0,
-                             h_grid=np.array([0.7]))  # leaves [0, 1]
-
-    @pytest.mark.parametrize("h_grid", [[0.3, 0.3], [0.3, 0.2, 0.3]])
-    def test_repeated_bandwidth_rejected(self, h_grid):
-        # a repeated probe adds nothing to the certificate but would make
-        # the params unequal to those of its distinct grid, so the
-        # certificate memo would compute the same certificate twice
-        with pytest.raises(ValueError, match="distinct"):
-            WeakHolderParams(z0=0.5, delta=0.1, beta=2.0, h_grid=h_grid)
-        # the defects themselves do not mind a repeated probe
-        defects = weak_defects(quadratic(), 0.5, 2.0, h_grid)
-        assert defects[0] == defects[h_grid.index(0.3, 1)]
+        cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
+        with pytest.raises(TypeError, match="delta"):  # no default budget
+            WeakHolderParams(cfg)
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            WeakHolderParams(cfg, 1.0)
+        # at z0 = 0.85, n = 1000 has h_n = 0.2512 > 0.15
+        with pytest.raises(ValueError, match="leaves"):
+            WeakHolderParams(EstimatorConfig(n=1_000, beta=2.0, z0=0.85), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,8 @@ class TestWeakHolderClass:
 # ---------------------------------------------------------------------------
 
 
-def _reference_report(S, p, resolution=DEFAULT_SUP_RESOLUTION):
+def _reference_certificate(S, z0, delta, beta, hs,
+                           resolution=DEFAULT_SUP_RESOLUTION):
     """The certificate computed probe by probe: one composite_simpson
     integral per bandwidth, with S(z0) evaluated for each, keeping the
     first strictly larger defect."""
@@ -158,18 +159,18 @@ def _reference_report(S, p, resolution=DEFAULT_SUP_RESOLUTION):
     if d.shape != x.shape:
         d = np.broadcast_to(d, x.shape).astype(float)
     sup_deriv = float(np.max(np.abs(d)))
-    max_defect, worst_h = -1.0, float(p.h_grid[0])
-    for h in p.h_grid:
+    max_defect, worst_h = -1.0, float(hs[0])
+    for h in hs:
         h = float(h)
-        s0 = float(np.asarray(S.eval(p.z0), dtype=float))
+        s0 = float(np.asarray(S.eval(z0), dtype=float))
         integral = composite_simpson(
-            lambda u: np.asarray(S.eval(p.z0 + h * u), dtype=float) - s0,
+            lambda u: np.asarray(S.eval(z0 + h * u), dtype=float) - s0,
             -1.0, 1.0, DEFECT_QUAD_PANELS)
-        defect = abs(integral) / h ** p.beta
+        defect = abs(integral) / h ** beta
         if defect > max_defect:
             max_defect, worst_h = defect, h
-    return WeakHolderReport(
-        certified=sup_deriv <= 1.0 / p.delta and max_defect <= p.delta,
+    return GridCertificate(
+        certified=sup_deriv <= 1.0 / delta and max_defect <= delta,
         sup_deriv=sup_deriv, max_defect=max_defect, worst_h=worst_h)
 
 
@@ -185,9 +186,16 @@ _CELLS = [(0.5, 1000, 0.2, 2.0), (0.5, 3000, 0.1, 2.0),
 
 @pytest.mark.parametrize("z0,n,delta,beta", _CELLS)
 def test_certificate_matches_per_probe_loop(z0, n, delta, beta, fixed_curves):
-    p = WeakHolderParams(z0=z0, delta=delta, beta=beta, h_grid=probe_grid(z0))
+    # on the bandwidth class (the one probe h_n) and on the probe grid
+    cfg = EstimatorConfig(n=n, beta=beta, z0=z0)
+    p = WeakHolderParams(cfg, delta)
     for S in _all_curves(z0, delta, beta, n, fixed_curves):
-        assert check_weak_holder(S, p) == _reference_report(S, p), S.label
+        on_band = _reference_certificate(S, z0, delta, beta, [cfg.h])
+        assert check_weak_holder(S, p) == WeakHolderReport(
+            *on_band[:3]), S.label
+        assert (certify_on_grid(S, z0, delta, beta)
+                == _reference_certificate(S, z0, delta, beta,
+                                          probe_grid(z0))), S.label
 
 
 # One probe (the bandwidth class), three probes, and the whole probe grid.
@@ -198,29 +206,36 @@ _PROBE_COUNTS = (1, 3, len(GRID))
 def test_certificate_independent_of_probe_split(count, fixed_curves):
     # the defects of the grid, computed `count` probes per call, are the
     # defects of one call on the whole grid, bit for bit, on every curve
-    p = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0, h_grid=GRID)
     for S in _all_curves(0.5, 0.1, 2.0, 3000, fixed_curves):
-        whole = weak_defects(S, p.z0, p.beta, p.h_grid)
+        whole = weak_defects(S, 0.5, 2.0, GRID)
         split = np.concatenate([
-            weak_defects(S, p.z0, p.beta, p.h_grid[i:i + count])
-            for i in range(0, len(p.h_grid), count)])
+            weak_defects(S, 0.5, 2.0, GRID[i:i + count])
+            for i in range(0, len(GRID), count)])
         assert split.tolist() == whole.tolist(), S.label
+
+
+def _recorded(shapes):
+    """A curve that records the shape of every array it is evaluated on."""
+    def record(x):
+        x = np.asarray(x, dtype=float)
+        shapes.append(x.shape)
+        return np.cos(3.0 * x)
+
+    return FunctionSpec("recorded", record, lambda x: -3.0 * np.sin(3.0 * x))
 
 
 @pytest.mark.parametrize("count", _PROBE_COUNTS)
 def test_one_curve_evaluation_for_all_probes(count):
     """S is evaluated at z0 once and on the (probes, nodes) array once."""
     shapes = []
-
-    def record(x):
-        x = np.asarray(x, dtype=float)
-        shapes.append(x.shape)
-        return np.cos(3.0 * x)
-
-    S = FunctionSpec("recorded", record, lambda x: -3.0 * np.sin(3.0 * x))
-    p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0, h_grid=GRID[:count])
-    check_weak_holder(S, p)
+    weak_defects(_recorded(shapes), 0.5, 2.0, GRID[:count])
     assert shapes == [(), (count, 2 * DEFECT_QUAD_PANELS + 1)]
+
+
+def test_certificate_evaluates_curve_once():
+    shapes = []
+    on_band(_recorded(shapes), 0.5, 0.2, 2.0)
+    assert shapes == [(), (1, 2 * DEFECT_QUAD_PANELS + 1)]
 
 
 def test_one_probe_defect_equals_blocked_defect():
@@ -238,50 +253,51 @@ def test_one_probe_defect_equals_blocked_defect():
 
 
 class TestFailClosed:
-    P = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0, h_grid=GRID)
-
-    def test_all_nan_curve_not_certified(self):
+    def test_all_nan_curve_not_certified(self, certify):
         S = FunctionSpec("nan", lambda x: np.full(np.shape(x), np.nan),
                          lambda x: np.full(np.shape(x), np.nan))
-        rep = check_weak_holder(S, self.P)
+        rep = certify(S, 0.5, 0.2, 2.0)
         assert not rep.certified
         assert math.isnan(rep.max_defect)
         assert math.isnan(rep.sup_deriv)
 
     def test_nan_defect_on_wide_probes_not_certified(self):
         # finite near z0 and a zero derivative everywhere, but NaN beyond
-        # |x - z0| > 0.3: only the widest probes see it
+        # |x - z0| > 0.3: only windows wider than 0.3 see it
         def values(x):
             x = np.asarray(x, dtype=float)
             return np.where(np.abs(x - 0.5) > 0.3, np.nan, 0.0)
 
         S = FunctionSpec("nan_tails", values, lambda x: np.zeros(np.shape(x)))
-        rep = check_weak_holder(S, self.P)
-        assert not rep.certified
-        assert math.isnan(rep.max_defect)
-        assert rep.worst_h == self.P.h_grid[0]
-        assert rep.sup_deriv == 0.0
+        on_grid = certify_on_grid(S, 0.5, 0.2, 2.0)
+        assert math.isnan(on_grid.max_defect)
+        assert on_grid.worst_h == GRID[0]
+        # h_n = 0.398 at n = 100 sees it, h_n = 0.251 at n = 1000 does not
+        for rep in (on_grid, on_band(S, 0.5, 0.2, 2.0, n=100)):
+            assert not rep.certified
+            assert math.isnan(rep.max_defect)
+            assert rep.sup_deriv == 0.0
+        assert on_band(S, 0.5, 0.2, 2.0, n=1_000).max_defect == 0.0
 
-    def test_nan_derivative_sample_not_certified(self):
+    def test_nan_derivative_sample_not_certified(self, certify):
         def deriv(x):
             d = np.zeros(np.shape(x))
             d[len(d) // 3] = np.nan
             return d
 
         S = FunctionSpec("nan_slope", lambda x: np.zeros(np.shape(x)), deriv)
-        rep = check_weak_holder(S, self.P)
+        rep = certify(S, 0.5, 0.2, 2.0)
         assert not rep.certified
         assert math.isnan(rep.sup_deriv)
         assert rep.max_defect == 0.0
 
-    def test_finite_certificate_unchanged(self):
-        rep = check_weak_holder(constant_fn(0.0), self.P)
+    def test_finite_certificate_unchanged(self, certify):
+        rep = certify(constant_fn(0.0), 0.5, 0.2, 2.0)
         assert rep.certified and rep.max_defect == 0.0
 
     def test_nan_bandwidth_in_grid_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            WeakHolderParams(z0=0.5, delta=0.1, beta=2.0,
-                             h_grid=np.array([0.2, np.nan, 0.1]))
+            weak_defects(quadratic(), 0.5, 2.0, np.array([0.2, np.nan, 0.1]))
 
     @pytest.mark.parametrize("h", [math.nan, 0.0, -0.1])
     def test_bad_bandwidth_rejected(self, h):
@@ -304,22 +320,44 @@ _PROBE_EDGES = [(0.3, 0.300000000000001),
 
 @pytest.mark.parametrize("z0,h_in", _PROBE_EDGES)
 def test_probe_bandwidth_edge_is_one_rule(z0, h_in):
-    # WeakHolderParams and weak_defects decide both sides of the edge alike
     h_out = math.nextafter(h_in, 1.0)
-    WeakHolderParams(z0=z0, delta=0.1, beta=2.0, h_grid=np.array([h_in]))
     weak_defects(quadratic(), z0, 2.0, [h_in])
     with pytest.raises(ValueError, match="leaves"):
-        WeakHolderParams(z0=z0, delta=0.1, beta=2.0, h_grid=np.array([h_out]))
-    with pytest.raises(ValueError, match="leaves"):
         weak_defects(quadratic(), z0, 2.0, [h_out])
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ValueError as exc:
+        assert "leaves" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_params_and_defects_share_the_window_rule(side):
+    # WeakHolderParams(cfg, delta) and weak_defects decide every z0 near
+    # either edge of the window rule alike, for the probe h_n
+    h = EstimatorConfig(n=1_000, beta=2.0, z0=0.5).h
+    z0 = h - 1e-15 if side == "left" else 1.0 - h + 1e-15
+    for _ in range(64):
+        z0 = math.nextafter(z0, 0.0)
+    verdicts = set()
+    for _ in range(128):
+        z0 = math.nextafter(z0, 1.0)
+        cfg = EstimatorConfig(n=1_000, beta=2.0, z0=z0)
+        by_params = _accepts(lambda: WeakHolderParams(cfg, 0.1))
+        assert by_params == _accepts(
+            lambda: weak_defects(quadratic(), z0, 2.0, [cfg.h])), z0
+        verdicts.add(by_params)
+    assert verdicts == {True, False}
 
 
 @given(st.floats(1e-9, 1.0 - 1e-9))
 def test_probe_grid_accepted(z0):
     # the widest probe, min(z0, 1 - z0), sits on the edge
-    grid = WeakHolderParams(z0=z0, delta=0.1, beta=2.0,
-                            h_grid=probe_grid(z0)).h_grid
-    weak_defects(quadratic(), z0, 2.0, grid[:1])
+    weak_defects(quadratic(), z0, 2.0, probe_grid(z0))
 
 
 # ---------------------------------------------------------------------------

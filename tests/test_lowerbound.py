@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
-from conftest import probe_grid
+from conftest import certify_on_grid
 from minimaxkern.estimator import EstimatorConfig, bandwidth, rate
-from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern import lowerbound
 from minimaxkern.lowerbound import (PerturbationSpec, PlateauKernel,
                                     _bump_tables, bayes_bound, build_kernel,
@@ -218,23 +217,19 @@ class TestMembershipThreshold:
 
     def test_membership_at_threshold_and_beyond(self, plateau_kernel_01):
         n_star = min_n_membership(0.1, 0.5, 2.0, bump_deriv_sup())
-        params = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0,
-                                  h_grid=probe_grid(0.5))
         for n in (n_star, 4 * n_star):
             pert = PerturbationSpec(kernel=plateau_kernel_01, u=1.0,
                                     cfg=EstimatorConfig(n=n, beta=2.0, z0=0.5))
-            assert check_weak_holder(pert.to_function(), params).certified
+            assert certify_on_grid(pert.to_function(), 0.5, 0.5, 2.0).certified
 
     def test_amplitude_cap_folds_into_slope(self, plateau_kernel_01):
         # membership for |u| <= b via threshold at b * sup|l'|
         b = 1.5
         n_star = min_n_membership(0.1, 0.5, 2.0, b * bump_deriv_sup())
-        params = WeakHolderParams(z0=0.5, delta=0.5, beta=2.0,
-                                  h_grid=probe_grid(0.5))
         for u in (-b, -0.5, 0.7, b):
             pert = PerturbationSpec(kernel=plateau_kernel_01, u=u,
                                     cfg=EstimatorConfig(n=n_star, beta=2.0, z0=0.5))
-            assert check_weak_holder(pert.to_function(), params).certified
+            assert certify_on_grid(pert.to_function(), 0.5, 0.5, 2.0).certified
 
 
 class TestPerturbation:

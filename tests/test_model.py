@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import probe_grid
+from conftest import certify_on_grid
 from minimaxkern.estimator import EstimatorConfig, decompose
-from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.model import (MOMENT_BOUND, SAMPLER_CHUNK, FunctionSpec,
                                ScaleSpec,
                                constant_fn, derive_seed,
@@ -314,6 +313,22 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             derive_seed(1, -1)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 - 1, 1.0])
+    def test_rejects_seed_outside_range(self, seed):
+        # a mask once sent -1, 2^64 - 1 and 2^65 - 1 to one stream
+        for call in (lambda: rng_from_seed(seed), lambda: derive_seed(seed, 0)):
+            with pytest.raises(ValueError, match=r"seed must be an integer "
+                                                 r"in \[0, 2\^64\)"):
+                call()
+
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 63, 2 ** 64 - 1])
+    def test_in_range_seeds_keep_their_streams(self, seed):
+        want = np.random.default_rng(np.random.SeedSequence(seed)).random(8)
+        assert rng_from_seed(seed).random(8).tolist() == want.tolist()
+        assert rng_from_seed(np.uint64(seed)).random(8).tolist() == want.tolist()
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(3,))
+        assert derive_seed(seed, 3) == int(ss.generate_state(1, np.uint64)[0])
+
 
 def _curves_named(label):
     """The catalog curve of that label, or else the family member of that
@@ -392,6 +407,5 @@ class TestCurveContract:
         x = np.linspace(0.0, 1.0, 17)
         assert np.array_equal(scale_profile(scale, x, loose),
                               scale_profile(scale, x, const))
-        p = WeakHolderParams(z0=0.5, delta=0.2, beta=2.0,
-                             h_grid=probe_grid(0.5))
-        assert check_weak_holder(loose, p) == check_weak_holder(const, p)
+        assert (certify_on_grid(loose, 0.5, 0.2, 2.0)
+                == certify_on_grid(const, 0.5, 0.2, 2.0))

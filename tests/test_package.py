@@ -195,6 +195,31 @@ def test_readme_schema_table_names_every_column(tmp_path):
         assert header == documented[command], command
 
 
+def test_readme_manifest_names_every_key(tmp_path):
+    # every key of a risk-table certification entry and of the counters of
+    # risk-table and clt-check is named in code spans of the README's
+    # manifest paragraph, so the docs cannot drift from the manifest
+    from minimaxkern import cli
+
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("Each command writes `<stem>.csv`", 1)[1]
+    paragraph = paragraph.split("\n\n", 1)[0]
+    documented = set(re.findall(r"\w+", " ".join(
+        re.findall(r"`([^`]*)`", paragraph))))
+    keys = set()
+    for command in ("risk-table", "clt-check"):
+        out = tmp_path / command
+        config = cli.parse_config(
+            f"command = {command}\n{_SCHEMA_CONFIGS[command]}")
+        assert cli.run(config, out_dir=str(out), quiet=True) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        keys |= set(manifest["counters"])
+        for entry in manifest.get("certification", []):
+            keys |= set(entry)
+    assert "certificates" in keys and "max_defect_over_delta" in keys
+    assert keys - documented == set()
+    assert "worst_h" not in paragraph
+
 def test_trace_driver_installs():
     # bench/trace_driver.py wraps package names where other modules import
     # them; a dropped or renamed name makes install raise
@@ -285,9 +310,9 @@ _RANGE_RULES = [
     "reps must be >= {NORMAL_CHECK_MIN_REPS}",  # clt-check's floor, 100
     "a must be positive and finite",
     "probe bandwidths must be positive",
-    "probe bandwidths must be distinct",
     "leaves [0, 1] for h=",
     "unknown noise label",
+    "seed must be an integer in [0, 2^64)",
 ]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import probe_grid
+from conftest import certify_on_grid, probe_grid
 from minimaxkern import model
 from minimaxkern import risk as risk_module
 from minimaxkern.estimator import EstimatorConfig, decompose
@@ -252,17 +252,15 @@ class TestRiskConfigValidation:
         fam = tuple(default_family(cfg, 0.1))
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=10, seed=0, family=fam,
                         scale=mixed_scale)
-        params = WeakHolderParams.at_bandwidth(cfg, 0.1)
-        assert params.h_grid == (cfg.h,)
+        params = WeakHolderParams(cfg, 0.1)
         assert rc.reports == tuple(check_weak_holder(S, params) for S in fam)
-        assert all(rep.worst_h == cfg.h for rep in rc.reports)
 
     def test_certifies_each_config_on_its_bandwidth(self, mixed_scale,
                                                     monkeypatch):
         calls = []
 
         def counting(S, params):
-            calls.append((S.label, params.delta, params.h_grid))
+            calls.append((S.label, params.delta, params.cfg))
             return check_weak_holder(S, params)
 
         monkeypatch.setattr(risk_module, "check_weak_holder", counting)
@@ -274,10 +272,9 @@ class TestRiskConfigValidation:
                  for n in (1_000, 2_000)]
         # the same curve objects are certified afresh at each n
         assert [len(rc.reports) for rc in built] == [5, 5]
-        assert calls == [(S.label, 0.1, (rc.cfg.h,))
-                         for rc in built for S in fam]
+        assert calls == [(S.label, 0.1, rc.cfg) for rc in built for S in fam]
         for rc in built:
-            params = WeakHolderParams.at_bandwidth(rc.cfg, 0.1)
+            params = WeakHolderParams(rc.cfg, 0.1)
             assert rc.reports == tuple(check_weak_holder(S, params)
                                        for S in fam)
 
@@ -312,13 +309,11 @@ class TestBandwidthClass:
         # default-family risk tables do not move
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         for delta in (0.05, 0.1, 0.2, 0.5):
-            grid = WeakHolderParams(z0=0.5, delta=delta, beta=2.0,
-                                    h_grid=probe_grid(0.5))
-            band = WeakHolderParams.at_bandwidth(cfg, delta)
+            band = WeakHolderParams(cfg, delta)
             for S in [*risk_module.family_candidates(0.5, delta),
                       risk_module.family_bump(cfg, delta)]:
                 assert (check_weak_holder(S, band).certified
-                        == check_weak_holder(S, grid).certified), \
+                        == certify_on_grid(S, 0.5, delta, 2.0).certified), \
                     (S.label, delta)
 
     @pytest.mark.parametrize("n, ratio, probe", [
@@ -328,17 +323,51 @@ class TestBandwidthClass:
         # sees its defect, h_n itself sees none
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         S = PerturbationSpec(build_kernel(0.1), u=0.5, cfg=cfg).to_function()
-        grid = WeakHolderParams(z0=0.5, delta=0.1, beta=2.0,
-                                h_grid=probe_grid(0.5))
-        on_grid = check_weak_holder(S, grid)
+        on_grid = certify_on_grid(S, 0.5, 0.1, 2.0)
         assert not on_grid.certified
         assert on_grid.max_defect / 0.1 == pytest.approx(ratio, abs=5e-4)
-        assert on_grid.worst_h == grid.h_grid[probe]
-        on_band = check_weak_holder(S, WeakHolderParams.at_bandwidth(cfg, 0.1))
+        assert on_grid.worst_h == probe_grid(0.5)[probe]
+        on_band = check_weak_holder(S, WeakHolderParams(cfg, 0.1))
         assert on_band.certified
-        assert on_band.worst_h == cfg.h
         assert on_band.max_defect < 1e-15
 
+
+    def test_probe_width_window_beats_the_constant_on_probe_grid(self):
+        # The finding behind certifying on h_n alone: on the probe-grid
+        # class, the window average whose width h' is itself a probe has a
+        # certified normalized risk below 1/sqrt(pi) (beta = 2, z0 = 0.5,
+        # delta = 0.1, n = 1e5, flat scale, Gaussian noise), which the
+        # paper's lower bound rules out for the paper's class.
+        n, beta, z0, delta = 100_000, 2.0, 0.5, 0.1
+        phi_n = EstimatorConfig(n=n, beta=beta, z0=z0).phi_n
+        slope = 1.0 / delta  # the derivative cap: D = S - S(z0) is Lipschitz
+        x = np.arange(1, n + 1) / n
+        allowance = 2.0 / (delta * n)
+        best = None
+        for h in probe_grid(z0):
+            window = x[np.abs(x - z0) <= h]
+            q = window.size
+            # Under g = 1 the error is N(A_d, 1/q), A_d the window mean of D.
+            # The probe bounds the continuum mean A_c = (1/2h) int D over
+            # [z0 - h, z0 + h] by delta h^beta / 2, and A_d - A_c is a
+            # Riemann term: the midpoint rule on the design cells costs
+            # slope / (4n), and the cells' span [lo, hi] (width q/n) differs
+            # from [z0 - h, z0 + h] by `gap`, where |D| <= slope (h + 1/2n).
+            lo, hi = window[0] - 0.5 / n, window[-1] + 0.5 / n
+            gap = abs(lo - (z0 - h)) + abs(hi - (z0 + h))
+            riemann = (slope / (4 * n)
+                       + gap * slope * (h + 0.5 / n) * n / q
+                       + delta * h ** beta / 2 * abs(q / n - 2 * h) * n / q)
+            bound = folded_normal_mean(
+                phi_n * (delta * h ** beta / 2 + allowance),
+                phi_n / math.sqrt(q))
+            if best is None or bound < best[0]:
+                best = (bound, h, q, riemann)
+        bound, h, q, riemann = best
+        assert riemann <= 1.0 / (delta * n) <= allowance  # the allowance holds
+        assert (h, q) == (pytest.approx(0.245), 48_999)
+        assert bound == pytest.approx(0.4473, abs=5e-5)
+        assert bound < EFFICIENCY_CONSTANT
 
 def _recording(noise, sizes):
     """The same law, with a sampler that records every requested size."""
