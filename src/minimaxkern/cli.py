@@ -5,6 +5,9 @@ estimation/risk/diagnostic modules and writes one CSV per command plus a
 JSON manifest.  Identical configs produce byte-identical CSV bodies.  A
 ranged key is checked by the library's own rule for it (see ``_KEYS``);
 non-finite numbers and repeated list entries are config errors.
+``function_list`` is read by ``_curves`` alone: ``risk-table`` and
+``holder-check`` call it per (n, delta), since the bump follows n, and
+``clt-check`` and ``convergence`` once, at their one delta.
 
 ``clt-check`` runs its independent (noise, n) cells on a pool of one
 worker thread per CPU this process may use (``available_cpus``), at most
@@ -35,7 +38,6 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -185,33 +187,24 @@ def _scale_from(config: ExperimentConfig) -> ScaleSpec:
                      config.alpha3, label="config")
 
 
-def _function_lookup(config: ExperimentConfig, delta: float) -> dict:
-    """Every curve ``function_list`` may name at ``delta`` except the bump:
-    the catalog's and the family's, whose labels are disjoint."""
-    return {**function_catalog(config.z0),
-            **{S.label: S
-               for S in family_candidates(config.z0, delta)}}
-
-
-def _select(lookup: dict, labels) -> list:
-    """The curves of ``lookup`` named by ``labels``, in that order."""
-    out = []
+def _curves(config: ExperimentConfig, delta: float, default: tuple,
+            cfg: EstimatorConfig | None = None) -> list:
+    """The one reading of ``function_list``: the curves it names, in its
+    order, or those of the command's ``default`` labels when it is
+    ``default``.  A label names a curve of ``function_catalog``, of
+    ``family_candidates`` at ``delta`` or, only when ``cfg`` fixes n, the
+    plateau bump ``bump``; any other label is a config error."""
+    known = {**function_catalog(config.z0),
+             **{S.label: S for S in family_candidates(config.z0, delta)}}
+    if cfg is not None:
+        known["bump"] = family_bump(cfg, delta)
+    labels = (default if tuple(config.function_list) == ("default",)
+              else config.function_list)
     for label in labels:
-        if label not in lookup:
+        if label not in known:
             raise ConfigError(
-                f"unknown function label {label!r}; known: {sorted(lookup)}")
-        out.append(lookup[label])
-    return out
-
-
-def _resolve_functions(config: ExperimentConfig, delta: float,
-                       default: Callable[[], list]) -> list:
-    """The n-free curves named by ``function_list`` (no ``bump``);
-    ``default()`` builds the command's default list, and only when
-    ``function_list`` asks for it."""
-    if tuple(config.function_list) == ("default",):
-        return default()
-    return _select(_function_lookup(config, delta), config.function_list)
+                f"unknown function label {label!r}; known: {sorted(known)}")
+    return [known[label] for label in labels]
 
 
 def _one_delta(config: ExperimentConfig) -> float:
@@ -236,17 +229,12 @@ def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     values drawn and certificates computed (one per member per cell)."""
     # Serial on purpose: its cells are small certification and decompose
     # steps that hold the interpreter lock, and a pool made them slower.
-    # Instead each curve is built once: a delta's n-free curves are built
-    # once and reused at every n (the class follows n, so RiskConfig
-    # certifies them at each n); only the bump, whose shape follows n, is
-    # built per (n, delta).  At each n, every delta's family is scored on
-    # one stream per noise.
+    # The curves are built per (n, delta), since the class and the bump
+    # follow n; at each n, every delta's family is scored on one stream
+    # per noise.
     scale = _scale_from(config)
     noises = [get_noise(l) for l in sorted(config.noise_list)]
     deltas = sorted(config.delta_list)
-    labels = (DEFAULT_TABLE_LABELS if tuple(config.function_list) == ("default",)
-              else config.function_list)
-    n_free = {delta: _function_lookup(config, delta) for delta in deltas}
     rows: list[list] = []
     margins: list[dict] = []
     counters = dict.fromkeys(
@@ -255,8 +243,7 @@ def _risk_table(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
         cfg = EstimatorConfig(n=n, beta=config.beta, z0=config.z0)
         rcs = []
         for delta in deltas:
-            bump = family_bump(cfg, delta)
-            family = _select({**n_free[delta], "bump": bump}, labels)
+            family = _curves(config, delta, DEFAULT_TABLE_LABELS, cfg)
             try:  # RiskConfig certifies every member at (n, delta)
                 rc = RiskConfig(cfg=cfg, delta=delta, reps=config.reps,
                                 seed=config.seed, family=tuple(family),
@@ -327,9 +314,7 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
         raise ConfigError(str(exc)) from None
     scale = _scale_from(config)
     delta = _one_delta(config)
-    functions = _resolve_functions(
-        config, delta,
-        default=lambda: [_function_lookup(config, delta)["const_plus"]])
+    functions = _curves(config, delta, ("const_plus",))
     if len(functions) != 1:
         raise ConfigError(f"clt-check scores one curve; function_list names "
                           f"{len(functions)}")
@@ -379,14 +364,12 @@ def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict
     """Certificate rows per (n, delta, function) on the bandwidth class at
     (n, delta) (``WeakHolderParams(cfg, delta)``), so the window
     [z0 - h_n, z0 + h_n] of every n must lie in [0, 1] (config error
-    otherwise).  As in ``_risk_table``, a delta's n-free curves are built
-    once for all n and only the bump is built per (n, delta).  The default
-    curves are the family candidates and the bump."""
+    otherwise).  The curves are built per (n, delta), as in
+    ``_risk_table``; the default ones are the 11 family candidates and the
+    bump."""
     deltas = sorted(config.delta_list)
-    default = tuple(config.function_list) == ("default",)
-    n_free = {delta: (family_candidates(config.z0, delta) if default
-                      else _function_lookup(config, delta))
-              for delta in deltas}
+    default = (*(S.label for S in family_candidates(config.z0, deltas[0])),
+               "bump")
     rows: list[list] = []
     for n in sorted(config.n_list):
         cfg = EstimatorConfig(n=n, beta=config.beta, z0=config.z0)
@@ -395,10 +378,7 @@ def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict
                 params = WeakHolderParams(cfg, delta)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            bump = family_bump(cfg, delta)
-            functions = ([*n_free[delta], bump] if default else
-                         _select({**n_free[delta], "bump": bump},
-                                 config.function_list))
+            functions = _curves(config, delta, default, cfg)
             for S in sorted(functions, key=lambda s: s.label):
                 rep = check_weak_holder(S, params)
                 rows.append([n, S.label, config.z0, config.beta, delta,
@@ -409,9 +389,7 @@ def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict
 
 def _convergence(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     scale = _scale_from(config)
-    functions = _resolve_functions(
-        config, _one_delta(config),
-        default=lambda: [function_catalog(config.z0)["sine"]])
+    functions = _curves(config, _one_delta(config), ("sine",))
     rows: list[list] = []
     for S in sorted(functions, key=lambda s: s.label):
         for row in sigma_n_limit_check(S, scale, config.z0, config.beta,

@@ -237,7 +237,7 @@ class SigmaRow:
 def sigma_n_limit_check(S: FunctionSpec, scale: ScaleSpec, z0: float, beta: float,
                         n_sequence: list[int]) -> list[SigmaRow]:
     """Convergence table of sigma_n^2(S) toward g^2(z0, S) along n_sequence."""
-    ns = [int(n) for n in n_sequence]
+    ns = list(n_sequence)  # EstimatorConfig checks each n
     if any(b >= a for a, b in zip(ns[1:], ns)):
         raise ValueError("n_sequence must be increasing")
     rows = []

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import EstimatorConfig, check_beta
+from .estimator import INTEGRAL_QUAD_PANELS, EstimatorConfig, check_beta
 from .model import FunctionSpec
 from .numerics import composite_simpson
 
-DEFECT_QUAD_PANELS = 4096
 DEFAULT_SUP_RESOLUTION = 10_000
 
 
@@ -72,16 +71,18 @@ def weak_defects(S: FunctionSpec, z0: float, beta: float,
     """|int_{-1}^{1} (S(z0 + h u) - S(z0)) du| / h^beta for every h in ``hs``.
 
     S(z0) is evaluated once, and S once on the (probes, nodes) array
-    z0 + h u, where u are the nodes of a DEFECT_QUAD_PANELS-panel Simpson
-    rule on [-1, 1].  Each defect is the value the rule gives for its
-    bandwidth alone (``composite_simpson`` never lets batching change one).
+    z0 + h u, where u are the nodes of the Simpson rule on [-1, 1] that
+    ``decompose`` uses for its window integral (INTEGRAL_QUAD_PANELS
+    panels), so the defect at h_n is |integral_term| / h_n^beta.  Each
+    defect is the value the rule gives for its bandwidth alone
+    (``composite_simpson`` never lets batching change one).
     """
     check_beta(beta)
     hs = np.asarray(hs, dtype=float).reshape(-1)
     check_probe_bandwidths(z0, hs)
     s0 = float(S.eval(z0))
     integrals = composite_simpson(lambda u: S.eval(z0 + hs[:, None] * u) - s0,
-                                  -1.0, 1.0, DEFECT_QUAD_PANELS)
+                                  -1.0, 1.0, INTEGRAL_QUAD_PANELS)
     # Scalar Python arithmetic, so no defect depends on numpy's vector pow
     return np.array([abs(integral) / h ** beta
                      for h, integral in zip(hs.tolist(), integrals.tolist())])

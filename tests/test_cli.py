@@ -546,17 +546,30 @@ class TestRunOtherCommands:
         rows = {l.split(",")[1]: l.split(",")[7] for l in lines}
         assert rows == {"sine": "false", "zero": "true"}
 
-    @pytest.mark.parametrize("label", ["nonexistent", "const02", "const_neg"])
-    def test_unknown_function_label(self, tmp_path, label):
+    @pytest.mark.parametrize("command, label", [
+        *((command, label)
+          for command in ("risk-table", "holder-check", "clt-check",
+                          "convergence")
+          for label in ("nonexistent", "const02", "const_neg")),
+        ("clt-check", "bump"), ("convergence", "bump")])
+    def test_unknown_function_label(self, tmp_path, capsys, command, label):
         # the constants 0.2 and -0.4 have one label each, the family's
-        # const_plus and const_minus; the error lists every known label
-        cfg = parse_config(f"command = holder-check\nfunction_list = {label}\n")
-        known = sorted([*function_catalog(0.5), "bump",
-                        *(S.label for S in family_candidates(0.5, 0.1))])
-        with pytest.raises(ConfigError) as exc:
-            run(cfg, out_dir=str(tmp_path), quiet=True)
-        assert str(exc.value) == (
-            f"unknown function label {label!r}; known: {known}")
+        # const_plus and const_minus; the bump's shape follows n, so only
+        # the commands that build curves per (n, delta) know it.  The error
+        # lists every label the command knows.
+        known = [*function_catalog(0.5),
+                 *(S.label for S in family_candidates(0.5, 0.1))]
+        if command in ("risk-table", "holder-check"):
+            known.append("bump")
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"command = {command}\nfunction_list = {label}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out),
+                     "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: unknown function label {label!r}; "
+            f"known: {sorted(known)}\n")
+        assert not list(out.glob("*"))
 
 
 def _holder_rows(tmp_path, text):

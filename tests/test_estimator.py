@@ -334,6 +334,12 @@ class TestVarianceLimit:
         with pytest.raises(ValueError, match="n_sequence must be increasing"):
             sigma_n_limit_check(constant_fn(0.0), mixed_scale, 0.5, 2.0, ns)
 
+    def test_rejects_non_integral_n(self, mixed_scale):
+        # checked by the one sample-size rule, not truncated to 1000, 2000
+        with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
+            sigma_n_limit_check(constant_fn(0.0), mixed_scale, 0.5, 2.0,
+                                [1000.5, 2000.9])
+
     def test_matches_decompose(self, mixed_scale):
         S = function_catalog()["sine"]
         rows = sigma_n_limit_check(S, mixed_scale, 0.5, 2.0, [3_000, 30_000])

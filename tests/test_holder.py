@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import GridCertificate, certify_on_grid, probe_grid
-from minimaxkern.holder import (DEFAULT_SUP_RESOLUTION, DEFECT_QUAD_PANELS,
-                                WeakHolderParams, WeakHolderReport,
-                                check_weak_holder, weak_defects)
-from minimaxkern.estimator import EstimatorConfig
+from minimaxkern.holder import (DEFAULT_SUP_RESOLUTION, WeakHolderParams,
+                                WeakHolderReport, check_weak_holder,
+                                weak_defects)
+from minimaxkern.estimator import (INTEGRAL_QUAD_PANELS, EstimatorConfig,
+                                   decompose)
 from minimaxkern.model import FunctionSpec, constant_fn, linear_fn
 from minimaxkern.numerics import composite_simpson
-from minimaxkern.risk import family_bump, family_candidates
+from minimaxkern.risk import default_family, family_bump, family_candidates
 
 
 def quadratic():
@@ -165,7 +166,7 @@ def _reference_certificate(S, z0, delta, beta, hs,
         s0 = float(np.asarray(S.eval(z0), dtype=float))
         integral = composite_simpson(
             lambda u: np.asarray(S.eval(z0 + h * u), dtype=float) - s0,
-            -1.0, 1.0, DEFECT_QUAD_PANELS)
+            -1.0, 1.0, INTEGRAL_QUAD_PANELS)
         defect = abs(integral) / h ** beta
         if defect > max_defect:
             max_defect, worst_h = defect, h
@@ -229,13 +230,26 @@ def test_one_curve_evaluation_for_all_probes(count):
     """S is evaluated at z0 once and on the (probes, nodes) array once."""
     shapes = []
     weak_defects(_recorded(shapes), 0.5, 2.0, GRID[:count])
-    assert shapes == [(), (count, 2 * DEFECT_QUAD_PANELS + 1)]
+    assert shapes == [(), (count, 2 * INTEGRAL_QUAD_PANELS + 1)]
 
 
 def test_certificate_evaluates_curve_once():
     shapes = []
     on_band(_recorded(shapes), 0.5, 0.2, 2.0)
-    assert shapes == [(), (1, 2 * DEFECT_QUAD_PANELS + 1)]
+    assert shapes == [(), (1, 2 * INTEGRAL_QUAD_PANELS + 1)]
+
+
+@pytest.mark.parametrize("n, delta", [(400, 0.3), (1_000, 0.1),
+                                      (10_000, 0.05), (100_000, 0.2)])
+def test_defect_is_the_decomposition_integral(n, delta, mixed_scale):
+    # one Simpson rule for the window integral: the bandwidth-class defect
+    # is decompose's integral term over h_n^beta, bit for bit
+    cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
+    params = WeakHolderParams(cfg, delta)
+    for S in default_family(cfg, delta):
+        integral = decompose(S, mixed_scale, cfg).integral_term
+        assert check_weak_holder(S, params).max_defect == \
+            abs(integral) / cfg.h ** cfg.beta
 
 
 def test_one_probe_defect_equals_blocked_defect():

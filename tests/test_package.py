@@ -108,6 +108,25 @@ def test_every_src_parameter_is_read():
     assert unread == _UNREAD_PROTOCOL_SLOTS
 
 
+def test_function_list_is_read_by_one_function():
+    # one resolver gives function_list the same meaning in every command:
+    # no other function, and no module-level code, in src reads the key
+    readers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif (isinstance(node, ast.Attribute) and node.attr == "function_list"
+              and isinstance(node.ctx, ast.Load)):
+            readers.add(f"{path.name}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "minimaxkern").glob("*.py")):
+        visit(ast.parse(path.read_text()), "<module>")
+    assert readers == {"cli.py:_curves"}
+
+
 def test_no_src_function_takes_a_worker_count():
     # clt-check sizes its pool from the CPUs available (capped through CPU
     # affinity), so no function takes a worker count of its own
