@@ -126,7 +126,9 @@ NORMAL_CHECK_MIN_REPS = 100
 
 
 def check_clt_reps(reps: int) -> None:
-    """The one definition of the CLT check's replication floor."""
+    """The one definition of the CLT check's replication floor: a Monte
+    Carlo budget (``check_reps``) of at least NORMAL_CHECK_MIN_REPS."""
+    check_reps(reps)
     if not reps >= NORMAL_CHECK_MIN_REPS:
         raise ValueError(f"reps must be >= {NORMAL_CHECK_MIN_REPS}")
 

@@ -468,8 +468,8 @@ def derive_seed(master: int, index: int) -> int:
     one cell share one generator (see ``replicate``).
     """
     check_seed(master)
-    if index < 0:
-        raise ValueError("seed index must be non-negative")
+    if not (isinstance(index, numbers.Integral) and index >= 0):
+        raise ValueError(f"seed index must be an integer >= 0, got {index}")
     ss = np.random.SeedSequence(entropy=int(master), spawn_key=(int(index),))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -480,9 +480,9 @@ REPLICATION_BLOCK_BYTES = 128 * 1024
 
 
 def check_reps(reps: int) -> None:
-    """The one definition of the Monte Carlo budget rule: reps >= 2."""
-    if not reps >= 2:
-        raise ValueError(f"reps must be >= 2, got {reps}")
+    """The one definition of the Monte Carlo budget rule: integer reps >= 2."""
+    if not (isinstance(reps, numbers.Integral) and reps >= 2):
+        raise ValueError(f"reps must be >= 2 and an integer, got {reps}")
 
 
 def replicate(noise: NoiseSpec, q_n: int, reps: int, seed: int,

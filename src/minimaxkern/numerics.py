@@ -11,17 +11,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-def composite_simpson(f: Callable, a: float, b: float,
-                      panels: int) -> float | np.ndarray:
+def composite_simpson(f: Callable, a: float, b: float, panels: int) -> float:
     """Integrate ``f`` over ``[a, b]`` with a fixed number of parabolic panels.
 
-    ``f`` receives the 2*panels + 1 equispaced nodes as a 1-D array and may
-    return values of shape ``(..., nodes)``: the rule integrates along the
-    last axis, giving a float for 1-D (or scalar) values and an array of
-    the leading shape otherwise.  Each integral takes the same operations
-    in the same order as a 1-D call on its own row, so batching integrands
-    never changes a result, and results are deterministic for a given
-    panel count.
+    ``f`` receives the 2*panels + 1 equispaced nodes as a 1-D array and
+    returns one value per node or one scalar for all of them.  Results are
+    deterministic for a given panel count.
     """
     if panels < 1:
         raise ValueError("panels must be a positive integer")
@@ -29,13 +24,13 @@ def composite_simpson(f: Callable, a: float, b: float,
         raise ValueError("integration bounds must satisfy a <= b")
     x = np.linspace(a, b, 2 * panels + 1)
     y = np.asarray(f(x), dtype=float)
-    if y.shape[-1:] != x.shape:
-        y = np.broadcast_to(y, y.shape[:-1] + x.shape)
+    if y.shape == ():
+        y = np.broadcast_to(y, x.shape)
+    if y.shape != x.shape:
+        raise ValueError(f"integrand gave shape {y.shape}, not {x.shape}")
     step = (b - a) / (2 * panels)
-    total = (y[..., 0] + y[..., -1] + 4.0 * np.sum(y[..., 1:-1:2], axis=-1)
-             + 2.0 * np.sum(y[..., 2:-1:2], axis=-1))
-    result = total * step / 3.0
-    return float(result) if result.ndim == 0 else result
+    total = y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])
+    return float(total * step / 3.0)
 
 
 #: Values per list that ``window_sum`` hands to ``math.fsum`` (16 KiB of

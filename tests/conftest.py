@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from minimaxkern.estimator import EstimatorConfig
-from minimaxkern.holder import DEFAULT_SUP_RESOLUTION, weak_defects
+from minimaxkern.holder import DEFAULT_SUP_RESOLUTION, weak_defect
 from minimaxkern.model import function_catalog, get_noise, scale_catalog
 from minimaxkern.risk import family_bump, family_candidates
 
@@ -57,12 +57,12 @@ class GridCertificate(NamedTuple):
 def certify_on_grid(S, z0, delta, beta):
     """The certificate on the probe grid at (z0, delta, beta): the
     package's derivative cap (sup|S'| <= 1/delta on DEFAULT_SUP_RESOLUTION
-    equispaced points of [0, 1]) and its defect rule ``weak_defects`` at
+    equispaced points of [0, 1]) and its defect rule ``weak_defect`` at
     every probe of ``probe_grid(z0)``, the largest defect at most delta."""
     hs = probe_grid(z0)
     sup_deriv = float(np.max(np.abs(
         S.deriv(np.linspace(0.0, 1.0, DEFAULT_SUP_RESOLUTION)))))
-    defects = weak_defects(S, z0, beta, hs)
+    defects = np.array([weak_defect(S, z0, beta, h) for h in hs.tolist()])
     worst = int(np.argmax(defects))  # first maximum, or first NaN
     max_defect = float(defects[worst])
     return GridCertificate(

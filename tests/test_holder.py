@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import GridCertificate, certify_on_grid, probe_grid
 from minimaxkern.holder import (DEFAULT_SUP_RESOLUTION, WeakHolderParams,
                                 WeakHolderReport, check_weak_holder,
-                                weak_defects)
+                                weak_defect)
 from minimaxkern.estimator import (INTEGRAL_QUAD_PANELS, EstimatorConfig,
                                    decompose)
 from minimaxkern.model import FunctionSpec, constant_fn, linear_fn
@@ -27,19 +27,19 @@ def scaled(S, c):
 
 class TestWeakDefect:
     def test_constant_zero(self):
-        assert weak_defects(constant_fn(4.2), 0.5, 2.0, [0.3])[0] == 0.0
+        assert weak_defect(constant_fn(4.2), 0.5, 2.0, 0.3) == 0.0
 
     def test_linear_zero_by_symmetry(self):
-        assert weak_defects(linear_fn(1.0), 0.5, 1.8, [0.25])[0] == pytest.approx(0.0, abs=1e-14)
+        assert weak_defect(linear_fn(1.0), 0.5, 1.8, 0.25) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("h", [0.05, 0.2, 0.45])
     def test_quadratic_closed_form(self, h):
         # int (2 z0 h u + h^2 u^2) du over [-1,1] = 2 h^2 / 3
-        assert weak_defects(quadratic(), 0.5, 2.0, [h])[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert weak_defect(quadratic(), 0.5, 2.0, h) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_rejects_window_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            weak_defects(quadratic(), 0.9, 2.0, [0.2])
+            weak_defect(quadratic(), 0.9, 2.0, 0.2)
 
     @given(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))
     def test_invariant_under_affine_about_z0(self, a, b):
@@ -50,8 +50,8 @@ class TestWeakDefect:
             "shifted",
             lambda x: base.eval(x) + a + b * (x - z0),
             lambda x: base.deriv(x) + b)
-        assert weak_defects(shifted, z0, beta, [h])[0] == pytest.approx(
-            weak_defects(base, z0, beta, [h])[0], abs=1e-10)
+        assert weak_defect(shifted, z0, beta, h) == pytest.approx(
+            weak_defect(base, z0, beta, h), abs=1e-10)
 
     def test_holder_ball_defect_bound(self):
         # members of H(M, K, beta) have defect at most 2K/(beta (beta+1))
@@ -60,7 +60,7 @@ class TestWeakDefect:
             S = scaled(quadratic(), c)  # K = 2c exactly
             bound = 2.0 * (2.0 * c) / (beta * (beta + 1.0))
             for h in (0.1, 0.3):
-                assert weak_defects(S, 0.5, beta, [h])[0] <= bound + 1e-12
+                assert weak_defect(S, 0.5, beta, h) <= bound + 1e-12
 
 
 GRID = probe_grid(0.5)
@@ -146,7 +146,7 @@ class TestWeakHolderClass:
 
 
 # ---------------------------------------------------------------------------
-# one-pass certificates: weak_defects on all probes against a per-probe loop
+# certificates against a per-probe reference loop
 # ---------------------------------------------------------------------------
 
 
@@ -199,22 +199,6 @@ def test_certificate_matches_per_probe_loop(z0, n, delta, beta, fixed_curves):
                                           probe_grid(z0))), S.label
 
 
-# One probe (the bandwidth class), three probes, and the whole probe grid.
-_PROBE_COUNTS = (1, 3, len(GRID))
-
-
-@pytest.mark.parametrize("count", _PROBE_COUNTS)
-def test_certificate_independent_of_probe_split(count, fixed_curves):
-    # the defects of the grid, computed `count` probes per call, are the
-    # defects of one call on the whole grid, bit for bit, on every curve
-    for S in _all_curves(0.5, 0.1, 2.0, 3000, fixed_curves):
-        whole = weak_defects(S, 0.5, 2.0, GRID)
-        split = np.concatenate([
-            weak_defects(S, 0.5, 2.0, GRID[i:i + count])
-            for i in range(0, len(GRID), count)])
-        assert split.tolist() == whole.tolist(), S.label
-
-
 def _recorded(shapes):
     """A curve that records the shape of every array it is evaluated on."""
     def record(x):
@@ -225,18 +209,11 @@ def _recorded(shapes):
     return FunctionSpec("recorded", record, lambda x: -3.0 * np.sin(3.0 * x))
 
 
-@pytest.mark.parametrize("count", _PROBE_COUNTS)
-def test_one_curve_evaluation_for_all_probes(count):
-    """S is evaluated at z0 once and on the (probes, nodes) array once."""
-    shapes = []
-    weak_defects(_recorded(shapes), 0.5, 2.0, GRID[:count])
-    assert shapes == [(), (count, 2 * INTEGRAL_QUAD_PANELS + 1)]
-
-
 def test_certificate_evaluates_curve_once():
+    """S is evaluated at z0 once and on the Simpson nodes once."""
     shapes = []
     on_band(_recorded(shapes), 0.5, 0.2, 2.0)
-    assert shapes == [(), (1, 2 * INTEGRAL_QUAD_PANELS + 1)]
+    assert shapes == [(), (2 * INTEGRAL_QUAD_PANELS + 1,)]
 
 
 @pytest.mark.parametrize("n, delta", [(400, 0.3), (1_000, 0.1),
@@ -250,15 +227,6 @@ def test_defect_is_the_decomposition_integral(n, delta, mixed_scale):
         integral = decompose(S, mixed_scale, cfg).integral_term
         assert check_weak_holder(S, params).max_defect == \
             abs(integral) / cfg.h ** cfg.beta
-
-
-def test_one_probe_defect_equals_blocked_defect():
-    # one call over several probes gives each probe's defect bit for bit
-    hs = probe_grid(0.5)[::5]
-    batched = weak_defects(quadratic(), 0.5, 2.0, hs)
-    assert batched.shape == hs.shape
-    assert [weak_defects(quadratic(), 0.5, 2.0, [float(h)])[0] for h in hs] \
-        == batched.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +277,17 @@ class TestFailClosed:
         rep = certify(constant_fn(0.0), 0.5, 0.2, 2.0)
         assert rep.certified and rep.max_defect == 0.0
 
-    def test_nan_bandwidth_in_grid_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            weak_defects(quadratic(), 0.5, 2.0, np.array([0.2, np.nan, 0.1]))
-
     @pytest.mark.parametrize("h", [math.nan, 0.0, -0.1])
     def test_bad_bandwidth_rejected(self, h):
         with pytest.raises(ValueError, match="positive"):
-            weak_defects(quadratic(), 0.5, 2.0, [h])
+            weak_defect(quadratic(), 0.5, 2.0, h)
 
     def test_nan_point_rejected(self):
         with pytest.raises(ValueError, match="leaves"):
-            weak_defects(quadratic(), math.nan, 2.0, [0.1])
+            weak_defect(quadratic(), math.nan, 2.0, 0.1)
 
 
-# The last bandwidth the probe-bandwidth rule accepts at z0 and the float
+# The last bandwidth the window rule accepts at z0 and the float
 # after it: z0 - h >= -1e-15 binds at 0.3, both sides at 0.5 and
 # z0 + h <= 1 + 1e-15 at 0.637 and 0.913.
 _PROBE_EDGES = [(0.3, 0.300000000000001),
@@ -335,9 +299,9 @@ _PROBE_EDGES = [(0.3, 0.300000000000001),
 @pytest.mark.parametrize("z0,h_in", _PROBE_EDGES)
 def test_probe_bandwidth_edge_is_one_rule(z0, h_in):
     h_out = math.nextafter(h_in, 1.0)
-    weak_defects(quadratic(), z0, 2.0, [h_in])
+    weak_defect(quadratic(), z0, 2.0, h_in)
     with pytest.raises(ValueError, match="leaves"):
-        weak_defects(quadratic(), z0, 2.0, [h_out])
+        weak_defect(quadratic(), z0, 2.0, h_out)
 
 
 def _accepts(build) -> bool:
@@ -351,7 +315,7 @@ def _accepts(build) -> bool:
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_params_and_defects_share_the_window_rule(side):
-    # WeakHolderParams(cfg, delta) and weak_defects decide every z0 near
+    # WeakHolderParams(cfg, delta) and weak_defect decide every z0 near
     # either edge of the window rule alike, for the probe h_n
     h = EstimatorConfig(n=1_000, beta=2.0, z0=0.5).h
     z0 = h - 1e-15 if side == "left" else 1.0 - h + 1e-15
@@ -363,7 +327,7 @@ def test_params_and_defects_share_the_window_rule(side):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=z0)
         by_params = _accepts(lambda: WeakHolderParams(cfg, 0.1))
         assert by_params == _accepts(
-            lambda: weak_defects(quadratic(), z0, 2.0, [cfg.h])), z0
+            lambda: weak_defect(quadratic(), z0, 2.0, cfg.h)), z0
         verdicts.add(by_params)
     assert verdicts == {True, False}
 
@@ -371,11 +335,12 @@ def test_params_and_defects_share_the_window_rule(side):
 @given(st.floats(1e-9, 1.0 - 1e-9))
 def test_probe_grid_accepted(z0):
     # the widest probe, min(z0, 1 - z0), sits on the edge
-    weak_defects(quadratic(), z0, 2.0, probe_grid(z0))
+    for h in probe_grid(z0).tolist():
+        weak_defect(quadratic(), z0, 2.0, h)
 
 
 # ---------------------------------------------------------------------------
-# properties of weak_defects
+# properties of weak_defect
 # ---------------------------------------------------------------------------
 
 # Fixed before the properties were run.  A defect is |Simpson integral| /
@@ -404,15 +369,17 @@ def test_defects_invariant_under_constant_shift(z0, beta, fracs, c):
     hs = np.array(fracs) * min(z0, 1.0 - z0)
     base = _skewed()
     shifted = FunctionSpec("shifted", lambda x: base.eval(x) + c, base.deriv)
-    got = weak_defects(shifted, z0, beta, hs)
-    want = weak_defects(base, z0, beta, hs)
-    assert np.all(np.abs(got - want) <= SHIFT_TOL * (1.0 + abs(c)) / hs ** beta)
+    for h in hs:
+        got = weak_defect(shifted, z0, beta, h)
+        want = weak_defect(base, z0, beta, h)
+        assert abs(got - want) <= SHIFT_TOL * (1.0 + abs(c)) / h ** beta
 
 
 @given(_z0s, _betas, _fracs, st.floats(-10.0, 10.0))
 def test_defects_scale_with_amplitude(z0, beta, fracs, a):
     hs = np.array(fracs) * min(z0, 1.0 - z0)
     base = _skewed()
-    got = weak_defects(scaled(base, a), z0, beta, hs)
-    want = abs(a) * weak_defects(base, z0, beta, hs)
-    assert np.all(np.abs(got - want) <= SCALE_TOL * abs(a) / hs ** beta)
+    for h in hs:
+        got = weak_defect(scaled(base, a), z0, beta, h)
+        want = abs(a) * weak_defect(base, z0, beta, h)
+        assert abs(got - want) <= SCALE_TOL * abs(a) / h ** beta

@@ -282,3 +282,11 @@ class TestNormalApproximation:
         with pytest.raises(ValueError):
             normal_approx_check(window_law(constant_fn(0.0), mixed_scale, cfg),
                                 get_noise("gaussian"), reps=10, seed=0)
+
+    @pytest.mark.parametrize("reps", [100.5, 100.0])
+    def test_reps_must_be_an_integer(self, mixed_scale, reps):
+        # a float budget above the floor once reached range() in replicate
+        cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
+        with pytest.raises(ValueError, match="reps must be >= 2 and an integer"):
+            normal_approx_check(window_law(constant_fn(0.0), mixed_scale, cfg),
+                                get_noise("gaussian"), reps=reps, seed=0)

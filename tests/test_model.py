@@ -313,6 +313,16 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             derive_seed(1, -1)
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, "1", None])
+    def test_rejects_non_integral_index(self, index):
+        # 1.5 was once truncated to the stream of index 1
+        with pytest.raises(ValueError,
+                           match="seed index must be an integer >= 0"):
+            derive_seed(42, index)
+
+    def test_numpy_integer_index_keeps_its_stream(self):
+        assert derive_seed(42, np.int64(3)) == derive_seed(42, 3)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 - 1, 1.0])
     def test_rejects_seed_outside_range(self, seed):
         # a mask once sent -1, 2^64 - 1 and 2^65 - 1 to one stream

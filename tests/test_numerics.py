@@ -40,23 +40,11 @@ class TestCompositeSimpson:
             got = composite_simpson(f, a, b, panels)
             assert type(got) is float and got == want
 
-    def test_integrates_along_last_axis(self):
-        """A (rows, nodes) integrand gives each row's 1-D integral exactly."""
-        scales = np.array([0.3, -1.7, 2.5, 1e-3, 0.0])
-
-        def rows(x):
-            return np.cos(scales[:, None] * x) + scales[:, None] * x ** 2
-
-        got = composite_simpson(rows, -1.0, 1.0, 4096)
-        assert got.shape == scales.shape
-        for c, value in zip(scales, got.tolist()):
-            want = composite_simpson(lambda x: np.cos(c * x) + c * x ** 2,
-                                     -1.0, 1.0, 4096)
-            assert value == want
-
-    def test_row_broadcast_integrand(self):
-        got = composite_simpson(lambda x: np.array([[1.0], [2.0]]), 0.0, 3.0, 8)
-        assert got.tolist() == [3.0, 6.0]
+    @pytest.mark.parametrize("shape", [(2, 17), (1, 17), (1,), (16,)])
+    def test_rejects_integrand_that_is_not_one_row(self, shape):
+        # 8 panels give 17 nodes; a (2, 17) integrand was once batched
+        with pytest.raises(ValueError, match="integrand gave shape"):
+            composite_simpson(lambda x: np.ones(shape), 0.0, 3.0, 8)
 
 
 class TestWindowSum:

@@ -292,9 +292,13 @@ def test_traced_run_matches_untraced(tmp_path, command):
     stem = command.replace("-", "_")
     assert ((traced / f"{stem}.csv").read_bytes()
             == (plain / f"{stem}.csv").read_bytes())
+    trace = json.loads((tmp_path / "trace.json").read_text())
     if command == "clt-check":  # the driver read each cell's reps
-        trace = json.loads((tmp_path / "trace.json").read_text())
         assert trace["counters"]["martingale.reps"] == 4 * 100
+    if command == "holder-check":  # one Simpson call per certificate row
+        rows = (plain / f"{stem}.csv").read_text().splitlines()[1:]
+        simpson = trace["by_name"]["numerics.composite_simpson"]["calls"]
+        assert simpson >= len(rows) > 0
 
 
 def test_cli_import_leaves_thread_pool_unloaded():
@@ -328,7 +332,7 @@ _RANGE_RULES = [
     "reps must be >= 2",
     "reps must be >= {NORMAL_CHECK_MIN_REPS}",  # clt-check's floor, 100
     "a must be positive and finite",
-    "probe bandwidths must be positive",
+    "bandwidth h must be positive",
     "leaves [0, 1] for h=",
     "unknown noise label",
     "seed must be an integer in [0, 2^64)",

@@ -285,6 +285,14 @@ class TestRiskConfigValidation:
             RiskConfig(cfg=cfg, delta=bad, reps=10, seed=0,
                        family=(constant_fn(0.0),), scale=mixed_scale)
 
+    @pytest.mark.parametrize("bad", [100.5, 100.0, math.nan])
+    def test_non_integer_reps_rejected(self, mixed_scale, bad):
+        # 100.5 once built a config whose sup_risk raised TypeError in range
+        cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
+        with pytest.raises(ValueError, match="reps must be >= 2 and an integer"):
+            RiskConfig(cfg=cfg, delta=0.1, reps=bad, seed=0,
+                       family=(constant_fn(0.0),), scale=mixed_scale)
+
     def test_empty_family_rejected(self, mixed_scale):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
         with pytest.raises(ValueError):
