@@ -23,8 +23,8 @@ segments, so a plateau kernel is determined by nu alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -108,15 +108,23 @@ def check_b(b: float) -> None:
 @dataclass(frozen=True)
 class PlateauKernel:
     """Mollified two-level profile V_nu, evaluable anywhere on the line and
-    determined by its mollification width nu in (0, 1/4)."""
+    determined by its mollification width nu in (0, 1/4).
+
+    ``sq_integral`` (int V_nu^2, a Simpson rule on V_QUAD_PANELS panels) is
+    computed on first read and cached per kernel; only the lower-side
+    quantities (``sigma_nu_sq``, ``varsigma_sq``, ``bayes_bound``) read it.
+    """
 
     nu: float
-    sq_integral: float = field(init=False)
 
     def __post_init__(self) -> None:
         check_nu(self.nu)
-        object.__setattr__(self, "sq_integral", composite_simpson(
-            lambda z: self.values(z) ** 2, -1.0, 1.0, V_QUAD_PANELS))
+
+    @cached_property
+    def sq_integral(self) -> float:
+        """int_{-1}^{1} V_nu^2."""
+        return composite_simpson(lambda z: self.values(z) ** 2, -1.0, 1.0,
+                                 V_QUAD_PANELS)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """V_nu(x) = (1/nu) int Qtilde_nu(u) l((u - x)/nu) du.
@@ -244,6 +252,9 @@ def min_n_membership(nu: float, delta: float, beta: float, l_prime_sup: float) -
     check_beta(beta)
     check_nu(nu)
     check_delta(delta)
+    if not 0.0 < l_prime_sup < math.inf:
+        raise ValueError(
+            f"l_prime_sup must be positive and finite, got {l_prime_sup}")
     ratio = 2.0 * l_prime_sup * delta / nu ** 2
     if ratio <= 1.0:
         return 1

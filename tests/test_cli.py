@@ -16,12 +16,13 @@ from minimaxkern import cli, estimator, model
 from minimaxkern.cli import ConfigError, main, parse_config, run
 from minimaxkern.estimator import EstimatorConfig, check_beta, check_z0
 from minimaxkern.holder import WeakHolderParams, check_delta, check_weak_holder
-from minimaxkern.lowerbound import check_b, check_nu
+from minimaxkern.lowerbound import build_kernel, check_b, check_nu
 from minimaxkern.model import (ScaleSpec, check_alpha0, check_alpha123, check_n,
                                check_seed, function_catalog, get_noise)
 from minimaxkern import risk as risk_module
-from minimaxkern.risk import (DEFAULT_TABLE_LABELS, RiskConfig, default_family,
-                              family_candidates, monte_carlo_risk, sup_risk)
+from minimaxkern.risk import (DEFAULT_TABLE_LABELS, FAMILY_BUMP_NU, RiskConfig,
+                              default_family, family_candidates,
+                              monte_carlo_risk, sup_risk)
 
 
 class TestParseConfig:
@@ -952,6 +953,27 @@ def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):
     counters = json.loads((tmp_path / "o" / "manifest.json").read_text())["counters"]
     assert counters["draw_streams"] == len(streams) == 2 * 2
     assert counters["certificates"] == len(calls)
+
+
+@pytest.fixture
+def fresh_kernels():
+    """build_kernel's per-nu cache, empty before and after the test."""
+    build_kernel.cache_clear()
+    yield
+    build_kernel.cache_clear()
+
+
+@pytest.mark.parametrize("text", [
+    "command = risk-table\nn_list = 400\ndelta_list = 0.1\nreps = 10\n"
+    "noise_list = gaussian\n",
+    "command = holder-check\nn_list = 400\ndelta_list = 0.1\n",
+], ids=["risk-table", "holder-check"])
+def test_upper_side_commands_skip_the_v_squared_quadrature(
+        tmp_path, fresh_kernels, text):
+    # the bump member's kernel is built, but int V^2 (read only by the
+    # lower-side quantities) is never evaluated
+    assert run(parse_config(text), out_dir=str(tmp_path), quiet=True) == 0
+    assert "sq_integral" not in build_kernel(FAMILY_BUMP_NU).__dict__
 
 
 # Multi-delta risk-table: at each n every delta shares one stream per noise.

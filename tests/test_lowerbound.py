@@ -11,8 +11,9 @@ from conftest import certify_on_grid
 from minimaxkern.estimator import EstimatorConfig, bandwidth, rate
 from minimaxkern import lowerbound
 from minimaxkern.lowerbound import (PerturbationSpec, PlateauKernel,
-                                    _bump_tables, bayes_bound, build_kernel,
-                                    bump, bump_cdf, bump_deriv_sup,
+                                    V_QUAD_PANELS, _bump_tables, bayes_bound,
+                                    build_kernel, bump, bump_cdf,
+                                    bump_deriv_sup,
                                     log_likelihood_ratio,
                                     min_n_membership,
                                     shift_statistic, varsigma_sq)
@@ -188,6 +189,38 @@ class TestPlateauKernel:
         direct = composite_simpson(lambda z: kern.values(z) ** 2, -1.0, 1.0, 16384)
         assert kern.sq_integral == pytest.approx(direct, rel=1e-9)
 
+    @pytest.mark.parametrize("nu", [0.2, 0.1, 0.01])
+    def test_builds_in_bounded_memory(self, nu):
+        # int V^2 is not evaluated at construction
+        tracemalloc.start()
+        try:
+            kern = PlateauKernel(nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert kern.nu == nu
+
+    def test_sq_integral_is_the_quadrature_bitwise(self):
+        kern = PlateauKernel(0.1)
+        assert kern.sq_integral == composite_simpson(
+            lambda z: kern.values(z) ** 2, -1, 1, V_QUAD_PANELS)
+
+    def test_sq_integral_computed_once(self, monkeypatch):
+        calls = []
+        real = lowerbound.composite_simpson
+
+        def counting_simpson(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(lowerbound, "composite_simpson", counting_simpson)
+        kern = PlateauKernel(0.1)
+        assert calls == []
+        first = kern.sq_integral
+        assert kern.sq_integral == first
+        assert calls == [(-1.0, 1.0, V_QUAD_PANELS)]
+
 
 class TestMembershipThreshold:
     def test_collapses_to_one(self):
@@ -208,7 +241,8 @@ class TestMembershipThreshold:
         (0, r"nu must lie in \(0, 1/4\)"),
         (1, r"delta must lie in \(0, 1\)"),
         (2, r"beta must lie in \(1, 2\]"),
-    ], ids=["nu", "delta", "beta"])
+        (3, r"l_prime_sup must be positive and finite"),
+    ], ids=["nu", "delta", "beta", "l_prime_sup"])
     def test_rejects_non_finite(self, slot, match, bad):
         args = [0.1, 0.5, 2.0, 1.8]
         args[slot] = bad

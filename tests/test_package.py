@@ -336,6 +336,7 @@ _RANGE_RULES = [
     "leaves [0, 1] for h=",
     "unknown noise label",
     "seed must be an integer in [0, 2^64)",
+    "l_prime_sup must be positive and finite",
 ]
 
 
