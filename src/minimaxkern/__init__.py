@@ -17,9 +17,9 @@ from .lowerbound import (PerturbationSpec, PlateauKernel, bayes_bound,
                          build_kernel, log_likelihood_ratio,
                          min_n_membership, shift_statistic, varsigma_sq)
 from .martingale import (RealizedSplit, TruncationReport, normal_approx_check,
-                         tail_second_moment, truncated_mean,
-                         truncated_variance, truncation_report,
-                         truncation_split, zeta_dd_moment_check)
+                         tail_second_moment, truncated_variance,
+                         truncation_report, truncation_split,
+                         zeta_dd_moment_check)
 from .model import (FunctionSpec, NoiseSpec, ScaleSpec, constant_fn,
                     derive_seed, design_grid, flat_scale,
                     function_catalog, get_noise, linear_fn, noise_catalog,
@@ -54,6 +54,6 @@ __all__ = [
     "log_likelihood_ratio", "bayes_bound",
     # martingale
     "TruncationReport", "RealizedSplit", "tail_second_moment",
-    "truncated_mean", "truncated_variance", "truncation_report",
-    "truncation_split", "normal_approx_check", "zeta_dd_moment_check",
+    "truncated_variance", "truncation_report", "truncation_split",
+    "normal_approx_check", "zeta_dd_moment_check",
 ]

@@ -184,7 +184,7 @@ def _fmt(v) -> str:
 
 def _scale_from(config: ExperimentConfig) -> ScaleSpec:
     return ScaleSpec(config.alpha0, config.alpha1, config.alpha2,
-                     config.alpha3, label="config")
+                     config.alpha3)
 
 
 def _curves(config: ExperimentConfig, delta: float, default: tuple,

@@ -177,12 +177,12 @@ class DecompositionReport:
     law: WindowLaw
 
 
-def kernel_estimate(y: np.ndarray, cfg: EstimatorConfig) -> tuple[float, int]:
-    """Window average of the observations; returns (estimate, q_n)."""
+def kernel_estimate(y: np.ndarray, cfg: EstimatorConfig) -> float:
+    """Window average of the observations."""
     y = np.asarray(y, dtype=float)
     if y.shape != (cfg.n,):
         raise ValueError(f"expected {cfg.n} observations, got shape {y.shape}")
-    return window_sum(y[cfg.window_slice]) / cfg.q_n, cfg.q_n
+    return window_sum(y[cfg.window_slice]) / cfg.q_n
 
 
 def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig,

@@ -2,17 +2,18 @@
 
 The normalized stochastic term zeta_tilde = zeta_n / g(z0, S) is a sum of
 scaled noises over the estimation window.  Truncating each noise at
-a = q_n^(1/4) and re-centering yields a bounded martingale-difference part
-(whose sum approaches a standard Gaussian uniformly over the noise class)
-plus a tail part whose second moment is (G_n/q_n) * K_p(a), with
+a = q_n^(1/4) yields a bounded martingale-difference part (whose sum
+approaches a standard Gaussian uniformly over the noise class) plus a tail
+part whose second moment is (G_n/q_n) * K_p(a), with
 K_p(a) = E[xi^2 1{|xi| > a}] and G_n the window sum of g^2(x_k,S)/g^2(z0,S).
+Every noise law is symmetric about 0 (``model.NoiseSpec``), so
+E[xi 1{|xi| <= a}] = 0 and neither part needs re-centring.
 
 The split and its checks take the window law (``estimator.WindowLaw``) and
 the noise law, which fix the law of zeta_tilde; one window law serves all.
 
-Truncated moments are the closed forms the noise law carries (every law
-carries ``tail_second_moment`` and ``truncated_mean``), so they are exact
-to rounding: a centering error would bias the split directly.
+The tail moment is the closed form the noise law carries
+(``tail_second_moment``), so it is exact to rounding.
 """
 
 from __future__ import annotations
@@ -39,17 +40,9 @@ def tail_second_moment(noise: NoiseSpec, a: float) -> float:
     return float(noise.tail_second_moment(a))
 
 
-def truncated_mean(noise: NoiseSpec, a: float) -> float:
-    """E[xi 1{|xi| <= a}] (zero for the symmetric catalog entries)."""
-    check_threshold(a)
-    return float(noise.truncated_mean(a))
-
-
 def truncated_variance(noise: NoiseSpec, a: float) -> float:
-    """Var(xi 1{|xi| <= a}) from the law's two closed forms."""
-    m = truncated_mean(noise, a)
-    second = noise.variance - tail_second_moment(noise, a)
-    return second - m * m
+    """Var(xi 1{|xi| <= a}) = variance - K_p(a): the truncated mean is 0."""
+    return noise.variance - tail_second_moment(noise, a)
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,6 @@ def truncation_report(law: WindowLaw, noise: NoiseSpec) -> TruncationReport:
     nothing.  G_n/q_n is the law's sigma_n^2 / g0^2."""
     a = law.cfg.q_n ** 0.25
     k_p = tail_second_moment(noise, a)
-    m_above = noise.mean - truncated_mean(noise, a)
     a_n = truncated_variance(noise, a)
     g_n_over_qn = law.sigma_n_sq / law.g0 ** 2
     return TruncationReport(
@@ -89,7 +81,7 @@ def truncation_report(law: WindowLaw, noise: NoiseSpec) -> TruncationReport:
         g_n_over_qn=g_n_over_qn,
         r_n=g_n_over_qn * a_n,
         tau_n=law.cfg.k_hi,
-        second_moment_zeta_dd=g_n_over_qn * (k_p - m_above ** 2),
+        second_moment_zeta_dd=g_n_over_qn * k_p,
     )
 
 
@@ -97,21 +89,19 @@ def truncation_split(law: WindowLaw, noise: NoiseSpec, seed: int
                      ) -> tuple[TruncationReport, RealizedSplit]:
     """``truncation_report`` plus one drawn run split at a = q_n^(1/4).
 
-    zeta_prime sums the re-centered bounded parts up to the stopping index
-    tau_n (the index of the last window point, where the conditional
-    variance budget is exhausted); zeta_dd sums the tail parts.  Their sum
-    reconstructs zeta_n / g(z0, S) exactly.
+    zeta_prime sums the bounded parts up to the stopping index tau_n (the
+    index of the last window point, where the conditional variance budget
+    is exhausted); zeta_dd sums the tail parts.  Their sum reconstructs
+    zeta_n / g(z0, S) exactly.
     """
     report, scale_fac = truncation_report(law, noise), law.weights
     a = report.a_threshold
-    m_below = truncated_mean(noise, a)
-    m_above = noise.mean - m_below
 
     rng = rng_from_seed(seed)
     xi = np.asarray(noise.sampler(rng, law.cfg.q_n), dtype=float)
     below = np.abs(xi) <= a
-    u_prime = scale_fac * (np.where(below, xi, 0.0) - m_below)
-    u_dd = scale_fac * (np.where(below, 0.0, xi) - m_above)
+    u_prime = scale_fac * np.where(below, xi, 0.0)
+    u_dd = scale_fac * np.where(below, 0.0, xi)
 
     realized = RealizedSplit(
         zeta_prime=float(np.sum(u_prime)),
@@ -153,12 +143,11 @@ def zeta_dd_moment_check(law: WindowLaw, noise: NoiseSpec, reps: int,
     """Monte Carlo second moment of the tail part against its exact value.
 
     Returns (mc_estimate, mc_stderr, expected) with
-    expected = (G_n/q_n) * Var(xi 1{|xi| > a}).
+    expected = (G_n/q_n) * K_p(a).
     """
     check_reps(reps)
     report, w = truncation_report(law, noise), law.weights
     a = report.a_threshold
-    m_above = noise.mean - truncated_mean(noise, a)
 
     mag = below = None  # scratch, sized by the first (largest) block
 
@@ -169,7 +158,6 @@ def zeta_dd_moment_check(law: WindowLaw, noise: NoiseSpec, reps: int,
         r = xi.shape[0]
         np.less_equal(np.abs(xi, out=mag[:r]), a, out=below[:r])
         np.copyto(xi, 0.0, where=below[:r])
-        xi -= m_above
         xi *= w
         z_dd = xi.sum(axis=1)
         return z_dd * z_dd

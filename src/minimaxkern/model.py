@@ -9,8 +9,8 @@ regression curve,
 
 which keeps g uniformly bounded between sqrt(a0) and
 sqrt(a0 + a1 + a2 + a3) and Frechet-differentiable in S.  The module also
-carries the catalog of standardized noise laws (mean 0, variance 1), each
-with the closed forms of its moments.
+carries the catalog of standardized noise laws (symmetric about 0,
+variance 1), each with the closed forms of its moments.
 """
 
 from __future__ import annotations
@@ -153,7 +153,6 @@ class ScaleSpec:
     alpha1: float = 0.0
     alpha2: float = 0.0
     alpha3: float = 0.0
-    label: str = "scale"
     g_floor: float = field(init=False)
     g_ceil: float = field(init=False)
 
@@ -170,9 +169,9 @@ class ScaleSpec:
 def scale_catalog() -> dict[str, ScaleSpec]:
     """Non-degenerate built-in scales (every entry varies with x and S)."""
     return {
-        "mixed": ScaleSpec(1.0, 0.5, 0.5, 0.5, label="mixed"),
-        "spatial": ScaleSpec(1.0, 0.5, 0.25, 0.0, label="spatial"),
-        "oscillatory": ScaleSpec(1.0, 0.25, 1.0, 0.5, label="oscillatory"),
+        "mixed": ScaleSpec(1.0, 0.5, 0.5, 0.5),
+        "spatial": ScaleSpec(1.0, 0.5, 0.25, 0.0),
+        "oscillatory": ScaleSpec(1.0, 0.25, 1.0, 0.5),
     }
 
 
@@ -180,7 +179,7 @@ def flat_scale(level: float = 1.0) -> ScaleSpec:
     """Constant scale g = level (degenerate special case, mostly for tests)."""
     if level <= 0:
         raise ValueError("level must be positive")
-    return ScaleSpec(level * level, 0.0, 0.0, 0.0, label=f"flat({level:g})")
+    return ScaleSpec(level * level, 0.0, 0.0, 0.0)
 
 
 def _v_mean(scale: ScaleSpec, S: FunctionSpec) -> float:
@@ -219,13 +218,15 @@ MOMENT_BOUND = 10.0
 class NoiseSpec:
     """A standardized noise law: its sampler and closed forms.
 
-    ``abs_moment`` is the closed-form E|xi|^(2+MOMENT_EPSILON); ``member``
-    tells whether the law lies in the moment class (mean 0, variance 1 and
-    abs_moment <= MOMENT_BOUND).  ``tail_second_moment``
-    (a -> E[xi^2 1{|xi| > a}]) and ``truncated_mean`` (a -> E[xi 1{|xi| <= a}])
-    are the closed forms the truncation split needs; every law carries both.
-    ``gaussian`` marks the standard normal law, the one law for which the
-    risk has the exact folded-normal oracle.
+    Every law is symmetric about 0: xi and -xi have one law.  So its mean
+    and every truncated mean E[xi 1{|xi| <= a}] are 0, and the truncation
+    split re-centres nothing; a law that is not symmetric does not fit
+    this spec.  ``abs_moment`` is the closed-form E|xi|^(2+MOMENT_EPSILON);
+    ``member`` tells whether the law lies in the moment class (variance 1
+    and abs_moment <= MOMENT_BOUND).  ``tail_second_moment``
+    (a -> E[xi^2 1{|xi| > a}]) is the closed form the truncation split
+    needs.  ``gaussian`` marks the standard normal law, the one law for
+    which the risk has the exact folded-normal oracle.
 
     ``sampler(rng, size, out=None)`` draws ``size`` values from ``rng``.
     Given ``out`` (a C-contiguous float64 array of ``size`` values) it
@@ -236,18 +237,15 @@ class NoiseSpec:
 
     label: str
     sampler: Callable
-    mean: float
     variance: float
     abs_moment: float
     tail_second_moment: Callable[[float], float]
-    truncated_mean: Callable[[float], float]
     gaussian: bool = False
 
     @property
     def member(self) -> bool:
-        """Mean 0, variance 1, abs_moment <= MOMENT_BOUND: the moment class."""
-        return (self.mean == 0.0 and self.variance == 1.0
-                and self.abs_moment <= MOMENT_BOUND)
+        """Variance 1, abs_moment <= MOMENT_BOUND: the moment class."""
+        return self.variance == 1.0 and self.abs_moment <= MOMENT_BOUND
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -361,10 +359,6 @@ def _student5_tail_moment(a: float) -> float:
     return 2.0 / math.pi * (4.0 * t3 - 3.0 * t5)
 
 
-def _symmetric_truncated_mean(a: float) -> float:
-    return 0.0
-
-
 def _student5_abs3() -> float:
     # E|T_5|^3 = 5^(3/2) Gamma(2) Gamma(1) / (sqrt(pi) Gamma(5/2)), then
     # rescaled by (3/5)^(3/2).
@@ -373,48 +367,43 @@ def _student5_abs3() -> float:
 
 
 def noise_catalog() -> dict[str, NoiseSpec]:
-    """The five standardized noise laws (all mean 0, variance 1)."""
+    """The five standardized noise laws (all symmetric, variance 1)."""
     return {
         "gaussian": NoiseSpec(
             label="gaussian",
             sampler=_gaussian_sampler,
-            mean=0.0, variance=1.0,
+            variance=1.0,
             abs_moment=2.0 * math.sqrt(2.0 / math.pi),
             gaussian=True,
             tail_second_moment=_gaussian_tail_moment,
-            truncated_mean=_symmetric_truncated_mean,
         ),
         "uniform_std": NoiseSpec(
             label="uniform_std",
             sampler=_uniform_sampler,
-            mean=0.0, variance=1.0,
+            variance=1.0,
             abs_moment=3.0 * _SQRT3 / 4.0,
             tail_second_moment=_uniform_tail_moment,
-            truncated_mean=_symmetric_truncated_mean,
         ),
         "rademacher": NoiseSpec(
             label="rademacher",
             sampler=_rademacher_sampler,
-            mean=0.0, variance=1.0,
+            variance=1.0,
             abs_moment=1.0,
             tail_second_moment=lambda a: 1.0 if a < 1.0 else 0.0,  # atoms +-1
-            truncated_mean=_symmetric_truncated_mean,
         ),
         "laplace_std": NoiseSpec(
             label="laplace_std",
             sampler=_laplace_sampler,
-            mean=0.0, variance=1.0,
+            variance=1.0,
             abs_moment=3.0 / math.sqrt(2.0),
             tail_second_moment=_laplace_tail_moment,
-            truncated_mean=_symmetric_truncated_mean,
         ),
         "student5_std": NoiseSpec(
             label="student5_std",
             sampler=_student5_sampler,
-            mean=0.0, variance=1.0,
+            variance=1.0,
             abs_moment=_student5_abs3(),
             tail_second_moment=_student5_tail_moment,
-            truncated_mean=_symmetric_truncated_mean,
         ),
     }
 
@@ -424,9 +413,8 @@ def zero_noise() -> NoiseSpec:
     return NoiseSpec(
         label="zero",
         sampler=_zero_sampler,
-        mean=0.0, variance=0.0, abs_moment=0.0,
+        variance=0.0, abs_moment=0.0,
         tail_second_moment=lambda a: 0.0,
-        truncated_mean=_symmetric_truncated_mean,
     )
 
 
@@ -499,10 +487,12 @@ def replicate(noise: NoiseSpec, q_n: int, reps: int, seed: int,
     which is redrawn before the next call, but must not return a view of
     it (ValueError).  Every catalog sampler fills its output in stream
     order, so the block size never changes a value, and reruns are
-    bit-identical.
+    bit-identical.  ``q_n`` must be an integer >= 1 and ``reps`` a Monte
+    Carlo budget (``check_reps``); anything else is a ValueError.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    if not (isinstance(q_n, numbers.Integral) and q_n >= 1):
+        raise ValueError(f"q_n must be an integer >= 1, got {q_n}")
+    check_reps(reps)
     rng = rng_from_seed(seed)
     rows = max(1, REPLICATION_BLOCK_BYTES // (8 * q_n))
     buf = np.empty(min(rows, reps) * q_n)

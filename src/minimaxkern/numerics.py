@@ -64,9 +64,14 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def folded_normal_mean(m: float, s: float) -> float:
-    """E|X| for X ~ N(m, s^2):  s sqrt(2/pi) exp(-m^2/(2s^2)) + m (2 Phi(m/s) - 1)."""
-    if s <= 0:
-        raise ValueError("s must be positive")
+    """E|X| for X ~ N(m, s^2):  s sqrt(2/pi) exp(-m^2/(2s^2)) + m (2 Phi(m/s) - 1).
+
+    ``m`` must not be NaN and ``s`` must lie in (0, inf) (ValueError).
+    """
+    if math.isnan(m):
+        raise ValueError("m must not be NaN")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
     z = m / s
     return s * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z) \
         + m * math.erf(z / math.sqrt(2.0))

@@ -118,22 +118,21 @@ _COEFFICIENTS = st.one_of(st.just(0.0), st.floats(1e-6, 1e3),
 class TestKernelEstimate:
     def test_plain_average_when_window_covers_all(self):
         cfg = EstimatorConfig(n=5, beta=2.0, z0=0.5)
-        est, qn = kernel_estimate(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), cfg)
-        assert (est, qn) == (3.0, 5)
+        assert cfg.q_n == 5
+        assert kernel_estimate(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), cfg) == 3.0
 
     def test_constant_observations(self, cfg_1e5):
         y = np.full(cfg_1e5.n, 0.7)
-        est, qn = kernel_estimate(y, cfg_1e5)
+        est = kernel_estimate(y, cfg_1e5)
         assert est == pytest.approx(0.7, rel=1e-15)
-        assert qn == cfg_1e5.q_n
 
     @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
     def test_linearity(self, a, b):
         cfg = EstimatorConfig(n=200, beta=2.0, z0=0.5)
         rng = rng_from_seed(5)
         y = rng.standard_normal(200)
-        lhs, _ = kernel_estimate(a * y + b, cfg)
-        rhs = a * kernel_estimate(y, cfg)[0] + b
+        lhs = kernel_estimate(a * y + b, cfg)
+        rhs = a * kernel_estimate(y, cfg) + b
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     @given(n=st.integers(5, 2_000), seed=st.integers(0, 2 ** 32 - 1),
@@ -152,8 +151,9 @@ class TestKernelEstimate:
         rng = rng_from_seed(seed)
         y1 = rng.standard_normal(n)
         y2 = rng.standard_normal(n) + 2.0
-        lhs, q = kernel_estimate(a * y1 + b * y2, cfg)
-        rhs = a * kernel_estimate(y1, cfg)[0] + b * kernel_estimate(y2, cfg)[0]
+        q = cfg.q_n
+        lhs = kernel_estimate(a * y1 + b * y2, cfg)
+        rhs = a * kernel_estimate(y1, cfg) + b * kernel_estimate(y2, cfg)
         u = Fraction(1, 2 ** 53)
         window = cfg.window_slice
         m = (abs(Fraction(a)) * sum(map(Fraction, np.abs(y1[window])))
@@ -202,7 +202,7 @@ class TestDecomposition:
         y = sample_run(S, mixed_scale, gaussian, cfg.n, seed)
         xi = rng_from_seed(seed).standard_normal(cfg.n)
         dec = decompose(S, mixed_scale, cfg, xi=xi)
-        est_direct, _ = kernel_estimate(y, cfg)
+        est_direct = kernel_estimate(y, cfg)
         assert dec.estimate == pytest.approx(est_direct, abs=1e-12)
         # estimate - S(z0) - B_n equals the pure-noise window average
         from minimaxkern.model import scale_profile
@@ -243,7 +243,7 @@ class TestDecomposition:
         xi = gaussian.sampler(rng_from_seed(seed), n)
         y = sample_run(S, scale, gaussian, n, seed)
         assert (decompose(S, scale, cfg, xi=xi).estimate
-                == kernel_estimate(y, cfg)[0])
+                == kernel_estimate(y, cfg))
         assert np.array_equal(cfg.window_x, design_grid(n)[cfg.window_slice])
 
     def test_riemann_gap_bound_on_certified_family(self, certified_family):

@@ -343,7 +343,7 @@ class TestShiftVariance:
                 vvals = plateau_kernel_01.values((xw - 0.4) / bandwidth(n, 1.8))
                 g_w = scale_profile(scale, xw, pert.to_function())
                 direct = float(np.sum((vvals / g_w) ** 2)) / rate(n, 1.8) ** 2
-                assert varsigma_sq(pert, scale)[0] == direct, scale.label
+                assert varsigma_sq(pert, scale)[0] == direct, scale
 
     def test_flat_scale_riemann_limit(self, plateau_kernel_01):
         # with g = 1 the shift variance is a plain Riemann sum of V^2

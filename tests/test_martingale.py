@@ -8,12 +8,12 @@ from scipy.stats import laplace, norm, t
 
 from minimaxkern.estimator import EstimatorConfig, window_law
 from minimaxkern.martingale import (normal_approx_check,
-                                    tail_second_moment, truncated_mean,
-                                    truncated_variance, truncation_report,
-                                    truncation_split, zeta_dd_moment_check)
+                                    tail_second_moment, truncated_variance,
+                                    truncation_report, truncation_split,
+                                    zeta_dd_moment_check)
 from minimaxkern.model import (constant_fn, flat_scale, get_noise,
-                               noise_catalog, scale_catalog, scale_eval,
-                               scale_profile)
+                               noise_catalog, rng_from_seed, scale_catalog,
+                               scale_eval, scale_profile)
 from minimaxkern.risk import default_family
 
 ALL_NOISES = sorted(noise_catalog())
@@ -65,13 +65,12 @@ class TestTailSecondMoment:
         with pytest.raises(ValueError):
             tail_second_moment(get_noise("gaussian"), 0.0)
 
-    @pytest.mark.parametrize("moment", [tail_second_moment, truncated_mean,
-                                        truncated_variance])
+    @pytest.mark.parametrize("moment", [tail_second_moment, truncated_variance])
     @pytest.mark.parametrize("label", ALL_NOISES)
     @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_threshold_rule_fails_closed(self, moment, label, a):
-        # NaN used to pass the `a <= 0` check (Gaussian K_p gave nan,
-        # Rademacher's truncated mean 0.0), and a = inf gave nan
+        # NaN used to pass the `a <= 0` check (Gaussian K_p gave nan),
+        # and a = inf gave nan
         with pytest.raises(ValueError, match="a must be positive and finite"):
             moment(get_noise(label), a)
 
@@ -79,7 +78,6 @@ class TestTailSecondMoment:
 # thresholds from below the unit scale to far past n = 1e5 (a = 11.89) and
 # the n at which the Student-t(5) tail first drops below 1e-3 (a = 20.57)
 CLOSED_FORM_THRESHOLDS = [0.5, 2.0, 11.89, 20.57, 40.0]
-SYMMETRIC_CONTINUOUS = ["gaussian", "laplace_std", "student5_std", "uniform_std"]
 # (a, K_p(a)) for Rademacher, on both sides of its atoms and at n = 1e5
 RADEMACHER_TAILS = [(0.5, 1.0), (math.nextafter(1.0, 0.0), 1.0), (1.0, 0.0),
                     (math.nextafter(1.0, 2.0), 0.0), (2.0, 0.0), (11.89, 0.0)]
@@ -101,20 +99,12 @@ class TestClosedFormMoments:
         val = tail_second_moment(get_noise("student5_std"), a)
         assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("label", SYMMETRIC_CONTINUOUS)
-    def test_truncated_mean_exactly_zero(self, label):
-        noise = get_noise(label)
-        assert all(truncated_mean(noise, a) == 0.0
-                   for a in CLOSED_FORM_THRESHOLDS)
-
     @pytest.mark.parametrize("a,rademacher_k_p", RADEMACHER_TAILS)
     def test_atomic_closed_forms_pinned(self, a, rademacher_k_p):
         # both Rademacher atoms +-1 lie beyond a exactly when a < 1; the
         # zero law's one atom never does
         assert tail_second_moment(get_noise("rademacher"), a) == rademacher_k_p
-        assert truncated_mean(get_noise("rademacher"), a) == 0.0
         assert tail_second_moment(get_noise("zero"), a) == 0.0
-        assert truncated_mean(get_noise("zero"), a) == 0.0
 
     def test_moments_follow_the_law_not_its_label(self):
         # a law labelled "gaussian" gets the moments it carries
@@ -127,10 +117,6 @@ class TestClosedFormMoments:
 
 
 class TestTruncatedMoments:
-    @pytest.mark.parametrize("label", ALL_NOISES)
-    def test_mean_vanishes_by_symmetry(self, label):
-        assert abs(truncated_mean(get_noise(label), 1.7)) < 1e-12
-
     def test_rademacher_variance_untouched(self):
         assert truncated_variance(get_noise("rademacher"), 1.0) == 1.0
         assert truncated_variance(get_noise("rademacher"), 3.0) == 1.0
@@ -223,12 +209,11 @@ class TestTruncationSplit:
             noise = get_noise(label)
             report, real = truncation_split(law, noise, seed=3)
             a = report.a_threshold
-            m_below = truncated_mean(noise, a)
             g_w = scale_profile(mixed_scale, cfg.window_x, S)
             g0 = scale_eval(mixed_scale, 0.5, S)
             below = np.abs(real.xi) <= a
             u_prime = (g_w / g0 / math.sqrt(cfg.q_n)
-                       * (np.where(below, real.xi, 0.0) - m_below))
+                       * np.where(below, real.xi, 0.0))
             assert np.max(np.abs(u_prime)) <= bound
 
     def test_r_n_close_to_one_at_large_n(self, mixed_scale):
@@ -259,14 +244,15 @@ class TestNormalApproximation:
         ks = normal_approx_check(law, get_noise("gaussian"), reps, seed=11)
         assert ks < 2.0 / math.sqrt(reps)
 
-    def test_centering_kills_truncation_bias(self):
-        # sample mean of the re-centered bounded part over 1e6 draws
-        from minimaxkern.model import rng_from_seed
-        noise = get_noise("student5_std")
+    @pytest.mark.parametrize("label", [*ALL_NOISES, "zero"])
+    def test_truncated_part_is_centred_by_symmetry(self, label):
+        # the symmetry contract of NoiseSpec: the split re-centres nothing,
+        # so the bounded part xi 1{|xi| <= a} must have mean 0 (1e6 draws)
+        noise = get_noise(label)
         a = 11.0
-        rng = rng_from_seed(500)
-        xi = np.asarray(noise.sampler(rng, 1_000_000), dtype=float)
-        xp = np.where(np.abs(xi) <= a, xi, 0.0) - truncated_mean(noise, a)
+        xi = np.asarray(noise.sampler(rng_from_seed(500), 1_000_000),
+                        dtype=float)
+        xp = np.where(np.abs(xi) <= a, xi, 0.0)
         se = xp.std(ddof=1) / 1_000.0
         assert abs(xp.mean()) <= 3 * se
 

@@ -121,7 +121,6 @@ class TestNoiseCatalog:
     def test_certificates(self):
         for label, noise in noise_catalog().items():
             assert noise.member, label
-            assert noise.mean == 0.0
             assert noise.variance == 1.0
             assert noise.abs_moment <= 10.0
 
@@ -129,7 +128,6 @@ class TestNoiseCatalog:
         gaussian = get_noise("gaussian")
         assert replace(gaussian, abs_moment=MOMENT_BOUND).member
         assert not replace(gaussian, abs_moment=MOMENT_BOUND * 1.01).member
-        assert not replace(gaussian, mean=0.1).member
         assert not replace(gaussian, variance=2.0).member
 
     def test_gaussian_third_moment(self):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -81,11 +82,9 @@ def test_no_unused_imports():
 
 
 # Parameters that a protocol fixes but one implementation does not need:
-# the zero law draws nothing from its generator, and a symmetric law's
-# truncated mean is 0 at every threshold.
+# the zero law draws nothing from its generator.
 _UNREAD_PROTOCOL_SLOTS = {
     ("model.py", "_zero_sampler", "rng"),
-    ("model.py", "_symmetric_truncated_mean", "a"),
 }
 
 
@@ -214,6 +213,22 @@ def test_readme_schema_table_names_every_column(tmp_path):
         assert header == documented[command], command
 
 
+def test_readme_model_row_names_every_noise_field():
+    # the README's `minimaxkern.model` row names each NoiseSpec field in
+    # a code span, so the docs cannot keep a removed field or miss a new one
+    from minimaxkern.model import NoiseSpec
+
+    readme = (ROOT / "README.md").read_text()
+    rows = [line for line in readme.splitlines()
+            if line.startswith("| `minimaxkern.model` |")]
+    assert len(rows) == 1
+    documented = set(re.findall(r"\w+", " ".join(
+        re.findall(r"`([^`]*)`", rows[0]))))
+    fields = {f.name for f in dataclasses.fields(NoiseSpec)}
+    assert fields - documented == set()
+    assert "truncated_mean" not in rows[0]
+
+
 def test_readme_manifest_names_every_key(tmp_path):
     # every key of a risk-table certification entry and of the counters of
     # risk-table and clt-check is named in code spans of the README's
@@ -330,6 +345,7 @@ _RANGE_RULES = [
     "alpha0 must be positive",
     "alpha1..alpha3 must be non-negative",
     "reps must be >= 2",
+    "q_n must be an integer >= 1",
     "reps must be >= {NORMAL_CHECK_MIN_REPS}",  # clt-check's floor, 100
     "a must be positive and finite",
     "bandwidth h must be positive",
@@ -337,6 +353,8 @@ _RANGE_RULES = [
     "unknown noise label",
     "seed must be an integer in [0, 2^64)",
     "l_prime_sup must be positive and finite",
+    "m must not be NaN",
+    "s must be positive and finite",
 ]
 
 

@@ -11,10 +11,10 @@ from minimaxkern import risk as risk_module
 from minimaxkern.estimator import EstimatorConfig, decompose
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.lowerbound import PerturbationSpec, build_kernel
-from minimaxkern.model import (FunctionSpec, constant_fn, flat_scale,
-                               function_catalog, get_noise, noise_catalog,
-                               replicate, rng_from_seed, scale_eval,
-                               zero_noise)
+from minimaxkern.model import (FunctionSpec, ScaleSpec, constant_fn,
+                               flat_scale, function_catalog, get_noise,
+                               noise_catalog, replicate, rng_from_seed,
+                               scale_eval, zero_noise)
 from minimaxkern.numerics import folded_normal_mean
 from minimaxkern.risk import (DEFAULT_TABLE_LABELS, EFFICIENCY_CONSTANT,
                               RiskConfig, _family_stats,
@@ -48,9 +48,16 @@ class TestFoldedNormalMean:
     def test_even_in_mean(self, m, s):
         assert folded_normal_mean(-m, s) == folded_normal_mean(m, s)
 
-    def test_rejects_nonpositive_sd(self):
-        with pytest.raises(ValueError):
-            folded_normal_mean(0.0, 0.0)
+    @pytest.mark.parametrize("m, s, match", [
+        (0.0, 0.0, "s must be positive and finite"),
+        (math.nan, 1.0, "m must not be NaN"),
+        (0.0, math.nan, "s must be positive and finite"),
+        (0.0, math.inf, "s must be positive and finite"),
+        (1.0, -1.0, "s must be positive and finite")])
+    def test_rejects_nan_mean_and_bad_sd(self, m, s, match):
+        # a NaN m or s once returned nan without a word
+        with pytest.raises(ValueError, match=match):
+            folded_normal_mean(m, s)
 
 
 def _single_config(S, scale, n=100_000, delta=0.1, reps=100, seed=42):
@@ -231,6 +238,14 @@ class TestSupRisks:
         rcs[1] = dataclasses.replace(rcs[1], **{name: other})
         with pytest.raises(ValueError, match=name):
             sup_risks(rcs, [gaussian])
+
+    def test_scales_with_equal_alphas_are_one_scale(self, gaussian):
+        # a scale is its alphas: flat_scale() and ScaleSpec(1.0) score on
+        # shared draws, as two configs with the same scale do
+        rcs = self._configs(flat_scale())
+        rcs[1] = dataclasses.replace(rcs[1], scale=ScaleSpec(1.0))
+        assert sup_risks(rcs, [gaussian]) == sup_risks(
+            self._configs(flat_scale()), [gaussian])
 
     def test_rejects_empty_inputs(self, mixed_scale, gaussian):
         with pytest.raises(ValueError):
@@ -492,9 +507,18 @@ class TestReplicationEngine:
             assert np.array_equal(rows, flat), budget
             assert np.array_equal(sums, (flat * weights).sum(axis=1)), budget
 
-    def test_replicate_rejects_zero_reps(self, gaussian):
-        with pytest.raises(ValueError):
-            replicate(gaussian, 10, 0, 1, np.sum)
+    @pytest.mark.parametrize("q_n, reps, match", [
+        (10, 0, "reps must be >= 2 and an integer"),
+        (10, 1, "reps must be >= 2 and an integer"),
+        (10, 2.5, "reps must be >= 2 and an integer"),
+        (0, 5, "q_n must be an integer >= 1"),
+        (2.5, 5, "q_n must be an integer >= 1"),
+        (10.0, 5, "q_n must be an integer >= 1")])
+    def test_replicate_rejects_zero_reps(self, gaussian, q_n, reps, match):
+        # q_n = 0 once raised ZeroDivisionError, and q_n = 2.5 or
+        # reps = 2.5 a TypeError
+        with pytest.raises(ValueError, match=match):
+            replicate(gaussian, q_n, reps, 1, np.sum)
 
     @pytest.mark.parametrize("stat", [lambda xi: xi, lambda xi: xi[:, 0]])
     def test_replicate_rejects_a_view_of_the_block(self, gaussian, stat):
