@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import laplace, norm, t
+from scipy.stats import ks_2samp, laplace, norm, t
 
 from minimaxkern.estimator import EstimatorConfig, window_law
 from minimaxkern.martingale import (normal_approx_check,
@@ -66,7 +66,7 @@ class TestTailSecondMoment:
             tail_second_moment(get_noise("gaussian"), 0.0)
 
     @pytest.mark.parametrize("moment", [tail_second_moment, truncated_variance])
-    @pytest.mark.parametrize("label", ALL_NOISES)
+    @pytest.mark.parametrize("label", [*ALL_NOISES, "zero"])
     @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_threshold_rule_fails_closed(self, moment, label, a):
         # NaN used to pass the `a <= 0` check (Gaussian K_p gave nan),
@@ -131,6 +131,18 @@ class TestTruncatedMoments:
         noise = get_noise(label)
         gap = abs(truncated_variance(noise, a) - 1.0)
         assert gap <= 2.0 * tail_second_moment(noise, a) + 1e-12
+
+    @pytest.mark.parametrize("label", [*ALL_NOISES, "zero"])
+    def test_truncated_variance_matches_draws(self, label):
+        # the truncated mean is 0 by symmetry, so Var(xi 1{|xi| <= a}) is
+        # the draws' mean of (xi 1{|xi| <= a})^2 (1e6 draws)
+        noise = get_noise(label)
+        a = 1.7
+        xi = np.asarray(noise.sampler(rng_from_seed(77), 1_000_000),
+                        dtype=float)
+        sq = np.where(np.abs(xi) <= a, xi, 0.0) ** 2
+        se = sq.std(ddof=1) / 1_000.0
+        assert abs(sq.mean() - truncated_variance(noise, a)) <= 3 * se
 
 
 class TestTruncationSplit:
@@ -255,6 +267,16 @@ class TestNormalApproximation:
         xp = np.where(np.abs(xi) <= a, xi, 0.0)
         se = xp.std(ddof=1) / 1_000.0
         assert abs(xp.mean()) <= 3 * se
+
+    @pytest.mark.parametrize("label", [*ALL_NOISES, "zero"])
+    def test_draws_are_symmetric_in_law(self, label):
+        # the whole symmetry contract, not only its first moment: xi and
+        # -xi have one law (two-sample KS on independent 2e5-draw samples)
+        noise = get_noise(label)
+        xi = np.asarray(noise.sampler(rng_from_seed(501), 200_000), dtype=float)
+        minus = -np.asarray(noise.sampler(rng_from_seed(502), 200_000),
+                            dtype=float)
+        assert ks_2samp(xi, minus).pvalue > 1e-3
 
     def test_moment_check_agrees_with_identity(self, mixed_scale):
         cfg = EstimatorConfig(n=20_000, beta=2.0, z0=0.5)
