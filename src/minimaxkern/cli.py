@@ -62,8 +62,6 @@ class ConfigError(Exception):
     """Invalid experiment configuration (maps to exit code 2)."""
 
 
-COMMANDS = ("risk-table", "lower-bound", "clt-check", "holder-check", "convergence")
-
 DEFAULT_SEED = 42
 
 
@@ -410,6 +408,8 @@ _DISPATCH = {
     "holder-check": _holder_check,
     "convergence": _convergence,
 }
+
+COMMANDS = tuple(_DISPATCH)
 
 
 def _write_csv(path: Path, columns: list[str], rows: list[list]) -> None:

@@ -127,29 +127,30 @@ class PlateauKernel:
                                  V_QUAD_PANELS)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """V_nu(x) = (1/nu) int Qtilde_nu(u) l((u - x)/nu) du.
+        """V_nu(x) = (1/nu) int Qtilde_nu(u) l((u - x)/nu) du: ``_convolve``
+        with the bump's CDF.
 
-        Only the transition band 1-3nu < |x| < 1 touches the CDF table (see
-        ``_cdf_terms``).  Elsewhere every CDF argument saturates at 0 or 1,
-        so the formula's value is exactly 1.0 on the plateau and 0.0 beyond
-        the support; those points take it directly, cut with a margin of
-        nu/2 on each side of the band, and NaN stays in the band.  The
-        result is bitwise the formula's at every point.
+        Only the transition band 1-3nu < |x| < 1 touches the CDF table.
+        Elsewhere every CDF argument saturates at 0 or 1, so the formula's
+        value is exactly 1.0 on the plateau and 0.0 beyond the support;
+        those points take it directly, cut with a margin of nu/2 on each
+        side of the band, and NaN stays in the band.  The result is bitwise
+        the formula's at every point.
         """
         x = np.asarray(x, dtype=float)
         plateau, band = self._split(x)
         out = np.where(plateau, 1.0, 0.0)
-        out[band] = self._cdf_terms(x[band])
+        out[band] = self._convolve(x[band], bump_cdf, 1.0)
         return out
 
     def deriv(self, x: np.ndarray) -> np.ndarray:
-        """Exact derivative of V_nu from the bump itself (see
-        ``_density_terms``); exactly 0.0 outside the transition band, split
-        as in ``values``."""
+        """Exact derivative of V_nu: ``_convolve`` with the bump itself,
+        weighted -1/nu; exactly 0.0 outside the transition band, split as
+        in ``values``."""
         x = np.asarray(x, dtype=float)
         _, band = self._split(x)
         out = np.zeros(x.shape)
-        out[band] = self._density_terms(x[band])
+        out[band] = self._convolve(x[band], bump, -1.0 / self.nu)
         return out
 
     def _split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,41 +161,17 @@ class PlateauKernel:
         plateau = ax <= 1.0 - 3.5 * self.nu
         return plateau, ~(plateau | (ax >= 1.0 + 0.5 * self.nu))
 
-    def _cdf_terms(self, x: np.ndarray) -> np.ndarray:
-        """The convolution at every point of ``x``, through the CDF table.
-
-        Qtilde_nu has three pieces: height 1 on [-(1-2nu), 1-2nu] and
-        height 2 on [1-2nu, 1-nu] and on [-(1-nu), -(1-2nu)].  They share
-        the endpoints +-(1-2nu), so bump_cdf is evaluated at four points, not
-        six; each shared value is dropped once its last piece is added.
-        """
+    def _convolve(self, x: np.ndarray, f, w: float) -> np.ndarray:
+        """Sum over the pieces (height, lo, hi) of Qtilde_nu of
+        height * w * (f((hi - x)/nu) - f((lo - x)/nu)), at every point of
+        ``x``, piece by piece in the table's order."""
         inner, outer = 1.0 - 2.0 * self.nu, 1.0 - self.nu
-
-        def cdf(e: float) -> np.ndarray:
-            return bump_cdf((e - x) / self.nu)
-
-        c_in, c_neg_in = cdf(inner), cdf(-inner)
+        pieces = ((1.0, -inner, inner), (2.0, inner, outer),
+                  (2.0, -outer, -inner))
         out = np.zeros(x.shape)
-        out = out + 1.0 * (c_in - c_neg_in)
-        out = out + 2.0 * (cdf(outer) - c_in)
-        del c_in
-        out = out + 2.0 * (c_neg_in - cdf(-outer))
-        return out
-
-    def _density_terms(self, x: np.ndarray) -> np.ndarray:
-        """The derivative at every point of ``x``, piece by piece as in
-        ``_cdf_terms``."""
-        inner, outer = 1.0 - 2.0 * self.nu, 1.0 - self.nu
-
-        def dens(e: float) -> np.ndarray:
-            return bump((e - x) / self.nu)
-
-        d_in, d_neg_in = dens(inner), dens(-inner)
-        out = np.zeros(x.shape)
-        out = out + (1.0 / self.nu) * (d_neg_in - d_in)
-        out = out + (2.0 / self.nu) * (d_in - dens(outer))
-        del d_in
-        out = out + (2.0 / self.nu) * (dens(-outer) - d_neg_in)
+        for height, lo, hi in pieces:
+            out = out + (height * w) * (f((hi - x) / self.nu)
+                                        - f((lo - x) / self.nu))
         return out
 
 
@@ -211,7 +188,10 @@ def pure_noise_scale(scale: ScaleSpec, z0: float) -> float:
 
 
 def sigma_nu_sq(kernel: PlateauKernel, g_z0: float) -> float:
-    """sigma_nu^2 = int_{-1}^{1} V_nu^2 / g_z0^2."""
+    """sigma_nu^2 = int_{-1}^{1} V_nu^2 / g_z0^2, for g_z0 positive and
+    finite (ValueError otherwise)."""
+    if not 0.0 < g_z0 < math.inf:
+        raise ValueError(f"g_z0 must be positive and finite, got {g_z0}")
     return kernel.sq_integral / g_z0 ** 2
 
 
@@ -319,9 +299,7 @@ def bayes_bound(kernel: PlateauKernel, b: float, g_z0: float) -> float:
     expm1.  Increases in b and tends to 1/sqrt(pi) as b -> inf, nu -> 0.
     """
     check_b(b)
-    if not 0.0 < g_z0 < math.inf:
-        raise ValueError(f"g_z0 must be positive and finite, got {g_z0}")
-    sigma_sq = sigma_nu_sq(kernel, g_z0)
+    sigma_sq = sigma_nu_sq(kernel, g_z0)  # checks g_z0
     sigma = math.sqrt(sigma_sq)
     root_b = math.sqrt(b)
     integral = 2.0 / g_z0 * -math.expm1(-0.5 * sigma_sq * b) / sigma_sq

@@ -149,15 +149,8 @@ def zeta_dd_moment_check(law: WindowLaw, noise: NoiseSpec, reps: int,
     report, w = truncation_report(law, noise), law.weights
     a = report.a_threshold
 
-    mag = below = None  # scratch, sized by the first (largest) block
-
     def squared_tail_sum(xi: np.ndarray) -> np.ndarray:
-        nonlocal mag, below
-        if mag is None:
-            mag, below = np.empty_like(xi), np.empty(xi.shape, dtype=bool)
-        r = xi.shape[0]
-        np.less_equal(np.abs(xi, out=mag[:r]), a, out=below[:r])
-        np.copyto(xi, 0.0, where=below[:r])
+        np.copyto(xi, 0.0, where=np.abs(xi) <= a)
         xi *= w
         z_dd = xi.sum(axis=1)
         return z_dd * z_dd

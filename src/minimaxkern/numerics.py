@@ -15,8 +15,8 @@ def composite_simpson(f: Callable, a: float, b: float, panels: int) -> float:
     """Integrate ``f`` over ``[a, b]`` with a fixed number of parabolic panels.
 
     ``f`` receives the 2*panels + 1 equispaced nodes as a 1-D array and
-    returns one value per node or one scalar for all of them.  Results are
-    deterministic for a given panel count.
+    returns one value per node: any other shape, a scalar included, is a
+    ValueError.  Results are deterministic for a given panel count.
     """
     if panels < 1:
         raise ValueError("panels must be a positive integer")
@@ -24,8 +24,6 @@ def composite_simpson(f: Callable, a: float, b: float, panels: int) -> float:
         raise ValueError("integration bounds must satisfy a <= b")
     x = np.linspace(a, b, 2 * panels + 1)
     y = np.asarray(f(x), dtype=float)
-    if y.shape == ():
-        y = np.broadcast_to(y, x.shape)
     if y.shape != x.shape:
         raise ValueError(f"integrand gave shape {y.shape}, not {x.shape}")
     step = (b - a) / (2 * panels)

@@ -186,7 +186,6 @@ def sup_risks(rcs: Sequence[RiskConfig],
     j = 0  # index of a member in the scored, flattened families
     for rc, family_decs in zip(rcs, decs):
         rows: list[RiskRow] = []
-        best = None
         for S, dec in zip(rc.family, family_decs):
             for noise, cell in zip(noise_list, risks):
                 mc, se = cell[j]
@@ -194,12 +193,10 @@ def sup_risks(rcs: Sequence[RiskConfig],
                 rows.append(RiskRow(function=S.label, noise=noise.label,
                                     risk_mc=mc, stderr=se, risk_oracle=oracle,
                                     phin_bn=cfg.phi_n * dec.b_n))
-                if best is None or mc > best[0]:
-                    best = (mc, S.label, noise.label)
             j += 1
-        assert best is not None
-        reports.append(RiskReport(rows=tuple(rows), sup_risk=best[0],
-                                  attained_by=(best[1], best[2])))
+        best = max(rows, key=lambda row: row.risk_mc)
+        reports.append(RiskReport(rows=tuple(rows), sup_risk=best.risk_mc,
+                                  attained_by=(best.function, best.noise)))
     return reports
 
 

@@ -172,7 +172,6 @@ class TestDecomposition:
         assert dec.b_n == 0.0
         assert dec.integral_term == 0.0
         assert dec.r_n == 0.0
-        assert dec.estimate == pytest.approx(0.3)
 
     def test_constant_scale_gives_exact_variance(self):
         cfg = EstimatorConfig(n=2_000, beta=2.0, z0=0.5)
@@ -201,15 +200,13 @@ class TestDecomposition:
         seed = 314
         y = sample_run(S, mixed_scale, gaussian, cfg.n, seed)
         xi = rng_from_seed(seed).standard_normal(cfg.n)
-        dec = decompose(S, mixed_scale, cfg, xi=xi)
-        est_direct = kernel_estimate(y, cfg)
-        assert dec.estimate == pytest.approx(est_direct, abs=1e-12)
+        dec = decompose(S, mixed_scale, cfg)
         # estimate - S(z0) - B_n equals the pure-noise window average
-        from minimaxkern.model import scale_profile
         g_w = scale_profile(mixed_scale, cfg.window_x, S)
         noise_avg = float(np.sum(g_w * xi[cfg.window_slice])) / cfg.q_n
         s0 = float(np.asarray(S.eval(0.5)))
-        assert dec.estimate - s0 - dec.b_n == pytest.approx(noise_avg, abs=1e-12)
+        assert (kernel_estimate(y, cfg) - s0 - dec.b_n
+                == pytest.approx(noise_avg, abs=1e-12))
 
     @pytest.mark.parametrize("n", [1_000, 100_000])
     @pytest.mark.parametrize("scale", [*scale_catalog().values(), flat_scale()],
@@ -234,16 +231,17 @@ class TestDecomposition:
     @settings(max_examples=150)
     def test_one_window_reconstructs_sampled_estimate(
             self, fixed_curves, gaussian, n, z0, beta, curve, scale, seed):
-        # decompose and kernel_estimate sum over one window: the known-draw
-        # estimate is bitwise the estimate of the sampled run
+        # the window law and kernel_estimate read one window: the sampled
+        # run's estimate is bitwise the window sum of S + g xi over it
         cfg = EstimatorConfig(n=n, beta=beta, z0=z0)
         curves = [*default_family(cfg, 0.1),
                   *fixed_curves(z0).values()]
         S = curves[curve]
         xi = gaussian.sampler(rng_from_seed(seed), n)
         y = sample_run(S, scale, gaussian, n, seed)
-        assert (decompose(S, scale, cfg, xi=xi).estimate
-                == kernel_estimate(y, cfg))
+        law = window_law(S, scale, cfg)
+        y_w = S.eval(cfg.window_x) + law.g_window * xi[cfg.window_slice]
+        assert kernel_estimate(y, cfg) == window_sum(y_w) / cfg.q_n
         assert np.array_equal(cfg.window_x, design_grid(n)[cfg.window_slice])
 
     def test_riemann_gap_bound_on_certified_family(self, certified_family):

@@ -16,7 +16,8 @@ from minimaxkern.lowerbound import (PerturbationSpec, PlateauKernel,
                                     bump_deriv_sup,
                                     log_likelihood_ratio,
                                     min_n_membership,
-                                    shift_statistic, varsigma_sq)
+                                    shift_statistic, sigma_nu_sq,
+                                    varsigma_sq)
 from minimaxkern.model import (constant_fn, derive_seed, design_grid,
                                flat_scale, rng_from_seed, scale_catalog,
                                scale_eval, scale_profile)
@@ -182,7 +183,7 @@ class TestPlateauKernel:
         assert kern.values(flat).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
         assert sum(looked_up) == 0
         kern.values(np.array([0.0, 0.8, -0.95, 2.0]))
-        assert sum(looked_up) == 4 * 2  # four table reads per band point
+        assert sum(looked_up) == 6 * 2  # two reads per piece per band point
 
     def test_sq_integral_matches_quadrature(self):
         kern = build_kernel(0.1)
@@ -511,3 +512,9 @@ class TestBayesBound:
             bayes_bound(kern, bad, 1.0)
         with pytest.raises(ValueError, match="g_z0 must be positive"):
             bayes_bound(kern, 10.0, bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_nu_sq_rejects_bad_scale(self, bad):
+        with pytest.raises(ValueError,
+                           match="g_z0 must be positive and finite"):
+            sigma_nu_sq(build_kernel(0.1), bad)

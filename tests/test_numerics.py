@@ -24,10 +24,6 @@ class TestCompositeSimpson:
         with pytest.raises(ValueError):
             composite_simpson(np.sin, 0.0, 1.0, 0)
 
-    def test_scalar_integrand_broadcast(self):
-        val = composite_simpson(lambda x: 1.0, 0.0, 3.0, 8)
-        assert val == pytest.approx(3.0, abs=1e-14)
-
     def test_one_dimensional_rule_bitwise(self):
         # the 1-D rule as a plain sum of endpoint, odd and even nodes
         for f, a, b, panels in ((np.sin, 0.0, math.pi, 2048),
@@ -40,7 +36,7 @@ class TestCompositeSimpson:
             got = composite_simpson(f, a, b, panels)
             assert type(got) is float and got == want
 
-    @pytest.mark.parametrize("shape", [(2, 17), (1, 17), (1,), (16,)])
+    @pytest.mark.parametrize("shape", [(2, 17), (1, 17), (1,), (16,), ()])
     def test_rejects_integrand_that_is_not_one_row(self, shape):
         # 8 panels give 17 nodes; a (2, 17) integrand was once batched
         with pytest.raises(ValueError, match="integrand gave shape"):

@@ -342,6 +342,7 @@ _RANGE_RULES = [
     "delta must lie in (0, 1)",
     "nu must lie in (0, 1/4)",
     "b must exceed 1",
+    "g_z0 must be positive and finite",
     "alpha0 must be positive",
     "alpha1..alpha3 must be non-negative",
     "reps must be >= 2",

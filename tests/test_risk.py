@@ -8,13 +8,14 @@ from hypothesis import given, strategies as st
 from conftest import certify_on_grid, probe_grid
 from minimaxkern import model
 from minimaxkern import risk as risk_module
-from minimaxkern.estimator import EstimatorConfig, decompose
+from minimaxkern.estimator import EstimatorConfig, decompose, kernel_estimate
 from minimaxkern.holder import WeakHolderParams, check_weak_holder
 from minimaxkern.lowerbound import PerturbationSpec, build_kernel
 from minimaxkern.model import (FunctionSpec, ScaleSpec, constant_fn,
-                               flat_scale, function_catalog, get_noise,
-                               noise_catalog, replicate, rng_from_seed,
-                               scale_eval, zero_noise)
+                               design_grid, flat_scale, function_catalog,
+                               get_noise, noise_catalog, replicate,
+                               rng_from_seed, scale_eval, scale_profile,
+                               zero_noise)
 from minimaxkern.numerics import folded_normal_mean
 from minimaxkern.risk import (DEFAULT_TABLE_LABELS, EFFICIENCY_CONSTANT,
                               RiskConfig, _family_stats,
@@ -404,8 +405,8 @@ class TestReplicationEngine:
     @pytest.mark.parametrize("n", [1_000, 100_000])
     @pytest.mark.parametrize("label", ["gaussian", "student5_std"])
     def test_statistic_matches_decompose(self, mixed_scale, n, label):
-        # the engine's per-replication statistic against the fsum
-        # reconstruction of the estimate from the same window draws
+        # the engine's per-replication statistic against kernel_estimate of
+        # a run whose window carries the same draws
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         noise = get_noise(label)
         fam = default_family(cfg, 0.1)
@@ -415,9 +416,13 @@ class TestReplicationEngine:
                               rc, noise)
         assert stats.shape == (len(fam), rc.reps)
         draws = noise.sampler(rng_from_seed(rc.seed), rc.reps * cfg.q_n)
+        x = design_grid(n)
+        xi_full = np.zeros(n)
         for i, xi in enumerate(draws.reshape(rc.reps, cfg.q_n)):
+            xi_full[cfg.window_slice] = xi
             for S, row in zip(fam, stats):
-                est = decompose(S, mixed_scale, cfg, xi=xi).estimate
+                y = S.eval(x) + scale_profile(mixed_scale, x, S) * xi_full
+                est = kernel_estimate(y, cfg)
                 s0 = float(S.eval(cfg.z0))
                 g0 = scale_eval(mixed_scale, cfg.z0, S)
                 expected = cfg.phi_n * abs(est - s0) / g0
