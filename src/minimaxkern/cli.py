@@ -4,7 +4,7 @@ Reads a line-oriented ``key = value`` experiment file, dispatches to the
 estimation/risk/diagnostic modules and writes one CSV per command plus a
 JSON manifest.  Identical configs produce byte-identical CSV bodies.  A
 ranged key is checked by the library's own rule for it (see ``_KEYS``);
-non-finite numbers and repeated list entries are config errors.
+non-finite numbers and empty or repeated list entries are config errors.
 ``function_list`` is read by ``_curves`` alone: ``risk-table`` and
 ``holder-check`` call it per (n, delta), since the bump follows n, and
 ``clt-check`` and ``convergence`` once, at their one delta.
@@ -13,17 +13,18 @@ non-finite numbers and repeated list entries are config errors.
 worker thread per CPU this process may use (``available_cpus``), at most
 one per cell; numpy's samplers and large reductions release the
 interpreter lock, so the cells overlap.  CPU affinity (e.g. ``taskset``)
-caps the pool.  The pool starts the costliest cell first: cells go in by
-decreasing expected draw time, q_n times the seconds per value of the
-cell's law, which one warm probe of each law's sampler measures on a
-throwaway generator (longest processing time first; the longest cell
-bounds the wall time, so it must not start last).  The serial path probes
-nothing.  Every cell keeps the seed of its position in the sorted cell
+caps the pool; one CPU gives one worker thread.  The pool starts the
+costliest cell first: cells go in by decreasing expected draw time, q_n
+times the seconds per value of the cell's law, which one warm probe of
+each law's sampler measures on a throwaway generator (longest processing
+time first; the longest cell bounds the wall time, so it must not start
+last).  Every cell keeps the seed of its position in the sorted cell
 list and rows are assembled in that order, so results never depend on the
 worker count or the order the cells ran in.  The other commands run
 serially: their cells are small and bound by the interpreter lock
 (``risk-table`` got slower on a pool).  The manifest records the number of
-workers used.
+workers used.  ``--out DIR`` (default ``results``) is the output
+directory.
 
 Exit codes: 0 success, 2 config error, 3 numeric or module error.
 """
@@ -82,13 +83,12 @@ class ExperimentConfig:
     function_list: tuple[str, ...] = ("default",)
     nu_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.01)
     b_list: tuple[float, ...] = (4.0, 16.0, 100.0, 10000.0)
-    out: str = "results"
     seed_source: str = "config"
 
 
-# Every key but ``command``: (item type, whether the value is a nonempty
-# comma-separated list of items, range check).  The range check is the
-# library's owner of the parameter's rule; it raises ValueError per item.
+# Every key but ``command``: (item type, whether the value is a
+# comma-separated list of nonempty items, range check).  The range check is
+# the library's owner of the parameter's rule; it raises ValueError per item.
 _KEYS = {
     "n_list": (int, True, check_n),
     "beta": (float, False, check_beta),
@@ -102,7 +102,6 @@ _KEYS = {
     "function_list": (str, True, None),
     "nu_list": (float, True, check_nu),
     "b_list": (float, True, check_b),
-    "out": (str, False, None),
 }
 
 _EXPECTS = {int: "an integer", float: "a number"}
@@ -139,12 +138,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
     for key, (lineno, value) in raw.items():
         conv, is_list, check = _KEYS[key]
-        items = ([v.strip() for v in value.split(",") if v.strip()]
-                 if is_list else [value])
-        if not items:
-            raise ConfigError(f"line {lineno}: {key} expects a nonempty list")
+        items = [v.strip() for v in value.split(",")] if is_list else [value]
         parsed = []
         for item in items:
+            if not item:
+                raise ConfigError(f"line {lineno}: {key} has an empty item")
             try:
                 parsed.append(conv(item))
             except ValueError:
@@ -332,25 +330,21 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
         ks = normal_approx_check(law, noise, reps=config.reps, seed=seed)
         return [label, cfg.n, report.a_n, report.k_p, report.r_n, ks]
 
-    workers = min(available_cpus(), len(cells))
-    if workers == 1:
-        rows = [cell_row(*cell) for cell in cells]
-    else:
-        # imported here so that importing the CLI does not pay for it
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here so that importing the CLI does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
 
-        rates = {label: _seconds_per_value(noise)
-                 for label, noise in noises.items()}
-        with ThreadPoolExecutor(workers) as pool:
-            # Costliest cell first, by measured draw time: the longest cell
-            # bounds the wall time, so it must not start last.
-            futures = {i: pool.submit(cell_row, *cells[i])
-                       for i in _costliest_first(cells, rates)}
-            try:
-                rows = [futures[i].result() for i in range(len(cells))]
-            except BaseException:  # drop the cells not yet started
-                pool.shutdown(cancel_futures=True)
-                raise
+    workers = min(available_cpus(), len(cells))
+    rates = {label: _seconds_per_value(noise) for label, noise in noises.items()}
+    with ThreadPoolExecutor(workers) as pool:
+        # Costliest cell first, by measured draw time: the longest cell
+        # bounds the wall time, so it must not start last.
+        futures = {i: pool.submit(cell_row, *cells[i])
+                   for i in _costliest_first(cells, rates)}
+        try:
+            rows = [futures[i].result() for i in range(len(cells))]
+        except BaseException:  # drop the cells not yet started
+            pool.shutdown(cancel_futures=True)
+            raise
     counters = {"cells": len(cells), "draw_streams": len(cells),
                 "values_drawn": sum(config.reps * cfg.q_n
                                     for _, _, cfg, _ in cells)}
@@ -427,16 +421,16 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run(config: ExperimentConfig, out_dir: str | None = None,
-        quiet: bool = False) -> int:
-    """Execute one experiment; writes <stem>.csv plus manifest.json, where
-    <stem> is the command with '-' replaced by '_' (e.g. clt_check.csv).
+def run(config: ExperimentConfig, out_dir: str, quiet: bool = False) -> int:
+    """Execute one experiment; writes <stem>.csv plus manifest.json into
+    ``out_dir``, where <stem> is the command with '-' replaced by '_'
+    (e.g. clt_check.csv).
 
     Any failure removes files written so far, so output directories never
     hold partial tables.
     """
     start = time.perf_counter()
-    out = Path(out_dir if out_dir is not None else config.out)
+    out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -485,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Batch experiments for the pointwise kernel estimator "
                     "under heteroscedastic noise.")
     parser.add_argument("--config", required=True, help="experiment file")
-    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 

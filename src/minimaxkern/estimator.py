@@ -91,6 +91,14 @@ class EstimatorConfig:
         """Slice selecting the window from a length-n observation vector."""
         return slice(self.k_lo - 1, self.k_hi)
 
+    def window_of(self, y: np.ndarray) -> np.ndarray:
+        """The window of a length-n observation vector, as float64: the one
+        rule for observation vectors (any other shape is a ValueError)."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.n,):
+            raise ValueError(f"expected {self.n} observations, got shape {y.shape}")
+        return y[self.window_slice]
+
 
 def _window_indices(n: int, z0: float, h: float) -> tuple[int, int]:
     """First and last k in [1, n] with |k/n - z0| <= h, in O(1) memory.
@@ -178,10 +186,7 @@ class DecompositionReport:
 
 def kernel_estimate(y: np.ndarray, cfg: EstimatorConfig) -> float:
     """Window average of the observations."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (cfg.n,):
-        raise ValueError(f"expected {cfg.n} observations, got shape {y.shape}")
-    return window_sum(y[cfg.window_slice]) / cfg.q_n
+    return window_sum(cfg.window_of(y)) / cfg.q_n
 
 
 def decompose(S: FunctionSpec, scale: ScaleSpec, cfg: EstimatorConfig

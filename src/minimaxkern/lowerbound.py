@@ -270,13 +270,10 @@ def shift_statistic(pert: PerturbationSpec, scale: ScaleSpec,
     under the pure-noise law it is standard Gaussian.
     """
     cfg = pert.cfg
-    y = np.asarray(y, dtype=float)
-    if y.shape != (cfg.n,):
-        raise ValueError(f"expected {cfg.n} observations, got shape {y.shape}")
+    y_w = cfg.window_of(y)
     vvals, g_w, vs = _window_terms(pert, scale)
     varsigma = math.sqrt(vs)
-    eta = float(np.sum(vvals * y[cfg.window_slice] / g_w ** 2)) / (
-        varsigma * cfg.phi_n)
+    eta = float(np.sum(vvals * y_w / g_w ** 2)) / (varsigma * cfg.phi_n)
     return eta, varsigma
 
 

@@ -54,7 +54,6 @@ class TruncationReport:
     k_p: float
     g_n_over_qn: float
     r_n: float
-    tau_n: int
     second_moment_zeta_dd: float
 
 
@@ -80,7 +79,6 @@ def truncation_report(law: WindowLaw, noise: NoiseSpec) -> TruncationReport:
         k_p=k_p,
         g_n_over_qn=g_n_over_qn,
         r_n=g_n_over_qn * a_n,
-        tau_n=law.cfg.k_hi,
         second_moment_zeta_dd=g_n_over_qn * k_p,
     )
 
@@ -89,9 +87,9 @@ def truncation_split(law: WindowLaw, noise: NoiseSpec, seed: int
                      ) -> tuple[TruncationReport, RealizedSplit]:
     """``truncation_report`` plus one drawn run split at a = q_n^(1/4).
 
-    zeta_prime sums the bounded parts up to the stopping index tau_n (the
-    index of the last window point, where the conditional variance budget
-    is exhausted); zeta_dd sums the tail parts.  Their sum reconstructs
+    zeta_prime sums the bounded parts up to the last window index
+    ``cfg.k_hi`` (where the conditional variance budget is exhausted);
+    zeta_dd sums the tail parts.  Their sum reconstructs
     zeta_n / g(z0, S) exactly.
     """
     report, scale_fac = truncation_report(law, noise), law.weights

@@ -46,7 +46,6 @@ class TestParseConfig:
         alpha0 = 2.0
         alpha1 = 0.25
         noise_list = gaussian, rademacher
-        out = somewhere
         """
         cfg = parse_config(text)
         assert cfg.n_list == (1000, 5000)
@@ -57,7 +56,6 @@ class TestParseConfig:
         assert cfg.seed_source == "config"
         assert cfg.alpha0 == 2.0
         assert cfg.noise_list == ("gaussian", "rademacher")
-        assert cfg.out == "somewhere"
 
     def test_missing_command(self):
         with pytest.raises(ConfigError, match="command"):
@@ -66,6 +64,28 @@ class TestParseConfig:
     def test_unknown_key_cites_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("command = risk-table\nfrobnicate = 1\n")
+
+    def test_out_is_not_a_key(self):
+        # --out is the one output setting
+        with pytest.raises(ConfigError) as err:
+            parse_config("command = risk-table\nout = x\n")
+        assert str(err.value) == "line 2: unknown key 'out'"
+
+    @pytest.mark.parametrize("key, text", [
+        ("n_list", "1000,,2000"),
+        ("delta_list", "0.1,"),
+        ("noise_list", "gaussian, ,laplace_std"),
+        ("nu_list", ",0.1"),
+    ])
+    def test_empty_list_item(self, key, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command = risk-table\nbeta = 2.0\n{key} = {text}\n")
+        assert str(err.value) == f"line 3: {key} has an empty item"
+
+    def test_every_config_field_has_a_key(self):
+        # a field that no config can set fails here
+        fields = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+        assert fields == set(cli._KEYS) | {"command", "seed_source"}
 
     def test_beta_out_of_range(self):
         with pytest.raises(ConfigError, match=r"beta must lie in \(1, 2\]"):
@@ -232,6 +252,7 @@ class TestRunRiskTable:
         assert manifest["seed"] == 7
         assert manifest["seed_source"] == "config"
         assert manifest["config"]["alpha3"] == 0.5
+        assert "out" not in manifest["config"]  # the directory is --out's
         assert manifest["outputs"] == ["risk_table.csv"]
 
     def test_manifest_certification_margins(self, outputs):
@@ -306,8 +327,8 @@ def clt_outputs(tmp_path_factory):
 
 
 class TestCltCheckReproducibility:
-    # The reference run is serial.  CLT_CFG has 4 cells, so no test here
-    # runs more than 4 workers, whatever the CPUs available.
+    # The reference run has one worker.  CLT_CFG has 4 cells, so no test
+    # here runs more than 4 workers, whatever the CPUs available.
     def test_byte_identical_rerun(self, clt_outputs, tmp_path):
         assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
                    quiet=True) == 0
@@ -380,8 +401,9 @@ class TestCltCheckReproducibility:
         assert order(cells, dict.fromkeys(("gaussian", "student5_std"), 0.0)
                      ) == [0, 1, 2, 3]
 
+    # one CPU runs the same pool, probe included, with one worker
     @pytest.mark.parametrize("cpus, probed", [
-        (1, []), (2, ["gaussian", "laplace_std"])])
+        (1, ["gaussian", "laplace_std"]), (2, ["gaussian", "laplace_std"])])
     def test_only_the_pool_probes_each_law_once(self, tmp_path, monkeypatch,
                                                 cpus, probed):
         calls = []
@@ -636,6 +658,14 @@ class TestMainEntry:
         cfg_file.write_text("command = lower-bound\nnu_list = 0.1\nb_list = 4\n")
         assert main(["--config", str(cfg_file), "--out", str(tmp_path / "o"),
                      "--quiet"]) == 0
+
+    def test_out_defaults_to_results(self, tmp_path, monkeypatch):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("command = lower-bound\nnu_list = 0.1\nb_list = 4\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(cfg_file), "--quiet"]) == 0
+        assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+            "lower_bound.csv", "manifest.json"]
 
     def test_config_error_exit_two(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

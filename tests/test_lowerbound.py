@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -435,6 +436,21 @@ class TestLikelihoodRatio:
         expected = math.exp(0.8 * varsig * eta - 0.5 * 0.8 ** 2 * varsig ** 2)
         assert math.exp(log_likelihood_ratio(0.8, pert, mixed_scale, y)) \
             == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", ["short", "row", "scalar"])
+    def test_observation_vector_must_have_length_n(self, mixed_scale,
+                                                   plateau_kernel_01, shape):
+        # the rule of kernel_estimate (EstimatorConfig.window_of)
+        n = 2_000
+        pert = PerturbationSpec(kernel=plateau_kernel_01, u=0.8,
+                                cfg=EstimatorConfig(n=n, beta=2.0, z0=0.5))
+        y = {"short": np.zeros(n - 1), "row": np.zeros((1, n)),
+             "scalar": np.float64(0.0)}[shape]
+        message = f"expected {n} observations, got shape {np.shape(y)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            shift_statistic(pert, mixed_scale, y)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            log_likelihood_ratio(0.8, pert, mixed_scale, y)
 
     def test_log_ratio_never_overflows(self, mixed_scale, plateau_kernel_01):
         # observations far out along the perturbation push u varsigma eta

@@ -175,14 +175,13 @@ class TestTruncationSplit:
         cfg = EstimatorConfig(n=20_000, beta=2.0, z0=0.5)
         S = constant_fn(0.2)
         for label in ("gaussian", "student5_std"):
-            report, real = truncation_split(window_law(S, mixed_scale, cfg),
-                                            get_noise(label), seed=99)
+            _, real = truncation_split(window_law(S, mixed_scale, cfg),
+                                       get_noise(label), seed=99)
             g_w = scale_profile(mixed_scale, cfg.window_x, S)
             g0 = scale_eval(mixed_scale, 0.5, S)
             direct = float(np.sum(g_w / g0 * real.xi)) / math.sqrt(cfg.q_n)
             total = real.zeta_prime + real.zeta_dd
             assert total == pytest.approx(direct, rel=1e-10)
-            assert report.tau_n == cfg.k_hi
 
     @pytest.mark.parametrize("label", ALL_NOISES)
     def test_report_draws_nothing_and_matches_split(self, mixed_scale, label):

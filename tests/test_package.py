@@ -356,6 +356,7 @@ _RANGE_RULES = [
     "l_prime_sup must be positive and finite",
     "m must not be NaN",
     "s must be positive and finite",
+    "observations, got shape",
 ]
 
 
