@@ -9,18 +9,22 @@ non-finite numbers and empty or repeated list entries are config errors.
 ``holder-check`` call it per (n, delta), since the bump follows n, and
 ``clt-check`` and ``convergence`` once, at their one delta.
 
-``clt-check`` runs its independent (noise, n) cells on a pool of one
-worker thread per CPU this process may use (``available_cpus``), at most
-one per cell; numpy's samplers and large reductions release the
-interpreter lock, so the cells overlap.  CPU affinity (e.g. ``taskset``)
-caps the pool; one CPU gives one worker thread.  The pool starts the
-costliest cell first: cells go in by decreasing expected draw time, q_n
-times the seconds per value of the cell's law, which one warm probe of
-each law's sampler measures on a throwaway generator (longest processing
-time first; the longest cell bounds the wall time, so it must not start
-last).  Every cell keeps the seed of its position in the sorted cell
-list and rows are assembled in that order, so results never depend on the
-worker count or the order the cells ran in.  The other commands run
+``clt-check`` runs its (noise, n) cells on one worker per CPU this
+process may use (``available_cpus``), at most one per cell: the calling
+thread and ``workers - 1`` helper threads pull cells from one shared
+iterator.  numpy's samplers and large reductions release the interpreter
+lock, so the cells overlap.  CPU affinity (e.g. ``taskset``) caps the
+workers; one CPU runs every cell on the calling thread.  The cells of one
+n share that n's window law, built and filled before any helper starts
+and only read after.  Cells start costliest first: they are taken by
+decreasing expected draw time, q_n times the seconds per value of the
+cell's law, which one warm probe of each law's sampler measures on a
+throwaway generator (longest processing time first; the longest cell
+bounds the wall time, so it must not start last).  Every cell keeps the
+seed of its position in the sorted cell list and rows are assembled in
+that order, so results never depend on the worker count or the order the
+cells ran in.  A failing cell stops the start of further cells and its
+exception is raised once every worker has stopped.  The other commands run
 serially: their cells are small and bound by the interpreter lock
 (``risk-table`` got slower on a pool).  The manifest records the number of
 workers used.  ``--out DIR`` (default ``results``) is the output
@@ -36,6 +40,7 @@ import dataclasses
 import json
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -316,35 +321,63 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
                           f"{len(functions)}")
     S = functions[0]
     noises = {label: get_noise(label) for label in sorted(config.noise_list)}
+    # One window law per n: it is (S, scale, cfg)'s, not the noise's, so
+    # that n's noise cells share it.  Its weights and sigma_n_sq are filled
+    # here, before any helper starts, so the cells only read it.
+    laws = {}
+    for n in sorted(config.n_list):
+        law = window_law(S, scale, EstimatorConfig(n=n, beta=config.beta,
+                                                   z0=config.z0))
+        law.weights, law.sigma_n_sq
+        laws[n] = law
     # One cell per (noise, n) in sorted order; its seed is fixed by position.
     cells = []
     for label, noise in noises.items():
-        for n in sorted(config.n_list):
-            cfg = EstimatorConfig(n=n, beta=config.beta, z0=config.z0)
-            cells.append((label, noise, cfg, derive_seed(config.seed, len(cells))))
+        for law in laws.values():
+            cells.append((label, noise, law.cfg,
+                          derive_seed(config.seed, len(cells))))
 
     def cell_row(label, noise, cfg, seed) -> list:
-        law = window_law(S, scale, cfg)
+        law = laws[cfg.n]
         report = truncation_report(law, noise)
         # by keyword: bench/trace_driver.py reads reps at position 4 or by name
         ks = normal_approx_check(law, noise, reps=config.reps, seed=seed)
         return [label, cfg.n, report.a_n, report.k_p, report.r_n, ks]
 
-    # imported here so that importing the CLI does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
     workers = min(available_cpus(), len(cells))
     rates = {label: _seconds_per_value(noise) for label, noise in noises.items()}
-    with ThreadPoolExecutor(workers) as pool:
-        # Costliest cell first, by measured draw time: the longest cell
-        # bounds the wall time, so it must not start last.
-        futures = {i: pool.submit(cell_row, *cells[i])
-                   for i in _costliest_first(cells, rates)}
-        try:
-            rows = [futures[i].result() for i in range(len(cells))]
-        except BaseException:  # drop the cells not yet started
-            pool.shutdown(cancel_futures=True)
-            raise
+    # Costliest cell first, by measured draw time: the longest cell bounds
+    # the wall time, so it must not start last.  The calling thread and
+    # workers - 1 helpers pull cells from one iterator; after a failure no
+    # cell starts, and the first exception is raised once all have stopped.
+    pending = iter(_costliest_first(cells, rates))
+    rows: list = [None] * len(cells)
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(pending, None)
+            if i is None:
+                return
+            try:
+                rows[i] = cell_row(*cells[i])
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     counters = {"cells": len(cells), "draw_streams": len(cells),
                 "values_drawn": sum(config.reps * cfg.q_n
                                     for _, _, cfg, _ in cells)}
@@ -393,8 +426,8 @@ def _convergence(config: ExperimentConfig) -> tuple[list[str], list[list], dict]
 
 
 # Each command takes the config and returns its CSV columns and rows plus
-# extra manifest entries.  Only clt-check runs a pool (see the module
-# docstring); its entries carry the workers it used.
+# extra manifest entries.  Only clt-check runs several workers (see the
+# module docstring); its entries carry the workers it used.
 _DISPATCH = {
     "risk-table": _risk_table,
     "lower-bound": _lower_bound,
@@ -451,7 +484,7 @@ def run(config: ExperimentConfig, out_dir: str, quiet: bool = False) -> int:
                        for k, v in dataclasses.asdict(config).items()},
             "seed": config.seed,
             "seed_source": config.seed_source,
-            "threads": 1,  # a pooled command's notes give its workers
+            "threads": 1,  # clt-check's notes give its workers
             "version": __version__,
             "wall_clock_s": round(time.perf_counter() - start, 3),
             "outputs": [csv_path.name],

@@ -326,6 +326,22 @@ def clt_outputs(tmp_path_factory):
     return out
 
 
+def _main_in_thread(tmp_path, out) -> int:
+    """Exit code of ``main`` on CLT_CFG with outputs in ``out``, run on a
+    thread named ``main-call`` that must end within 60 s."""
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CLT_CFG)
+    codes = []
+    caller = threading.Thread(target=lambda: codes.append(main(
+        ["--config", str(cfg_file), "--out", str(out), "--quiet"])),
+        name="main-call", daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert len(codes) == 1
+    return codes[0]
+
+
 class TestCltCheckReproducibility:
     # The reference run has one worker.  CLT_CFG has 4 cells, so no test
     # here runs more than 4 workers, whatever the CPUs available.
@@ -344,6 +360,22 @@ class TestCltCheckReproducibility:
         assert ((tmp_path / "clt_check.csv").read_bytes()
                 == (clt_outputs / "clt_check.csv").read_bytes())
 
+    def test_four_workers_with_fast_switching_never_change_csv(
+            self, clt_outputs, tmp_path, monkeypatch):
+        # four workers, more than a 2-CPU machine has cores, and a thread
+        # switch every microsecond: a cell lost off the shared iterator
+        # would break the table, and one given a wrong row would change it
+        _cap_cpus(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
+                       quiet=True) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert ((tmp_path / "clt_check.csv").read_bytes()
+                == (clt_outputs / "clt_check.csv").read_bytes())
+
     @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
     def test_block_budget_never_changes_csv(self, clt_outputs, tmp_path,
                                             monkeypatch, budget):
@@ -354,9 +386,11 @@ class TestCltCheckReproducibility:
         assert ((tmp_path / "clt_check.csv").read_bytes()
                 == (clt_outputs / "clt_check.csv").read_bytes())
 
-    def test_one_window_law_per_cell(self, tmp_path, monkeypatch):
-        # g is evaluated over each (noise, n) cell's window once: the
-        # truncation report and the normal check share the cell's law
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_window_law_per_n(self, tmp_path, monkeypatch, cpus):
+        # g is evaluated over each n's window once: that n's noise cells,
+        # and in each the truncation report and the normal check, share
+        # one law
         calls = []
         real = estimator.scale_profile
 
@@ -365,10 +399,10 @@ class TestCltCheckReproducibility:
             return real(*args)
 
         monkeypatch.setattr(estimator, "scale_profile", counting)
-        _cap_cpus(monkeypatch, 2)
+        _cap_cpus(monkeypatch, cpus)
         assert run(parse_config(CLT_CFG), out_dir=str(tmp_path),
                    quiet=True) == 0
-        assert len(calls) == 4  # CLT_CFG's cells
+        assert len(calls) == 2  # CLT_CFG's n_list
 
     @pytest.mark.parametrize("cpus, cells, used", [
         (1, 4, 1), (2, 4, 2), (3, 4, 3), (4, 4, 4), (3, 2, 2)])
@@ -401,17 +435,15 @@ class TestCltCheckReproducibility:
         assert order(cells, dict.fromkeys(("gaussian", "student5_std"), 0.0)
                      ) == [0, 1, 2, 3]
 
-    # one CPU runs the same pool, probe included, with one worker
-    @pytest.mark.parametrize("cpus, probed", [
-        (1, ["gaussian", "laplace_std"]), (2, ["gaussian", "laplace_std"])])
-    def test_only_the_pool_probes_each_law_once(self, tmp_path, monkeypatch,
-                                                cpus, probed):
+    # one CPU runs the same path, probe included, with no helper thread
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pool_probes_each_law_once(self, tmp_path, monkeypatch, cpus):
         calls = []
         monkeypatch.setattr(cli, "_seconds_per_value",
                             lambda noise: calls.append(noise.label) or 1.0)
         _cap_cpus(monkeypatch, cpus)
         assert run(parse_config(CLT_CFG), out_dir=str(tmp_path), quiet=True) == 0
-        assert calls == probed
+        assert calls == ["gaussian", "laplace_std"]
 
     def test_probe_draws_twice_from_one_generator(self):
         # a warm-up draw, then the timed one, both of PROBE_VALUES values
@@ -489,17 +521,62 @@ class TestCltCheckReproducibility:
 
         monkeypatch.setattr(cli, "normal_approx_check", failing)
         _cap_cpus(monkeypatch, 2)
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(CLT_CFG)
         out = tmp_path / "out"
-        codes = []
-        worker = threading.Thread(target=lambda: codes.append(main(
-            ["--config", str(cfg_file), "--out", str(out), "--quiet"])),
-            daemon=True)
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive()
-        assert codes == [3]
+        assert _main_in_thread(tmp_path, out) == 3
+        assert not list(out.glob("*"))
+
+    def test_failing_first_cell_starts_no_other_on_one_cpu(self, tmp_path,
+                                                           monkeypatch):
+        orders, real_order = [], cli._costliest_first
+
+        def recorded(*args):
+            orders.append(real_order(*args))
+            return orders[-1]
+
+        calls = []
+
+        def failing(law, noise, **kwargs):
+            calls.append((noise.label, law.cfg.n))
+            raise ValueError("injected cell failure")
+
+        monkeypatch.setattr(cli, "_costliest_first", recorded)
+        monkeypatch.setattr(cli, "normal_approx_check", failing)
+        _cap_cpus(monkeypatch, 1)
+        out = tmp_path / "out"
+        assert _main_in_thread(tmp_path, out) == 3
+        # CLT_CFG's cells, in position order: (noise, n) both sorted
+        cells = [(label, n) for label in ("gaussian", "laplace_std")
+                 for n in (1000, 2000)]
+        assert calls == [cells[orders[0][0]]]
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("on_caller", [True, False],
+                             ids=["calling_thread", "helper"])
+    def test_failing_cell_on_either_thread_exits_three(self, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       on_caller):
+        # Each of the two workers waits at the barrier in its first cell,
+        # so both hold a cell when the chosen one fails.
+        real, barrier = cli.normal_approx_check, threading.Barrier(2, timeout=30)
+        seen, raised = set(), []
+
+        def failing(*args, **kwargs):
+            me = threading.current_thread()
+            if me not in seen:
+                seen.add(me)
+                barrier.wait()
+            if (me.name == "main-call") == on_caller and not raised:
+                raised.append(me.name)
+                raise ValueError("injected cell failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "normal_approx_check", failing)
+        _cap_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert _main_in_thread(tmp_path, out) == 3
+        assert len(seen) == 2 and len(raised) == 1
+        assert (raised[0] == "main-call") == on_caller
+        assert "injected cell failure" in capsys.readouterr().err
         assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("threads", ["2", "0", "-1"])
@@ -1127,6 +1204,49 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
     assert result["scipy"] == []
     for command in _STARTUP_CONFIGS:
         assert (tmp_path / command / f"{command.replace('-', '_')}.csv").exists()
+
+
+_HELPERS_SCRIPT = """
+import json, sys, threading
+from minimaxkern import cli
+started = []
+
+
+class Counted(threading.Thread):
+    def start(self):
+        started.append(self)
+        super().start()
+
+
+threading.Thread = Counted
+cli.available_cpus = lambda: int(sys.argv[3])
+code = cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "--quiet"])
+print(json.dumps({
+    "code": code, "helpers": len(started),
+    "alive": sum(t.is_alive() for t in started),
+    "threads": json.load(open(sys.argv[2] + "/manifest.json"))["threads"],
+    "concurrent": sorted(m for m in sys.modules if m.startswith("concurrent"))}))
+"""
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_clt_check_starts_workers_minus_one_helpers(tmp_path, cpus):
+    """The calling thread is one of clt-check's workers: it starts
+    min(cpus, cells) - 1 helper threads, joins them all, and loads no
+    concurrent.futures."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CLT_CFG)
+    src = str(Path(minimaxkern.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _HELPERS_SCRIPT, str(cfg),
+                           str(tmp_path / "out"), str(cpus)],
+                          capture_output=True, text=True, env=env, check=True,
+                          timeout=120)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"code": 0, "helpers": cpus - 1, "alive": 0,
+                      "threads": cpus, "concurrent": []}
 
 
 # Minor page faults allowed across cli.run for the config below.  A run that

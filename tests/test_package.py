@@ -317,10 +317,11 @@ def test_traced_run_matches_untraced(tmp_path, command):
 
 
 def test_cli_import_leaves_thread_pool_unloaded():
-    # clt-check imports concurrent.futures only when it runs a pool, and
-    # its pool probes the samplers only when it dispatches, so importing
-    # the CLI (the benchmark's set-up time) pays for neither.  numpy.random
-    # counts only if the CLI loads it: an older numpy loads it itself.
+    # clt-check runs its workers on plain threads, never concurrent.futures
+    # (tests/test_cli.py checks a run), and probes the samplers only when
+    # it dispatches, so importing the CLI (the benchmark's set-up time)
+    # pays for neither.  numpy.random counts only if the CLI loads it: an
+    # older numpy loads it itself.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import sys, numpy; numpy_own = set(sys.modules); "
             "import minimaxkern.cli; "
