@@ -9,8 +9,8 @@ Its centered error splits into a deterministic bias B_n plus a Gaussian
 (or CLT-normalized) average of the noise.  The bias itself splits into the
 window integral of S - S(z0) plus a Riemann gap R_n that is O(1/n) on the
 weak local class.  This module's window sums run ascending in k through
-an exactly rounded compensated sum, so results are bit-stable across
-platforms.
+an exactly rounded compensated sum (``numerics.window_sum``), so results
+are independent of summation order.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ V_nu(x) is a signed combination of CDF values at piecewise-affine
 arguments, so accuracy is uniform in nu (no direct grid interpolation of
 the sharp plateau profile).  The bump is one fixed function (``bump``,
 ``bump_cdf``, ``bump_deriv_sup``), tabulated once on BUMP_SEGMENTS
-segments, so a plateau kernel is determined by nu alone.
+segments, so a plateau kernel is determined by nu alone.  The window sums
+of the likelihood ratio (varsigma_n^2 and eta_n) are ``numerics.window_sum``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .estimator import EstimatorConfig, check_beta, window_law
 from .holder import check_delta
 from .model import FunctionSpec, ScaleSpec, constant_fn, scale_eval
-from .numerics import composite_simpson
+from .numerics import composite_simpson, window_sum
 
 BUMP_SEGMENTS = 4096
 V_QUAD_PANELS = 32768
@@ -238,7 +239,11 @@ def min_n_membership(nu: float, delta: float, beta: float, l_prime_sup: float) -
     ratio = 2.0 * l_prime_sup * delta / nu ** 2
     if ratio <= 1.0:
         return 1
-    return int(math.ceil(ratio ** ((2.0 * beta + 1.0) / (beta - 1.0))))
+    try:
+        return int(math.ceil(ratio ** ((2.0 * beta + 1.0) / (beta - 1.0))))
+    except OverflowError:
+        raise ValueError(f"n* exceeds the float range at nu = {nu}, "
+                         f"delta = {delta}, beta = {beta}") from None
 
 
 def _window_terms(pert: PerturbationSpec, scale: ScaleSpec
@@ -247,7 +252,7 @@ def _window_terms(pert: PerturbationSpec, scale: ScaleSpec
     cfg = pert.cfg
     vvals = pert.kernel.values((cfg.window_x - cfg.z0) / cfg.h)
     g_w = window_law(pert.to_function(), scale, cfg).g_window
-    vs = float(np.sum((vvals / g_w) ** 2)) / cfg.phi_n ** 2
+    vs = window_sum((vvals / g_w) ** 2) / cfg.phi_n ** 2
     return vvals, g_w, vs
 
 
@@ -273,7 +278,7 @@ def shift_statistic(pert: PerturbationSpec, scale: ScaleSpec,
     y_w = cfg.window_of(y)
     vvals, g_w, vs = _window_terms(pert, scale)
     varsigma = math.sqrt(vs)
-    eta = float(np.sum(vvals * y_w / g_w ** 2)) / (varsigma * cfg.phi_n)
+    eta = window_sum(vvals * y_w / g_w ** 2) / (varsigma * cfg.phi_n)
     return eta, varsigma
 
 

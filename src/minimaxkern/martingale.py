@@ -13,7 +13,10 @@ The split and its checks take the window law (``estimator.WindowLaw``) and
 the noise law, which fix the law of zeta_tilde; one window law serves all.
 
 The tail moment is the closed form the noise law carries
-(``tail_second_moment``), so it is exact to rounding.
+(``tail_second_moment``), so it is exact to rounding.  One drawn split
+sums its two parts with ``numerics.window_sum``; the Monte Carlo checks
+reduce each replication row with numpy, the one place a window sum is not
+``window_sum``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .estimator import WindowLaw
 from .model import NoiseSpec, check_reps, replicate, rng_from_seed
-from .numerics import ks_statistic, normal_cdf
+from .numerics import ks_statistic, normal_cdf, window_sum
 
 
 def check_threshold(a: float) -> None:
@@ -102,8 +105,8 @@ def truncation_split(law: WindowLaw, noise: NoiseSpec, seed: int
     u_dd = scale_fac * np.where(below, 0.0, xi)
 
     realized = RealizedSplit(
-        zeta_prime=float(np.sum(u_prime)),
-        zeta_dd=float(np.sum(u_dd)),
+        zeta_prime=window_sum(u_prime),
+        zeta_dd=window_sum(u_dd),
         xi=xi,
     )
     return report, realized

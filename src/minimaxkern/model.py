@@ -340,8 +340,18 @@ def _uniform_tail_moment(a: float) -> float:
 
 def _laplace_tail_moment(a: float) -> float:
     # 2 int_a^inf x^2 e^(-x/b) / (2b) dx = e^(-a/b) (a^2 + 2ab + 2b^2), b = 1/sqrt2
+    # e^(-r) underflows to 0 from a ~ 527, before a^2 overflows (a ~ 1.3e154)
+    # and would make the product 0 * inf
     r = a / _LAPLACE_B
-    return math.exp(-r) * (a * a + r + 1.0)
+    decay = math.exp(-r)
+    return decay * (a * a + r + 1.0) if decay > 0.0 else 0.0
+
+
+#: The first ten coefficients (-1)^(k+1) 2k/(2k+1) of the series
+#: atan(y) - y/(1+y^2) = sum_{k>=1} (-1)^(k+1) (2k/(2k+1)) y^(2k+1); for
+#: y < 0.1 the rest is below 1e-19 relative.
+_T3_SERIES = tuple((-1) ** (k + 1) * 2.0 * k / (2.0 * k + 1.0)
+                   for k in range(1, 11))
 
 
 def _student5_tail_moment(a: float) -> float:
@@ -349,14 +359,23 @@ def _student5_tail_moment(a: float) -> float:
 
     In x = t/sqrt(nu), which is a/sqrt(3) for both tails,
     P(|T_3| > t) = (2/pi) [atan(1/x) - x/(1+x^2)] and
-    P(|T_5| > t) = (2/pi) [atan(1/x) - x/(1+x^2) - (2/3) x/(1+x^2)^2];
-    atan(1/x) in place of 1 - CDF keeps the far tail from cancelling.
+    P(|T_5| > t) = (2/pi) [atan(1/x) - x/(1+x^2) - (2/3) x/(1+x^2)^2],
+    so K_p = (2/pi) [t3 + 2 y^3/(1+y^2)^2] with y = 1/x and
+    t3 = atan(y) - y/(1+y^2).  Up to x = 10 the two probabilities are
+    evaluated as written; past it t3 cancels, so it is summed as its series.
     """
     x = a / _SQRT3
-    s = 1.0 + x * x
-    t3 = math.atan(1.0 / x) - x / s
-    t5 = t3 - (2.0 / 3.0) * x / (s * s)
-    return 2.0 / math.pi * (4.0 * t3 - 3.0 * t5)
+    if x <= 10.0:
+        s = 1.0 + x * x
+        t3 = math.atan(1.0 / x) - x / s
+        t5 = t3 - (2.0 / 3.0) * x / (s * s)
+        return 2.0 / math.pi * (4.0 * t3 - 3.0 * t5)
+    y = _SQRT3 / a
+    y2 = y * y
+    series = 0.0
+    for c in reversed(_T3_SERIES):
+        series = series * y2 + c
+    return 2.0 / math.pi * y * y2 * (series + 2.0 / ((1.0 + y2) * (1.0 + y2)))
 
 
 def _student5_abs3() -> float:

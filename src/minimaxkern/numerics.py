@@ -4,7 +4,6 @@ exact one-sample Kolmogorov-Smirnov statistic."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Sequence
 
@@ -31,22 +30,16 @@ def composite_simpson(f: Callable, a: float, b: float, panels: int) -> float:
     return float(total * step / 3.0)
 
 
-#: Values per list that ``window_sum`` hands to ``math.fsum`` (16 KiB of
-#: Python floats): one list of a whole n = 1e5 window took 0.6 MB of RSS.
-WINDOW_SUM_CHUNK = 512
-
-
 def window_sum(values: Sequence[float] | np.ndarray) -> float:
     """Exactly rounded sum of the values in ascending index order.
 
-    Backed by ``math.fsum`` so the result does not depend on platform
-    reduction order; used for all estimator window averages.  One fsum
-    reads all chunks, so chunking never changes the result.
+    Backed by ``math.fsum`` so the result does not depend on summation
+    order; the one rule for every deterministic sum over the window (only
+    Monte Carlo replication rows are numpy row reductions).  ``fsum``
+    iterates a buffer view of the values, one Python float at a time, so
+    no window becomes a ``q_n``-long list.
     """
-    arr = np.asarray(values, dtype=float)
-    return math.fsum(itertools.chain.from_iterable(
-        arr[i:i + WINDOW_SUM_CHUNK].tolist()
-        for i in range(0, arr.size, WINDOW_SUM_CHUNK)))
+    return math.fsum(memoryview(np.asarray(values, dtype=float)))
 
 
 _erfc = np.vectorize(math.erfc, otypes=[float])

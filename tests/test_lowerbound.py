@@ -22,7 +22,7 @@ from minimaxkern.lowerbound import (PerturbationSpec, PlateauKernel,
 from minimaxkern.model import (constant_fn, derive_seed, design_grid,
                                flat_scale, rng_from_seed, scale_catalog,
                                scale_eval, scale_profile)
-from minimaxkern.numerics import composite_simpson, ks_statistic
+from minimaxkern.numerics import composite_simpson, ks_statistic, window_sum
 
 EFFICIENCY_CONSTANT = 1.0 / math.sqrt(math.pi)
 
@@ -238,6 +238,12 @@ class TestMembershipThreshold:
         with pytest.raises(ValueError):
             min_n_membership(0.1, 0.5, 1.0, 1.8)
 
+    @pytest.mark.parametrize("beta", [1.01, 1.001])
+    def test_threshold_past_float_range_is_a_value_error(self, beta):
+        # beta lies in (1, 2], but ratio^((2b+1)/(b-1)) overflows a float
+        with pytest.raises(ValueError, match=r"n\* exceeds the float range"):
+            min_n_membership(0.1, 0.5, beta, bump_deriv_sup())
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot, match", [
         (0, r"nu must lie in \(0, 1/4\)"),
@@ -336,7 +342,7 @@ class TestShiftVariance:
     @pytest.mark.parametrize("n", [1_000, 100_000])
     def test_matches_direct_window_sum(self, plateau_kernel_01, n):
         # varsigma_n^2 reads the estimator's window profile; bitwise the
-        # direct sum of (V/g)^2 over the window divided by phi_n^2
+        # window_sum of (V/g)^2 over the window divided by phi_n^2
         for scale in (*scale_catalog().values(), flat_scale()):
             for u in (1.0, -2.5):
                 cfg = EstimatorConfig(n=n, beta=1.8, z0=0.4)
@@ -344,7 +350,7 @@ class TestShiftVariance:
                 xw = cfg.window_x
                 vvals = plateau_kernel_01.values((xw - 0.4) / bandwidth(n, 1.8))
                 g_w = scale_profile(scale, xw, pert.to_function())
-                direct = float(np.sum((vvals / g_w) ** 2)) / rate(n, 1.8) ** 2
+                direct = window_sum((vvals / g_w) ** 2) / rate(n, 1.8) ** 2
                 assert varsigma_sq(pert, scale)[0] == direct, scale
 
     def test_flat_scale_riemann_limit(self, plateau_kernel_01):

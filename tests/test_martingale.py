@@ -78,6 +78,9 @@ class TestTailSecondMoment:
 # thresholds from below the unit scale to far past n = 1e5 (a = 11.89) and
 # the n at which the Student-t(5) tail first drops below 1e-3 (a = 20.57)
 CLOSED_FORM_THRESHOLDS = [0.5, 2.0, 11.89, 20.57, 40.0]
+# far thresholds, where the direct Student-t(5) form atan(1/x) - x/(1+x^2)
+# cancels (relative error 1.4e-11 at a = 1e3, a negative value at 1e10)
+FAR_THRESHOLDS = [1e3, 1e6, 1e10, 1e50, 1e100]
 # (a, K_p(a)) for Rademacher, on both sides of its atoms and at n = 1e5
 RADEMACHER_TAILS = [(0.5, 1.0), (math.nextafter(1.0, 0.0), 1.0), (1.0, 0.0),
                     (math.nextafter(1.0, 2.0), 0.0), (2.0, 0.0), (11.89, 0.0)]
@@ -92,12 +95,26 @@ class TestClosedFormMoments:
                          epsabs=0.0, epsrel=1e-13, limit=200)[0]
         assert tail_second_moment(noise, a) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("a", CLOSED_FORM_THRESHOLDS)
+    @pytest.mark.parametrize("a", CLOSED_FORM_THRESHOLDS + FAR_THRESHOLDS)
     def test_student5_matches_scipy_t(self, a):
         # x^2 f(x) = 4 f_t3(x) - 3 f(x) for the unit-variance t(5) density f
         ref = 8.0 * t.sf(a, 3) - 6.0 * t.sf(a * math.sqrt(5.0 / 3.0), 5)
         val = tail_second_moment(get_noise("student5_std"), a)
         assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a", [1e3, 1e155, 1e308])
+    def test_laplace_far_tail_is_zero(self, a):
+        # e^(-a/b) underflows to 0 long before a^2 overflows (a ~ 1.3e154),
+        # so the moment is 0 there, not the NaN of 0 * inf
+        assert tail_second_moment(get_noise("laplace_std"), a) == 0.0
+
+    @pytest.mark.parametrize("label", [*ALL_NOISES, "zero"])
+    def test_in_range_over_the_float_line(self, label):
+        # 0 <= K_p(a) <= E[xi^2] for every positive finite threshold
+        noise = get_noise(label)
+        for a in np.geomspace(1e-300, 1e308, 2000).tolist():
+            k_p = tail_second_moment(noise, a)
+            assert 0.0 <= k_p <= noise.variance, (a, k_p)
 
     @pytest.mark.parametrize("a,rademacher_k_p", RADEMACHER_TAILS)
     def test_atomic_closed_forms_pinned(self, a, rademacher_k_p):

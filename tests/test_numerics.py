@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, strategies as st
 from scipy.special import ndtr
 from scipy.stats import kstest
 
-from minimaxkern.numerics import (WINDOW_SUM_CHUNK, composite_simpson,
-                                 ks_statistic, normal_cdf, window_sum)
+from minimaxkern.numerics import (composite_simpson, ks_statistic, normal_cdf,
+                                 window_sum)
 
 
 class TestCompositeSimpson:
@@ -49,15 +50,30 @@ class TestWindowSum:
         vals = np.array([1e16, 1.0, -1e16, 1.0] * 100)
         assert window_sum(vals) == 200.0
 
-    @pytest.mark.parametrize("size", [WINDOW_SUM_CHUNK - 1, WINDOW_SUM_CHUNK,
-                                      3 * WINDOW_SUM_CHUNK + 5])
-    def test_chunks_sum_as_one(self, size):
-        # the first value cancels against the last, in another chunk when
-        # there are several: the chunks feed one exactly rounded sum,
-        # bitwise math.fsum of all the values
-        vals = np.random.default_rng(size).standard_normal(size)
-        vals[0], vals[-1] = 1e16, -1e16
-        assert window_sum(vals) == math.fsum(vals.tolist())
+    @pytest.mark.parametrize("size", [0, 1, 511, 512, 513, 126_001])
+    def test_bitwise_fsum_of_the_values(self, size):
+        # the first value cancels against the last; every input layout
+        # sums bitwise as math.fsum of its values as a list
+        base = np.random.default_rng(size).standard_normal(2 * size)
+        vals = base[:size].copy()
+        if size > 1:
+            vals[0], vals[-1] = 1e16, -1e16
+        for x in (vals, base[::2], vals[::-1], vals.astype(">f8"),
+                  vals.tolist()):
+            want = math.fsum([float(v) for v in x])
+            assert window_sum(x).hex() == want.hex()
+
+    def test_builds_no_list_of_the_window(self):
+        # fsum reads a buffer view one float at a time: 1e6 values as a
+        # list of Python floats would take 32 MB
+        vals = np.random.default_rng(3).standard_normal(1_000_000)
+        tracemalloc.start()
+        try:
+            window_sum(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
     def test_close_to_numpy(self, vals):

@@ -366,3 +366,30 @@ def test_each_range_rule_is_written_once():
                      sorted((ROOT / "src" / "minimaxkern").glob("*.py")))
     counts = {rule: source.count(rule) for rule in _RANGE_RULES}
     assert counts == dict.fromkeys(_RANGE_RULES, 1)
+
+
+def test_window_sums_follow_one_rule():
+    # a Monte Carlo replication row is a numpy row reduction, and every
+    # other sum over the window is numerics.window_sum: an attribute call
+    # named sum (np.sum, x.sum) appears only in Simpson's rule and in the
+    # three row statistics
+    callers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "sum"):
+            callers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "minimaxkern").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert callers == {
+        "numerics.composite_simpson",
+        "risk._family_stats.stat",
+        "martingale.normal_approx_check.weighted_sum",
+        "martingale.zeta_dd_moment_check.squared_tail_sum",
+    }
