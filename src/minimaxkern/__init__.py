@@ -8,7 +8,7 @@ truncation-based CLT diagnostics.  The sharp normalized-risk constant for
 all of it is 1/sqrt(pi).
 """
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 from .estimator import (DecompositionReport, EstimatorConfig, bandwidth,
                         decompose, kernel_estimate, rate, sigma_n_limit_check)

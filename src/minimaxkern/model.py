@@ -230,9 +230,10 @@ class NoiseSpec:
 
     ``sampler(rng, size, out=None)`` draws ``size`` values from ``rng``.
     Given ``out`` (a C-contiguous float64 array of ``size`` values) it
-    fills and returns it, allocating no temporary of that size; otherwise
-    it returns a new array.  Values come in stream order: drawing a and
-    then b values gives the same numbers as drawing a + b at once.
+    fills and returns it; otherwise it returns a new array.  Each call
+    fills its block in one pass, so its scratch is proportional to
+    ``size`` and freed on return.  Values come in stream order: drawing a
+    and then b values gives the same numbers as drawing a + b at once.
     """
 
     label: str
@@ -251,10 +252,12 @@ class NoiseSpec:
 _SQRT3 = math.sqrt(3.0)
 _LAPLACE_B = 1.0 / math.sqrt(2.0)
 _STUDENT_C = math.sqrt(3.0 / 5.0)
-
-#: Values per chunk for samplers that numpy cannot draw into a given
-#: array, and for the Laplace transform's scratch (4096 float64, 32 KiB).
-SAMPLER_CHUNK = 4096
+#: sup |x| (1 + x^2/5)^(-3/2), at x^2 = 5/2: the half-width of the
+#: ratio-of-uniforms box for t(5).
+_STUDENT_V = math.sqrt(2.5) * 1.5 ** -1.5
+#: Acceptance rate of that box: (1/2) int (1 + x^2/5)^(-3) dx = 3 pi sqrt5 / 16
+#: over its area 2 V, about 0.765.
+_STUDENT_ACCEPT = 3.0 * math.pi * math.sqrt(5.0) / (32.0 * _STUDENT_V)
 
 
 def _sample_out(size, out: np.ndarray | None) -> np.ndarray:
@@ -264,12 +267,6 @@ def _sample_out(size, out: np.ndarray | None) -> np.ndarray:
             or out.size != np.prod(size)):
         raise ValueError("out must be a C-contiguous float64 array of size values")
     return out
-
-
-def _chunks(out: np.ndarray):
-    """Consecutive views of at most SAMPLER_CHUNK values of contiguous out."""
-    flat = out.reshape(-1)
-    return (flat[i:i + SAMPLER_CHUNK] for i in range(0, flat.size, SAMPLER_CHUNK))
 
 
 def _gaussian_sampler(rng, size, out=None):
@@ -286,10 +283,11 @@ def _uniform_sampler(rng, size, out=None):
 
 
 def _rademacher_sampler(rng, size, out=None):
+    # one integers call gives the bits of any split of it: numpy draws
+    # these from buffered 32-bit halves that persist across calls
     out = _sample_out(size, out)
-    for dst in _chunks(out):
-        np.multiply(rng.integers(0, 2, dst.size), 2.0, out=dst)
-        dst -= 1.0
+    np.multiply(rng.integers(0, 2, out.shape), 2.0, out=out)
+    out -= 1.0
     return out
 
 
@@ -304,21 +302,60 @@ def _laplace_sampler(rng, size, out=None):
     out = rng.random(size, out=out)
     out *= 2.0
     out -= 1.0 - 2.0 ** -53
-    scratch = np.empty(min(SAMPLER_CHUNK, out.size))
-    for t in _chunks(out):
-        m = scratch[:t.size]
-        np.abs(t, out=m)
-        np.negative(m, out=m)
-        np.log1p(m, out=m)
-        np.copysign(m, t, out=t)
+    m = np.abs(out)
+    np.negative(m, out=m)
+    np.log1p(m, out=m)
+    np.copysign(m, out, out=out)
     out *= _LAPLACE_B
     return out
 
 
 def _student5_sampler(rng, size, out=None):
+    """Exact ratio of uniforms for t(5) (Kinderman and Monahan, 1977).
+
+    Candidate j reads uniforms 2j and 2j + 1 of ``rng.random()`` as
+    u = 1 - r in (0, 1] and v = V ((2r' - 1) + 2^-53), on the Laplace
+    sampler's symmetric grid.  With x = v / u and s = 1 + x x / 5 it is
+    kept when u u s s s <= 1, multiplied from the left, which is
+    u^2 (1 + x^2/5)^3 <= 1; the value is sqrt(3/5) x.  A round draws the
+    candidates for the values still missing plus a margin of about eight
+    standard deviations of the kept count, then rewinds ``rng``'s PCG64
+    stream over the candidates after the last one it keeps, so values come
+    in stream order.  A round that keeps too few is followed by another.
+    """
     out = _sample_out(size, out)
-    for dst in _chunks(out):
-        np.multiply(rng.standard_t(5.0, dst.size), _STUDENT_C, out=dst)
+    flat = out.reshape(-1)
+    done = 0
+    while done < flat.size:
+        need = flat.size - done
+        m = int((need + 4.0 * math.sqrt(need) + 8.0) / _STUDENT_ACCEPT)
+        # one scratch allocation per round (fewer, larger blocks keep the
+        # peak RSS of concurrent draws lower): the pairs, then u and x
+        scratch = np.empty(4 * m)
+        raw = rng.random(2 * m, out=scratch[:2 * m])
+        u = np.subtract(1.0, raw[0::2], out=scratch[2 * m:3 * m])
+        x = np.multiply(raw[1::2], 2.0, out=scratch[3 * m:])
+        x -= 1.0 - 2.0 ** -53
+        x *= _STUDENT_V
+        x /= u
+        # the pairs are read: their half holds s, then the verdicts
+        s = np.multiply(x, x, out=raw[:m])
+        s /= 5.0
+        s += 1.0
+        u *= u
+        u *= s
+        u *= s
+        u *= s
+        kept = np.less_equal(u, 1.0, out=raw[m:].view(bool)[:m])
+        keep = np.flatnonzero(kept)[:need]
+        # mode "clip" lets take write straight into out; keep is in range
+        dst = np.take(x, keep, out=flat[done:done + keep.size], mode="clip")
+        dst *= _STUDENT_C
+        done += keep.size
+        if done == flat.size:
+            unused = 2 * (m - 1 - int(keep[-1]))
+            if unused:
+                rng.bit_generator.advance(2 ** 128 - unused)
     return out
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import certify_on_grid
+from minimaxkern import model
 from minimaxkern.estimator import EstimatorConfig, decompose
-from minimaxkern.model import (MOMENT_BOUND, SAMPLER_CHUNK, FunctionSpec,
-                               ScaleSpec,
+from minimaxkern.model import (MOMENT_BOUND, FunctionSpec, ScaleSpec,
                                constant_fn, derive_seed,
                                design_grid, flat_scale, function_catalog,
                                get_noise, noise_catalog, rng_from_seed,
@@ -178,7 +178,6 @@ NUMPY_DRAWS = {
     "gaussian": lambda rng, n: rng.standard_normal(n),
     "uniform_std": lambda rng, n: rng.uniform(-SQRT3, SQRT3, n),
     "rademacher": lambda rng, n: 2.0 * rng.integers(0, 2, n).astype(float) - 1.0,
-    "student5_std": lambda rng, n: math.sqrt(3.0 / 5.0) * rng.standard_t(5.0, n),
 }
 
 
@@ -186,6 +185,26 @@ def _laplace_scalar(u: float) -> float:
     """The Laplace sampler's formula, evaluated with scalar math.log1p."""
     t = (2.0 * u - 1.0) + 2.0 ** -53
     return math.copysign(-LAPLACE_B * math.log1p(-abs(t)), t)
+
+
+def _student5_scalar(rng, n: int) -> np.ndarray:
+    """The Student-t(5) ratio-of-uniforms rule, one ``rng.random()`` at a time."""
+    v_max = math.sqrt(2.5) * 1.5 ** -1.5
+    values = []
+    while len(values) < n:
+        u = 1.0 - rng.random()
+        x = v_max * ((2.0 * rng.random() - 1.0) + 2.0 ** -53) / u
+        s = 1.0 + x * x / 5.0
+        if u * u * s * s * s <= 1.0:
+            values.append(math.sqrt(3.0 / 5.0) * x)
+    return np.array(values)
+
+
+def _student5_cdf(x: np.ndarray) -> np.ndarray:
+    """CDF of sqrt(3/5) T_5, the unit-variance t(5), in closed form."""
+    th = np.arctan(np.asarray(x) / SQRT3)
+    c = np.cos(th)
+    return 0.5 + (th + np.sin(th) * c * (1.0 + (2.0 / 3.0) * c * c)) / math.pi
 
 
 class _FixedUniforms:
@@ -204,17 +223,17 @@ class TestSamplerContract:
     @pytest.mark.parametrize("label", ALL_LAWS)
     def test_fills_out_and_returns_it(self, label):
         noise = get_noise(label)
-        n = 2 * SAMPLER_CHUNK + 3
+        n = 2 * 4096 + 3
         buf = np.full(n, np.nan)
         got = noise.sampler(rng_from_seed(3), n, out=buf)
         assert got is buf
         assert buf.tobytes() == noise.sampler(rng_from_seed(3), n).tobytes()
 
     @pytest.mark.parametrize("label", ALL_LAWS)
-    @pytest.mark.parametrize("first", [1, SAMPLER_CHUNK - 1, SAMPLER_CHUNK + 1])
+    @pytest.mark.parametrize("first", [1, 4096 - 1, 4096 + 1])
     def test_split_draws_equal_one_draw(self, label, first):
         noise = get_noise(label)
-        total = 3 * SAMPLER_CHUNK + 7
+        total = 3 * 4096 + 7
         whole = noise.sampler(rng_from_seed(8), total)
         rng = rng_from_seed(8)
         head = noise.sampler(rng, first)
@@ -222,10 +241,45 @@ class TestSamplerContract:
         assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("label", sorted(NUMPY_DRAWS))
-    @pytest.mark.parametrize("n", [1, SAMPLER_CHUNK + 1, 50_000])
+    @pytest.mark.parametrize("n", [1, 4096 + 1, 50_000])
     def test_bitwise_equal_to_numpy_draws(self, label, n):
         got = get_noise(label).sampler(rng_from_seed(13), n)
         assert got.tobytes() == NUMPY_DRAWS[label](rng_from_seed(13), n).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4097, 50_000])
+    def test_student5_bitwise_equal_to_scalar_rule(self, n):
+        rng, ref_rng = rng_from_seed(13), rng_from_seed(13)
+        got = get_noise("student5_std").sampler(rng, n)
+        assert got.tobytes() == _student5_scalar(ref_rng, n).tobytes()
+        # the unused candidates were handed back to the stream
+        assert rng.random() == ref_rng.random()
+
+    def test_student5_short_rounds_keep_stream_order(self, monkeypatch):
+        # a round sized for an acceptance rate of 4 keeps about a fifth of
+        # what it needs, so every block takes several rounds
+        monkeypatch.setattr(model, "_STUDENT_ACCEPT", 4.0)
+        rng, ref_rng = rng_from_seed(17), rng_from_seed(17)
+        got = get_noise("student5_std").sampler(rng, 4097)
+        assert got.tobytes() == _student5_scalar(ref_rng, 4097).tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_student5_matches_exact_cdf(self):
+        n = 1_000_000
+        x = get_noise("student5_std").sampler(rng_from_seed(99), n)
+        # Dvoretzky-Kiefer-Wolfowitz band at alpha = 1e-6
+        band = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+        assert ks_statistic(x, _student5_cdf) < band
+
+    def test_student5_cdf_closed_form(self):
+        from scipy import stats
+        x = np.linspace(-40.0, 40.0, 8001)
+        ref = stats.t.cdf(x / math.sqrt(3.0 / 5.0), 5)
+        assert np.max(np.abs(_student5_cdf(x) - ref)) < 1e-15
+
+    def test_student5_draws_raise_no_floating_point_error(self):
+        with np.errstate(all="raise"):
+            x = get_noise("student5_std").sampler(rng_from_seed(5), 1_000_000)
+        assert np.all(np.isfinite(x))
 
     def test_rejects_unusable_out(self):
         noise = get_noise("student5_std")
