@@ -14,9 +14,10 @@ the noise law, which fix the law of zeta_tilde; one window law serves all.
 
 The tail moment is the closed form the noise law carries
 (``tail_second_moment``), so it is exact to rounding.  One drawn split
-sums its two parts with ``numerics.window_sum``; the Monte Carlo checks
-reduce each replication row with numpy, the one place a window sum is not
-``window_sum``.
+sums its two parts with ``numerics.window_sum``.  The Monte Carlo checks
+take their weighted window sums from ``model.replicate``, the one place a
+window sum is not ``window_sum``: weights ``law.weights``, and for the
+tail part a sampler whose draws with |xi| <= a are zeroed.
 """
 
 from __future__ import annotations
@@ -129,13 +130,7 @@ def normal_approx_check(law: WindowLaw, noise: NoiseSpec, reps: int,
     """Kolmogorov-Smirnov distance of simulated zeta_tilde draws to the
     standard Gaussian CDF."""
     check_clt_reps(reps)
-    w = law.weights
-
-    def weighted_sum(xi: np.ndarray) -> np.ndarray:
-        xi *= w
-        return xi.sum(axis=1)
-
-    stats = replicate(noise, law.cfg.q_n, reps, seed, weighted_sum)
+    stats = replicate(noise.sampler, [law.weights], reps, seed)[:, 0]
     return ks_statistic(stats, normal_cdf)
 
 
@@ -147,16 +142,16 @@ def zeta_dd_moment_check(law: WindowLaw, noise: NoiseSpec, reps: int,
     expected = (G_n/q_n) * K_p(a).
     """
     check_reps(reps)
-    report, w = truncation_report(law, noise), law.weights
+    report = truncation_report(law, noise)
     a = report.a_threshold
 
-    def squared_tail_sum(xi: np.ndarray) -> np.ndarray:
+    def tail_sampler(rng, size, out=None):
+        xi = noise.sampler(rng, size, out=out)
         np.copyto(xi, 0.0, where=np.abs(xi) <= a)
-        xi *= w
-        z_dd = xi.sum(axis=1)
-        return z_dd * z_dd
+        return xi
 
-    sq = replicate(noise, law.cfg.q_n, reps, seed, squared_tail_sum)
+    z_dd = replicate(tail_sampler, [law.weights], reps, seed)[:, 0]
+    sq = z_dd * z_dd
     est = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1)) / math.sqrt(reps)
     return est, stderr, report.second_moment_zeta_dd

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -230,9 +230,11 @@ class NoiseSpec:
 
     ``sampler(rng, size, out=None)`` draws ``size`` values from ``rng``.
     Given ``out`` (a C-contiguous float64 array of ``size`` values) it
-    fills and returns it; otherwise it returns a new array.  Each call
-    fills its block in one pass, so its scratch is proportional to
-    ``size`` and freed on return.  Values come in stream order: drawing a
+    fills and returns it; otherwise it returns a new array.  Its scratch
+    is freed on return: none for the Gaussian and uniform laws, one
+    ``size``-value temporary for Laplace and Rademacher, and at most
+    1 MiB for Student-t(5), which draws in rounds of at most
+    ``_STUDENT_ROUND`` candidates.  Values come in stream order: drawing a
     and then b values gives the same numbers as drawing a + b at once.
     """
 
@@ -258,6 +260,9 @@ _STUDENT_V = math.sqrt(2.5) * 1.5 ** -1.5
 #: Acceptance rate of that box: (1/2) int (1 + x^2/5)^(-3) dx = 3 pi sqrt5 / 16
 #: over its area 2 V, about 0.765.
 _STUDENT_ACCEPT = 3.0 * math.pi * math.sqrt(5.0) / (32.0 * _STUDENT_V)
+#: Most candidates one Student-t round draws; at 32 bytes of scratch per
+#: candidate a round holds at most 1 MiB.
+_STUDENT_ROUND = 2 ** 15
 
 
 def _sample_out(size, out: np.ndarray | None) -> np.ndarray:
@@ -321,14 +326,16 @@ def _student5_sampler(rng, size, out=None):
     candidates for the values still missing plus a margin of about eight
     standard deviations of the kept count, then rewinds ``rng``'s PCG64
     stream over the candidates after the last one it keeps, so values come
-    in stream order.  A round that keeps too few is followed by another.
+    in stream order.  A round draws at most ``_STUDENT_ROUND`` candidates,
+    and one that keeps too few is followed by another.
     """
     out = _sample_out(size, out)
     flat = out.reshape(-1)
     done = 0
     while done < flat.size:
         need = flat.size - done
-        m = int((need + 4.0 * math.sqrt(need) + 8.0) / _STUDENT_ACCEPT)
+        m = min(_STUDENT_ROUND,
+                int((need + 4.0 * math.sqrt(need) + 8.0) / _STUDENT_ACCEPT))
         # one scratch allocation per round (fewer, larger blocks keep the
         # peak RSS of concurrent draws lower): the pairs, then u and x
         scratch = np.empty(4 * m)
@@ -356,6 +363,8 @@ def _student5_sampler(rng, size, out=None):
             unused = 2 * (m - 1 - int(keep[-1]))
             if unused:
                 rng.bit_generator.advance(2 ** 128 - unused)
+        # free this round's scratch before the next round allocates its own
+        del scratch, raw, u, x, s, kept
     return out
 
 
@@ -529,40 +538,46 @@ def check_reps(reps: int) -> None:
         raise ValueError(f"reps must be >= 2 and an integer, got {reps}")
 
 
-def replicate(noise: NoiseSpec, q_n: int, reps: int, seed: int,
-              stat: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Evaluate ``stat`` on the window noises of ``reps`` replications.
+def replicate(sampler: Callable, weights: Sequence[np.ndarray], reps: int,
+              seed: int) -> np.ndarray:
+    """The weighted window sums of ``reps`` replications, as (reps, m).
 
-    One generator, rng_from_seed(seed), serves the whole call: replication
-    i is row i of its stream read as a (reps, q_n) array.  Rows are drawn
-    in blocks of ``REPLICATION_BLOCK_BYTES``, each block one sampler call of
-    r * q_n values into one buffer that the call allocates once and reuses
-    for every block.  ``stat`` receives the (r, q_n) block and returns r
-    rows (scalars or fixed-shape arrays), computed row by row; row i of the
-    result belongs to replication i.  ``stat`` may overwrite its block,
-    which is redrawn before the next call, but must not return a view of
-    it (ValueError).  Every catalog sampler fills its output in stream
-    order, so the block size never changes a value, and reruns are
-    bit-identical.  ``q_n`` must be an integer >= 1 and ``reps`` a Monte
-    Carlo budget (``check_reps``); anything else is a ValueError.
+    Entry (i, j) is sum_k weights[j][k] xi_ik: the m weight rows share one
+    length q_n, and xi_i, replication i's window noises, is row i of the
+    stream of rng_from_seed(seed) read as a (reps, q_n) array.  This is the
+    one place a Monte Carlo row is reduced.  Rows are drawn in blocks of
+    ``REPLICATION_BLOCK_BYTES``, each one ``sampler(rng, size, out=...)``
+    call into one buffer allocated once per call.  Each sum is a numpy
+    reduction of one contiguous row of products, one weight row at a
+    time; the last row multiplies the block in place, so a single weight
+    row needs no scratch.  Samplers fill their output in stream order, so
+    neither the block size nor the other weight rows change a value.
+    Weights that are not one or more rows of one length >= 1, or a
+    ``reps`` that ``check_reps`` rejects, raise ValueError.
     """
-    if not (isinstance(q_n, numbers.Integral) and q_n >= 1):
-        raise ValueError(f"q_n must be an integer >= 1, got {q_n}")
+    shapes = sorted({np.shape(w) for w in weights})
+    if len(shapes) != 1 or len(shapes[0]) != 1 or shapes[0][0] < 1:
+        raise ValueError("weights must be one or more rows of one length >= 1"
+                         f", got shapes {shapes}")
     check_reps(reps)
+    (q_n,) = shapes[0]
+    *head, last = weights
     rng = rng_from_seed(seed)
     rows = max(1, REPLICATION_BLOCK_BYTES // (8 * q_n))
     buf = np.empty(min(rows, reps) * q_n)
-    blocks = []
+    scratch = np.empty_like(buf) if head else None
+    sums = np.empty((reps, len(weights)))
     for start in range(0, reps, rows):
         r = min(rows, reps - start)
         # size stays positional: bench/trace_driver.py reads it from args[1]
-        xi = noise.sampler(rng, r * q_n, out=buf[:r * q_n])
-        block = stat(xi.reshape(r, q_n))
-        if np.may_share_memory(block, buf):
-            raise ValueError("stat returned a view of its block, which the "
-                             "next block overwrites; return a copy")
-        blocks.append(block)
-    return np.concatenate(blocks)
+        xi = sampler(rng, r * q_n, out=buf[:r * q_n]).reshape(r, q_n)
+        block = sums[start:start + r]
+        for j, w in enumerate(head):
+            prod = np.multiply(xi, w, out=scratch[:r * q_n].reshape(r, q_n))
+            block[:, j] = prod.sum(axis=1)
+        xi *= last
+        block[:, -1] = xi.sum(axis=1)
+    return sums
 
 
 def sample_run(S: FunctionSpec, scale: ScaleSpec, noise: NoiseSpec,

@@ -35,9 +35,9 @@ def window_sum(values: Sequence[float] | np.ndarray) -> float:
 
     Backed by ``math.fsum`` so the result does not depend on summation
     order; the one rule for every deterministic sum over the window (only
-    Monte Carlo replication rows are numpy row reductions).  ``fsum``
-    iterates a buffer view of the values, one Python float at a time, so
-    no window becomes a ``q_n``-long list.
+    the Monte Carlo sums of ``model.replicate`` are numpy row reductions).
+    ``fsum`` iterates a buffer view of the values, one Python float at a
+    time, so no window becomes a ``q_n``-long list.
     """
     return math.fsum(memoryview(np.asarray(values, dtype=float)))
 

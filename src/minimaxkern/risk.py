@@ -8,7 +8,9 @@ the stream of rng_from_seed(seed) read as a (reps, q_n) array (see
 draws.  ``sup_risks`` scores several configs that share the operating
 point, replication budget, seed and scale (a risk table's deltas at one n)
 on one such stream per noise, so each stream is drawn once.  B_n keeps its
-exactly rounded window sum; the noise sum is a numpy reduction along each
+exactly rounded window sum; the noise sum of every member is one of
+``replicate``'s weighted window sums, with the member's window scale
+g(x_k, S) as its weight row.  That is a numpy reduction along each
 contiguous row, so Monte Carlo values repeat exactly on one platform and
 numpy build, whatever the block size, but are not promised bit-identical
 across platforms or builds.
@@ -107,53 +109,37 @@ def exact_gaussian_risk(S: FunctionSpec, rc: RiskConfig) -> float:
     return dec.law.gaussian_abs_mean(dec.b_n)
 
 
-def _family_stats(decs: list[DecompositionReport], rc: RiskConfig,
-                  noise: NoiseSpec) -> np.ndarray:
-    """Per-replication statistics, one row per member, from common draws.
+def _family_risk(decs: list[DecompositionReport], rc: RiskConfig,
+                 noise: NoiseSpec) -> list[tuple[float, float]]:
+    """(risk, stderr) of every member, from common draws.
 
     Member f's statistic for the window draws xi is
     phi_n |B_f + sum_k g_f(x_k) xi_k / q_n| / g(z0, f), with B_f, g_f and
-    g(z0, f) read from f's decomposition and its window law.  Members are
-    scored one at a time through one scratch block, and each noise sum is a
-    numpy reduction along one contiguous row, so a member's values do not
-    depend on which other members share the draws.
+    g(z0, f) read from f's decomposition and its window law.  The noise
+    sums are ``replicate``'s, one weight row per member, so a member's
+    values do not depend on which other members share the draws; risk and
+    stderr are aggregated in replication order.
     """
     cfg = rc.cfg
+    sums = replicate(noise.sampler, [d.law.g_window for d in decs], rc.reps,
+                     rc.seed)
     b = np.array([d.b_n for d in decs])
     g0 = np.array([d.law.g0 for d in decs])
-
-    scratch = None  # sized by the first (largest) block, then reused
-
-    def stat(xi: np.ndarray) -> np.ndarray:
-        nonlocal scratch
-        if scratch is None:
-            scratch = np.empty_like(xi)
-        prod = scratch[:xi.shape[0]]
-        sums = np.empty((xi.shape[0], len(decs)))
-        for j, d in enumerate(decs):
-            np.multiply(xi, d.law.g_window, out=prod)
-            sums[:, j] = prod.sum(axis=1)
-        return cfg.phi_n * np.abs(b + sums / cfg.q_n) / g0
-
-    return replicate(noise, cfg.q_n, rc.reps, rc.seed, stat).T.copy()
-
-
-def _family_risk(decs: list[DecompositionReport], rc: RiskConfig,
-                 noise: NoiseSpec) -> list[tuple[float, float]]:
-    """(risk, stderr) of every member, aggregated in replication order."""
+    stats = (cfg.phi_n * np.abs(b + sums / cfg.q_n) / g0).T.copy()
     return [(float(np.mean(row)),
              float(np.std(row, ddof=1)) / math.sqrt(rc.reps))
-            for row in _family_stats(decs, rc, noise)]
+            for row in stats]
 
 
 def monte_carlo_risk(S: FunctionSpec, rc: RiskConfig,
                      noise: NoiseSpec) -> tuple[float, float]:
     """Replicated risk estimate of S under ``noise`` and its standard error.
 
-    Replication i scores row i of the window noises drawn by
-    ``replicate(noise, q_n, rc.reps, rc.seed, ...)``; aggregation is in
-    replication order, so reruns on one platform and numpy build are
-    bit-identical.  The value equals S's row in ``sup_risk``.
+    Replication i scores its window sum
+    ``replicate(noise.sampler, [g_window], rc.reps, rc.seed)[i]``, with
+    ``g_window`` S's window scale; aggregation is in replication order, so
+    reruns on one platform and numpy build are bit-identical.  The value
+    equals S's row in ``sup_risk``.
     """
     return _family_risk([decompose(S, rc.scale, rc.cfg)], rc, noise)[0]
 
@@ -165,8 +151,8 @@ def sup_risks(rcs: Sequence[RiskConfig],
     The configs must share ``cfg``, ``reps``, ``seed`` and ``scale``
     (ValueError otherwise); their families are scored together on common
     draws, one ``replicate`` call per noise.  Members are scored one at a
-    time (see ``_family_stats``), so each report equals the one a config
-    scored on its own would give, bit for bit.
+    time (``replicate`` sums one weight row at a time), so each report
+    equals the one a config scored on its own would give, bit for bit.
     """
     rcs, noise_list = list(rcs), list(noises)
     if not rcs:

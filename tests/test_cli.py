@@ -1029,9 +1029,9 @@ def test_risk_table_certifies_each_member_once(tmp_path, monkeypatch):
         calls.append((id(S), params.delta, params.cfg))
         return real_check(S, params, *args, **kwargs)
 
-    def replicate(noise, q_n, reps, seed, stat):
-        streams.append((q_n, reps))
-        return real_replicate(noise, q_n, reps, seed, stat)
+    def replicate(sampler, weights, reps, seed):
+        streams.append((len(weights[0]), reps))
+        return real_replicate(sampler, weights, reps, seed)
 
     def sup_risks(rcs, noises):
         scored.extend(rcs)

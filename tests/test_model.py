@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -246,7 +247,8 @@ class TestSamplerContract:
         got = get_noise(label).sampler(rng_from_seed(13), n)
         assert got.tobytes() == NUMPY_DRAWS[label](rng_from_seed(13), n).tobytes()
 
-    @pytest.mark.parametrize("n", [1, 4097, 50_000])
+    # 100_001 values take several rounds of _STUDENT_ROUND candidates
+    @pytest.mark.parametrize("n", [1, 4097, 50_000, 100_001])
     def test_student5_bitwise_equal_to_scalar_rule(self, n):
         rng, ref_rng = rng_from_seed(13), rng_from_seed(13)
         got = get_noise("student5_std").sampler(rng, n)
@@ -262,6 +264,20 @@ class TestSamplerContract:
         got = get_noise("student5_std").sampler(rng, 4097)
         assert got.tobytes() == _student5_scalar(ref_rng, 4097).tobytes()
         assert rng.random() == ref_rng.random()
+
+    def test_student5_scratch_is_bounded(self):
+        # a round's scratch is freed before the next round allocates, so a
+        # large draw into a given block holds about 1 MiB, not 50 bytes per
+        # value
+        out = np.empty(1_000_000)
+        rng = rng_from_seed(6)
+        tracemalloc.start()
+        try:
+            get_noise("student5_std").sampler(rng, out.size, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
     def test_student5_matches_exact_cdf(self):
         n = 1_000_000

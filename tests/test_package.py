@@ -347,7 +347,7 @@ _RANGE_RULES = [
     "alpha0 must be positive",
     "alpha1..alpha3 must be non-negative",
     "reps must be >= 2",
-    "q_n must be an integer >= 1",
+    "weights must be one or more rows of one length >= 1",
     "reps must be >= {NORMAL_CHECK_MIN_REPS}",  # clt-check's floor, 100
     "a must be positive and finite",
     "bandwidth h must be positive",
@@ -369,10 +369,10 @@ def test_each_range_rule_is_written_once():
 
 
 def test_window_sums_follow_one_rule():
-    # a Monte Carlo replication row is a numpy row reduction, and every
-    # other sum over the window is numerics.window_sum: an attribute call
-    # named sum (np.sum, x.sum) appears only in Simpson's rule and in the
-    # three row statistics
+    # model.replicate is the one place a Monte Carlo row is reduced (a
+    # numpy row reduction of weighted draws), and every other sum over the
+    # window is numerics.window_sum: an attribute call named sum (np.sum,
+    # x.sum) appears only in Simpson's rule and in replicate
     callers = set()
 
     def visit(node, where):
@@ -387,9 +387,4 @@ def test_window_sums_follow_one_rule():
 
     for path in sorted((ROOT / "src" / "minimaxkern").glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert callers == {
-        "numerics.composite_simpson",
-        "risk._family_stats.stat",
-        "martingale.normal_approx_check.weighted_sum",
-        "martingale.zeta_dd_moment_check.squared_tail_sum",
-    }
+    assert callers == {"numerics.composite_simpson", "model.replicate"}

@@ -18,8 +18,7 @@ from minimaxkern.model import (FunctionSpec, ScaleSpec, constant_fn,
                                zero_noise)
 from minimaxkern.numerics import folded_normal_mean
 from minimaxkern.risk import (DEFAULT_TABLE_LABELS, EFFICIENCY_CONSTANT,
-                              RiskConfig, _family_stats,
-                              default_family, exact_gaussian_risk,
+                              RiskConfig, default_family, exact_gaussian_risk,
                               monte_carlo_risk, sup_risk, sup_risks)
 
 
@@ -222,14 +221,14 @@ class TestSupRisks:
     def test_one_stream_per_noise(self, mixed_scale, gaussian, monkeypatch):
         calls = []
 
-        def counting(noise, q_n, reps, seed, stat):
-            calls.append(noise.label)
-            return replicate(noise, q_n, reps, seed, stat)
+        def counting(sampler, weights, reps, seed):
+            calls.append(sampler)
+            return replicate(sampler, weights, reps, seed)
 
         monkeypatch.setattr(risk_module, "replicate", counting)
         noises = [gaussian, get_noise("rademacher")]
         sup_risks(self._configs(mixed_scale), noises)
-        assert calls == ["gaussian", "rademacher"]
+        assert calls == [noise.sampler for noise in noises]
 
     @pytest.mark.parametrize("name", ["cfg", "reps", "seed", "scale"])
     def test_configs_must_share_draw_fields(self, mixed_scale, gaussian, name):
@@ -405,19 +404,19 @@ class TestReplicationEngine:
     @pytest.mark.parametrize("n", [1_000, 100_000])
     @pytest.mark.parametrize("label", ["gaussian", "student5_std"])
     def test_statistic_matches_decompose(self, mixed_scale, n, label):
-        # the engine's per-replication statistic against kernel_estimate of
-        # a run whose window carries the same draws
+        # each member's risk and stderr against the mean and spread of
+        # kernel_estimate's statistic on runs whose windows carry the same
+        # draws
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         noise = get_noise(label)
         fam = default_family(cfg, 0.1)
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=12, seed=42,
                         family=tuple(fam), scale=mixed_scale)
-        stats = _family_stats([decompose(S, rc.scale, rc.cfg) for S in fam],
-                              rc, noise)
-        assert stats.shape == (len(fam), rc.reps)
+        report = sup_risk(rc, [noise])
         draws = noise.sampler(rng_from_seed(rc.seed), rc.reps * cfg.q_n)
         x = design_grid(n)
         xi_full = np.zeros(n)
+        stats = np.empty((len(fam), rc.reps))
         for i, xi in enumerate(draws.reshape(rc.reps, cfg.q_n)):
             xi_full[cfg.window_slice] = xi
             for S, row in zip(fam, stats):
@@ -425,9 +424,12 @@ class TestReplicationEngine:
                 est = kernel_estimate(y, cfg)
                 s0 = float(S.eval(cfg.z0))
                 g0 = scale_eval(mixed_scale, cfg.z0, S)
-                expected = cfg.phi_n * abs(est - s0) / g0
-                assert row[i] == pytest.approx(expected, rel=0, abs=1e-12), \
-                    (S.label, i)
+                row[i] = cfg.phi_n * abs(est - s0) / g0
+        assert [r.function for r in report.rows] == [S.label for S in fam]
+        for r, row in zip(report.rows, stats):
+            se = np.std(row, ddof=1) / math.sqrt(rc.reps)
+            assert r.risk_mc == pytest.approx(np.mean(row), rel=0, abs=1e-12)
+            assert r.stderr == pytest.approx(se, rel=0, abs=1e-12), r.function
 
     def test_rows_match_single_member_risk(self, mixed_scale, gaussian):
         cfg = EstimatorConfig(n=1_000, beta=2.0, z0=0.5)
@@ -481,56 +483,51 @@ class TestReplicationEngine:
     def test_replicate_is_deterministic(self, gaussian):
         sizes: list = []
         noise = _recording(gaussian, sizes)
-        weights = np.linspace(0.5, 1.5, 3)
-
-        def stat(xi):
-            return np.stack([(w * xi).sum(axis=1) for w in weights], axis=1)
-
-        first = replicate(noise, 257, 30, 11, stat)
-        second = replicate(noise, 257, 30, 11, stat)
+        weights = np.linspace(0.5, 1.5, 3 * 257).reshape(3, 257)
+        first = replicate(noise.sampler, weights, 30, 11)
+        second = replicate(noise.sampler, weights, 30, 11)
         assert first.shape == (30, 3)
         assert first.tobytes() == second.tobytes()
         assert sizes == [30 * 257] * 2
         assert all(type(size) is int for size in sizes)
         # replication i is row i of one flat draw from rng_from_seed(seed)
         xi = gaussian.sampler(rng_from_seed(11), 30 * 257).reshape(30, 257)
-        assert np.array_equal(first, stat(xi))
-        assert np.array_equal(first[4], stat(xi[4:5])[0])
+        want = np.stack([(xi * w).sum(axis=1) for w in weights], axis=1)
+        assert np.array_equal(first, want)
+        assert np.array_equal(first[4], (xi[4] * weights).sum(axis=1))
 
     @pytest.mark.parametrize("label", sorted(noise_catalog()))
     def test_block_size_never_changes_values(self, monkeypatch, label):
         noise = get_noise(label)
         q_n, reps, seed = 101, 45, 17
         flat = noise.sampler(rng_from_seed(seed), reps * q_n).reshape(reps, q_n)
-        weights = np.linspace(0.5, 1.5, q_n)
+        weights = np.linspace(-1.5, 1.5, 3 * q_n).reshape(3, q_n)
+        want = np.stack([(flat * w).sum(axis=1) for w in weights], axis=1)
         # one row per block, seven rows per block (45 = 6 * 7 + 3), default
         for budget in (8, 8 * q_n * 7 + 5, model.REPLICATION_BLOCK_BYTES):
             monkeypatch.setattr(model, "REPLICATION_BLOCK_BYTES", budget)
-            rows = replicate(noise, q_n, reps, seed, lambda xi: xi.copy())
-            sums = replicate(noise, q_n, reps, seed,
-                             lambda xi: (xi * weights).sum(axis=1))
-            assert np.array_equal(rows, flat), budget
-            assert np.array_equal(sums, (flat * weights).sum(axis=1)), budget
+            sums = replicate(noise.sampler, weights, reps, seed)
+            assert np.array_equal(sums, want), budget
+            # a weight row's sums do not depend on the rows beside it
+            for j, w in enumerate(weights):
+                alone = replicate(noise.sampler, [w], reps, seed)
+                assert alone[:, 0].tobytes() == sums[:, j].tobytes(), \
+                    (budget, j)
 
-    @pytest.mark.parametrize("q_n, reps, match", [
-        (10, 0, "reps must be >= 2 and an integer"),
-        (10, 1, "reps must be >= 2 and an integer"),
-        (10, 2.5, "reps must be >= 2 and an integer"),
-        (0, 5, "q_n must be an integer >= 1"),
-        (2.5, 5, "q_n must be an integer >= 1"),
-        (10.0, 5, "q_n must be an integer >= 1")])
-    def test_replicate_rejects_zero_reps(self, gaussian, q_n, reps, match):
-        # q_n = 0 once raised ZeroDivisionError, and q_n = 2.5 or
-        # reps = 2.5 a TypeError
+    @pytest.mark.parametrize("lengths, reps, match", [
+        ([10], 0, "reps must be >= 2 and an integer"),
+        ([10], 1, "reps must be >= 2 and an integer"),
+        ([10], 2.5, "reps must be >= 2 and an integer"),
+        ([], 5, "weights must be one or more rows of one length >= 1"),
+        ([10, 9], 5, "weights must be one or more rows of one length >= 1"),
+        ([0], 5, "weights must be one or more rows of one length >= 1")],
+        ids=lambda v: ",".join(map(str, v)) or "none"
+        if isinstance(v, list) else None)
+    def test_replicate_rejects_zero_reps(self, gaussian, lengths, reps, match):
+        # a row length of 0 would divide by zero when the blocks are sized,
+        # and reps = 2.5 would reach range() as a float
         with pytest.raises(ValueError, match=match):
-            replicate(gaussian, q_n, reps, 1, np.sum)
-
-    @pytest.mark.parametrize("stat", [lambda xi: xi, lambda xi: xi[:, 0]])
-    def test_replicate_rejects_a_view_of_the_block(self, gaussian, stat):
-        # the block buffer is redrawn for the next block, so a returned view
-        # would silently change under the caller
-        with pytest.raises(ValueError, match="view"):
-            replicate(gaussian, 10, 5, 1, stat)
+            replicate(gaussian.sampler, [np.ones(k) for k in lengths], reps, 1)
 
     def test_one_buffer_serves_every_block(self, monkeypatch, gaussian):
         pointers: list = []
@@ -542,7 +539,7 @@ class TestReplicationEngine:
         noise = dataclasses.replace(gaussian, sampler=sampler)
         q_n, reps = 101, 45
         monkeypatch.setattr(model, "REPLICATION_BLOCK_BYTES", 8 * q_n * 7)
-        sums = replicate(noise, q_n, reps, 17, lambda xi: xi.sum(axis=1))
+        sums = replicate(noise.sampler, [np.ones(q_n)], reps, 17)[:, 0]
         assert len(pointers) == math.ceil(reps / 7)
         assert len(set(pointers)) == 1
         flat = gaussian.sampler(rng_from_seed(17), reps * q_n).reshape(reps, q_n)
