@@ -130,7 +130,7 @@ def normal_approx_check(law: WindowLaw, noise: NoiseSpec, reps: int,
     """Kolmogorov-Smirnov distance of simulated zeta_tilde draws to the
     standard Gaussian CDF."""
     check_clt_reps(reps)
-    stats = replicate(noise.sampler, [law.weights], reps, seed)[:, 0]
+    stats = replicate(noise.sampler, [law.weights], reps, seed)[0]
     return ks_statistic(stats, normal_cdf)
 
 
@@ -150,7 +150,7 @@ def zeta_dd_moment_check(law: WindowLaw, noise: NoiseSpec, reps: int,
         np.copyto(xi, 0.0, where=np.abs(xi) <= a)
         return xi
 
-    z_dd = replicate(tail_sampler, [law.weights], reps, seed)[:, 0]
+    z_dd = replicate(tail_sampler, [law.weights], reps, seed)[0]
     sq = z_dd * z_dd
     est = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1)) / math.sqrt(reps)

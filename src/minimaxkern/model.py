@@ -233,7 +233,7 @@ class NoiseSpec:
     fills and returns it; otherwise it returns a new array.  Its scratch
     is freed on return: none for the Gaussian and uniform laws, one
     ``size``-value temporary for Laplace and Rademacher, and at most
-    1 MiB for Student-t(5), which draws in rounds of at most
+    1.25 MiB for Student-t(5), which draws in rounds of at most
     ``_STUDENT_ROUND`` candidates.  Values come in stream order: drawing a
     and then b values gives the same numbers as drawing a + b at once.
     """
@@ -260,8 +260,8 @@ _STUDENT_V = math.sqrt(2.5) * 1.5 ** -1.5
 #: Acceptance rate of that box: (1/2) int (1 + x^2/5)^(-3) dx = 3 pi sqrt5 / 16
 #: over its area 2 V, about 0.765.
 _STUDENT_ACCEPT = 3.0 * math.pi * math.sqrt(5.0) / (32.0 * _STUDENT_V)
-#: Most candidates one Student-t round draws; at 32 bytes of scratch per
-#: candidate a round holds at most 1 MiB.
+#: Most candidates one Student-t round draws; at 32 bytes of scratch and
+#: up to 8 bytes of kept index per candidate a round holds at most 1.25 MiB.
 _STUDENT_ROUND = 2 ** 15
 
 
@@ -364,7 +364,7 @@ def _student5_sampler(rng, size, out=None):
             if unused:
                 rng.bit_generator.advance(2 ** 128 - unused)
         # free this round's scratch before the next round allocates its own
-        del scratch, raw, u, x, s, kept
+        del scratch, raw, u, x, s, kept, keep
     return out
 
 
@@ -540,9 +540,9 @@ def check_reps(reps: int) -> None:
 
 def replicate(sampler: Callable, weights: Sequence[np.ndarray], reps: int,
               seed: int) -> np.ndarray:
-    """The weighted window sums of ``reps`` replications, as (reps, m).
+    """The weighted window sums of ``reps`` replications, as (m, reps).
 
-    Entry (i, j) is sum_k weights[j][k] xi_ik: the m weight rows share one
+    Entry (j, i) is sum_k weights[j][k] xi_ik: the m weight rows share one
     length q_n, and xi_i, replication i's window noises, is row i of the
     stream of rng_from_seed(seed) read as a (reps, q_n) array.  This is the
     one place a Monte Carlo row is reduced.  Rows are drawn in blocks of
@@ -566,17 +566,17 @@ def replicate(sampler: Callable, weights: Sequence[np.ndarray], reps: int,
     rows = max(1, REPLICATION_BLOCK_BYTES // (8 * q_n))
     buf = np.empty(min(rows, reps) * q_n)
     scratch = np.empty_like(buf) if head else None
-    sums = np.empty((reps, len(weights)))
+    sums = np.empty((len(weights), reps))
     for start in range(0, reps, rows):
         r = min(rows, reps - start)
         # size stays positional: bench/trace_driver.py reads it from args[1]
         xi = sampler(rng, r * q_n, out=buf[:r * q_n]).reshape(r, q_n)
-        block = sums[start:start + r]
+        block = sums[:, start:start + r]
         for j, w in enumerate(head):
             prod = np.multiply(xi, w, out=scratch[:r * q_n].reshape(r, q_n))
-            block[:, j] = prod.sum(axis=1)
+            block[j] = prod.sum(axis=1)
         xi *= last
-        block[:, -1] = xi.sum(axis=1)
+        block[-1] = xi.sum(axis=1)
     return sums
 
 

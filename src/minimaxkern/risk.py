@@ -125,7 +125,7 @@ def _family_risk(decs: list[DecompositionReport], rc: RiskConfig,
                      rc.seed)
     b = np.array([d.b_n for d in decs])
     g0 = np.array([d.law.g0 for d in decs])
-    stats = (cfg.phi_n * np.abs(b + sums / cfg.q_n) / g0).T.copy()
+    stats = cfg.phi_n * np.abs(b[:, None] + sums / cfg.q_n) / g0[:, None]
     return [(float(np.mean(row)),
              float(np.std(row, ddof=1)) / math.sqrt(rc.reps))
             for row in stats]
@@ -136,7 +136,7 @@ def monte_carlo_risk(S: FunctionSpec, rc: RiskConfig,
     """Replicated risk estimate of S under ``noise`` and its standard error.
 
     Replication i scores its window sum
-    ``replicate(noise.sampler, [g_window], rc.reps, rc.seed)[i]``, with
+    ``replicate(noise.sampler, [g_window], rc.reps, rc.seed)[0, i]``, with
     ``g_window`` S's window scale; aggregation is in replication order, so
     reruns on one platform and numpy build are bit-identical.  The value
     equals S's row in ``sup_risk``.

@@ -266,9 +266,9 @@ class TestSamplerContract:
         assert rng.random() == ref_rng.random()
 
     def test_student5_scratch_is_bounded(self):
-        # a round's scratch is freed before the next round allocates, so a
-        # large draw into a given block holds about 1 MiB, not 50 bytes per
-        # value
+        # a round's scratch and kept indices are freed before the next
+        # round allocates, so a large draw into a given block holds at most
+        # 1.25 MiB, not 50 bytes per value
         out = np.empty(1_000_000)
         rng = rng_from_seed(6)
         tracemalloc.start()

@@ -404,27 +404,35 @@ class TestReplicationEngine:
     @pytest.mark.parametrize("n", [1_000, 100_000])
     @pytest.mark.parametrize("label", ["gaussian", "student5_std"])
     def test_statistic_matches_decompose(self, mixed_scale, n, label):
-        # each member's risk and stderr against the mean and spread of
-        # kernel_estimate's statistic on runs whose windows carry the same
-        # draws
+        # every replication's statistic, built from the decomposition and
+        # replicate's sums, against kernel_estimate's on a run whose
+        # window carries the same draws; then each member's risk and
+        # stderr against the mean and spread of those statistics
         cfg = EstimatorConfig(n=n, beta=2.0, z0=0.5)
         noise = get_noise(label)
         fam = default_family(cfg, 0.1)
         rc = RiskConfig(cfg=cfg, delta=0.1, reps=12, seed=42,
                         family=tuple(fam), scale=mixed_scale)
         report = sup_risk(rc, [noise])
+        decs = [decompose(S, rc.scale, cfg) for S in fam]
+        sums = replicate(noise.sampler, [d.law.g_window for d in decs],
+                         rc.reps, rc.seed)
         draws = noise.sampler(rng_from_seed(rc.seed), rc.reps * cfg.q_n)
         x = design_grid(n)
         xi_full = np.zeros(n)
         stats = np.empty((len(fam), rc.reps))
         for i, xi in enumerate(draws.reshape(rc.reps, cfg.q_n)):
             xi_full[cfg.window_slice] = xi
-            for S, row in zip(fam, stats):
+            for j, (S, dec, row) in enumerate(zip(fam, decs, stats)):
                 y = S.eval(x) + scale_profile(mixed_scale, x, S) * xi_full
                 est = kernel_estimate(y, cfg)
                 s0 = float(S.eval(cfg.z0))
                 g0 = scale_eval(mixed_scale, cfg.z0, S)
                 row[i] = cfg.phi_n * abs(est - s0) / g0
+                got = (cfg.phi_n * abs(dec.b_n + sums[j, i] / cfg.q_n)
+                       / dec.law.g0)
+                assert got == pytest.approx(row[i], rel=0, abs=1e-12), \
+                    (S.label, i)
         assert [r.function for r in report.rows] == [S.label for S in fam]
         for r, row in zip(report.rows, stats):
             se = np.std(row, ddof=1) / math.sqrt(rc.reps)
@@ -486,15 +494,15 @@ class TestReplicationEngine:
         weights = np.linspace(0.5, 1.5, 3 * 257).reshape(3, 257)
         first = replicate(noise.sampler, weights, 30, 11)
         second = replicate(noise.sampler, weights, 30, 11)
-        assert first.shape == (30, 3)
+        assert first.shape == (3, 30)
         assert first.tobytes() == second.tobytes()
         assert sizes == [30 * 257] * 2
         assert all(type(size) is int for size in sizes)
         # replication i is row i of one flat draw from rng_from_seed(seed)
         xi = gaussian.sampler(rng_from_seed(11), 30 * 257).reshape(30, 257)
-        want = np.stack([(xi * w).sum(axis=1) for w in weights], axis=1)
+        want = np.stack([(xi * w).sum(axis=1) for w in weights])
         assert np.array_equal(first, want)
-        assert np.array_equal(first[4], (xi[4] * weights).sum(axis=1))
+        assert np.array_equal(first[:, 4], (xi[4] * weights).sum(axis=1))
 
     @pytest.mark.parametrize("label", sorted(noise_catalog()))
     def test_block_size_never_changes_values(self, monkeypatch, label):
@@ -502,7 +510,7 @@ class TestReplicationEngine:
         q_n, reps, seed = 101, 45, 17
         flat = noise.sampler(rng_from_seed(seed), reps * q_n).reshape(reps, q_n)
         weights = np.linspace(-1.5, 1.5, 3 * q_n).reshape(3, q_n)
-        want = np.stack([(flat * w).sum(axis=1) for w in weights], axis=1)
+        want = np.stack([(flat * w).sum(axis=1) for w in weights])
         # one row per block, seven rows per block (45 = 6 * 7 + 3), default
         for budget in (8, 8 * q_n * 7 + 5, model.REPLICATION_BLOCK_BYTES):
             monkeypatch.setattr(model, "REPLICATION_BLOCK_BYTES", budget)
@@ -511,7 +519,7 @@ class TestReplicationEngine:
             # a weight row's sums do not depend on the rows beside it
             for j, w in enumerate(weights):
                 alone = replicate(noise.sampler, [w], reps, seed)
-                assert alone[:, 0].tobytes() == sums[:, j].tobytes(), \
+                assert alone[0].tobytes() == sums[j].tobytes(), \
                     (budget, j)
 
     @pytest.mark.parametrize("lengths, reps, match", [
@@ -539,7 +547,7 @@ class TestReplicationEngine:
         noise = dataclasses.replace(gaussian, sampler=sampler)
         q_n, reps = 101, 45
         monkeypatch.setattr(model, "REPLICATION_BLOCK_BYTES", 8 * q_n * 7)
-        sums = replicate(noise.sampler, [np.ones(q_n)], reps, 17)[:, 0]
+        sums = replicate(noise.sampler, [np.ones(q_n)], reps, 17)[0]
         assert len(pointers) == math.ceil(reps / 7)
         assert len(set(pointers)) == 1
         flat = gaussian.sampler(rng_from_seed(17), reps * q_n).reshape(reps, q_n)
