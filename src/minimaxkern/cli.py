@@ -9,26 +9,28 @@ non-finite numbers and empty or repeated list entries are config errors.
 ``holder-check`` call it per (n, delta), since the bump follows n, and
 ``clt-check`` and ``convergence`` once, at their one delta.
 
-``clt-check`` runs its (noise, n) cells on one worker per CPU this
-process may use (``available_cpus``), at most one per cell: the calling
-thread and ``workers - 1`` helper threads pull cells from one shared
-iterator.  numpy's samplers and large reductions release the interpreter
-lock, so the cells overlap.  CPU affinity (e.g. ``taskset``) caps the
-workers; one CPU runs every cell on the calling thread.  The cells of one
-n share that n's window law, built and filled before any helper starts
-and only read after.  Cells start costliest first: they are taken by
-decreasing expected draw time, q_n times the seconds per value of the
+``clt-check`` deals its (noise, n) cells into one bin per CPU this
+process may use (``available_cpus``), at most one per cell: costliest
+first, by expected draw time (q_n times the seconds per value of the
 cell's law, which one warm probe of each law's sampler measures on a
-throwaway generator (longest processing time first; the longest cell
-bounds the wall time, so it must not start last).  Every cell keeps the
-seed of its position in the sorted cell list and rows are assembled in
-that order, so results never depend on the worker count or the order the
-cells ran in.  A failing cell stops the start of further cells and its
-exception is raised once every worker has stopped.  The other commands run
-serially: their cells are small and bound by the interpreter lock
-(``risk-table`` got slower on a pool).  The manifest records the number of
-workers used.  ``--out DIR`` (default ``results``) is the output
-directory.
+throwaway generator), each into the bin with the least expected time so
+far, since the longest cell bounds the wall time.  Bin 0 runs in the
+calling process.  On POSIX every other bin runs in a forked worker
+process (``workers.run_bins``), which inherits the window laws, filled
+before the first fork, so the peak memory holds one worker's scratch,
+not the sum of all workers'.  Without ``os.fork`` one bin runs every
+cell in the calling process.  CPU affinity (e.g. ``taskset``) caps the
+workers; on one CPU nothing forks.  The children make no BLAS call.  On
+Python >= 3.12 ``os.fork`` warns when the process already runs other
+threads, such as an unpinned BLAS pool; the benchmark pins BLAS to one
+thread.  Every cell keeps the seed of its position in the sorted cell
+list and rows are assembled in that order, so results never depend on
+the worker count or on where a cell ran.  A failing cell stops its bin,
+and its error is raised once every child has been reaped.  The other
+commands run serially: their cells are small and bound by the
+interpreter lock (``risk-table`` got slower on a pool).  The manifest
+records the number of workers used.  ``--out DIR`` (default
+``results``) is the output directory.
 
 Exit codes: 0 success, 2 config error, 3 numeric or module error.
 """
@@ -40,7 +42,6 @@ import dataclasses
 import json
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -323,7 +324,7 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
     noises = {label: get_noise(label) for label in sorted(config.noise_list)}
     # One window law per n: it is (S, scale, cfg)'s, not the noise's, so
     # that n's noise cells share it.  Its weights and sigma_n_sq are filled
-    # here, before any helper starts, so the cells only read it.
+    # here, before any worker is forked, so every worker inherits them.
     laws = {}
     for n in sorted(config.n_list):
         law = window_law(S, scale, EstimatorConfig(n=n, beta=config.beta,
@@ -344,45 +345,26 @@ def _clt_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
         ks = normal_approx_check(law, noise, reps=config.reps, seed=seed)
         return [label, cfg.n, report.a_n, report.k_p, report.r_n, ks]
 
-    workers = min(available_cpus(), len(cells))
     rates = {label: _seconds_per_value(noise) for label, noise in noises.items()}
-    # Costliest cell first, by measured draw time: the longest cell bounds
-    # the wall time, so it must not start last.  The calling thread and
-    # workers - 1 helpers pull cells from one iterator; after a failure no
-    # cell starts, and the first exception is raised once all have stopped.
-    pending = iter(_costliest_first(cells, rates))
-    rows: list = [None] * len(cells)
-    errors: list[BaseException] = []
-    lock = threading.Lock()
-
-    def work() -> None:
-        while True:
-            with lock:
-                i = None if errors else next(pending, None)
-            if i is None:
-                return
-            try:
-                rows[i] = cell_row(*cells[i])
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                return
-
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    # Costliest cell first, by measured draw time, each into the bin with
+    # the least expected time so far (longest processing time first): the
+    # longest cell bounds the wall time, so it must not start last.
+    workers = min(available_cpus(), len(cells)) if hasattr(os, "fork") else 1
+    bins: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0.0] * workers
+    for i in _costliest_first(cells, rates):
+        b = loads.index(min(loads))
+        bins[b].append(i)
+        loads[b] += cells[i][2].q_n * rates[cells[i][0]]
+    # imported here: the commands that never fork do not compile it
+    from .workers import run_bins
+    by_position = run_bins(bins, lambda i: cell_row(*cells[i]))
+    rows = [by_position[i] for i in range(len(cells))]
     counters = {"cells": len(cells), "draw_streams": len(cells),
                 "values_drawn": sum(config.reps * cfg.q_n
                                     for _, _, cfg, _ in cells)}
     return (["noise", "n", "a_n", "K_p", "r_n", "ks_distance"], rows,
-            {"threads": workers, "counters": counters})
+            {"workers": workers, "counters": counters})
 
 
 def _holder_check(config: ExperimentConfig) -> tuple[list[str], list[list], dict]:
@@ -484,7 +466,7 @@ def run(config: ExperimentConfig, out_dir: str, quiet: bool = False) -> int:
                        for k, v in dataclasses.asdict(config).items()},
             "seed": config.seed,
             "seed_source": config.seed_source,
-            "threads": 1,  # clt-check's notes give its workers
+            "workers": 1,  # clt-check's notes give its workers
             "version": __version__,
             "wall_clock_s": round(time.perf_counter() - start, 3),
             "outputs": [csv_path.name],

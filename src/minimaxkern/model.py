@@ -230,12 +230,12 @@ class NoiseSpec:
 
     ``sampler(rng, size, out=None)`` draws ``size`` values from ``rng``.
     Given ``out`` (a C-contiguous float64 array of ``size`` values) it
-    fills and returns it; otherwise it returns a new array.  Its scratch
-    is freed on return: none for the Gaussian and uniform laws, one
-    ``size``-value temporary for Laplace and Rademacher, and at most
-    1.25 MiB for Student-t(5), which draws in rounds of at most
-    ``_STUDENT_ROUND`` candidates.  Values come in stream order: drawing a
-    and then b values gives the same numbers as drawing a + b at once.
+    fills and returns it; otherwise it returns a new array.  Whatever
+    ``size``, its scratch is at most 1.25 MiB and freed on return: the
+    Laplace and Rademacher samplers work in chunks, and Student-t(5) in
+    rounds, of at most ``_STUDENT_ROUND`` values.  Values come in stream
+    order: drawing a and then b values gives the same numbers as drawing
+    a + b at once.
     """
 
     label: str
@@ -262,6 +262,8 @@ _STUDENT_V = math.sqrt(2.5) * 1.5 ** -1.5
 _STUDENT_ACCEPT = 3.0 * math.pi * math.sqrt(5.0) / (32.0 * _STUDENT_V)
 #: Most candidates one Student-t round draws; at 32 bytes of scratch and
 #: up to 8 bytes of kept index per candidate a round holds at most 1.25 MiB.
+#: The Laplace and Rademacher samplers work in chunks of as many values,
+#: with 8 bytes of scratch each (256 KiB).
 _STUDENT_ROUND = 2 ** 15
 
 
@@ -289,10 +291,14 @@ def _uniform_sampler(rng, size, out=None):
 
 def _rademacher_sampler(rng, size, out=None):
     # one integers call gives the bits of any split of it: numpy draws
-    # these from buffered 32-bit halves that persist across calls
+    # these from buffered 32-bit halves that persist across calls, so
+    # chunks of _STUDENT_ROUND values keep the bits and the stream position
     out = _sample_out(size, out)
-    np.multiply(rng.integers(0, 2, out.shape), 2.0, out=out)
-    out -= 1.0
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _STUDENT_ROUND):
+        chunk = flat[start:start + _STUDENT_ROUND]
+        np.multiply(rng.integers(0, 2, chunk.size), 2.0, out=chunk)
+        chunk -= 1.0
     return out
 
 
@@ -303,15 +309,21 @@ def _laplace_sampler(rng, size, out=None):
     2^-53, which is symmetric about 0, so x = sign(t) b (-log1p(-|t|)) is
     finite (|x| <= 25.98 at u = 0) and exactly antisymmetric, and u >= 1/2
     gives x >= 0.  log1p is vectorised, where rng.laplace calls scalar log.
+    The uniforms are drawn and mapped in chunks of at most
+    ``_STUDENT_ROUND`` values, so -|t| needs one chunk of scratch.
     """
-    out = rng.random(size, out=out)
-    out *= 2.0
-    out -= 1.0 - 2.0 ** -53
-    m = np.abs(out)
-    np.negative(m, out=m)
-    np.log1p(m, out=m)
-    np.copysign(m, out, out=out)
-    out *= _LAPLACE_B
+    out = _sample_out(size, out)
+    flat = out.reshape(-1)
+    m = np.empty(min(flat.size, _STUDENT_ROUND))
+    for start in range(0, flat.size, _STUDENT_ROUND):
+        t = flat[start:start + _STUDENT_ROUND]
+        rng.random(t.size, out=t)
+        t *= 2.0
+        t -= 1.0 - 2.0 ** -53
+        mt = np.copysign(t, -1.0, out=m[:t.size])  # -|t|, exactly
+        np.log1p(mt, out=mt)
+        np.copysign(mt, t, out=t)
+        t *= _LAPLACE_B
     return out
 
 

@@ -363,8 +363,8 @@ class TestCltCheckReproducibility:
     def test_four_workers_with_fast_switching_never_change_csv(
             self, clt_outputs, tmp_path, monkeypatch):
         # four workers, more than a 2-CPU machine has cores, and a thread
-        # switch every microsecond: a cell lost off the shared iterator
-        # would break the table, and one given a wrong row would change it
+        # switch every microsecond: a cell missing from the bins would
+        # break the table, and a row put at a wrong position would change it
         _cap_cpus(monkeypatch, 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -412,7 +412,7 @@ class TestCltCheckReproducibility:
         text = CLT_CFG if cells == 4 else CLT_CFG.replace(", 2000", "")
         assert run(parse_config(text), out_dir=str(tmp_path), quiet=True) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["threads"] == used
+        assert manifest["workers"] == used
 
     def test_costliest_first_orders_by_expected_draw_time(self):
         # cells are (label, noise, cfg, seed); reps is common to all of them
@@ -435,7 +435,7 @@ class TestCltCheckReproducibility:
         assert order(cells, dict.fromkeys(("gaussian", "student5_std"), 0.0)
                      ) == [0, 1, 2, 3]
 
-    # one CPU runs the same path, probe included, with no helper thread
+    # one CPU runs the same path, probe included, and forks nothing
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_pool_probes_each_law_once(self, tmp_path, monkeypatch, cpus):
         calls = []
@@ -507,7 +507,7 @@ class TestCltCheckReproducibility:
         # the CPUs available
         _cap_cpus(monkeypatch, 2)
         assert run(parse_config(text), out_dir=str(tmp_path), quiet=True) == 0
-        assert json.loads((tmp_path / "manifest.json").read_text())["threads"] == 1
+        assert json.loads((tmp_path / "manifest.json").read_text())["workers"] == 1
 
     def test_failing_cell_exits_three_without_outputs(self, tmp_path,
                                                       monkeypatch):
@@ -550,34 +550,57 @@ class TestCltCheckReproducibility:
         assert calls == [cells[orders[0][0]]]
         assert not list(out.glob("*"))
 
-    @pytest.mark.parametrize("on_caller", [True, False],
-                             ids=["calling_thread", "helper"])
-    def test_failing_cell_on_either_thread_exits_three(self, tmp_path,
-                                                       monkeypatch, capsys,
-                                                       on_caller):
-        # Each of the two workers waits at the barrier in its first cell,
-        # so both hold a cell when the chosen one fails.
-        real, barrier = cli.normal_approx_check, threading.Barrier(2, timeout=30)
-        seen, raised = set(), []
+    @pytest.mark.parametrize("in_parent", [True, False],
+                             ids=["parent", "child"])
+    def test_failing_cell_in_either_bin_exits_three(self, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    in_parent):
+        # Two workers: bin 0 runs in this process and bin 1 in a forked
+        # child, which inherits the patched check.  The chosen bin's first
+        # cell fails with a message naming where it ran.
+        real, parent = cli.normal_approx_check, os.getpid()
 
         def failing(*args, **kwargs):
-            me = threading.current_thread()
-            if me not in seen:
-                seen.add(me)
-                barrier.wait()
-            if (me.name == "main-call") == on_caller and not raised:
-                raised.append(me.name)
-                raise ValueError("injected cell failure")
+            if (os.getpid() == parent) == in_parent:
+                where = "parent" if in_parent else "child"
+                raise ValueError(f"injected cell failure in the {where}")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "normal_approx_check", failing)
         _cap_cpus(monkeypatch, 2)
         out = tmp_path / "out"
         assert _main_in_thread(tmp_path, out) == 3
-        assert len(seen) == 2 and len(raised) == 1
-        assert (raised[0] == "main-call") == on_caller
-        assert "injected cell failure" in capsys.readouterr().err
+        where = "parent" if in_parent else "child"
+        assert (f"error: injected cell failure in the {where}\n"
+                in capsys.readouterr().err)
         assert not list(out.glob("*"))
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("outcome", [None, ValueError, KeyboardInterrupt],
+                             ids=["success", "failure", "interrupt"])
+    def test_every_child_is_reaped(self, tmp_path, monkeypatch, outcome):
+        # three workers; a failure or an interrupt in the calling process's
+        # bin kills the two children, and every path reaps them
+        with pytest.raises(ChildProcessError):  # no child before the run
+            os.waitpid(-1, os.WNOHANG)
+        real, parent = cli.normal_approx_check, os.getpid()
+
+        def cell(*args, **kwargs):
+            if outcome is not None and os.getpid() == parent:
+                raise outcome("injected in the calling process's bin")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "normal_approx_check", cell)
+        _cap_cpus(monkeypatch, 3)
+        config = parse_config(CLT_CFG)
+        if outcome is None:
+            assert run(config, out_dir=str(tmp_path), quiet=True) == 0
+        else:
+            with pytest.raises(outcome, match="injected"):
+                run(config, out_dir=str(tmp_path), quiet=True)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("threads", ["2", "0", "-1"])
     def test_threads_option_is_usage_error(self, tmp_path, capsys, threads):
@@ -1206,47 +1229,54 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
         assert (tmp_path / command / f"{command.replace('-', '_')}.csv").exists()
 
 
-_HELPERS_SCRIPT = """
-import json, sys, threading
+_WORKERS_SCRIPT = """
+import json, os, sys, threading
 from minimaxkern import cli
-started = []
+children, fork = [], os.fork
 
 
-class Counted(threading.Thread):
-    def start(self):
-        started.append(self)
-        super().start()
+def counted():
+    pid = fork()
+    if pid:
+        children.append(pid)
+    return pid
 
 
-threading.Thread = Counted
+os.fork = counted
 cli.available_cpus = lambda: int(sys.argv[3])
 code = cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "--quiet"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
 print(json.dumps({
-    "code": code, "helpers": len(started),
-    "alive": sum(t.is_alive() for t in started),
-    "threads": json.load(open(sys.argv[2] + "/manifest.json"))["threads"],
-    "concurrent": sorted(m for m in sys.modules if m.startswith("concurrent"))}))
+    "code": code, "children": len(children), "reaped": reaped,
+    "threads": threading.active_count(),
+    "workers": json.load(open(sys.argv[2] + "/manifest.json"))["workers"],
+    "pools": sorted(m for m in sys.modules
+                    if m.split(".")[0] in ("concurrent", "multiprocessing"))}))
 """
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_clt_check_starts_workers_minus_one_helpers(tmp_path, cpus):
-    """The calling thread is one of clt-check's workers: it starts
-    min(cpus, cells) - 1 helper threads, joins them all, and loads no
-    concurrent.futures."""
+def test_clt_check_forks_workers_minus_one_children(tmp_path, cpus):
+    """The calling process is one of clt-check's workers: it forks
+    min(cpus, cells) - 1 children and reaps them all, starts no thread,
+    and loads neither concurrent.futures nor multiprocessing."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CLT_CFG)
     src = str(Path(minimaxkern.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _HELPERS_SCRIPT, str(cfg),
+    proc = subprocess.run([sys.executable, "-c", _WORKERS_SCRIPT, str(cfg),
                            str(tmp_path / "out"), str(cpus)],
                           capture_output=True, text=True, env=env, check=True,
                           timeout=120)
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"code": 0, "helpers": cpus - 1, "alive": 0,
-                      "threads": cpus, "concurrent": []}
+    assert result == {"code": 0, "children": cpus - 1, "reaped": True,
+                      "threads": 1, "workers": cpus, "pools": []}
 
 
 # Minor page faults allowed across cli.run for the config below.  A run that

@@ -279,6 +279,36 @@ class TestSamplerContract:
             tracemalloc.stop()
         assert peak < 3 * 2 ** 20
 
+    @pytest.mark.parametrize("label", ALL_LAWS)
+    def test_scratch_is_bounded_for_every_law(self, label):
+        # NoiseSpec's one scratch bound: the Laplace and Rademacher
+        # samplers work in chunks of _STUDENT_ROUND values, so a large
+        # draw into a given block holds no temporary of its size
+        out = np.empty(1_000_000)
+        rng = rng_from_seed(1)
+        tracemalloc.start()
+        try:
+            get_noise(label).sampler(rng, out.size, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 2 ** 20
+
+    @pytest.mark.parametrize("label", ["laplace_std", "rademacher"])
+    def test_chunks_keep_the_one_pass_bits(self, label):
+        # two and a half chunks in one call: the values and the stream
+        # position are those of the one-pass map over one draw of them all
+        n = 5 * model._STUDENT_ROUND // 2
+        rng, ref_rng = rng_from_seed(19), rng_from_seed(19)
+        got = get_noise(label).sampler(rng, n)
+        if label == "rademacher":
+            ref = NUMPY_DRAWS["rademacher"](ref_rng, n)
+        else:
+            t = 2.0 * ref_rng.random(n) - (1.0 - 2.0 ** -53)
+            ref = np.copysign(np.log1p(-np.abs(t)), t) * LAPLACE_B
+        assert got.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()
+
     def test_student5_matches_exact_cdf(self):
         n = 1_000_000
         x = get_noise("student5_std").sampler(rng_from_seed(99), n)

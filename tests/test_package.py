@@ -231,8 +231,9 @@ def test_readme_model_row_names_every_noise_field():
 
 def test_readme_manifest_names_every_key(tmp_path):
     # every key of a risk-table certification entry and of the counters of
-    # risk-table and clt-check is named in code spans of the README's
-    # manifest paragraph, so the docs cannot drift from the manifest
+    # risk-table and clt-check, and the workers entry of every manifest, is
+    # named in code spans of the README's manifest paragraph, so the docs
+    # cannot drift from the manifest
     from minimaxkern import cli
 
     readme = (ROOT / "README.md").read_text()
@@ -247,10 +248,12 @@ def test_readme_manifest_names_every_key(tmp_path):
             f"command = {command}\n{_SCHEMA_CONFIGS[command]}")
         assert cli.run(config, out_dir=str(out), quiet=True) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        assert "threads" not in manifest
+        keys |= {"workers"} & set(manifest)
         keys |= set(manifest["counters"])
         for entry in manifest.get("certification", []):
             keys |= set(entry)
-    assert "certificates" in keys and "max_defect_over_delta" in keys
+    assert {"certificates", "max_defect_over_delta", "workers"} <= keys
     assert keys - documented == set()
     assert "worst_h" not in paragraph
 
@@ -278,8 +281,9 @@ _TRACE_CONFIGS = {
 
 
 def _one_cpu() -> None:
-    # The driver's tracer keeps one span stack for all threads, so the
-    # traced child runs clt-check's cells on one worker.
+    # The driver's tracer records only this process's spans, and a forked
+    # worker's are lost, so the traced child runs clt-check's cells on one
+    # worker.
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
@@ -317,15 +321,17 @@ def test_traced_run_matches_untraced(tmp_path, command):
 
 
 def test_cli_import_leaves_thread_pool_unloaded():
-    # clt-check runs its workers on plain threads, never concurrent.futures
-    # (tests/test_cli.py checks a run), and probes the samplers only when
+    # clt-check forks its workers with os.fork, never through
+    # concurrent.futures or multiprocessing (tests/test_cli.py checks a
+    # run), imports minimaxkern.workers and probes the samplers only when
     # it dispatches, so importing the CLI (the benchmark's set-up time)
-    # pays for neither.  numpy.random counts only if the CLI loads it: an
-    # older numpy loads it itself.
+    # pays for none of them.  numpy.random counts only if the CLI loads it:
+    # an older numpy loads it itself.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import sys, numpy; numpy_own = set(sys.modules); "
             "import minimaxkern.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('concurrent'))); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing') or m == 'minimaxkern.workers')); "
             "print(sorted(m for m in set(sys.modules) - numpy_own "
             "if m.startswith('numpy.random')))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
